@@ -93,14 +93,21 @@ struct ModelQ {
     const double* row(std::size_t) const { return nullptr; }
 };
 
-// Accessor over the precomputed matrix; the context is ignored because the
-// row was computed from exactly that tuple's context.
+// Accessor over precomputed q̂ rows, row-major with `stride` decisions per
+// row: a whole matrix, or the rows the fused chunk kernel is handed (a
+// chunk's own block or a slice of a cached matrix). The context is ignored
+// because each row was computed from exactly that tuple's context.
 struct MatrixQ {
-    const PredictionMatrix* qhat;
+    const double* rows;
+    std::size_t stride;
+    explicit MatrixQ(const PredictionMatrix* qhat)
+        : rows(qhat->row(0)), stride(qhat->num_decisions()) {}
+    MatrixQ(const double* first_row, std::size_t decisions)
+        : rows(first_row), stride(decisions) {}
     double operator()(std::size_t k, const ClientContext&, std::size_t d) const {
-        return qhat->at(k, d);
+        return rows[k * stride + d];
     }
-    const double* row(std::size_t k) const { return qhat->row(k); }
+    const double* row(std::size_t k) const { return rows + k * stride; }
 };
 
 // Fill per_tuple[k] = fn(k, trace[k]) for every tuple, in parallel. Each
@@ -438,22 +445,27 @@ EstimateResult self_normalized_doubly_robust(const Trace& trace,
     return self_normalized_doubly_robust_impl(trace, new_policy, MatrixQ{&qhat});
 }
 
-void fill_estimator_chunk(const Trace& chunk, const Policy& new_policy,
-                          const PredictionMatrix& qhat,
+void fill_estimator_chunk(std::span<const LoggedTuple> chunk,
+                          const Policy& new_policy, const double* qhat_rows,
                           const EstimatorOptions& options, EstimatorChunk& out) {
     if (!(options.switch_threshold > 0.0))
         throw std::invalid_argument("fill_estimator_chunk: threshold must be > 0");
-    check_matrix(chunk, new_policy, qhat);
+    validate_trace(chunk);
+    const std::size_t decisions = new_policy.num_decisions();
+    for (const LoggedTuple& t : chunk)
+        if (static_cast<std::size_t>(t.decision) >= decisions)
+            throw std::invalid_argument(
+                "estimator: trace uses decisions outside policy space");
     const std::size_t n = chunk.size();
     out.dm.resize(n);
     out.ips.resize(n);
     out.dr.resize(n);
     out.switch_dr.resize(n);
     out.weights.resize(n);
-    const MatrixQ q{&qhat};
-    // Serial by design: the caller (evaluate_streaming) already runs one
-    // chunk per pool task. Each expression below is copied verbatim from
-    // the per-estimator loops above, so per-tuple values match bit-for-bit.
+    const MatrixQ q(qhat_rows, decisions);
+    // Serial by design: the engine already runs one chunk per pool task.
+    // Each expression below is copied verbatim from the per-estimator
+    // loops above, so per-tuple values match bit-for-bit.
     std::vector<double>& probs = probs_scratch();
     for (std::size_t k = 0; k < n; ++k) {
         const LoggedTuple& t = chunk[k];
@@ -473,6 +485,13 @@ void fill_estimator_chunk(const Trace& chunk, const Policy& new_policy,
             out.switch_dr[k] = dm_part;
         }
     }
+}
+
+void fill_estimator_chunk(const Trace& chunk, const Policy& new_policy,
+                          const PredictionMatrix& qhat,
+                          const EstimatorOptions& options, EstimatorChunk& out) {
+    check_matrix(chunk, new_policy, qhat);
+    fill_estimator_chunk(chunk.tuples(), new_policy, qhat.row(0), options, out);
 }
 
 } // namespace dre::core

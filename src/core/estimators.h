@@ -15,6 +15,7 @@
 #define DRE_CORE_ESTIMATORS_H
 
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -129,13 +130,13 @@ ReplayEstimate matching_replay(const Trace& trace, const Policy& new_policy);
 std::vector<double> importance_weights(const Trace& trace, const Policy& new_policy);
 
 // ---------------------------------------------------------------------------
-// Streaming (out-of-core) support: per-tuple contributions of the whole
-// Evaluator estimator suite for one chunk of tuples, computed in a single
-// pass against a chunk-local prediction matrix (row k ↔ chunk[k]). The
-// arithmetic is shared with the batch overloads above — same probability /
-// propensity / q̂ expressions in the same order — so chunk-ordered
-// reductions over these arrays reproduce the batch estimates bit-for-bit
-// (see core/streaming.h for the full determinism contract).
+// The fused chunk kernel behind the evaluation engine (core/engine.h, which
+// both Evaluator and evaluate_streaming drive): per-tuple contributions of
+// the whole Evaluator estimator suite for one chunk of tuples, in a single
+// pass that asks the policy once per tuple. The arithmetic is shared with
+// the whole-trace overloads above — same probability / propensity / q̂
+// expressions in the same order — so chunk-ordered reductions over these
+// arrays reproduce the whole-trace estimates bit-for-bit.
 // ---------------------------------------------------------------------------
 
 struct EstimatorChunk {
@@ -146,6 +147,16 @@ struct EstimatorChunk {
     std::vector<double> weights;   // importance weight w_k
 };
 
+// `qhat_rows` holds the chunk's q̂ rows, row-major with
+// new_policy.num_decisions() columns (row k ↔ chunk[k]): a chunk-local
+// PredictionMatrix block or a row slice of a cached one. Throws
+// std::invalid_argument for an invalid tuple (validate_trace), a decision
+// outside the policy's space, or a SWITCH threshold <= 0.
+void fill_estimator_chunk(std::span<const LoggedTuple> chunk,
+                          const Policy& new_policy, const double* qhat_rows,
+                          const EstimatorOptions& options, EstimatorChunk& out);
+
+// The same kernel over a chunk trace and its own prediction matrix.
 void fill_estimator_chunk(const Trace& chunk, const Policy& new_policy,
                           const PredictionMatrix& qhat,
                           const EstimatorOptions& options, EstimatorChunk& out);

@@ -1,8 +1,11 @@
 #include "core/evaluator.h"
 
+#include <algorithm>
 #include <cstdio>
+#include <span>
 #include <stdexcept>
 
+#include "core/engine.h"
 #include "core/parallel.h"
 #include "obs/obs.h"
 
@@ -29,8 +32,8 @@ Evaluator::Evaluator(Trace trace, EvaluationConfig config, stats::Rng rng)
         model_ = fit_reward_model(config_.reward_model, trace.num_decisions(), trace);
         evaluation_trace_ = std::move(trace);
     }
-    // Evaluate the model once per (tuple, decision); every estimator run —
-    // and every bootstrap replicate under the hood — reuses this matrix.
+    // Evaluate the model once per (tuple, decision); every evaluation
+    // sweep reuses this matrix.
     qhat_ = PredictionMatrix::build(*model_, evaluation_trace_);
 }
 
@@ -45,52 +48,33 @@ PolicyEvaluation Evaluator::evaluate_with(const Policy& new_policy,
 #if DRE_OBS_ENABLED
     const std::uint64_t eval_start_ns = obs::now_ns();
 #endif
-    PolicyEvaluation out;
-    {
-        DRE_SPAN("evaluator.dm");
-        out.dm = direct_method(evaluation_trace_, new_policy, qhat_);
-    }
-    {
-        DRE_SPAN("evaluator.ips");
-        out.ips = inverse_propensity(evaluation_trace_, new_policy);
-    }
-    {
-        DRE_SPAN("evaluator.snips");
-        out.snips = self_normalized_ips(evaluation_trace_, new_policy);
-    }
-    {
-        DRE_SPAN("evaluator.dr");
-        out.dr = doubly_robust(evaluation_trace_, new_policy, qhat_);
-    }
-    {
-        DRE_SPAN("evaluator.switch_dr");
-        out.switch_dr = switch_doubly_robust(evaluation_trace_, new_policy,
-                                             qhat_, config_.estimator_options);
-    }
-    {
-        DRE_SPAN("evaluator.overlap");
-        out.overlap = overlap_diagnostics(evaluation_trace_, new_policy);
-    }
-    if (ci_replicates > 0) {
-        DRE_SPAN("evaluator.dr_ci");
-        // Chunk-keyed bootstrap (not the classic full-sample resampler):
-        // the streaming path (core/streaming.h) folds the same per-chunk
-        // partials with the same split streams, so in-memory and
-        // out-of-core CIs are bit-identical by construction.
-        out.dr_ci = stats::chunked_bootstrap_mean_ci(out.dr.per_tuple,
-                                                     out.dr.value, rng,
-                                                     ci_replicates, ci_level);
-    }
+    EvaluationEngine engine(new_policy, qhat_.num_decisions(),
+                            config_.estimator_options, rng, ci_replicates,
+                            ci_level);
+    // Each chunk folds a span of the cached trace against its rows of the
+    // cached q̂ matrix and writes its own slice of the DR contributions.
+    const std::span<const LoggedTuple> tuples = evaluation_trace_.tuples();
+    const std::size_t n = tuples.size();
+    std::vector<double> dr(n);
+    engine.fold_in_order(
+        0, (n + par::kReduceChunk - 1) / par::kReduceChunk,
+        [&](std::uint64_t c) {
+            const std::size_t begin = c * par::kReduceChunk;
+            const std::size_t len = std::min(par::kReduceChunk, n - begin);
+            return engine.fold(c, tuples.subspan(begin, len),
+                               qhat_.row(begin), dr.data() + begin);
+        });
+    PolicyEvaluation out = engine.finalize();
+    out.dr.per_tuple = std::move(dr);
 #if DRE_OBS_ENABLED
-    // Throughput across the five estimator passes (six trace sweeps plus
-    // diagnostics); timing-derived, so diagnostics-only — never fingerprinted.
+    // Timing-derived, so diagnostics-only — never fingerprinted.
     const double elapsed_s =
         static_cast<double>(obs::now_ns() - eval_start_ns) / 1e9;
     if (elapsed_s > 0.0) {
         DRE_GAUGE_SET("evaluator.tuples_per_sec",
-                      static_cast<double>(evaluation_trace_.size()) / elapsed_s);
+                      static_cast<double>(n) / elapsed_s);
     }
-    DRE_COUNTER_ADD("evaluator.tuples_evaluated", evaluation_trace_.size());
+    DRE_COUNTER_ADD("evaluator.tuples_evaluated", n);
     DRE_COUNTER_INC("evaluator.policies_evaluated");
 #endif
     return out;
@@ -166,6 +150,13 @@ obs::Report make_policy_report(std::string_view policy_spec,
     out.set("diagnostics", "zero-weight tuples %",
             100.0 * result.overlap.zero_weight_fraction);
     return out;
+}
+
+void widen_dr_ci(PolicyEvaluation& result, double coverage) {
+    if (!result.dr_ci || !(coverage > 0.0 && coverage < 1.0)) return;
+    stats::ConfidenceInterval& ci = *result.dr_ci;
+    ci.lower = ci.point - (ci.point - ci.lower) / coverage;
+    ci.upper = ci.point + (ci.upper - ci.point) / coverage;
 }
 
 } // namespace dre::core

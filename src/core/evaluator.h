@@ -1,5 +1,12 @@
 // One-call evaluation harness: run the full estimator suite on a trace and
 // compare candidate policies ("Which policy is the best?" — Figure 1).
+//
+// Evaluator owns the reward-model fit and the q̂ matrix over its trace;
+// each evaluation is one fused sweep of the shared evaluation engine
+// (core/engine.h) per 4096-tuple chunk, over spans of the cached trace
+// and row slices of the cached matrix — no tuple copies, no model calls,
+// one policy call per tuple. evaluate_streaming drives the same engine, so
+// the two paths agree bit for bit by construction.
 #ifndef DRE_CORE_EVALUATOR_H
 #define DRE_CORE_EVALUATOR_H
 
@@ -35,6 +42,9 @@ struct EvaluationConfig {
     double ci_level = 0.95;
 };
 
+// Only dr.per_tuple is filled (by Evaluator, for the DR CI and callers
+// that resample it); the other per-tuple vectors stay empty, and
+// evaluate_streaming fills none.
 struct PolicyEvaluation {
     EstimateResult dm;
     EstimateResult ips;
@@ -84,8 +94,8 @@ public:
 
     // The shared q̂[tuple × decision] matrix: the fitted model evaluated
     // once at every (evaluation tuple, decision) pair in the constructor.
-    // All model-based estimators in evaluate()/compare() read from it
-    // instead of re-querying the model, with bit-identical results.
+    // Every evaluate()/compare() sweep reads its rows instead of
+    // re-querying the model, with bit-identical results.
     const PredictionMatrix& prediction_matrix() const noexcept { return qhat_; }
 
 private:
@@ -106,6 +116,12 @@ private:
 // responses are byte-diffable against CLI stdout by construction.
 obs::Report make_policy_report(std::string_view policy_spec,
                                const PolicyEvaluation& result);
+
+// Coverage-qualifies a partial result (streaming degrade mode, serve
+// brownout): divides the DR CI half-widths by `coverage`, the evaluated
+// fraction of the trace. Deterministic, monotone in the skipped mass, and
+// the identity without a CI or for coverage outside (0, 1).
+void widen_dr_ci(PolicyEvaluation& result, double coverage);
 
 } // namespace dre::core
 

@@ -3,16 +3,15 @@
 #include <algorithm>
 #include <bit>
 #include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <optional>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 
 #include <unistd.h>
 
-#include "core/estimators.h"
+#include "core/engine.h"
 #include "core/parallel.h"
 #include "core/qhat.h"
 #include "fault/fault.h"
@@ -212,29 +211,31 @@ struct Parser {
     }
 };
 
-// Everything evaluate_streaming folds across chunks, checkpointable as a
-// unit. The bootstrap replicate sums travel alongside (they live in the
-// ChunkedMeanBootstrap).
+// The streaming run's own state across chunks; the checkpoint saves it
+// together with the engine's totals and bootstrap replicate sums.
 struct RunState {
     std::uint64_t next_chunk = 0; // first chunk NOT yet merged
-    par::MeanState dm, ips, dr, switch_dr;
-    double weight_total = 0.0, weighted_reward_total = 0.0;
-    double o_sum = 0.0, o_sum_sq = 0.0, o_max = 0.0;
-    std::uint64_t o_zeros = 0;
-    stats::Accumulator weight_acc;
     QuarantineReport quarantine;
 };
 
-void put_mean_state(Serializer& s, const par::MeanState& m) {
-    s.u64(m.n);
-    s.f64(m.mean);
-}
-
-par::MeanState get_mean_state(Parser& p) {
-    par::MeanState m;
-    m.n = static_cast<std::size_t>(p.u64());
-    m.mean = p.f64();
-    return m;
+// The engine totals' fields in checkpoint order, listed once for both
+// directions: `io` is called on each field and either writes it out or
+// overwrites it with the value read back.
+template <typename Io>
+void visit_totals(EngineTotals& t, Io&& io) {
+    for (par::MeanState* m : {&t.dm, &t.ips, &t.dr, &t.switch_dr}) {
+        io(m->n);
+        io(m->mean);
+    }
+    for (double* x : {&t.weight_total, &t.weighted_reward_total, &t.o_sum,
+                      &t.o_sum_sq, &t.o_max})
+        io(*x);
+    io(t.o_zeros);
+    stats::Accumulator::State acc = t.weight_acc.state();
+    io(acc.n);
+    for (double* x : {&acc.mean, &acc.m2, &acc.sum, &acc.min, &acc.max})
+        io(*x);
+    t.weight_acc = stats::Accumulator::from_state(acc);
 }
 
 void put_report(Serializer& s, const QuarantineReport& q) {
@@ -296,8 +297,8 @@ QuarantineReport get_report(Parser& p) {
 // bootstrap base-generator words fold in the caller's seed, so resuming
 // with a different --seed is refused instead of silently diverging.
 std::uint64_t config_hash(std::uint64_t n, const StreamingOptions& options,
-                          const std::optional<stats::ChunkedMeanBootstrap>&
-                              bootstrap) {
+                          const EvaluationEngine& engine) {
+    const auto& bootstrap = engine.bootstrap;
     Serializer s;
     s.u64(n);
     s.u64(par::kReduceChunk);
@@ -314,30 +315,19 @@ std::uint64_t config_hash(std::uint64_t n, const StreamingOptions& options,
 }
 
 void write_checkpoint(const std::string& path, std::uint64_t hash,
-                      const RunState& state,
-                      const std::optional<stats::ChunkedMeanBootstrap>&
-                          bootstrap) {
+                      const RunState& state, const EvaluationEngine& engine) {
+    const auto& bootstrap = engine.bootstrap;
     Serializer s;
     s.buf.append(kCheckpointMagic, sizeof kCheckpointMagic);
     s.u64(hash);
     s.u64(state.next_chunk);
-    put_mean_state(s, state.dm);
-    put_mean_state(s, state.ips);
-    put_mean_state(s, state.dr);
-    put_mean_state(s, state.switch_dr);
-    s.f64(state.weight_total);
-    s.f64(state.weighted_reward_total);
-    s.f64(state.o_sum);
-    s.f64(state.o_sum_sq);
-    s.f64(state.o_max);
-    s.u64(state.o_zeros);
-    const stats::Accumulator::State acc = state.weight_acc.state();
-    s.u64(acc.n);
-    s.f64(acc.mean);
-    s.f64(acc.m2);
-    s.f64(acc.sum);
-    s.f64(acc.min);
-    s.f64(acc.max);
+    EngineTotals totals = engine.totals;
+    visit_totals(totals, [&](const auto& field) {
+        if constexpr (std::is_same_v<std::decay_t<decltype(field)>, double>)
+            s.f64(field);
+        else
+            s.u64(field);
+    });
     s.u64(bootstrap ? 1 : 0);
     if (bootstrap) {
         s.i64(bootstrap->replicates());
@@ -368,8 +358,7 @@ void write_checkpoint(const std::string& path, std::uint64_t hash,
 // file does not exist; throws on any malformed or mismatched content — a
 // damaged checkpoint must never silently fall back to a fresh run.
 bool load_checkpoint(const std::string& path, std::uint64_t hash,
-                     RunState& state,
-                     std::optional<stats::ChunkedMeanBootstrap>& bootstrap) {
+                     RunState& state, EvaluationEngine& engine) {
     std::FILE* file = std::fopen(path.c_str(), "rb");
     if (file == nullptr) return false;
     std::string buf;
@@ -394,25 +383,15 @@ bool load_checkpoint(const std::string& path, std::uint64_t hash,
         ckpt_fail(path +
                   " was written by a run with different options, data size, "
                   "or seed — refusing to resume");
+    auto& bootstrap = engine.bootstrap;
     state.next_chunk = p.u64();
-    state.dm = get_mean_state(p);
-    state.ips = get_mean_state(p);
-    state.dr = get_mean_state(p);
-    state.switch_dr = get_mean_state(p);
-    state.weight_total = p.f64();
-    state.weighted_reward_total = p.f64();
-    state.o_sum = p.f64();
-    state.o_sum_sq = p.f64();
-    state.o_max = p.f64();
-    state.o_zeros = p.u64();
-    stats::Accumulator::State acc;
-    acc.n = static_cast<std::size_t>(p.u64());
-    acc.mean = p.f64();
-    acc.m2 = p.f64();
-    acc.sum = p.f64();
-    acc.min = p.f64();
-    acc.max = p.f64();
-    state.weight_acc = stats::Accumulator::from_state(acc);
+    visit_totals(engine.totals, [&](auto& field) {
+        using Field = std::decay_t<decltype(field)>;
+        if constexpr (std::is_same_v<Field, double>)
+            field = p.f64();
+        else
+            field = static_cast<Field>(p.u64());
+    });
     const bool has_bootstrap = p.u64() != 0;
     if (has_bootstrap != bootstrap.has_value())
         ckpt_fail("bootstrap presence mismatch"); // config hash covers this
@@ -433,18 +412,6 @@ bool load_checkpoint(const std::string& path, std::uint64_t hash,
     return true;
 }
 
-// Everything evaluate_streaming keeps per in-flight chunk. Folded into the
-// running totals strictly in chunk order, then discarded.
-struct ChunkResult {
-    par::MeanState dm, ips, dr, switch_dr;
-    double weight_sum = 0.0;
-    double weighted_reward_sum = 0.0; // Σ w_k r_k (SNIPS numerator)
-    std::uint64_t evaluated = 0;      // tuples that reached the estimators
-    std::vector<double> weights;      // for the in-order overlap fold
-    std::vector<double> boot_partials; // per-replicate DR resample sums
-    QuarantineReport quarantine;       // this chunk's skipped tuples
-};
-
 const char* stream_fault_reason(fault::FaultKind kind) noexcept {
     switch (kind) {
         case fault::FaultKind::kTransient: return "stream-fault-transient";
@@ -464,9 +431,6 @@ StreamingResult evaluate_streaming_guarded(const TupleSource& source,
     DRE_SPAN("evaluator.stream");
     const std::uint64_t n = source.num_tuples();
     if (n == 0) throw std::invalid_argument("evaluate_streaming: empty source");
-    if (model.num_decisions() != policy.num_decisions())
-        throw std::invalid_argument(
-            "evaluate_streaming: model/policy decision-space mismatch");
     if (source.num_decisions() > policy.num_decisions())
         throw std::invalid_argument(
             "evaluate_streaming: source uses decisions outside policy space");
@@ -478,11 +442,12 @@ StreamingResult evaluate_streaming_guarded(const TupleSource& source,
             "evaluate_streaming: resume requires a checkpoint path");
     const bool tolerant = options.on_error != FailureMode::kStrict;
 
-    // RNG protocol matches Evaluator::evaluate_with: the generator advances
-    // exactly once — inside the bootstrap — and only when a CI is on.
-    std::optional<stats::ChunkedMeanBootstrap> bootstrap;
-    if (options.ci_replicates > 0)
-        bootstrap.emplace(rng.split(), options.ci_replicates, options.ci_level);
+    // The engine Evaluator drives too: same RNG protocol, same per-chunk
+    // fold, same in-order merge and finalize. q̂ rows come from a
+    // chunk-local fill of `model`.
+    EvaluationEngine engine(policy, model.num_decisions(),
+                            options.estimator_options, rng,
+                            options.ci_replicates, options.ci_level);
 
     // Chunk geometry is the *global tuple index* over kReduceChunk — the
     // same boundaries par::chunked_mean/chunked_sum use on the in-memory
@@ -494,34 +459,32 @@ StreamingResult evaluate_streaming_guarded(const TupleSource& source,
             ? options.wave_chunks
             : std::max<std::size_t>(4 * par::thread_count(), 1);
 
-    // Running totals, each folded exactly as its in-memory counterpart:
-    // MeanState merges for the chunked means, left-fold sums for SNIPS.
-    // Overlap diagnostics run the same serial folds overlap_diagnostics()
-    // uses on the full weight vector, carried across chunks in index order.
     RunState state;
     state.quarantine.tuples_total = n;
 
-    const std::uint64_t hash = config_hash(n, options, bootstrap);
+    const std::uint64_t hash = config_hash(n, options, engine);
     if (options.resume)
-        load_checkpoint(options.checkpoint_path, hash, state, bootstrap);
+        load_checkpoint(options.checkpoint_path, hash, state, engine);
 
     // The per-tuple decision-range check uses the policy's decision space:
     // anything inside it is evaluable even if the source header undercounts.
     const std::size_t decision_space = policy.num_decisions();
 
-    std::vector<ChunkResult> wave_results(
+    // Each in-flight chunk's skipped tuples, merged in chunk order after
+    // its wave like the engine's folds.
+    std::vector<QuarantineReport> wave_quarantine(
         static_cast<std::size_t>(std::min<std::uint64_t>(wave, chunks)));
     for (std::uint64_t wave_begin = state.next_chunk; wave_begin < chunks;
          wave_begin += wave) {
         const auto count = static_cast<std::size_t>(
             std::min<std::uint64_t>(wave, chunks - wave_begin));
-        par::parallel_for(count, [&](std::size_t i) {
+        engine.fold_in_order(wave_begin, count, [&](std::uint64_t c) {
             DRE_SPAN("evaluator.stream_chunk");
-            const std::uint64_t c = wave_begin + i;
             const std::uint64_t begin = c * par::kReduceChunk;
             const std::uint64_t len =
                 std::min<std::uint64_t>(par::kReduceChunk, n - begin);
-            ChunkResult r;
+            QuarantineReport& quarantine = wave_quarantine[c - wave_begin];
+            ChunkFold fold;
 
             // stream.chunk fault gate, keyed by the global chunk id so a
             // schedule fires on the same chunks for any DRE_THREADS.
@@ -540,9 +503,9 @@ StreamingResult evaluate_streaming_guarded(const TupleSource& source,
                         continue;
                     }
                     if (!tolerant) throw;
-                    r.quarantine.add(begin, len, stream_fault_reason(e.kind()),
+                    quarantine.add(begin, len, stream_fault_reason(e.kind()),
                                      -1);
-                    ++r.quarantine.chunks_quarantined;
+                    ++quarantine.chunks_quarantined;
                     chunk_dead = true;
                     break;
                 }
@@ -560,7 +523,7 @@ StreamingResult evaluate_streaming_guarded(const TupleSource& source,
                 std::vector<TupleReadFailure> failures;
                 source.read_tolerant(begin, len, buffer, failures);
                 for (const TupleReadFailure& f : failures)
-                    r.quarantine.add(f.begin, f.count, f.reason, f.shard);
+                    quarantine.add(f.begin, f.count, f.reason, f.shard);
                 // Walk the chunk's global index range, skipping the failed
                 // sub-ranges, to pair each surviving tuple with its global
                 // index for validation.
@@ -585,67 +548,34 @@ StreamingResult evaluate_streaming_guarded(const TupleSource& source,
                     if (defect == TupleDefect::kNone)
                         kept.push_back(std::move(t));
                     else
-                        r.quarantine.add(g, 1, reason_code(defect), -1);
+                        quarantine.add(g, 1, reason_code(defect), -1);
                 }
             }
 
             if (!kept.empty()) {
                 const Trace chunk(std::move(kept));
-                r.evaluated = chunk.size();
                 // Chunk-local q̂ block. build() inlines serially inside a
                 // pool task and each slot is a pure function of (model,
                 // tuple, d), so the block equals the matching rows of the
                 // full matrix.
                 const PredictionMatrix qhat =
                     PredictionMatrix::build(model, chunk);
-                EstimatorChunk ec;
-                fill_estimator_chunk(chunk, policy, qhat,
-                                     options.estimator_options, ec);
-                for (double x : ec.dm) r.dm.add(x);
-                for (double x : ec.ips) r.ips.add(x);
-                for (double x : ec.dr) r.dr.add(x);
-                for (double x : ec.switch_dr) r.switch_dr.add(x);
-                double w_sum = 0.0, wr_sum = 0.0;
-                for (double w : ec.weights) w_sum += w;
-                for (double x : ec.ips) wr_sum += x;
-                r.weight_sum = w_sum;
-                r.weighted_reward_sum = wr_sum;
-                if (bootstrap)
-                    r.boot_partials = bootstrap->chunk_partials(c, ec.dr);
-                r.weights = std::move(ec.weights);
+                fold = engine.fold(c, chunk.tuples(), qhat.row(0));
             }
-            wave_results[i] = std::move(r);
 #if DRE_OBS_ENABLED
             DRE_COUNTER_INC("evaluator.chunks_streamed");
             DRE_COUNTER_ADD("evaluator.tuples_streamed", len);
 #endif
+            return fold;
         });
-        // In-order merge: the only sequencing point, and the reason results
-        // cannot depend on thread count or chunk completion order.
         for (std::size_t i = 0; i < count; ++i) {
-            ChunkResult& r = wave_results[i];
-            state.dm.merge(r.dm);
-            state.ips.merge(r.ips);
-            state.dr.merge(r.dr);
-            state.switch_dr.merge(r.switch_dr);
-            state.weight_total += r.weight_sum;
-            state.weighted_reward_total += r.weighted_reward_sum;
-            for (double w : r.weights) {
-                state.o_sum += w;
-                state.o_sum_sq += w * w;
-                state.o_max = std::max(state.o_max, w);
-                if (w == 0.0) ++state.o_zeros;
-                state.weight_acc.add(w);
-            }
-            if (bootstrap && !r.boot_partials.empty())
-                bootstrap->merge(r.boot_partials);
-            state.quarantine.tuples_evaluated += r.evaluated;
-            state.quarantine.merge(r.quarantine);
-            r = ChunkResult{}; // release chunk memory before the next wave
+            state.quarantine.merge(wave_quarantine[i]);
+            wave_quarantine[i] = QuarantineReport{};
         }
+        state.quarantine.tuples_evaluated = engine.totals.dm.n;
         state.next_chunk = wave_begin + count;
         if (!options.checkpoint_path.empty())
-            write_checkpoint(options.checkpoint_path, hash, state, bootstrap);
+            write_checkpoint(options.checkpoint_path, hash, state, engine);
         // Cooperative stop: only at a wave boundary, only after the merge
         // and checkpoint above, and only when work remains — an interrupt
         // that lands during the final wave just lets the run finish.
@@ -663,63 +593,18 @@ StreamingResult evaluate_streaming_guarded(const TupleSource& source,
     }
 #endif
 
-    const std::uint64_t evaluated = state.quarantine.tuples_evaluated;
-    if (evaluated == 0)
+    if (state.quarantine.tuples_evaluated == 0)
         throw std::runtime_error(
             "evaluate_streaming: every tuple was quarantined (coverage 0) — "
             "no estimate is possible");
 
-    StreamingResult result;
-    result.quarantine = std::move(state.quarantine);
-    PolicyEvaluation& out = result.evaluation;
-    out.dm.value = state.dm.mean;
-    out.dm.estimator = "DM";
-    out.ips.value = state.ips.mean;
-    out.ips.estimator = "IPS";
-    out.snips.estimator = "SNIPS";
-    out.snips.value = state.weight_total <= 0.0
-                          ? 0.0
-                          : state.weighted_reward_total / state.weight_total;
-    out.dr.value = state.dr.mean;
-    out.dr.estimator = "DR";
-    out.switch_dr.value = state.switch_dr.mean;
-    out.switch_dr.estimator = "SWITCH-DR";
-
     // Denominators are the *evaluated* tuple count: the estimates are exact
-    // over the surviving sub-trace (== n in strict/clean runs, preserving
-    // the historical bit-identical results).
-    OverlapDiagnostics& diag = out.overlap;
-    const auto dn = static_cast<double>(evaluated);
-    diag.n = static_cast<std::size_t>(evaluated);
-    diag.max_weight = state.o_max;
-    diag.mean_weight = state.o_sum / dn;
-    diag.effective_sample_size =
-        state.o_sum_sq > 0.0 ? state.o_sum * state.o_sum / state.o_sum_sq
-                             : 0.0;
-    diag.effective_sample_fraction = diag.effective_sample_size / dn;
-    const double var = state.weight_acc.variance();
-    diag.weight_cv =
-        diag.mean_weight > 0.0 ? std::sqrt(var) / diag.mean_weight : 0.0;
-    diag.zero_weight_fraction = static_cast<double>(state.o_zeros) / dn;
-    DRE_GAUGE_SET("estimators.effective_sample_size",
-                  diag.effective_sample_size);
-    DRE_GAUGE_SET("estimators.effective_sample_fraction",
-                  diag.effective_sample_fraction);
-
-    if (bootstrap) {
-        out.dr_ci = bootstrap->finalize(evaluated, out.dr.value);
-        if (options.on_error == FailureMode::kDegrade) {
-            // Coverage-qualified CI: divide each half-width by the coverage
-            // fraction. Deterministic, monotone in the quarantined mass,
-            // and the identity transform for a clean run.
-            const double coverage = result.quarantine.coverage();
-            if (coverage < 1.0 && coverage > 0.0) {
-                stats::ConfidenceInterval& ci = *out.dr_ci;
-                ci.lower = ci.point - (ci.point - ci.lower) / coverage;
-                ci.upper = ci.point + (ci.upper - ci.point) / coverage;
-            }
-        }
-    }
+    // over the surviving sub-trace (== n in strict/clean runs).
+    StreamingResult result;
+    result.evaluation = engine.finalize();
+    result.quarantine = std::move(state.quarantine);
+    if (options.on_error == FailureMode::kDegrade)
+        widen_dr_ci(result.evaluation, result.quarantine.coverage());
     return result;
 }
 

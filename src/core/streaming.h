@@ -4,19 +4,16 @@
 // `evaluate_streaming` runs the full Evaluator estimator suite (DM, IPS,
 // SNIPS, DR, SWITCH-DR, overlap diagnostics, DR bootstrap CI) over a
 // TupleSource without ever materializing the trace: tuples are pulled one
-// reduction chunk (par::kReduceChunk) at a time, each chunk builds its own
-// PredictionMatrix block and per-tuple estimator contributions, and the
-// chunk partials are folded *in chunk order* into the running totals.
+// reduction chunk (par::kReduceChunk) at a time, each chunk fills its own
+// PredictionMatrix block, and the evaluation engine (core/engine.h) folds
+// the chunk and merges it *in chunk order* into the running totals.
 //
-// Determinism contract (DESIGN.md §9): the chunk geometry is the global
-// tuple index — independent of thread count, row-group size, and shard
-// split — and every reduction uses exactly the arithmetic of the in-memory
-// path (par::MeanState partials merged left-to-right, left-fold sums,
-// serial-order overlap folds, and the chunk-keyed bootstrap of
-// stats::ChunkedMeanBootstrap). Point estimates AND bootstrap CIs are
-// therefore bit-identical to Evaluator::evaluate on the same tuples, for
-// any DRE_THREADS and any shard layout. Memory is O(chunks-in-flight ×
-// chunk), not O(trace).
+// Determinism contract (DESIGN.md §9): Evaluator drives the same engine
+// over the same chunk geometry — the global tuple index, independent of
+// thread count, row-group size and shard split — so point estimates AND
+// bootstrap CIs equal Evaluator::evaluate on the same tuples by
+// construction, for any DRE_THREADS and any shard layout. Memory is
+// O(chunks-in-flight × chunk), not O(trace).
 //
 // Failure handling (DESIGN.md §10): `evaluate_streaming_guarded` adds
 // three failure modes on top of the same arithmetic.
@@ -230,11 +227,11 @@ struct StreamingResult {
 // Streams `source` through `model` and `policy` with full failure
 // handling. The model must already be fitted (fit on a bounded sample for
 // true out-of-core runs, or reuse Evaluator::reward_model() when comparing
-// paths). Under kStrict with no checkpoint, the evaluation matches
-// Evaluator::evaluate bit-for-bit except that the per-tuple contribution
-// vectors are left empty — they are exactly what streaming refuses to
-// materialize. Under the tolerant modes the estimates are exact over the
-// surviving tuples; throws if *every* tuple is quarantined.
+// paths). Under kStrict the evaluation matches Evaluator::evaluate
+// bit-for-bit except that dr.per_tuple stays empty — per-tuple vectors are
+// exactly what streaming refuses to materialize. Under the tolerant modes
+// the estimates are exact over the surviving tuples; throws if *every*
+// tuple is quarantined.
 StreamingResult evaluate_streaming_guarded(const TupleSource& source,
                                            const RewardModel& model,
                                            const Policy& policy,

@@ -154,7 +154,12 @@ void EvalServer::start() {
 }
 
 void EvalServer::request_stop() {
-    stop_.store(true);
+    {
+        // Published under the dispatcher's mutex, so the notify below can
+        // never slip between its predicate check and its wait.
+        std::lock_guard<std::mutex> lock(queue_mutex_);
+        stop_.store(true);
+    }
     wake_io();
     queue_cv_.notify_all();
 }
@@ -574,7 +579,10 @@ void EvalServer::io_loop() {
     }
     ::close(listen_fd_);
     listen_fd_ = -1;
-    io_done_.store(true, std::memory_order_release);
+    {
+        std::lock_guard<std::mutex> lock(queue_mutex_); // see request_stop
+        io_done_.store(true, std::memory_order_release);
+    }
     queue_cv_.notify_all();
 }
 

@@ -91,6 +91,19 @@ ResultMsg EvalService::evaluate(const EvaluateMsg& request,
                                 EvalPhases* phases,
                                 const DeadlineFn& deadline) {
     DRE_SPAN("serve.evaluate");
+    return answer(request, std::nullopt, phases, deadline);
+}
+
+ResultMsg EvalService::evaluate_degraded(const EvaluateMsg& request,
+                                         double coverage, EvalPhases* phases,
+                                         const DeadlineFn& deadline) {
+    DRE_SPAN("serve.evaluate_degraded");
+    return answer(request, coverage, phases, deadline);
+}
+
+ResultMsg EvalService::answer(const EvaluateMsg& request,
+                              std::optional<double> coverage,
+                              EvalPhases* phases, const DeadlineFn& deadline) {
     if (request.trace.empty())
         throw std::invalid_argument("empty trace path");
     if (request.policy.empty())
@@ -99,7 +112,6 @@ ResultMsg EvalService::evaluate(const EvaluateMsg& request,
     // fails fast and never caches anything under a malformed key.
     const core::RewardModelKind model_kind =
         core::parse_reward_model_kind(request.model);
-    (void)model_kind;
 
 #if DRE_OBS_ENABLED
     const std::uint64_t cache_start_ns = obs::now_ns();
@@ -115,6 +127,9 @@ ResultMsg EvalService::evaluate(const EvaluateMsg& request,
         &trace_hit);
     const Trace& trace = entry->trace;
 
+    // The policy is always the full-trace fit — brownout shares the cache
+    // key with the full-fidelity path, so it never pays a model fit, and
+    // the target policy under test is identical in both modes.
     bool policy_hit = false;
     const EvalCache::PolicyPtr policy = cache_.policy(
         request.trace + '\n' + request.policy,
@@ -124,126 +139,38 @@ ResultMsg EvalService::evaluate(const EvaluateMsg& request,
                 request.policy, trace, trace.num_decisions()));
         },
         &policy_hit);
-
-    bool evaluator_hit = false;
-    const EvalCache::EvaluatorPtr evaluator = cache_.evaluator(
-        request.trace + '\n' + request.model,
-        [&] {
-            DRE_SPAN("serve.fit_evaluator");
-            core::EvaluationConfig config;
-            config.reward_model = core::parse_reward_model_kind(request.model);
-            // cross_fit and estimate_propensities stay off, so this
-            // constructor draws nothing from its RNG and the instance is
-            // seed-independent — see cache.h. CI settings are per-call
-            // overrides on evaluate_seeded, never baked in here.
-            return std::make_shared<const core::Evaluator>(trace, config,
-                                                           stats::Rng(1));
-        },
-        &evaluator_hit);
-    check_deadline(deadline, "cache");
-
-#if DRE_OBS_ENABLED
-    const std::uint64_t compute_start_ns = obs::now_ns();
-#endif
-    const core::PolicyEvaluation result = evaluator->evaluate_seeded(
-        *policy, stats::Rng(request.seed),
-        static_cast<int>(request.ci_replicates), 0.95);
-    check_deadline(deadline, "compute");
-#if DRE_OBS_ENABLED
-    const std::uint64_t render_start_ns = obs::now_ns();
-#endif
-
-    // The response is the CLI's stdout, byte for byte: header line, then
-    // the shared report renderer.
-    char header[96];
-    std::snprintf(header, sizeof(header), "trace: %zu tuples, %zu decisions\n",
-                  trace.size(), trace.num_decisions());
-    ResultMsg out;
-    out.text = header;
-    out.text += core::make_policy_report(request.policy, result).to_text();
-    out.dr = result.dr.value;
-    out.cache_hit = evaluator_hit;
-    check_deadline(deadline, "serialize");
-    DRE_COUNTER_INC("serve.requests_evaluated");
-    if (phases != nullptr) {
-        phases->trace_hit = trace_hit;
-        phases->policy_hit = policy_hit;
-        phases->evaluator_hit = evaluator_hit;
-#if DRE_OBS_ENABLED
-        const std::uint64_t end_ns = obs::now_ns();
-        phases->cache_ms =
-            static_cast<double>(compute_start_ns - cache_start_ns) / 1e6;
-        phases->compute_ms =
-            static_cast<double>(render_start_ns - compute_start_ns) / 1e6;
-        phases->serialize_ms =
-            static_cast<double>(end_ns - render_start_ns) / 1e6;
-        DRE_HIST_RECORD("serve.cache_ms", phases->cache_ms);
-        DRE_HIST_RECORD("serve.compute_ms", phases->compute_ms);
-#endif
-    }
-    return out;
-}
-
-ResultMsg EvalService::evaluate_degraded(const EvaluateMsg& request,
-                                         double coverage, EvalPhases* phases,
-                                         const DeadlineFn& deadline) {
-    DRE_SPAN("serve.evaluate_degraded");
-    if (request.trace.empty())
-        throw std::invalid_argument("empty trace path");
-    if (request.policy.empty())
-        throw std::invalid_argument("empty policy spec");
-    const core::RewardModelKind model_kind =
-        core::parse_reward_model_kind(request.model);
-    (void)model_kind;
-
-#if DRE_OBS_ENABLED
-    const std::uint64_t cache_start_ns = obs::now_ns();
-#endif
-    bool trace_hit = false;
-    const EvalCache::TracePtr entry = cache_.trace(
-        request.trace,
-        [&] {
-            DRE_SPAN("serve.load_trace");
-            return std::make_shared<const TraceEntry>(
-                load_entry(request.trace, options_.reader_options));
-        },
-        &trace_hit);
-    const Trace& trace = entry->trace;
-
-    // The policy is the full-trace fit — sharing the cache key with the
-    // full-fidelity path means brownout never pays a model fit, and the
-    // target policy under test is identical in both modes.
-    bool policy_hit = false;
-    const EvalCache::PolicyPtr policy = cache_.policy(
-        request.trace + '\n' + request.policy,
-        [&] {
-            DRE_SPAN("serve.fit_policy");
-            return EvalCache::PolicyPtr(core::parse_policy_spec(
-                request.policy, trace, trace.num_decisions()));
-        },
-        &policy_hit);
-
-    const std::size_t len = degraded_prefix_len(trace, coverage);
-    const double actual_coverage =
-        static_cast<double>(len) / static_cast<double>(trace.size());
 
     // A brownout evaluator is its own cached artifact, keyed by the prefix
     // it evaluates — deterministic, so every degraded answer for this
     // (trace, model, coverage) is byte-identical across the fleet.
+    const std::size_t len =
+        coverage ? degraded_prefix_len(trace, *coverage) : trace.size();
+    const double actual_coverage =
+        static_cast<double>(len) / static_cast<double>(trace.size());
+    const auto build_evaluator = [&] {
+        core::EvaluationConfig config;
+        config.reward_model = model_kind;
+        // cross_fit and estimate_propensities stay off, so this
+        // constructor draws nothing from its RNG and the instance is
+        // seed-independent — see cache.h. CI settings are per-call
+        // overrides on evaluate_seeded, never baked in here.
+        return std::make_shared<const core::Evaluator>(
+            Trace(std::vector<LoggedTuple>(
+                trace.begin(),
+                trace.begin() + static_cast<std::ptrdiff_t>(len))),
+            config, stats::Rng(1));
+    };
     bool evaluator_hit = false;
     const EvalCache::EvaluatorPtr evaluator = cache_.evaluator(
-        request.trace + '\n' + request.model + "\n#brownout:" +
-            std::to_string(len),
-        [&] {
-            DRE_SPAN("serve.fit_evaluator_degraded");
-            core::EvaluationConfig config;
-            config.reward_model = core::parse_reward_model_kind(request.model);
-            Trace prefix(std::vector<LoggedTuple>(trace.begin(),
-                                                  trace.begin() +
-                                                      static_cast<std::ptrdiff_t>(len)));
-            return std::make_shared<const core::Evaluator>(std::move(prefix),
-                                                           config,
-                                                           stats::Rng(1));
+        request.trace + '\n' + request.model +
+            (coverage ? "\n#brownout:" + std::to_string(len) : ""),
+        [&]() -> EvalCache::EvaluatorPtr {
+            if (coverage) {
+                DRE_SPAN("serve.fit_evaluator_degraded");
+                return build_evaluator();
+            }
+            DRE_SPAN("serve.fit_evaluator");
+            return build_evaluator();
         },
         &evaluator_hit);
     check_deadline(deadline, "cache");
@@ -254,45 +181,42 @@ ResultMsg EvalService::evaluate_degraded(const EvaluateMsg& request,
     core::PolicyEvaluation result = evaluator->evaluate_seeded(
         *policy, stats::Rng(request.seed),
         static_cast<int>(request.ci_replicates), 0.95);
-    // Estimates already average over exactly the prefix tuples (the exact
-    // denominator rescaling — no phantom mass from unevaluated tuples);
-    // what is left is to widen the CI half-widths by 1/coverage, the same
-    // transform the streaming degrade mode applies (core/streaming.cpp):
-    // deterministic, monotone in the skipped mass, identity for a clean
-    // run.
-    if (result.dr_ci && actual_coverage > 0.0 && actual_coverage < 1.0) {
-        stats::ConfidenceInterval& ci = *result.dr_ci;
-        ci.lower = ci.point - (ci.point - ci.lower) / actual_coverage;
-        ci.upper = ci.point + (ci.upper - ci.point) / actual_coverage;
-    }
+    // Estimates already average over exactly the evaluated tuples (the
+    // exact denominator rescaling — no phantom mass from a skipped
+    // suffix); a brownout then widens its CI like streaming degrade mode.
+    if (coverage) core::widen_dr_ci(result, actual_coverage);
     check_deadline(deadline, "compute");
 #if DRE_OBS_ENABLED
     const std::uint64_t render_start_ns = obs::now_ns();
 #endif
 
-    // Header stays the full trace's census (that is the trace the client
-    // asked about); the trailing degraded: line carries what was actually
-    // evaluated. The text is deliberately distinct from the full-fidelity
-    // bytes — a degraded answer must never masquerade as the real one.
+    // The response is the CLI's stdout, byte for byte: header line, then
+    // the shared report renderer. A brownout keeps the full trace's census
+    // in the header (that is the trace the client asked about) and adds a
+    // trailing degraded: line with what was actually evaluated, so a
+    // degraded answer never masquerades as the real one.
     char header[96];
     std::snprintf(header, sizeof(header), "trace: %zu tuples, %zu decisions\n",
                   trace.size(), trace.num_decisions());
-    char footer[160];
-    std::snprintf(footer, sizeof(footer),
-                  "degraded: brownout evaluated %zu/%zu tuples "
-                  "(coverage %.6f); DR CI half-widths widened by 1/coverage\n",
-                  len, trace.size(), actual_coverage);
     ResultMsg out;
     out.text = header;
     out.text += core::make_policy_report(request.policy, result).to_text();
-    out.text += footer;
     out.dr = result.dr.value;
     out.cache_hit = evaluator_hit;
-    out.degraded = true;
-    out.coverage = actual_coverage;
+    if (coverage) {
+        char footer[160];
+        std::snprintf(footer, sizeof(footer),
+                      "degraded: brownout evaluated %zu/%zu tuples "
+                      "(coverage %.6f); DR CI half-widths widened by "
+                      "1/coverage\n",
+                      len, trace.size(), actual_coverage);
+        out.text += footer;
+        out.degraded = true;
+        out.coverage = actual_coverage;
+    }
     check_deadline(deadline, "serialize");
     DRE_COUNTER_INC("serve.requests_evaluated");
-    DRE_COUNTER_INC("serve.requests_degraded");
+    if (coverage) DRE_COUNTER_INC("serve.requests_degraded");
     if (phases != nullptr) {
         phases->trace_hit = trace_hit;
         phases->policy_hit = policy_hit;

@@ -12,7 +12,8 @@
 //   3. cached Evaluator for (trace, model kind) — reward-model fit plus
 //      the full q̂ PredictionMatrix build,
 //   4. evaluate_seeded(policy, Rng(seed), ci, level) — the only per-request
-//      compute: five estimator passes and (optionally) the bootstrap.
+//      compute: one fused estimator sweep per chunk over the cached trace
+//      and q̂ rows, with (optionally) the bootstrap folded in.
 //
 // The response text is the byte-exact stdout of
 //   dre_eval <trace> <policy> --model <model> [--ci N] --seed S
@@ -24,6 +25,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -111,6 +113,10 @@ public:
     CacheStats cache_stats() const { return cache_.stats(); }
 
 private:
+    // Both paths; `coverage` is set for a brownout.
+    ResultMsg answer(const EvaluateMsg& request, std::optional<double> coverage,
+                     EvalPhases* phases, const DeadlineFn& deadline);
+
     Options options_;
     EvalCache cache_;
 };

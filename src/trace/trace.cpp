@@ -60,9 +60,9 @@ Trace Trace::resampled(stats::Rng& rng) const {
     return out;
 }
 
-void validate_trace(const Trace& trace) {
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-        const LoggedTuple& t = trace[i];
+void validate_trace(std::span<const LoggedTuple> tuples) {
+    for (std::size_t i = 0; i < tuples.size(); ++i) {
+        const LoggedTuple& t = tuples[i];
         if (!std::isfinite(t.reward))
             throw std::invalid_argument("trace tuple " + std::to_string(i) +
                                         ": non-finite reward");

@@ -61,7 +61,10 @@ private:
 // Sanity checks used by the estimators: throws std::invalid_argument when a
 // tuple has a non-finite reward, a propensity outside (0, 1], or a negative
 // decision id.
-void validate_trace(const Trace& trace);
+void validate_trace(std::span<const LoggedTuple> tuples);
+inline void validate_trace(const Trace& trace) {
+    validate_trace(trace.tuples());
+}
 
 } // namespace dre
 

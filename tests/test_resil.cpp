@@ -730,12 +730,12 @@ TEST(ResilServerTest, BrownoutServesDegradedAndCachedResultsUnderLoad) {
             bg_failure = e.what();
         }
     });
-    // Wait until the heavy job is *computing* (admitted and dequeued)...
-    while (true) {
-        const serve::StatsReplyMsg s = server.stats_snapshot();
-        if (s.requests_total >= 2 && s.queue_depth == 0) break;
+    // Wait until the heavy job is *computing*: its greedy policy is the
+    // second policy-cache miss, which only the dispatcher can cause.
+    // (requests_total counts a request before it is queued, so it cannot
+    // tell a computing job from one not yet queued.)
+    while (server.stats_snapshot().policy_misses < 2)
         std::this_thread::yield();
-    }
     // ...then park a full-fidelity job behind it.
     serve::EvaluateMsg parked = make_request(path, "uniform", 10);
     std::string parked_text;

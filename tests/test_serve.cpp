@@ -4,9 +4,12 @@
 // coalescing, and graceful shutdown. The concurrent cases run under TSan
 // in CI (8 client threads against the io + dispatcher threads).
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -564,6 +567,60 @@ TEST(ServeServerTest, GracefulStopDrainsQueuedWork) {
     server.stop_and_join();
     for (std::size_t c = 0; c < kClients; ++c)
         EXPECT_EQ(failures[c], "") << "client " << c;
+}
+
+TEST(ServeServerTest, StartStopCyclesNeverHang) {
+    // stop_and_join must return even when the stop and io-done wakeups
+    // land while the dispatcher sits between its predicate check and its
+    // wait. The cycles run on a worker under a watchdog: once no cycle has
+    // finished for 10 s, the watchdog records the hang, tells the worker
+    // to quit, and repeats the stop request so the stuck stop_and_join
+    // returns: a lost wakeup fails the test instead of hanging it.
+    constexpr int kCycles = 3000;
+    std::mutex mutex;
+    serve::EvalServer* stopping = nullptr; // guarded by mutex
+    std::atomic<int> cycles{0};
+    std::atomic<bool> quit{false};
+    std::atomic<bool> done{false};
+    std::thread worker([&] {
+        for (int i = 0; i < kCycles && !quit.load(); ++i) {
+            serve::EvalServer server;
+            server.start();
+            {
+                std::lock_guard<std::mutex> lock(mutex);
+                stopping = &server;
+            }
+            server.stop_and_join();
+            {
+                std::lock_guard<std::mutex> lock(mutex);
+                stopping = nullptr;
+            }
+            cycles.fetch_add(1);
+        }
+        done.store(true);
+    });
+    int last = -1;
+    auto last_change = std::chrono::steady_clock::now();
+    while (!done.load()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        const auto now = std::chrono::steady_clock::now();
+        if (cycles.load() != last) {
+            last = cycles.load();
+            last_change = now;
+            continue;
+        }
+        if (now - last_change < std::chrono::seconds(10)) continue;
+        if (!quit.exchange(true))
+            ADD_FAILURE() << "stop_and_join hung after " << last << " of "
+                          << kCycles << " start/stop cycles";
+        // One stop request per stalled window: a rescued stop_and_join
+        // closes the server's wake pipe long before the next one.
+        std::lock_guard<std::mutex> lock(mutex);
+        if (stopping != nullptr) stopping->request_stop();
+        last_change = now;
+    }
+    EXPECT_EQ(cycles.load(), kCycles);
+    worker.join();
 }
 
 // --- telemetry pipeline -----------------------------------------------------
