@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <vector>
 
@@ -209,6 +211,82 @@ TEST(Rng, KeyedSplitStreamsAreMutuallyIndependent) {
         acc.add(child.uniform());
     }
     EXPECT_NEAR(acc.mean(), 0.5, 0.12);
+}
+
+// Known answers, computed once by the original out-of-line generator and
+// never to change. They pin the SplitMix64 seeding, the xoshiro256** step,
+// both splits and Lemire's rejection loop, so an edit to any of them fails
+// here instead of silently shifting every seeded result in the repo.
+using Words = std::array<std::uint64_t, 4>;
+
+TEST(Rng, KnownAnswerNextU64) {
+    Rng rng(20170807);
+    EXPECT_EQ(rng.state(), (Words{0xb16f3fb709134ec2ull, 0xa4a35cccadcd9be8ull,
+                                  0x753e1ea13b091eacull, 0x6fcc533eff1681e9ull}));
+    for (const std::uint64_t want :
+         {0x5ba7fd469233e4f3ull, 0x500fb70c77634b02ull, 0x9dd726094ab54792ull,
+          0x8d4ae1799bb05defull})
+        EXPECT_EQ(rng.next_u64(), want);
+}
+
+TEST(Rng, KnownAnswerSplits) {
+    Rng parent(20170807);
+    EXPECT_EQ(parent.split(7).state(),
+              (Words{0x58e58415806700a1ull, 0xea98dac6ed4c6702ull,
+                     0xc7d97a08772a1268ull, 0x3c0dbd3195440427ull}));
+    EXPECT_EQ(parent.split(0).state(),
+              (Words{0xe8668a8433ab302cull, 0x56b52880805e6c0eull,
+                     0x8b960f05ec696fdeull, 0xfa9acf152d5e5931ull}));
+    // The sequential split consumes exactly one output of the parent.
+    EXPECT_EQ(parent.split().state(),
+              (Words{0x5011f9b0f84e1841ull, 0x7cd663c5bfa3e14full,
+                     0xd7a256568eadd376ull, 0x30bfee9ddc4856faull}));
+    EXPECT_EQ(parent.state(),
+              (Words{0x7a0030455bc854c3ull, 0x60f27dda9fd7cb86ull,
+                     0x7dc87a8d05ca506eull, 0x6340396de1fe4a5bull}));
+    EXPECT_EQ(parent.next_u64(), 0x500fb70c77634b02ull);
+}
+
+TEST(Rng, KnownAnswerUniformIndex) {
+    Rng rng(20170807);
+    const struct {
+        std::uint64_t n;
+        std::uint64_t draws[3];
+    } cases[] = {{1, {0, 0, 0}},
+                 {848, {468, 548, 510}},
+                 {1808, {1536, 584, 793}},
+                 {4096, {1436, 1991, 3496}},
+                 {3ull << 30, {1580740617, 124530432, 589107480}}};
+    for (const auto& c : cases)
+        for (const std::uint64_t want : c.draws)
+            EXPECT_EQ(rng.uniform_index(c.n), want) << "n=" << c.n;
+}
+
+TEST(Rng, KnownAnswerRejectedDrawIsRedrawn) {
+    // Word 1 = 0 makes the first output exactly 0. Its Lemire low word (0)
+    // falls under the threshold 2^64 mod 848 = 704, so the draw is rejected
+    // and the second output decides.
+    const Words words{0x0123456789abcdefull, 0, 0xfedcba9876543210ull,
+                      0x0f1e2d3c4b5a6978ull};
+    Rng raw = Rng::from_state(words);
+    EXPECT_EQ(raw.next_u64(), 0u);
+    EXPECT_EQ(raw.next_u64(), 0xffffffffffffedf7ull);
+
+    Rng rejected = Rng::from_state(words);
+    EXPECT_EQ(rejected.uniform_index(848), 847u);
+    EXPECT_EQ(rejected.state(), raw.state()); // exactly one redraw
+    EXPECT_EQ(rejected.state(),
+              (Words{0xbced9647f8a9d203ull, 0x0e3d685bc2f1a497ull,
+                     0x0e3d685bc2f05b68ull, 0x0ed2965a1fc3874bull}));
+    Rng rejected_too = Rng::from_state(words);
+    EXPECT_EQ(rejected_too.uniform_index(1808), 1807u);
+
+    // A power of two has threshold 0: the zero output is accepted.
+    Rng accepted = Rng::from_state(words);
+    EXPECT_EQ(accepted.uniform_index(4096), 0u);
+    Rng one_step = Rng::from_state(words);
+    (void)one_step.next_u64();
+    EXPECT_EQ(accepted.state(), one_step.state());
 }
 
 } // namespace

@@ -14,6 +14,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -223,6 +224,33 @@ TEST(StreamingEvaluation, GoldenFingerprint) {
     EXPECT_EQ(fingerprint(streamed), golden.str())
         << "numerics changed; if intentional, regenerate with "
            "DRE_UPDATE_STORE_GOLDEN=1";
+}
+
+// A second pin whose chunk geometry the one above never reaches: 8193
+// tuples make chunks of 4096, 4096 and 1 (power-of-two resample sizes,
+// where Lemire's draw never rejects, and a single-value chunk), and 1001
+// replicates leave one replicate past a multiple of 8. An epsilon-greedy
+// target policy gives the DR contributions unequal weights. The literals
+// were produced by the per-draw bootstrap loop that the resampling kernel
+// replaced.
+TEST(StreamingEvaluation, GoldenFingerprintPowerOfTwoChunks) {
+    const Trace trace = cdn_trace(8193);
+    EvaluationConfig config;
+    config.ci_replicates = 1001;
+    const Evaluator evaluator(trace, config, stats::Rng(43));
+    const auto favourite = std::make_shared<const DeterministicPolicy>(
+        trace.num_decisions(), [](const ClientContext&) { return Decision{0}; });
+    const EpsilonGreedyPolicy policy(favourite, 0.2);
+    const char* const golden =
+        "DM 1.4846966115557434\nIPS 1.4478996964458575\n"
+        "SNIPS 1.487553258217547\nDR 1.4846966115557434\n"
+        "SWITCH-DR 1.4846966115557434\nESS 998.53229413739712\n"
+        "MEANW 0.97334309776628025\nMAXW 9.8000000000000025\nZEROW 0\n"
+        "DR-CI 1.4802682279393973 1.4891777554442369\n";
+    EXPECT_EQ(fingerprint(evaluator.evaluate(policy)), golden);
+    const TraceTupleSource source(trace);
+    EXPECT_EQ(fingerprint(stream_over(source, evaluator, policy, 1001, 43)),
+              golden);
 }
 
 } // namespace
