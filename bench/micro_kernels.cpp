@@ -10,6 +10,8 @@
 //   * qhat      — shared PredictionMatrix vs per-call model queries across
 //                 the model-based estimator suite
 //   * bootstrap — stats::bootstrap_ci serial vs configured thread count
+//   * chunked_bootstrap — stats::chunked_bootstrap_mean_ci on the scalar
+//                 resampler vs the dispatched one (simd resample_sum8)
 //
 // Flags:
 //   --small              tiny sizes (CI smoke mode; seconds, not minutes)
@@ -315,6 +317,37 @@ int main(int argc, char** argv) {
                          ci_serial.point == ci_parallel.point;
     print_row("bootstrap", "serial", "parallel", boot_row);
 
+    // ---- chunked bootstrap: scalar ISA vs dispatched resampler -----------
+    // chunked_bootstrap_mean_ci (the DR CI of every evaluation) pinned to
+    // the scalar resample_sum8 vs the dispatched one. 50k values leave a
+    // ragged last chunk (848 of them), and 1001 replicates leave one
+    // replicate past a multiple of the AVX2 pass width. Same bits by
+    // contract; only the wall clock moves.
+    std::vector<double> chunked_sample(50000);
+    {
+        stats::Rng fill(8);
+        for (double& x : chunked_sample) x = fill.lognormal(0.0, 1.0);
+    }
+    constexpr int kChunkedReplicates = 1001;
+    const auto run_chunked = [&](simd::Level level) {
+        simd::set_active_level(level);
+        stats::Rng rng(43);
+        return stats::chunked_bootstrap_mean_ci(chunked_sample, 0.0, rng,
+                                                kChunkedReplicates);
+    };
+    const stats::ConfidenceInterval chunked_scalar =
+        run_chunked(simd::Level::kScalar);
+    const stats::ConfidenceInterval chunked_simd = run_chunked(native_level);
+    KernelRow chunked_row;
+    std::tie(chunked_row.baseline_ms, chunked_row.optimized_ms) = time_pair_ms(
+        [&] { run_chunked(simd::Level::kScalar); },
+        [&] { run_chunked(native_level); }, small ? 3 : 5);
+    simd::set_active_level(native_level);
+    chunked_row.identical = chunked_scalar.lower == chunked_simd.lower &&
+                            chunked_scalar.upper == chunked_simd.upper;
+    print_row("chunked", "scalar-isa", simd::level_name(native_level),
+              chunked_row);
+
     // ---- outputs ---------------------------------------------------------
     obs::Report report =
         bench::make_bench_report("micro_kernels", small ? "small" : "full");
@@ -347,6 +380,14 @@ int main(int argc, char** argv) {
     report.set("bootstrap", "parallel_ms", boot_row.optimized_ms);
     report.set("bootstrap", "speedup", boot_row.speedup());
     report.set("bootstrap", "identical", boot_row.identical);
+    report.set("chunked_bootstrap", "level", simd::level_name(native_level));
+    report.set("chunked_bootstrap", "values",
+               static_cast<std::uint64_t>(chunked_sample.size()));
+    report.set("chunked_bootstrap", "replicates", kChunkedReplicates);
+    report.set("chunked_bootstrap", "scalar_ms", chunked_row.baseline_ms);
+    report.set("chunked_bootstrap", "simd_ms", chunked_row.optimized_ms);
+    report.set("chunked_bootstrap", "speedup", chunked_row.speedup());
+    report.set("chunked_bootstrap", "identical", chunked_row.identical);
     bench::write_bench_json(std::move(report), "BENCH_kernels.json");
 
     if (fingerprint_path != nullptr) {
@@ -360,6 +401,8 @@ int main(int argc, char** argv) {
             std::fprintf(fp, "qhat %.17g\n", qhat_checksum_matrix);
             std::fprintf(fp, "bootstrap %.17g %.17g %.17g\n", ci_parallel.point,
                          ci_parallel.lower, ci_parallel.upper);
+            std::fprintf(fp, "chunked_bootstrap %.17g %.17g\n",
+                         chunked_simd.lower, chunked_simd.upper);
 #if DRE_OBS_ENABLED
             // Work counters that are per-item deterministic sums — totals
             // must byte-match for any DRE_THREADS. Timing- or
@@ -381,7 +424,8 @@ int main(int argc, char** argv) {
     }
 
     return knn_row.identical && cbn_row.identical && qhat_row.identical &&
-                   fill_row.identical && boot_row.identical
+                   fill_row.identical && boot_row.identical &&
+                   chunked_row.identical
                ? 0
                : 1;
 }

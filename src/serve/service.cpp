@@ -8,6 +8,7 @@
 
 #include "core/policy_learning.h"
 #include "obs/obs.h"
+#include "stats/bootstrap.h"
 #include "store/sharded.h"
 #include "trace/csv.h"
 #include "trace/validate.h"
@@ -108,10 +109,16 @@ ResultMsg EvalService::answer(const EvaluateMsg& request,
         throw std::invalid_argument("empty trace path");
     if (request.policy.empty())
         throw std::invalid_argument("empty policy spec");
-    // Validate the model name before touching the trace, so a bad request
-    // fails fast and never caches anything under a malformed key.
+    // Validate the model name and replicate count before touching the
+    // trace, so a bad request fails fast and never caches anything under a
+    // malformed key.
     const core::RewardModelKind model_kind =
         core::parse_reward_model_kind(request.model);
+    if (!stats::valid_replicate_count(request.ci_replicates))
+        throw std::invalid_argument(
+            "ci_replicates must be 0 or in [2, " +
+            std::to_string(stats::kMaxBootstrapReplicates) + "], got " +
+            std::to_string(request.ci_replicates));
 
 #if DRE_OBS_ENABLED
     const std::uint64_t cache_start_ns = obs::now_ns();

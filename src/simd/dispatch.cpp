@@ -2,8 +2,8 @@
 // first use, immutable per-level tables, an atomic pointer to the active
 // one. Levels without their own implementation of a kernel inherit the
 // next-lower level's pointer here (e.g. AVX2 reuses the SSE4.2 CRC, SSE4.2
-// reuses the scalar gathers) — the table is the single place that encodes
-// the inheritance.
+// reuses the scalar gather and resampler) — the table is the single place
+// that encodes the inheritance.
 #include "simd/simd.h"
 
 #include <atomic>
@@ -23,7 +23,7 @@ constexpr Ops kScalarOps = {crc32c_scalar,
                             dot8_scalar,
                             weighted_sum_skip_zero_scalar,
                             gather_scalar,
-                            gather_sum8_scalar};
+                            resample_sum8_scalar};
 
 #if DRE_SIMD_X86
 constexpr Ops kSse42Ops = {crc32c_sse42,
@@ -31,14 +31,14 @@ constexpr Ops kSse42Ops = {crc32c_sse42,
                            dot8_sse42,
                            weighted_sum_skip_zero_sse42,
                            gather_scalar,     // no SSE gather instruction
-                           gather_sum8_scalar};
+                           resample_sum8_scalar};
 
 constexpr Ops kAvx2Ops = {crc32c_sse42,      // crc32 maxes out at SSE4.2
                           l2sq_scan_avx2,
                           dot8_avx2,
                           weighted_sum_skip_zero_avx2,
                           gather_avx2,
-                          gather_sum8_avx2};
+                          resample_sum8_avx2};
 #endif
 
 const Ops& table_for(Level level) noexcept {

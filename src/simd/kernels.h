@@ -63,12 +63,6 @@ inline void weighted_tail(double acc[8], const double* w, const double* x,
     }
 }
 
-inline void gather_sum8_tail(double acc[8], const double* values,
-                             const std::uint32_t* idx, std::size_t begin,
-                             std::size_t n) noexcept {
-    for (std::size_t i = begin; i < n; ++i) acc[i & 7] += values[idx[i]];
-}
-
 // --- Scalar level (the executable specification) ---------------------------
 
 std::uint32_t crc32c_scalar(const void* data, std::size_t size,
@@ -82,8 +76,9 @@ double weighted_sum_skip_zero_scalar(const double* w, const double* x,
                                      std::size_t n, std::uint64_t* skips);
 void gather_scalar(const double* values, const std::uint32_t* idx,
                    std::size_t n, double* out);
-double gather_sum8_scalar(const double* values, const std::uint32_t* idx,
-                          std::size_t n);
+void resample_sum8_scalar(const double* values, std::size_t m,
+                          const std::uint64_t* states, std::size_t streams,
+                          double* out);
 
 #if DRE_SIMD_X86
 
@@ -109,8 +104,9 @@ double weighted_sum_skip_zero_avx2(const double* w, const double* x,
                                    std::size_t n, std::uint64_t* skips);
 void gather_avx2(const double* values, const std::uint32_t* idx, std::size_t n,
                  double* out);
-double gather_sum8_avx2(const double* values, const std::uint32_t* idx,
-                        std::size_t n);
+void resample_sum8_avx2(const double* values, std::size_t m,
+                        const std::uint64_t* states, std::size_t streams,
+                        double* out);
 
 #endif // DRE_SIMD_X86
 

@@ -1,7 +1,9 @@
 // AVX2 level: 2 × 4-lane double kernels and gathers (ymm k holds lanes
 // {4k .. 4k+3}); the CRC pointer is inherited from the SSE4.2 level in
 // dispatch.cpp. Same canonical 8-lane arithmetic as the scalar spec — see
-// kernels.h.
+// kernels.h. resample_sum8 is the exception in layout only: its 64-bit
+// lanes are 8 independent generator streams, each running the scalar
+// spec's exact draws and adds.
 #include "simd/kernels.h"
 
 #if DRE_SIMD_X86
@@ -9,6 +11,8 @@
 #include <immintrin.h>
 
 #include <bit>
+
+#include "simd/xoshiro.h"
 
 #define DRE_TARGET_AVX2 __attribute__((target("avx2")))
 
@@ -200,20 +204,161 @@ void gather_avx2(const double* values, const std::uint32_t* idx, std::size_t n,
     for (; i < n; ++i) out[i] = values[idx[i]];
 }
 
+// --- resample_sum8: 8 bootstrap replicates per pass --------------------------
+//
+// Lanes are replicates, not elements: 64-bit lane l of half h (ymm pair)
+// carries stream 4h + l's generator state, its current index and its 8
+// running lane sums (acc[h][j] holds lane j of every stream in the half),
+// so each stream executes exactly the scalar spec's sequence of draws and
+// adds.
+
+namespace {
+
+// Streams per resample8 pass: one per 64-bit lane of two ymm registers.
+constexpr std::size_t kResampleStreams = 8;
+
+// One xoshiro256** step on 4 streams (xoshiro.h): returns the outputs and
+// advances s. AVX2 has no 64-bit multiply-low, so the ×5 and ×9 become
+// shift-adds (exact mod 2^64).
+template <int K>
+DRE_TARGET_AVX2 inline __m256i rotl4(__m256i x) {
+    return _mm256_or_si256(_mm256_slli_epi64(x, K),
+                           _mm256_srli_epi64(x, 64 - K));
+}
+
 DRE_TARGET_AVX2
-double gather_sum8_avx2(const double* values, const std::uint32_t* idx,
-                        std::size_t n) {
-    __m256d acc0 = _mm256_setzero_pd(), acc1 = _mm256_setzero_pd();
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        acc0 = _mm256_add_pd(acc0, gather4(values, idx + i));
-        acc1 = _mm256_add_pd(acc1, gather4(values, idx + i + 4));
+inline __m256i xoshiro_next4(__m256i s[4]) {
+    const __m256i times5 = _mm256_add_epi64(_mm256_slli_epi64(s[1], 2), s[1]);
+    const __m256i r = rotl4<7>(times5);
+    const __m256i result = _mm256_add_epi64(_mm256_slli_epi64(r, 3), r);
+    const __m256i t = _mm256_slli_epi64(s[1], 17);
+    s[2] = _mm256_xor_si256(s[2], s[0]);
+    s[3] = _mm256_xor_si256(s[3], s[1]);
+    s[1] = _mm256_xor_si256(s[1], s[2]);
+    s[0] = _mm256_xor_si256(s[0], s[3]);
+    s[2] = _mm256_xor_si256(s[2], t);
+    s[3] = rotl4<45>(s[3]);
+    return result;
+}
+
+// Lemire's high word of x * n for n < 2^32, from two 32x32->64 products:
+// x * n = (x_hi n + (x_lo n >> 32)) 2^32 + (x_lo n mod 2^32), and the
+// bracket (`mid`) cannot overflow 64 bits. The 128-bit product's low word
+// is (mid mod 2^32) 2^32 + (x_lo n mod 2^32); it can fall under Lemire's
+// threshold (< n < 2^32) only if mid's low half is zero, so `maybe_reject`
+// flags exactly the lanes that need the rejection test.
+DRE_TARGET_AVX2
+inline __m256i lemire_high4(__m256i x, __m256i n, __m256i& maybe_reject) {
+    const __m256i lo_n = _mm256_mul_epu32(x, n);
+    const __m256i hi_n = _mm256_mul_epu32(_mm256_srli_epi64(x, 32), n);
+    const __m256i mid = _mm256_add_epi64(hi_n, _mm256_srli_epi64(lo_n, 32));
+    maybe_reject = _mm256_cmpeq_epi64(_mm256_slli_epi64(mid, 32),
+                                      _mm256_setzero_si256());
+    return _mm256_srli_epi64(mid, 32);
+}
+
+// The rare lane (about 2^-32 of draws) whose low word might fall under the
+// threshold: spill the half, let the scalar Lemire code (xoshiro.h) run the
+// exact test and any redraws from that lane's state, and reload.
+DRE_TARGET_AVX2 __attribute__((noinline, cold))
+void lemire_fixup4(__m256i s[4], __m256i x, __m256i flagged, std::uint64_t n,
+                   __m256i& idx) {
+    alignas(32) std::uint64_t words[4][4], xs[4], flags[4], out[4];
+    for (int w = 0; w < 4; ++w)
+        _mm256_store_si256(reinterpret_cast<__m256i*>(words[w]), s[w]);
+    _mm256_store_si256(reinterpret_cast<__m256i*>(xs), x);
+    _mm256_store_si256(reinterpret_cast<__m256i*>(flags), flagged);
+    _mm256_store_si256(reinterpret_cast<__m256i*>(out), idx);
+    for (int l = 0; l < 4; ++l) {
+        if (flags[l] == 0) continue;
+        std::uint64_t lane[4] = {words[0][l], words[1][l], words[2][l],
+                                 words[3][l]};
+        out[l] = lemire_finish(lane, n, xs[l]);
+        for (int w = 0; w < 4; ++w) words[w][l] = lane[w];
     }
-    double lanes[8];
-    _mm256_storeu_pd(lanes + 0, acc0);
-    _mm256_storeu_pd(lanes + 4, acc1);
-    gather_sum8_tail(lanes, values, idx, i, n);
-    return reduce8(lanes);
+    for (int w = 0; w < 4; ++w)
+        s[w] = _mm256_load_si256(reinterpret_cast<const __m256i*>(words[w]));
+    idx = _mm256_load_si256(reinterpret_cast<const __m256i*>(out));
+}
+
+DRE_TARGET_AVX2
+inline __m256d gather4_i64(const double* values, __m256i idx) {
+    const __m256d all = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
+    return _mm256_mask_i64gather_pd(_mm256_setzero_pd(), values, idx, all, 8);
+}
+
+// Streams states[0 .. 4 kResampleStreams) through all m draws. kPow2: m is
+// a power of two, so 2^64 mod m = 0 and Lemire never rejects; the high
+// word of x * 2^k is x >> (64 - k). For m = 1 that count is 64, which
+// VPSRLQ defines to produce 0 — the only index in [0, 1) — so no C++
+// shift by 64 happens.
+template <bool kPow2>
+DRE_TARGET_AVX2 void resample8(const double* values, std::size_t m,
+                               const std::uint64_t* states, double* out) {
+    __m256i s[2][4];
+    for (int h = 0; h < 2; ++h)
+        for (int w = 0; w < 4; ++w)
+            s[h][w] = _mm256_set_epi64x(
+                static_cast<long long>(states[4 * (4 * h + 3) + w]),
+                static_cast<long long>(states[4 * (4 * h + 2) + w]),
+                static_cast<long long>(states[4 * (4 * h + 1) + w]),
+                static_cast<long long>(states[4 * (4 * h + 0) + w]));
+    __m256d acc[2][8];
+    for (int h = 0; h < 2; ++h)
+        for (int j = 0; j < 8; ++j) acc[h][j] = _mm256_setzero_pd();
+    const __m256i n = _mm256_set1_epi64x(static_cast<long long>(m));
+    const __m128i shift =
+        _mm_cvtsi64_si128(kPow2 ? 64 - std::countr_zero(m) : 0);
+    for (std::size_t i = 0; i < m; ++i) {
+        const __m256i x0 = xoshiro_next4(s[0]);
+        const __m256i x1 = xoshiro_next4(s[1]);
+        __m256i idx0, idx1;
+        if constexpr (kPow2) {
+            idx0 = _mm256_srl_epi64(x0, shift);
+            idx1 = _mm256_srl_epi64(x1, shift);
+        } else {
+            __m256i r0, r1;
+            idx0 = lemire_high4(x0, n, r0);
+            idx1 = lemire_high4(x1, n, r1);
+            if (!_mm256_testz_si256(_mm256_or_si256(r0, r1),
+                                    _mm256_or_si256(r0, r1))) [[unlikely]] {
+                if (!_mm256_testz_si256(r0, r0))
+                    lemire_fixup4(s[0], x0, r0, m, idx0);
+                if (!_mm256_testz_si256(r1, r1))
+                    lemire_fixup4(s[1], x1, r1, m, idx1);
+            }
+        }
+        const std::size_t j = i & 7;
+        acc[0][j] = _mm256_add_pd(acc[0][j], gather4_i64(values, idx0));
+        acc[1][j] = _mm256_add_pd(acc[1][j], gather4_i64(values, idx1));
+    }
+    // The canonical tree, lane-wise: lane l of the result is stream l's
+    // ((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7)).
+    for (int h = 0; h < 2; ++h) {
+        const __m256d* a = acc[h];
+        const __m256d sum = _mm256_add_pd(
+            _mm256_add_pd(_mm256_add_pd(a[0], a[1]), _mm256_add_pd(a[2], a[3])),
+            _mm256_add_pd(_mm256_add_pd(a[4], a[5]), _mm256_add_pd(a[6], a[7])));
+        _mm256_storeu_pd(out + 4 * h, sum);
+    }
+}
+
+} // namespace
+
+DRE_TARGET_AVX2
+void resample_sum8_avx2(const double* values, std::size_t m,
+                        const std::uint64_t* states, std::size_t streams,
+                        double* out) {
+    const bool pow2 = std::has_single_bit(m);
+    std::size_t s = 0;
+    for (; s + kResampleStreams <= streams; s += kResampleStreams) {
+        if (pow2)
+            resample8<true>(values, m, states + 4 * s, out + s);
+        else
+            resample8<false>(values, m, states + 4 * s, out + s);
+    }
+    // Fewer than 8 streams left: the scalar spec finishes them.
+    resample_sum8_scalar(values, m, states + 4 * s, streams - s, out + s);
 }
 
 } // namespace dre::simd::detail

@@ -9,6 +9,8 @@
 #include <bit>
 #include <cstring>
 
+#include "simd/xoshiro.h"
+
 namespace dre::simd::detail {
 namespace {
 
@@ -184,11 +186,17 @@ void gather_scalar(const double* values, const std::uint32_t* idx,
     for (std::size_t i = 0; i < n; ++i) out[i] = values[idx[i]];
 }
 
-double gather_sum8_scalar(const double* values, const std::uint32_t* idx,
-                          std::size_t n) {
-    double acc[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-    gather_sum8_tail(acc, values, idx, 0, n);
-    return reduce8(acc);
+void resample_sum8_scalar(const double* values, std::size_t m,
+                          const std::uint64_t* states, std::size_t streams,
+                          double* out) {
+    for (std::size_t s = 0; s < streams; ++s) {
+        std::uint64_t state[4] = {states[4 * s], states[4 * s + 1],
+                                  states[4 * s + 2], states[4 * s + 3]};
+        double acc[8] = {0, 0, 0, 0, 0, 0, 0, 0};
+        for (std::size_t i = 0; i < m; ++i)
+            acc[i & 7] += values[lemire_index(state, m)];
+        out[s] = reduce8(acc);
+    }
 }
 
 } // namespace dre::simd::detail

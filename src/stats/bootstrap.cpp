@@ -1,6 +1,7 @@
 #include "stats/bootstrap.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
 
@@ -144,38 +145,25 @@ ChunkedMeanBootstrap::ChunkedMeanBootstrap(Rng base, int replicates,
 
 std::vector<double> ChunkedMeanBootstrap::chunk_partials(
     std::uint64_t chunk_id, std::span<const double> values) const {
-    const auto b_count = static_cast<std::size_t>(replicates_);
-    std::vector<double> partials(b_count, 0.0);
     const std::size_t m = values.size();
-    if (m == 0) return partials;
+    if (m > par::kReduceChunk)
+        throw std::invalid_argument(
+            "ChunkedMeanBootstrap: chunk exceeds par::kReduceChunk values");
+    const auto b_count = static_cast<std::size_t>(replicates_);
     // Pure child stream per (chunk, replicate): the partial depends only on
     // the base generator, the chunk id, and the chunk's values.
     const Rng chunk_base = base_.split(chunk_id);
-    // Indices drawn up front, summed with the dispatch layer's canonical
-    // 8-lane accumulator (element i goes to lane i mod 8, fixed reduce
-    // tree) — the same value at every ISA level. Chunks arriving through
-    // chunked_bootstrap_mean_ci are at most par::kReduceChunk values; the
-    // fallback covers direct callers whose chunks outgrow 32-bit indices.
-    if (m < (std::size_t{1} << 31)) {
-        std::vector<std::uint32_t> idx(m);
-        const simd::Ops& ops = simd::ops();
-        for (std::size_t b = 0; b < b_count; ++b) {
-            Rng replicate_rng = chunk_base.split(b);
-            for (std::size_t i = 0; i < m; ++i)
-                idx[i] =
-                    static_cast<std::uint32_t>(replicate_rng.uniform_index(m));
-            partials[b] = ops.gather_sum8(values.data(), idx.data(), m);
-        }
-    } else {
-        for (std::size_t b = 0; b < b_count; ++b) {
-            Rng replicate_rng = chunk_base.split(b);
-            double acc[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-            for (std::size_t i = 0; i < m; ++i)
-                acc[i & 7] += values[replicate_rng.uniform_index(m)];
-            partials[b] = ((acc[0] + acc[1]) + (acc[2] + acc[3])) +
-                          ((acc[4] + acc[5]) + (acc[6] + acc[7]));
-        }
+    std::vector<std::uint64_t> states(4 * b_count);
+    for (std::size_t b = 0; b < b_count; ++b) {
+        const std::array<std::uint64_t, 4> words = chunk_base.split(b).state();
+        std::copy(words.begin(), words.end(), states.begin() + 4 * b);
     }
+    // Replicate b draws m indices from its stream exactly as
+    // uniform_index(m) would and sums the drawn values in the canonical
+    // 8-lane order — the same value at every ISA level.
+    std::vector<double> partials(b_count);
+    simd::ops().resample_sum8(values.data(), m, states.data(), b_count,
+                              partials.data());
 #if DRE_OBS_ENABLED
     DRE_COUNTER_INC("bootstrap.chunk_partials");
     DRE_COUNTER_ADD("bootstrap.chunked_resamples", b_count * m);

@@ -23,6 +23,18 @@ struct ConfidenceInterval {
     }
 };
 
+// Bootstrap replicate counts accepted from outside the program (dre_eval
+// --ci, the wire's ci_replicates): 0 for no interval, else
+// 2..kMaxBootstrapReplicates. The bound sits above every count the repo
+// uses; it exists because replicate state is allocated up front (8 B per
+// replicate per chunk in flight, 32 B more for its generator), so an
+// unchecked count near 2^31 would ask for gigabytes from one request.
+inline constexpr int kMaxBootstrapReplicates = 100000;
+
+constexpr bool valid_replicate_count(long long count) noexcept {
+    return count == 0 || (count >= 2 && count <= kMaxBootstrapReplicates);
+}
+
 // Statistic over a sample (e.g., mean, quantile, estimator value).
 using Statistic = std::function<double(std::span<const double>)>;
 
@@ -48,6 +60,12 @@ ConfidenceInterval bootstrap_mean_ci(std::span<const double> sample, Rng& rng,
 // per (chunk, replicate). Partials are folded in chunk order, and the
 // replicate mean is (fold of partial sums) / n.
 //
+// A chunk's partials come from one simd::Ops::resample_sum8 call over the
+// B child states: each replicate draws its m indices exactly as
+// Rng::uniform_index(m) would and sums the drawn values in the canonical
+// 8-lane order, so every dispatch level (AVX2 runs 8 replicates per pass)
+// produces the same bits as a per-draw uniform_index loop.
+//
 // Consequences:
 //  * O(replicates) streaming state — chunks can be visited one at a time
 //    and discarded;
@@ -71,7 +89,8 @@ public:
 
     // Per-replicate resample sums of `values` (the chunk's per-tuple
     // contributions). Pure function of (base, chunk_id, values) — safe to
-    // call concurrently for different chunks.
+    // call concurrently for different chunks. Throws std::invalid_argument
+    // for more than par::kReduceChunk values.
     std::vector<double> chunk_partials(std::uint64_t chunk_id,
                                        std::span<const double> values) const;
 

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "simd/xoshiro.h"
+
 namespace dre::stats {
 namespace {
 
@@ -13,10 +15,6 @@ std::uint64_t splitmix64(std::uint64_t& x) noexcept {
     return z ^ (z >> 31);
 }
 
-std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(std::uint64_t seed) noexcept {
@@ -24,17 +22,7 @@ Rng::Rng(std::uint64_t seed) noexcept {
     for (auto& word : state_) word = splitmix64(s);
 }
 
-std::uint64_t Rng::next_u64() noexcept {
-    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-    const std::uint64_t t = state_[1] << 17;
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = rotl(state_[3], 45);
-    return result;
-}
+std::uint64_t Rng::next_u64() noexcept { return simd::xoshiro_next(state_); }
 
 double Rng::uniform() noexcept {
     // 53-bit mantissa in [0, 1).
@@ -48,19 +36,7 @@ double Rng::uniform(double lo, double hi) {
 
 std::uint64_t Rng::uniform_index(std::uint64_t n) {
     if (n == 0) throw std::invalid_argument("Rng::uniform_index: n must be > 0");
-    // Lemire's unbiased rejection method.
-    std::uint64_t x = next_u64();
-    __uint128_t m = static_cast<__uint128_t>(x) * n;
-    auto lo = static_cast<std::uint64_t>(m);
-    if (lo < n) {
-        const std::uint64_t threshold = (0 - n) % n;
-        while (lo < threshold) {
-            x = next_u64();
-            m = static_cast<__uint128_t>(x) * n;
-            lo = static_cast<std::uint64_t>(m);
-        }
-    }
-    return static_cast<std::uint64_t>(m >> 64);
+    return simd::lemire_index(state_, n);
 }
 
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <vector>
 
+#include "core/parallel.h"
 #include "stats/summary.h"
 
 namespace dre::stats {
@@ -60,6 +62,20 @@ TEST(Bootstrap, InputValidation) {
                  std::invalid_argument);
     EXPECT_THROW(bootstrap_mean_ci(xs, rng, 1), std::invalid_argument);
     EXPECT_THROW(bootstrap_mean_ci(xs, rng, 100, 1.5), std::invalid_argument);
+}
+
+// Chunk partials resample within one reduction chunk; a longer span is a
+// caller error, not a slow path.
+TEST(Bootstrap, ChunkPartialsRejectChunksLongerThanTheReduceChunk) {
+    const ChunkedMeanBootstrap bootstrap(Rng(6), 16, 0.95);
+    const std::vector<double> values(par::kReduceChunk + 1, 1.0);
+    EXPECT_THROW(bootstrap.chunk_partials(0, values), std::invalid_argument);
+    const std::vector<double> partials = bootstrap.chunk_partials(
+        0, std::span<const double>(values).first(par::kReduceChunk));
+    ASSERT_EQ(partials.size(), 16u);
+    // Every draw is 1.0, so each replicate sums the chunk length exactly.
+    for (const double p : partials)
+        EXPECT_EQ(p, static_cast<double>(par::kReduceChunk));
 }
 
 } // namespace

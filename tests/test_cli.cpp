@@ -177,6 +177,23 @@ TEST(Cli, RejectsDefectiveTraceWithSharedReasonCodes) {
     EXPECT_NE(slurp(err).find("non-finite-reward"), std::string::npos);
 }
 
+// --ci takes 0 or 2..stats::kMaxBootstrapReplicates; a negative, a lone
+// replicate, an out-of-range or a non-numeric count is a usage error that
+// names the flag, never a silent run without a CI.
+TEST(Cli, RejectsReplicateCountsOutsideTheBound) {
+    const std::string err = testing::TempDir() + "dre_cli_ci_err.txt";
+    for (const char* ci : {"-3", "1", "100001", "4294967295",
+                           "99999999999999999999", "12x", ""}) {
+        EXPECT_EQ(run_cli_env("", fixture_csv() + " uniform --ci '" + ci + "'",
+                              err),
+                  2)
+            << "--ci '" << ci << "'";
+        EXPECT_NE(slurp(err).find("--ci"), std::string::npos) << slurp(err);
+    }
+    EXPECT_EQ(run_cli(fixture_csv() + " uniform --ci 0"), 0);
+    EXPECT_EQ(run_cli(fixture_csv() + " uniform --ci 2"), 0);
+}
+
 TEST(Cli, ErrorsAreOneLineOnStderr) {
     const std::string err = testing::TempDir() + "dre_cli_err.txt";
     ASSERT_EQ(run_cli_env("", "/nonexistent.csv uniform", err), 3);

@@ -6,11 +6,14 @@
 // PR 5 rescaling semantics, torn-frame robustness, the io-thread
 // watchdog, and the exactly-once journal contract under faults.
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,10 +22,12 @@
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <unistd.h>
 #endif
 
@@ -607,21 +612,104 @@ TEST(ResilMetricsTest, SlowLorisConnectionCannotStarveTheListener) {
 }
 #endif // DRE_OBS_ENABLED
 
-#endif // unix
-
 // --- live server: deadlines, shedding, brownout -----------------------------
+
+// A trace file the test controls: a named pipe whose load — on the server's
+// single dispatcher — blocks until release() writes the CSV into it. A job
+// on this path therefore holds the dispatcher busy for exactly as long as
+// the test needs, however fast the evaluation itself runs.
+class GatedTrace {
+public:
+    GatedTrace(std::string path, const Trace& trace) : path_(std::move(path)) {
+        std::ostringstream csv;
+        write_csv(trace, csv);
+        content_ = csv.str();
+        if (::mkfifo(path_.c_str(), 0600) != 0)
+            throw std::runtime_error("mkfifo " + path_ + " failed");
+    }
+    GatedTrace(const GatedTrace&) = delete;
+    GatedTrace& operator=(const GatedTrace&) = delete;
+    // Never leave the dispatcher blocked, whatever the test did.
+    ~GatedTrace() { release(); }
+
+    const std::string& path() const { return path_; }
+
+    // Waits up to `timeout` for a reader — the dispatcher loading this
+    // trace — to open the pipe. True once it has: the dispatcher is busy
+    // with the gated job from then until release().
+    bool wait_for_reader(std::chrono::milliseconds timeout) {
+        const auto deadline = std::chrono::steady_clock::now() + timeout;
+        while (fd_ < 0) {
+            fd_ = ::open(path_.c_str(), O_WRONLY | O_NONBLOCK);
+            if (fd_ >= 0) break;
+            if (errno != ENXIO || std::chrono::steady_clock::now() >= deadline)
+                return false;
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        return true;
+    }
+
+    // Writes the CSV and closes the pipe, so the blocked load completes.
+    // With no reader in sight the pipe becomes a plain file instead, so a
+    // load that arrives later cannot block forever.
+    void release() {
+        if (released_) return;
+        released_ = true;
+        if (fd_ < 0 && !wait_for_reader(std::chrono::seconds(5))) {
+            std::filesystem::remove(path_);
+            std::ofstream(path_) << content_;
+            return;
+        }
+        ::fcntl(fd_, F_SETFL, ::fcntl(fd_, F_GETFL) & ~O_NONBLOCK);
+        for (std::size_t done = 0; done < content_.size();) {
+            const ssize_t wrote =
+                ::write(fd_, content_.data() + done, content_.size() - done);
+            if (wrote < 0 && errno == EINTR) continue;
+            if (wrote <= 0) break;
+            done += static_cast<std::size_t>(wrote);
+        }
+        ::close(fd_);
+        fd_ = -1;
+    }
+
+private:
+    std::string path_;
+    std::string content_;
+    int fd_ = -1;
+    bool released_ = false;
+};
+
+// Polls `done` for up to 30 s, so a lost race fails with a message naming
+// what never happened instead of hanging the suite.
+template <typename Pred>
+bool wait_until(const Pred& done, const char* what) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (!done()) {
+        if (std::chrono::steady_clock::now() >= deadline) {
+            ADD_FAILURE() << "timed out waiting until " << what;
+            return false;
+        }
+        std::this_thread::yield();
+    }
+    return true;
+}
+
+constexpr std::chrono::seconds kGateTimeout{30};
 
 TEST(ResilServerTest, QueuedRequestPastItsDeadlineGetsDeadlineExceeded) {
     TempDir dir;
     const Trace trace = make_trace(300);
     const std::string path = dir.file("trace.csv");
     write_csv_file(trace, path);
+    GatedTrace gate(dir.file("gated.csv"), trace);
 
     serve::EvalServer server;
     server.start();
 
-    // A heavy job occupies the single dispatcher...
-    serve::EvaluateMsg heavy = make_request(path, "greedy:tabular", 1);
+    // A heavy job occupies the single dispatcher: its trace load blocks on
+    // the gate until the test releases it...
+    serve::EvaluateMsg heavy = make_request(gate.path(), "greedy:tabular", 1);
     heavy.ci_replicates = 20000;
     std::string heavy_failure;
     std::thread blocker([&] {
@@ -633,24 +721,41 @@ TEST(ResilServerTest, QueuedRequestPastItsDeadlineGetsDeadlineExceeded) {
             heavy_failure = e.what();
         }
     });
-    while (server.stats_snapshot().requests_total < 1)
-        std::this_thread::yield();
+    EXPECT_TRUE(gate.wait_for_reader(kGateTimeout))
+        << "the dispatcher never started the heavy job";
 
     // ...so a 1 ms-deadline request admitted behind it expires in the
     // queue phase. (No job has finished yet, so the EWMA is zero and
     // admission shedding stays out of the way — this tests the
     // dispatcher-side check.)
-    serve::Client client(server.port());
     serve::EvaluateMsg hurried = make_request(path, "uniform", 2);
     hurried.deadline_ms = 1;
-    try {
-        (void)client.evaluate(hurried);
-        FAIL() << "expected kDeadlineExceeded";
-    } catch (const serve::ServeError& e) {
-        EXPECT_EQ(e.code(), serve::ErrorCode::kDeadlineExceeded);
-        EXPECT_NE(std::string(e.what()).find("queue"), std::string::npos);
-    }
+    std::string hurried_outcome = "no reply";
+    serve::ErrorCode hurried_code = serve::ErrorCode::kInternal;
+    std::thread hurried_thread([&] {
+        try {
+            serve::Client client(server.port());
+            (void)client.evaluate(hurried);
+            hurried_outcome = "answered";
+        } catch (const serve::ServeError& e) {
+            hurried_code = e.code();
+            hurried_outcome = e.what();
+        } catch (const std::exception& e) {
+            hurried_outcome = e.what();
+        }
+    });
+    wait_until([&] { return server.stats_snapshot().queue_depth >= 1; },
+               "the hurried request is queued");
+    // Its 1 ms budget runs out while it waits behind the gated job.
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    gate.release();
     blocker.join();
+    hurried_thread.join();
+
+    EXPECT_EQ(hurried_code, serve::ErrorCode::kDeadlineExceeded)
+        << hurried_outcome;
+    EXPECT_NE(hurried_outcome.find("queue"), std::string::npos)
+        << hurried_outcome;
     EXPECT_EQ(heavy_failure, "");
     const serve::StatsReplyMsg stats = server.stats_snapshot();
     EXPECT_GE(stats.deadline_exceeded, 1u);
@@ -663,16 +768,31 @@ TEST(ResilServerTest, AdmissionShedsUnmeetableDeadlines) {
     const Trace trace = make_trace(300);
     const std::string path = dir.file("trace.csv");
     write_csv_file(trace, path);
+    GatedTrace gate(dir.file("gated.csv"), trace);
 
     serve::EvalServer server;
     server.start();
     serve::Client client(server.port());
 
-    // Prime the service-time EWMA with one heavy completed job (well over
-    // 1 ms)...
-    serve::EvaluateMsg heavy = make_request(path, "greedy:tabular", 1);
+    // Prime the service-time EWMA with one heavy completed job, held on
+    // the gate for 20 ms so it lasts well over 1 ms however fast it
+    // computes...
+    serve::EvaluateMsg heavy = make_request(gate.path(), "greedy:tabular", 1);
     heavy.ci_replicates = 20000;
-    EXPECT_EQ(client.evaluate(heavy).text, expected_text(trace, heavy));
+    std::string heavy_text;
+    std::thread blocker([&] {
+        try {
+            heavy_text = client.evaluate(heavy).text;
+        } catch (const std::exception& e) {
+            heavy_text = e.what();
+        }
+    });
+    EXPECT_TRUE(gate.wait_for_reader(kGateTimeout))
+        << "the dispatcher never started the heavy job";
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    gate.release();
+    blocker.join();
+    EXPECT_EQ(heavy_text, expected_text(trace, heavy));
 
     // ...then a 1 ms deadline is provably unmeetable and is shed at
     // admission, before ever entering the queue.
@@ -700,6 +820,7 @@ TEST(ResilServerTest, BrownoutServesDegradedAndCachedResultsUnderLoad) {
     const Trace trace = make_trace(300);
     const std::string path = dir.file("trace.csv");
     write_csv_file(trace, path);
+    GatedTrace gate(dir.file("gated.csv"), trace);
 
     serve::ServerOptions options;
     options.brownout_watermark = 1;
@@ -716,9 +837,9 @@ TEST(ResilServerTest, BrownoutServesDegradedAndCachedResultsUnderLoad) {
     EXPECT_EQ(warm_result.coverage, 1.0);
     EXPECT_EQ(warm_result.text, expected_text(trace, warm));
 
-    // Occupy the dispatcher with a heavy job and park one full-fidelity
-    // job in the queue, so the watermark (1) is reached.
-    serve::EvaluateMsg heavy = make_request(path, "greedy:tabular", 1);
+    // Occupy the dispatcher with a heavy job held on the gate and park one
+    // full-fidelity job in the queue, so the watermark (1) is reached.
+    serve::EvaluateMsg heavy = make_request(gate.path(), "greedy:tabular", 1);
     heavy.ci_replicates = 20000;
     std::string bg_failure;
     std::thread blocker([&] {
@@ -730,30 +851,57 @@ TEST(ResilServerTest, BrownoutServesDegradedAndCachedResultsUnderLoad) {
             bg_failure = e.what();
         }
     });
-    // Wait until the heavy job is *computing*: its greedy policy is the
-    // second policy-cache miss, which only the dispatcher can cause.
-    // (requests_total counts a request before it is queued, so it cannot
-    // tell a computing job from one not yet queued.)
-    while (server.stats_snapshot().policy_misses < 2)
-        std::this_thread::yield();
+    // The gate's reader is the dispatcher itself: once it has the pipe
+    // open, the heavy job is being computed, not waiting in the queue.
+    EXPECT_TRUE(gate.wait_for_reader(kGateTimeout))
+        << "the dispatcher never started the heavy job";
     // ...then park a full-fidelity job behind it.
     serve::EvaluateMsg parked = make_request(path, "uniform", 10);
     std::string parked_text;
+    std::string parked_failure;
     std::thread parked_thread([&] {
         try {
             serve::Client bg(server.port());
             parked_text = bg.evaluate(parked).text;
         } catch (const std::exception& e) {
-            bg_failure = e.what();
+            parked_failure = e.what();
         }
     });
-    while (server.stats_snapshot().queue_depth < 1) std::this_thread::yield();
+    wait_until([&] { return server.stats_snapshot().queue_depth >= 1; },
+               "the parked job is queued");
 
     // A new unique request now browns out: degraded compute with the
     // exact service-level semantics (byte-identical to a direct
-    // evaluate_degraded at the same coverage).
+    // evaluate_degraded at the same coverage). Its degraded job queues
+    // behind the parked one, so it is answered after the gate opens.
     const serve::EvaluateMsg fresh = make_request(path, "uniform", 11);
-    const serve::ResultMsg degraded = client.evaluate(fresh);
+    serve::ResultMsg degraded;
+    std::string fresh_failure;
+    std::thread fresh_thread([&] {
+        try {
+            serve::Client bg(server.port());
+            degraded = bg.evaluate(fresh);
+        } catch (const std::exception& e) {
+            fresh_failure = e.what();
+        }
+    });
+    wait_until([&] { return server.stats_snapshot().brownout >= 1; },
+               "the fresh request is admitted under brownout");
+
+    // A repeat of the warm request is answered inline from the response
+    // cache — identical bytes, no degradation, no queueing — while the
+    // dispatcher is still held.
+    const serve::ResultMsg cached = client.evaluate(warm);
+    EXPECT_FALSE(cached.degraded);
+    EXPECT_EQ(cached.text, warm_result.text);
+
+    gate.release();
+    blocker.join();
+    parked_thread.join();
+    fresh_thread.join();
+    EXPECT_EQ(bg_failure, "");
+    EXPECT_EQ(parked_failure, "");
+    EXPECT_EQ(fresh_failure, "");
     EXPECT_TRUE(degraded.degraded);
     EXPECT_GT(degraded.coverage, 0.0);
     EXPECT_LT(degraded.coverage, 1.0);
@@ -762,22 +910,15 @@ TEST(ResilServerTest, BrownoutServesDegradedAndCachedResultsUnderLoad) {
     serve::EvalService reference;
     EXPECT_EQ(degraded.text,
               reference.evaluate_degraded(fresh, 0.5).text);
-
-    // A repeat of the warm request is answered inline from the response
-    // cache — identical bytes, no degradation, no queueing.
-    const serve::ResultMsg cached = client.evaluate(warm);
-    EXPECT_FALSE(cached.degraded);
-    EXPECT_EQ(cached.text, warm_result.text);
-
-    blocker.join();
-    parked_thread.join();
-    EXPECT_EQ(bg_failure, "");
     // The parked full-fidelity job was admitted before the brownout and
     // is never degraded retroactively.
     EXPECT_EQ(parked_text, expected_text(trace, parked));
-    EXPECT_GE(server.stats_snapshot().brownout, 1u);
+    // Both brownout paths ran: the degraded compute and the cache answer.
+    EXPECT_EQ(server.stats_snapshot().brownout, 2u);
     server.stop_and_join();
 }
+
+#endif // unix
 
 // --- journal: exactly-once under faults -------------------------------------
 

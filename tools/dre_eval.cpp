@@ -21,6 +21,7 @@
 //   --cross-fit               fit the reward model on a held-out split
 //   --model <kind>            DM/DR reward model (tabular | linear | knn)
 //   --ci <replicates>         bootstrap CI replicates for the DR estimate
+//                             (0 = none, else 2..100000)
 //   --quantile <q>            also report the q-quantile under the policy
 //   --by-group <i>            per-segment DR values, grouped by the i-th
 //                             categorical feature
@@ -75,6 +76,7 @@
 //      rerun with --resume continues bit-identically
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -92,6 +94,7 @@
 #include "core/subgroup.h"
 #include "fault/fault.h"
 #include "obs/obs.h"
+#include "stats/bootstrap.h"
 #include "store/error.h"
 #include "store/reader.h"
 #include "store/sharded.h"
@@ -122,6 +125,22 @@ namespace {
 bool ends_with(const std::string& s, const char* suffix) {
     const std::size_t n = std::strlen(suffix);
     return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
+}
+
+// --ci: a whole number, 0 (no interval) or 2..kMaxBootstrapReplicates.
+// Anything else — a sign, trailing text, an out-of-range value — is a
+// usage error that names the flag.
+int parse_ci(const std::string& text) {
+    long long count = -1;
+    const char* end = text.data() + text.size();
+    const auto [stop, ec] = std::from_chars(text.data(), end, count);
+    if (ec != std::errc() || stop != end ||
+        !stats::valid_replicate_count(count))
+        throw std::invalid_argument(
+            "--ci must be 0 or an integer in [2, " +
+            std::to_string(stats::kMaxBootstrapReplicates) + "], got '" +
+            text + "'");
+    return static_cast<int>(count);
 }
 
 // Expands a .drt path or a shard prefix to the ordered shard list.
@@ -288,7 +307,7 @@ int main(int argc, char** argv) {
                 config.reward_model =
                     core::parse_reward_model_kind(next("--model"));
             } else if (arg == "--ci") {
-                config.ci_replicates = std::stoi(next("--ci"));
+                config.ci_replicates = parse_ci(next("--ci"));
             } else if (arg == "--quantile") {
                 quantile_q = std::stod(next("--quantile"));
             } else if (arg == "--by-group") {
