@@ -17,6 +17,8 @@ namespace dre::stats {
 
 // xoshiro256** by Blackman & Vigna: fast, high-quality 64-bit generator.
 // Seeded through SplitMix64 so that any 64-bit seed yields a good state.
+// The step and uniform_index's Lemire draw are defined once, in
+// simd/xoshiro.h, which the bootstrap resample kernel shares.
 class Rng {
 public:
     using result_type = std::uint64_t;
