@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -122,6 +123,22 @@ StreamingResult run_guarded(const TupleSource& source, const Evaluator& ev,
                             std::uint64_t seed = 7) {
     return evaluate_streaming_guarded(source, ev.reward_model(), policy,
                                       options, stats::Rng(seed));
+}
+
+std::string read_bytes(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+// The published 64-bit FNV-1a, written out here rather than borrowed from
+// the library so the checkpoint pin below shares no code with what it pins.
+std::uint64_t fnv1a_64(const std::string& bytes) {
+    std::uint64_t hash = 14695981039346656037ull;
+    for (const unsigned char b : bytes) {
+        hash ^= b;
+        hash *= 1099511628211ull;
+    }
+    return hash;
 }
 
 TEST(FaultSpec, ParsesEveryKeyAndRejectsMalformedInput) {
@@ -618,6 +635,13 @@ TEST(Checkpoint, RefusesTornFilesAndMismatchedRuns) {
     options.checkpoint_path = ckpt;
     (void)run_guarded(source, evaluator, policy, options, 7);
     ASSERT_TRUE(fs::exists(ckpt));
+
+    // Known answer: the DRECKPT1 bytes of this run. The format is
+    // host-order and resumable across builds, so any change to it (field
+    // order, widths, hash, checksum) must show up here first.
+    const std::string original = read_bytes(ckpt);
+    EXPECT_EQ(original.size(), 1104u);
+    EXPECT_EQ(fnv1a_64(original), 0x554d648a615b5035ull);
 
     StreamingOptions resume_options = options;
     resume_options.resume = true;

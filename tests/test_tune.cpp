@@ -9,6 +9,8 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -101,6 +103,22 @@ private:
 
 std::string temp_path(const char* name) {
     return std::string(::testing::TempDir()) + name;
+}
+
+std::string read_bytes(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+// The published 64-bit FNV-1a, written out here rather than borrowed from
+// the library so the checkpoint pin shares no code with what it pins.
+std::uint64_t fnv1a_64(const std::string& bytes) {
+    std::uint64_t hash = 14695981039346656037ull;
+    for (const unsigned char b : bytes) {
+        hash ^= b;
+        hash *= 1099511628211ull;
+    }
+    return hash;
 }
 
 // --- candidate space ------------------------------------------------------
@@ -334,7 +352,14 @@ TEST(Tuner, RefusesMismatchedCheckpoint) {
 
     tune::TuneOptions options = fast_options(2);
     options.checkpoint_path = ckpt;
-    (void)tune::run_tune(source, candidates, options, 4);
+    const tune::TuneResult run = tune::run_tune(source, candidates, options, 4);
+    ASSERT_GE(run.promotions, 1u);
+
+    // Known answer: the DRETUNE1 bytes of this run (a promotion included),
+    // so any change to the on-disk format shows up here first.
+    const std::string original = read_bytes(ckpt);
+    EXPECT_EQ(original.size(), 576u);
+    EXPECT_EQ(fnv1a_64(original), 0x1d1f9daca170dacaull);
 
     options.resume = true;
     EXPECT_THROW((void)tune::run_tune(source, candidates, options, 5),
