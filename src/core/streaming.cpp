@@ -1,16 +1,13 @@
 #include "core/streaming.h"
 
 #include <algorithm>
-#include <bit>
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
+#include <optional>
 #include <stdexcept>
-#include <type_traits>
+#include <string_view>
 #include <utility>
 
-#include <unistd.h>
-
+#include "core/checkpoint.h"
 #include "core/engine.h"
 #include "core/parallel.h"
 #include "core/qhat.h"
@@ -150,66 +147,10 @@ std::string QuarantineReport::to_text() const {
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// Checkpoint file format (host byte order; same-machine resume):
-//   magic "DRECKPT1" | u64 config_hash | payload | u64 fnv1a(all preceding)
-// The payload is the complete reduction state at a wave boundary. Doubles
-// are stored as bit patterns, so a resumed run restarts from *exactly* the
+// DRECKPT1 (core/checkpoint.h): the payload is the complete reduction state
+// at a wave boundary, so a resumed run restarts from *exactly* the
 // interrupted run's floating-point state.
-// ---------------------------------------------------------------------------
-
-constexpr char kCheckpointMagic[8] = {'D', 'R', 'E', 'C', 'K', 'P', 'T', '1'};
-
-std::uint64_t fnv1a(const void* data, std::size_t len,
-                    std::uint64_t hash = 1469598103934665603ull) {
-    const auto* bytes = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < len; ++i) {
-        hash ^= bytes[i];
-        hash *= 1099511628211ull;
-    }
-    return hash;
-}
-
-[[noreturn]] void ckpt_fail(const std::string& what) {
-    throw std::runtime_error("checkpoint: " + what);
-}
-
-struct Serializer {
-    std::string buf;
-
-    void u64(std::uint64_t v) { buf.append(reinterpret_cast<const char*>(&v), 8); }
-    void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-    void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-    void str(const std::string& s) {
-        u64(s.size());
-        buf.append(s);
-    }
-};
-
-struct Parser {
-    const std::string& buf;
-    std::size_t pos = 0;
-
-    void raw(void* out, std::size_t len) {
-        if (pos + len > buf.size()) ckpt_fail("truncated file");
-        std::memcpy(out, buf.data() + pos, len);
-        pos += len;
-    }
-    std::uint64_t u64() {
-        std::uint64_t v;
-        raw(&v, 8);
-        return v;
-    }
-    std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-    double f64() { return std::bit_cast<double>(u64()); }
-    std::string str() {
-        const std::uint64_t len = u64();
-        if (len > buf.size() - pos) ckpt_fail("truncated string");
-        std::string s(buf.data() + pos, static_cast<std::size_t>(len));
-        pos += static_cast<std::size_t>(len);
-        return s;
-    }
-};
+constexpr std::string_view kCheckpointMagic = "DRECKPT1";
 
 // The streaming run's own state across chunks; the checkpoint saves it
 // together with the engine's totals and bootstrap replicate sums.
@@ -218,11 +159,9 @@ struct RunState {
     QuarantineReport quarantine;
 };
 
-// The engine totals' fields in checkpoint order, listed once for both
-// directions: `io` is called on each field and either writes it out or
-// overwrites it with the value read back.
+// The engine totals' fields in checkpoint order.
 template <typename Io>
-void visit_totals(EngineTotals& t, Io&& io) {
+void visit_totals(EngineTotals& t, Io& io) {
     for (par::MeanState* m : {&t.dm, &t.ips, &t.dr, &t.switch_dr}) {
         io(m->n);
         io(m->mean);
@@ -238,59 +177,40 @@ void visit_totals(EngineTotals& t, Io&& io) {
     t.weight_acc = stats::Accumulator::from_state(acc);
 }
 
-void put_report(Serializer& s, const QuarantineReport& q) {
-    s.u64(q.tuples_total);
-    s.u64(q.tuples_evaluated);
-    s.u64(q.tuples_quarantined);
-    s.u64(q.chunks_quarantined);
-    s.u64(q.records_dropped);
-    s.u64(q.reason_counts.size());
-    for (const auto& [reason, n] : q.reason_counts) {
-        s.str(reason);
-        s.u64(n);
+// The whole payload, listed once for both directions: `io` is a
+// CheckpointWriter or a CheckpointReader. `sums` holds the bootstrap's
+// replicate sums (one per replicate, empty without a bootstrap).
+template <typename Io>
+void visit_checkpoint(
+    Io& io, RunState& state, EngineTotals& totals,
+    const std::optional<stats::ChunkedMeanBootstrap>& bootstrap,
+    std::vector<double>& sums) {
+    io(state.next_chunk);
+    visit_totals(totals, io);
+    io.expect(bootstrap.has_value(), "bootstrap presence");
+    if (bootstrap) {
+        io.expect(bootstrap->replicates(), "replicate count");
+        for (const std::uint64_t word : bootstrap->base_rng().state())
+            io.expect(word, "bootstrap generator state");
+        for (double& sum : sums) io(sum);
     }
-    s.u64(q.shard_counts.size());
-    for (const auto& [shard, n] : q.shard_counts) {
-        s.i64(shard);
-        s.u64(n);
-    }
-    s.u64(q.records.size());
-    for (const QuarantineRecord& rec : q.records) {
-        s.u64(rec.begin);
-        s.u64(rec.count);
-        s.str(rec.reason);
-        s.i64(rec.shard);
-    }
-}
-
-QuarantineReport get_report(Parser& p) {
-    QuarantineReport q;
-    q.tuples_total = p.u64();
-    q.tuples_evaluated = p.u64();
-    q.tuples_quarantined = p.u64();
-    q.chunks_quarantined = p.u64();
-    q.records_dropped = p.u64();
-    for (std::uint64_t i = 0, n = p.u64(); i < n; ++i) {
-        std::string reason = p.str();
-        q.reason_counts[std::move(reason)] = p.u64();
-    }
-    for (std::uint64_t i = 0, n = p.u64(); i < n; ++i) {
-        const std::int64_t shard = p.i64();
-        q.shard_counts[shard] = p.u64();
-    }
-    const std::uint64_t num_records = p.u64();
-    if (num_records > QuarantineReport::kMaxRecords)
-        ckpt_fail("record count exceeds cap");
-    q.records.reserve(static_cast<std::size_t>(num_records));
-    for (std::uint64_t i = 0; i < num_records; ++i) {
-        QuarantineRecord rec;
-        rec.begin = p.u64();
-        rec.count = p.u64();
-        rec.reason = p.str();
-        rec.shard = p.i64();
-        q.records.push_back(std::move(rec));
-    }
-    return q;
+    QuarantineReport& q = state.quarantine;
+    for (std::uint64_t* x : {&q.tuples_total, &q.tuples_evaluated,
+                             &q.tuples_quarantined, &q.chunks_quarantined,
+                             &q.records_dropped})
+        io(*x);
+    const auto count_entry = [&](auto& kv) {
+        io(kv.first);
+        io(kv.second);
+    };
+    io.list(q.reason_counts, count_entry);
+    io.list(q.shard_counts, count_entry);
+    io.list(q.records, [&](QuarantineRecord& rec) {
+        io(rec.begin);
+        io(rec.count);
+        io(rec.reason);
+        io(rec.shard);
+    });
 }
 
 // The options/geometry fingerprint a checkpoint is only valid for. The
@@ -298,59 +218,31 @@ QuarantineReport get_report(Parser& p) {
 // with a different --seed is refused instead of silently diverging.
 std::uint64_t config_hash(std::uint64_t n, const StreamingOptions& options,
                           const EvaluationEngine& engine) {
-    const auto& bootstrap = engine.bootstrap;
-    Serializer s;
-    s.u64(n);
-    s.u64(par::kReduceChunk);
-    s.i64(options.ci_replicates);
-    s.f64(options.ci_level);
-    s.f64(options.estimator_options.weight_clip);
-    s.f64(options.estimator_options.switch_threshold);
-    s.i64(static_cast<std::int64_t>(options.on_error));
-    s.u64(bootstrap ? 1 : 0);
-    if (bootstrap)
-        for (const std::uint64_t word : bootstrap->base_rng().state())
-            s.u64(word);
-    return fnv1a(s.buf.data(), s.buf.size());
+    CheckpointWriter w;
+    w(n);
+    w(par::kReduceChunk);
+    w(options.ci_replicates);
+    w(options.ci_level);
+    w(options.estimator_options.weight_clip);
+    w(options.estimator_options.switch_threshold);
+    w(static_cast<std::int64_t>(options.on_error));
+    w(engine.bootstrap.has_value());
+    if (engine.bootstrap)
+        for (const std::uint64_t word : engine.bootstrap->base_rng().state())
+            w(word);
+    return w.digest();
 }
 
 void write_checkpoint(const std::string& path, std::uint64_t hash,
-                      const RunState& state, const EvaluationEngine& engine) {
-    const auto& bootstrap = engine.bootstrap;
-    Serializer s;
-    s.buf.append(kCheckpointMagic, sizeof kCheckpointMagic);
-    s.u64(hash);
-    s.u64(state.next_chunk);
+                      RunState& state, const EvaluationEngine& engine) {
     EngineTotals totals = engine.totals;
-    visit_totals(totals, [&](const auto& field) {
-        if constexpr (std::is_same_v<std::decay_t<decltype(field)>, double>)
-            s.f64(field);
-        else
-            s.u64(field);
-    });
-    s.u64(bootstrap ? 1 : 0);
-    if (bootstrap) {
-        s.i64(bootstrap->replicates());
-        for (const std::uint64_t word : bootstrap->base_rng().state())
-            s.u64(word);
-        for (const double sum : bootstrap->replicate_sums()) s.f64(sum);
-    }
-    put_report(s, state.quarantine);
-    s.u64(fnv1a(s.buf.data(), s.buf.size()));
-
-    const std::string tmp = path + ".tmp";
-    std::FILE* file = std::fopen(tmp.c_str(), "wb");
-    if (file == nullptr)
-        ckpt_fail("cannot create " + tmp + ": " + std::strerror(errno));
-    const bool written =
-        std::fwrite(s.buf.data(), 1, s.buf.size(), file) == s.buf.size() &&
-        std::fflush(file) == 0 && ::fsync(::fileno(file)) == 0;
-    if (std::fclose(file) != 0 || !written) {
-        std::remove(tmp.c_str());
-        ckpt_fail("write failed for " + tmp);
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0)
-        ckpt_fail("rename failed for " + path + ": " + std::strerror(errno));
+    std::vector<double> sums;
+    if (engine.bootstrap)
+        sums.assign(engine.bootstrap->replicate_sums().begin(),
+                    engine.bootstrap->replicate_sums().end());
+    CheckpointWriter w(kCheckpointMagic, hash);
+    visit_checkpoint(w, state, totals, engine.bootstrap, sums);
+    w.save(path);
     DRE_COUNTER_INC("stream.checkpoints_written");
 }
 
@@ -358,56 +250,29 @@ void write_checkpoint(const std::string& path, std::uint64_t hash,
 // file does not exist; throws on any malformed or mismatched content — a
 // damaged checkpoint must never silently fall back to a fresh run.
 bool load_checkpoint(const std::string& path, std::uint64_t hash,
-                     RunState& state, EvaluationEngine& engine) {
-    std::FILE* file = std::fopen(path.c_str(), "rb");
-    if (file == nullptr) return false;
-    std::string buf;
-    char block[1 << 16];
-    std::size_t got;
-    while ((got = std::fread(block, 1, sizeof block, file)) > 0)
-        buf.append(block, got);
-    const bool read_error = std::ferror(file) != 0;
-    std::fclose(file);
-    if (read_error) ckpt_fail("read failed for " + path);
-
-    if (buf.size() < sizeof kCheckpointMagic + 16) ckpt_fail("truncated file");
-    if (std::memcmp(buf.data(), kCheckpointMagic, sizeof kCheckpointMagic) != 0)
-        ckpt_fail(path + " is not a checkpoint file");
-    std::uint64_t stored_sum;
-    std::memcpy(&stored_sum, buf.data() + buf.size() - 8, 8);
-    if (fnv1a(buf.data(), buf.size() - 8) != stored_sum)
-        ckpt_fail(path + " is corrupt (checksum mismatch)");
-
-    Parser p{buf, sizeof kCheckpointMagic};
-    if (p.u64() != hash)
-        ckpt_fail(path +
-                  " was written by a run with different options, data size, "
-                  "or seed — refusing to resume");
+                     std::uint64_t n, std::uint64_t chunks, RunState& state,
+                     EvaluationEngine& engine) {
+    std::optional<CheckpointReader> r =
+        CheckpointReader::open(path, kCheckpointMagic, hash, "checkpoint");
+    if (!r) return false;
     auto& bootstrap = engine.bootstrap;
-    state.next_chunk = p.u64();
-    visit_totals(engine.totals, [&](auto& field) {
-        using Field = std::decay_t<decltype(field)>;
-        if constexpr (std::is_same_v<Field, double>)
-            field = p.f64();
-        else
-            field = static_cast<Field>(p.u64());
-    });
-    const bool has_bootstrap = p.u64() != 0;
-    if (has_bootstrap != bootstrap.has_value())
-        ckpt_fail("bootstrap presence mismatch"); // config hash covers this
-    if (bootstrap) {
-        if (p.i64() != bootstrap->replicates())
-            ckpt_fail("replicate count mismatch");
-        std::array<std::uint64_t, 4> words;
-        for (std::uint64_t& word : words) word = p.u64();
-        if (words != bootstrap->base_rng().state())
-            ckpt_fail("bootstrap generator state mismatch");
-        std::vector<double> sums(
-            static_cast<std::size_t>(bootstrap->replicates()));
-        for (double& sum : sums) sum = p.f64();
-        bootstrap->restore_sums(sums);
-    }
-    state.quarantine = get_report(p);
+    std::vector<double> sums(
+        bootstrap ? static_cast<std::size_t>(bootstrap->replicates()) : 0);
+    visit_checkpoint(*r, state, engine.totals, bootstrap, sums);
+    r->finish();
+    if (state.next_chunk > chunks)
+        r->fail("next chunk " + std::to_string(state.next_chunk) +
+                " past the last of " + std::to_string(chunks));
+    if (state.quarantine.tuples_total != n)
+        r->fail("tuple total " + std::to_string(state.quarantine.tuples_total) +
+                " != " + std::to_string(n));
+    if (state.quarantine.tuples_evaluated != engine.totals.dm.n)
+        r->fail("tuples evaluated " +
+                std::to_string(state.quarantine.tuples_evaluated) +
+                " != merged tuples " + std::to_string(engine.totals.dm.n));
+    if (state.quarantine.records.size() > QuarantineReport::kMaxRecords)
+        r->fail("record count exceeds cap");
+    if (bootstrap) bootstrap->restore_sums(sums);
     DRE_COUNTER_INC("stream.resumes");
     return true;
 }
@@ -464,7 +329,8 @@ StreamingResult evaluate_streaming_guarded(const TupleSource& source,
 
     const std::uint64_t hash = config_hash(n, options, engine);
     if (options.resume)
-        load_checkpoint(options.checkpoint_path, hash, state, engine);
+        load_checkpoint(options.checkpoint_path, hash, n, chunks, state,
+                        engine);
 
     // The per-tuple decision-range check uses the policy's decision space:
     // anything inside it is evaluable even if the source header undercounts.

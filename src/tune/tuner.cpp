@@ -1,14 +1,12 @@
 #include "tune/tuner.h"
 
-#include <bit>
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
+#include <optional>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
-#include <unistd.h>
-
+#include "core/checkpoint.h"
 #include "core/estimators.h"
 #include "core/parallel.h"
 #include "core/qhat.h"
@@ -24,64 +22,10 @@ constexpr std::uint64_t kCollectStream = 0;
 constexpr std::uint64_t kProposeStream = 1;
 constexpr std::uint64_t kGateStream = 2;
 
-// ---------------------------------------------------------------------------
-// Checkpoint file format (host byte order; same-machine resume), the PR-5
-// pattern: magic "DRETUNE1" | u64 config_hash | payload | u64 fnv1a(all
-// preceding bytes). The payload is plain data only — the incumbent policy
-// object is deliberately NOT serialized; resume rebuilds it by replaying
-// the promotion waves (each a pure function of the seed).
-// ---------------------------------------------------------------------------
-
-constexpr char kCheckpointMagic[8] = {'D', 'R', 'E', 'T', 'U', 'N', 'E', '1'};
-
-std::uint64_t fnv1a(const void* data, std::size_t len,
-                    std::uint64_t hash = 1469598103934665603ull) {
-    const auto* bytes = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < len; ++i) {
-        hash ^= bytes[i];
-        hash *= 1099511628211ull;
-    }
-    return hash;
-}
-
-[[noreturn]] void ckpt_fail(const std::string& what) {
-    throw std::runtime_error("tune checkpoint: " + what);
-}
-
-struct Serializer {
-    std::string buf;
-
-    void u64(std::uint64_t v) { buf.append(reinterpret_cast<const char*>(&v), 8); }
-    void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-    void str(const std::string& s) {
-        u64(s.size());
-        buf.append(s);
-    }
-};
-
-struct Parser {
-    const std::string& buf;
-    std::size_t pos = 0;
-
-    void raw(void* out, std::size_t len) {
-        if (pos + len > buf.size()) ckpt_fail("truncated file");
-        std::memcpy(out, buf.data() + pos, len);
-        pos += len;
-    }
-    std::uint64_t u64() {
-        std::uint64_t v;
-        raw(&v, 8);
-        return v;
-    }
-    double f64() { return std::bit_cast<double>(u64()); }
-    std::string str() {
-        const std::uint64_t len = u64();
-        if (len > buf.size() - pos) ckpt_fail("truncated string");
-        std::string s(buf.data() + pos, static_cast<std::size_t>(len));
-        pos += static_cast<std::size_t>(len);
-        return s;
-    }
-};
+// DRETUNE1 (core/checkpoint.h). The payload is plain data only — the
+// incumbent policy object is deliberately NOT serialized; resume rebuilds it
+// by replaying the promotion waves (each a pure function of the seed).
+constexpr std::string_view kCheckpointMagic = "DRETUNE1";
 
 // Everything the wave loop carries across waves, checkpointable as a unit.
 struct TuneState {
@@ -97,118 +41,84 @@ struct TuneState {
     std::vector<std::uint64_t> controller_counts;
 };
 
+// The checkpoint payload, listed once for both directions: `io` is a
+// core::CheckpointWriter or a core::CheckpointReader.
+template <typename Io>
+void visit_state(Io& io, TuneState& s) {
+    io(s.next_wave);
+    io(s.evaluations);
+    io(s.promotions);
+    io(s.has_incumbent);
+    io(s.incumbent);
+    io.list(s.journal);
+    io.list(s.wave_rewards);
+    io.list(s.promotion_history, [&](PromotionRecord& rec) {
+        io(rec.wave);
+        io(rec.candidate);
+    });
+    io.list(s.controller_scores);
+    io.list(s.controller_counts);
+}
+
 std::uint64_t config_hash(std::uint64_t seed,
                           const std::vector<PolicyCandidate>& candidates,
                           const TuneOptions& options, std::size_t decisions) {
-    Serializer s;
-    s.u64(seed);
-    s.u64(options.waves);
-    s.u64(decisions);
-    s.u64(par::kReduceChunk);
-    s.u64(candidates.size());
-    for (const PolicyCandidate& c : candidates) s.str(c.spec());
-    s.u64(static_cast<std::uint64_t>(options.eval_model));
-    s.u64(static_cast<std::uint64_t>(options.bootstrap_replicates));
-    s.f64(options.ci_level);
-    s.f64(options.controller.epsilon);
-    s.f64(options.controller.alpha);
-    s.f64(options.redeploy_epsilon);
-    return fnv1a(s.buf.data(), s.buf.size());
+    core::CheckpointWriter w;
+    w(seed);
+    w(options.waves);
+    w(decisions);
+    w(par::kReduceChunk);
+    w(candidates.size());
+    for (const PolicyCandidate& c : candidates) w(c.spec());
+    w(static_cast<std::uint64_t>(options.eval_model));
+    w(options.bootstrap_replicates);
+    w(options.ci_level);
+    w(options.controller.epsilon);
+    w(options.controller.alpha);
+    w(options.redeploy_epsilon);
+    return w.digest();
 }
 
 void write_checkpoint(const std::string& path, std::uint64_t hash,
-                      const TuneState& state) {
-    Serializer s;
-    s.buf.append(kCheckpointMagic, sizeof kCheckpointMagic);
-    s.u64(hash);
-    s.u64(state.next_wave);
-    s.u64(state.evaluations);
-    s.u64(state.promotions);
-    s.u64(state.has_incumbent ? 1 : 0);
-    s.u64(state.incumbent);
-    s.u64(state.journal.size());
-    for (const std::string& line : state.journal) s.str(line);
-    s.u64(state.wave_rewards.size());
-    for (const double r : state.wave_rewards) s.f64(r);
-    s.u64(state.promotion_history.size());
-    for (const PromotionRecord& rec : state.promotion_history) {
-        s.u64(rec.wave);
-        s.u64(rec.candidate);
-    }
-    s.u64(state.controller_scores.size());
-    for (const double score : state.controller_scores) s.f64(score);
-    s.u64(state.controller_counts.size());
-    for (const std::uint64_t count : state.controller_counts) s.u64(count);
-    s.u64(fnv1a(s.buf.data(), s.buf.size()));
-
-    const std::string tmp = path + ".tmp";
-    std::FILE* file = std::fopen(tmp.c_str(), "wb");
-    if (file == nullptr)
-        ckpt_fail("cannot create " + tmp + ": " + std::strerror(errno));
-    const bool written =
-        std::fwrite(s.buf.data(), 1, s.buf.size(), file) == s.buf.size() &&
-        std::fflush(file) == 0 && ::fsync(::fileno(file)) == 0;
-    if (std::fclose(file) != 0 || !written) {
-        std::remove(tmp.c_str());
-        ckpt_fail("write failed for " + tmp);
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0)
-        ckpt_fail("rename failed for " + path + ": " + std::strerror(errno));
+                      TuneState& state) {
+    core::CheckpointWriter w(kCheckpointMagic, hash);
+    visit_state(w, state);
+    w.save(path);
     DRE_COUNTER_INC("tune.checkpoints_written");
 }
 
 // Returns false (state untouched) when the file does not exist; throws on
-// malformed or mismatched content.
+// malformed or mismatched content, including any index the resumed run
+// would follow out of range.
 bool load_checkpoint(const std::string& path, std::uint64_t hash,
+                     std::uint64_t waves, std::size_t candidates,
                      TuneState& state) {
-    std::FILE* file = std::fopen(path.c_str(), "rb");
-    if (file == nullptr) return false;
-    std::string buf;
-    char block[1 << 16];
-    std::size_t got;
-    while ((got = std::fread(block, 1, sizeof block, file)) > 0)
-        buf.append(block, got);
-    const bool read_error = std::ferror(file) != 0;
-    std::fclose(file);
-    if (read_error) ckpt_fail("read failed for " + path);
-
-    if (buf.size() < sizeof kCheckpointMagic + 16) ckpt_fail("truncated file");
-    if (std::memcmp(buf.data(), kCheckpointMagic, sizeof kCheckpointMagic) != 0)
-        ckpt_fail(path + " is not a tune checkpoint file");
-    std::uint64_t stored_sum;
-    std::memcpy(&stored_sum, buf.data() + buf.size() - 8, 8);
-    if (fnv1a(buf.data(), buf.size() - 8) != stored_sum)
-        ckpt_fail(path + " is corrupt (checksum mismatch)");
-
-    Parser p{buf, sizeof kCheckpointMagic};
-    if (p.u64() != hash)
-        ckpt_fail(path +
-                  " was written by a run with different candidates, options, "
-                  "or seed — refusing to resume");
-    state.next_wave = p.u64();
-    state.evaluations = p.u64();
-    state.promotions = p.u64();
-    state.has_incumbent = p.u64() != 0;
-    state.incumbent = static_cast<std::size_t>(p.u64());
-    state.journal.clear();
-    for (std::uint64_t i = 0, n = p.u64(); i < n; ++i)
-        state.journal.push_back(p.str());
-    state.wave_rewards.clear();
-    for (std::uint64_t i = 0, n = p.u64(); i < n; ++i)
-        state.wave_rewards.push_back(p.f64());
-    state.promotion_history.clear();
-    for (std::uint64_t i = 0, n = p.u64(); i < n; ++i) {
-        PromotionRecord rec;
-        rec.wave = p.u64();
-        rec.candidate = static_cast<std::size_t>(p.u64());
-        state.promotion_history.push_back(rec);
+    std::optional<core::CheckpointReader> r = core::CheckpointReader::open(
+        path, kCheckpointMagic, hash, "tune checkpoint");
+    if (!r) return false;
+    visit_state(*r, state);
+    r->finish();
+    if (state.next_wave > waves)
+        r->fail("next wave " + std::to_string(state.next_wave) +
+                " past the run's " + std::to_string(waves) + " waves");
+    const auto check_candidate = [&](std::size_t c) {
+        if (c >= candidates)
+            r->fail("candidate index " + std::to_string(c) +
+                    " out of range (" + std::to_string(candidates) +
+                    " candidates)");
+    };
+    check_candidate(state.incumbent);
+    for (const PromotionRecord& rec : state.promotion_history) {
+        check_candidate(rec.candidate);
+        if (rec.wave >= state.next_wave)
+            r->fail("promotion wave " + std::to_string(rec.wave) +
+                    " not before next wave " +
+                    std::to_string(state.next_wave));
     }
-    state.controller_scores.clear();
-    for (std::uint64_t i = 0, n = p.u64(); i < n; ++i)
-        state.controller_scores.push_back(p.f64());
-    state.controller_counts.clear();
-    for (std::uint64_t i = 0, n = p.u64(); i < n; ++i)
-        state.controller_counts.push_back(p.u64());
+    if (state.controller_scores.size() != candidates ||
+        state.controller_counts.size() != candidates)
+        r->fail("controller state does not match " +
+                std::to_string(candidates) + " candidates");
     DRE_COUNTER_INC("tune.resumes");
     return true;
 }
@@ -329,7 +239,8 @@ TuneResult run_tune(const WaveSource& source,
     };
 
     if (options.resume && !options.checkpoint_path.empty() &&
-        load_checkpoint(options.checkpoint_path, hash, state)) {
+        load_checkpoint(options.checkpoint_path, hash, options.waves,
+                        candidates.size(), state)) {
         controller.restore(state.controller_scores, state.controller_counts);
         bool has = false;
         for (const PromotionRecord& rec : state.promotion_history) {

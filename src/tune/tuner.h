@@ -104,8 +104,8 @@ struct TuneOptions {
     // Uniform smoothing applied to the incumbent when it becomes the
     // logging policy — keeps every post-promotion wave fully supported.
     double redeploy_epsilon = 0.1;
-    // Non-empty: write resumable tuner state after every wave (atomic
-    // tmp+fsync+rename, PR-5 checkpoint format).
+    // Non-empty: write resumable tuner state after every wave (the
+    // core/checkpoint.h container, written atomically).
     std::string checkpoint_path;
     // Resume from checkpoint_path if it exists (missing file = fresh run;
     // present-but-mismatched = std::runtime_error).

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "cdn/scenario.h"
+#include "core/checkpoint.h"
 #include "core/environment.h"
 #include "core/evaluator.h"
 #include "core/parallel.h"
@@ -139,6 +140,13 @@ std::uint64_t fnv1a_64(const std::string& bytes) {
         hash *= 1099511628211ull;
     }
     return hash;
+}
+
+// `body` (magic, config hash, payload) followed by the checksum a valid
+// checkpoint carries, so a mutated payload gets past the checksum test.
+std::string reseal(const std::string& body) {
+    const std::uint64_t sum = fnv1a(body);
+    return body + std::string(reinterpret_cast<const char*>(&sum), 8);
 }
 
 TEST(FaultSpec, ParsesEveryKeyAndRejectsMalformedInput) {
@@ -645,6 +653,37 @@ TEST(Checkpoint, RefusesTornFilesAndMismatchedRuns) {
 
     StreamingOptions resume_options = options;
     resume_options.resume = true;
+
+    // Every prefix and every single-byte flip of that file, re-sealed with
+    // a valid checksum so the payload parser itself is under test: each
+    // mutant resumes or is refused with std::runtime_error — nothing else,
+    // and no crash.
+    const std::string payload = original.substr(0, original.size() - 8);
+    const auto resumes_or_refuses = [&](const std::string& body,
+                                        const std::string& label) {
+        std::ofstream(ckpt, std::ios::binary | std::ios::trunc)
+            << reseal(body);
+        try {
+            (void)run_guarded(source, evaluator, policy, resume_options, 7);
+        } catch (const std::runtime_error&) {
+        } catch (const std::exception& e) {
+            ADD_FAILURE() << label << ": " << e.what();
+        }
+    };
+    for (std::size_t len = 0; len < payload.size(); ++len)
+        resumes_or_refuses(payload.substr(0, len),
+                           "prefix " + std::to_string(len));
+    for (std::size_t i = 0; i < payload.size(); ++i) {
+        std::string flipped = payload;
+        flipped[i] = static_cast<char>(flipped[i] ^ 0xFF);
+        resumes_or_refuses(flipped, "flip " + std::to_string(i));
+    }
+    // A payload byte past the last field is refused, not ignored.
+    std::ofstream(ckpt, std::ios::binary | std::ios::trunc)
+        << reseal(payload + '\0');
+    EXPECT_THROW(run_guarded(source, evaluator, policy, resume_options, 7),
+                 std::runtime_error);
+    std::ofstream(ckpt, std::ios::binary | std::ios::trunc) << original;
 
     // Different seed => different bootstrap base => config-hash mismatch.
     EXPECT_THROW(run_guarded(source, evaluator, policy, resume_options, 8),

@@ -86,6 +86,7 @@
 #include <vector>
 
 #include "core/audit.h"
+#include "core/checkpoint.h"
 #include "core/evaluator.h"
 #include "core/policy_learning.h"
 #include "core/quantile_estimators.h"
@@ -465,13 +466,8 @@ int main(int argc, char** argv) {
                     std::printf("  DR CI is coverage-widened (degrade mode)\n");
             }
             if (!quarantine_out.empty()) {
-                const std::string text = guarded.quarantine.to_text();
-                std::FILE* f = std::fopen(quarantine_out.c_str(), "wb");
-                if (f == nullptr ||
-                    std::fwrite(text.data(), 1, text.size(), f) !=
-                        text.size() ||
-                    std::fclose(f) != 0)
-                    throw std::runtime_error("cannot write " + quarantine_out);
+                core::write_file_atomically(quarantine_out,
+                                            guarded.quarantine.to_text());
                 std::printf("\nwrote quarantine report to %s\n",
                             quarantine_out.c_str());
             }

@@ -61,6 +61,7 @@
 #include <string>
 #include <thread>
 
+#include "core/checkpoint.h"
 #include "fault/fault.h"
 #include "obs/obs.h"
 #include "serve/server.h"
@@ -85,16 +86,6 @@ int usage() {
                  "[--ts-interval-ms N]\n"
                  "                 [--ts-capacity N]\n");
     return 2;
-}
-
-// tmp+rename so a watcher never reads a half-written port.
-bool write_port_file(const std::string& path, unsigned port) {
-    const std::string tmp = path + ".tmp";
-    std::FILE* f = std::fopen(tmp.c_str(), "w");
-    if (f == nullptr) return false;
-    std::fprintf(f, "%u\n", port);
-    std::fclose(f);
-    return std::rename(tmp.c_str(), path.c_str()) == 0;
 }
 
 } // namespace
@@ -197,18 +188,17 @@ int main(int argc, char** argv) {
         return 3;
     }
 
-    if (!port_file.empty() &&
-        !write_port_file(port_file, static_cast<unsigned>(server.port()))) {
-        std::fprintf(stderr, "error: cannot write --port-file %s\n",
-                     port_file.c_str());
-        server.stop_and_join();
-        return 3;
-    }
-    if (!metrics_port_file.empty() &&
-        !write_port_file(metrics_port_file,
-                         static_cast<unsigned>(server.metrics_port()))) {
-        std::fprintf(stderr, "error: cannot write --metrics-port-file %s\n",
-                     metrics_port_file.c_str());
+    // Written atomically, so a watcher never reads a half-written port.
+    try {
+        if (!port_file.empty())
+            core::write_file_atomically(port_file,
+                                        std::to_string(server.port()) + "\n");
+        if (!metrics_port_file.empty())
+            core::write_file_atomically(
+                metrics_port_file,
+                std::to_string(server.metrics_port()) + "\n");
+    } catch (const std::exception& e) {
+        std::fprintf(stderr, "error: %s\n", e.what());
         server.stop_and_join();
         return 3;
     }

@@ -56,6 +56,7 @@
 #include <vector>
 
 #include "cdn/scenario.h"
+#include "core/checkpoint.h"
 #include "core/environment.h"
 #include "core/policy.h"
 #include "core/streaming.h"
@@ -146,16 +147,6 @@ int report_error(const std::exception& e) {
     if (dynamic_cast<const std::invalid_argument*>(&e) != nullptr) return 2;
     if (dynamic_cast<const std::runtime_error*>(&e) != nullptr) return 3;
     return 4;
-}
-
-void write_text_file(const std::string& path, const std::string& text) {
-    std::FILE* file = std::fopen(path.c_str(), "wb");
-    if (file == nullptr)
-        throw std::runtime_error("cannot create " + path);
-    const bool ok =
-        std::fwrite(text.data(), 1, text.size(), file) == text.size();
-    if (std::fclose(file) != 0 || !ok)
-        throw std::runtime_error("write failed for " + path);
 }
 
 void write_obs(const std::string& obs_out) {
@@ -299,7 +290,7 @@ int main(int argc, char** argv) {
                 trace, candidates, offline_options, rng);
             std::fputs(board.to_text().c_str(), stdout);
             if (!journal_out.empty())
-                write_text_file(journal_out, board.to_text());
+                core::write_file_atomically(journal_out, board.to_text());
             write_obs(obs_out);
             return 0;
         }
@@ -317,7 +308,7 @@ int main(int argc, char** argv) {
             static_cast<unsigned long long>(result.promotions),
             result.incumbent_spec.c_str(), result.interrupted ? "yes" : "no");
         if (!journal_out.empty())
-            write_text_file(journal_out, result.journal_text());
+            core::write_file_atomically(journal_out, result.journal_text());
         write_obs(obs_out);
         return result.interrupted ? 5 : 0;
     } catch (const std::exception& e) {
