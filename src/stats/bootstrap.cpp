@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <array>
+#include <charconv>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "core/parallel.h"
 #include "obs/obs.h"
@@ -34,6 +36,18 @@ double quantile_select(std::vector<double>& xs, double q,
 }
 
 } // namespace
+
+int parse_replicate_count(std::string_view text, std::string_view flag) {
+    long long count = -1;
+    const char* end = text.data() + text.size();
+    const auto [stop, ec] = std::from_chars(text.data(), end, count);
+    if (ec != std::errc() || stop != end || !valid_replicate_count(count))
+        throw std::invalid_argument(
+            std::string(flag) + " must be 0 or an integer in [2, " +
+            std::to_string(kMaxBootstrapReplicates) + "], got '" +
+            std::string(text) + "'");
+    return static_cast<int>(count);
+}
 
 ConfidenceInterval bootstrap_ci(std::span<const double> sample,
                                 const Statistic& statistic, Rng& rng,

@@ -13,8 +13,8 @@
 #include "stats/rng.h"
 #include "trace/csv.h"
 
-#ifndef DRE_EVAL_PATH
-#error "DRE_EVAL_PATH must be defined by the build"
+#if !defined(DRE_EVAL_PATH) || !defined(DRE_TUNE_PATH)
+#error "DRE_EVAL_PATH and DRE_TUNE_PATH must be defined by the build"
 #endif
 
 namespace dre {
@@ -56,8 +56,9 @@ int run_cli(const std::string& args) {
 // Like run_cli but with an environment prefix (e.g. "DRE_THREADS=8") and
 // stderr captured to a file so tests can assert on the error: line.
 int run_cli_env(const std::string& env, const std::string& args,
-                const std::string& stderr_path) {
-    const std::string command = env + " " + std::string(DRE_EVAL_PATH) + " " +
+                const std::string& stderr_path,
+                const char* binary = DRE_EVAL_PATH) {
+    const std::string command = env + " " + std::string(binary) + " " +
                                 args + " > /dev/null 2> " + stderr_path;
     const int status = std::system(command.c_str());
     return WEXITSTATUS(status);
@@ -177,21 +178,39 @@ TEST(Cli, RejectsDefectiveTraceWithSharedReasonCodes) {
     EXPECT_NE(slurp(err).find("non-finite-reward"), std::string::npos);
 }
 
-// --ci takes 0 or 2..stats::kMaxBootstrapReplicates; a negative, a lone
-// replicate, an out-of-range or a non-numeric count is a usage error that
-// names the flag, never a silent run without a CI.
+// dre_eval --ci and dre_tune --replicates take 0 or
+// 2..stats::kMaxBootstrapReplicates; a negative, a lone replicate, an
+// out-of-range or a non-numeric count is a usage error that names the
+// flag, never a silent run without a CI or with a truncated count.
 TEST(Cli, RejectsReplicateCountsOutsideTheBound) {
     const std::string err = testing::TempDir() + "dre_cli_ci_err.txt";
-    for (const char* ci : {"-3", "1", "100001", "4294967295",
-                           "99999999999999999999", "12x", ""}) {
-        EXPECT_EQ(run_cli_env("", fixture_csv() + " uniform --ci '" + ci + "'",
-                              err),
-                  2)
-            << "--ci '" << ci << "'";
-        EXPECT_NE(slurp(err).find("--ci"), std::string::npos) << slurp(err);
+    const struct {
+        const char* binary;
+        std::string args;
+        const char* flag;
+    } tools[] = {
+        {DRE_EVAL_PATH, fixture_csv() + " uniform", "--ci"},
+        {DRE_TUNE_PATH,
+         fixture_csv() + " --offline --constants --wave-size 100",
+         "--replicates"},
+    };
+    for (const auto& tool : tools) {
+        const std::string base = tool.args + " " + tool.flag + " ";
+        for (const char* count : {"-3", "1", "100001", "4294967295",
+                                  "99999999999", "99999999999999999999",
+                                  "12x", ""}) {
+            EXPECT_EQ(run_cli_env("", base + "'" + count + "'", err,
+                                  tool.binary),
+                      2)
+                << tool.flag << " '" << count << "'";
+            EXPECT_NE(slurp(err).find(tool.flag), std::string::npos)
+                << slurp(err);
+        }
+        EXPECT_EQ(run_cli_env("", base + "0", err, tool.binary), 0)
+            << slurp(err);
+        EXPECT_EQ(run_cli_env("", base + "2", err, tool.binary), 0)
+            << slurp(err);
     }
-    EXPECT_EQ(run_cli(fixture_csv() + " uniform --ci 0"), 0);
-    EXPECT_EQ(run_cli(fixture_csv() + " uniform --ci 2"), 0);
 }
 
 TEST(Cli, ErrorsAreOneLineOnStderr) {

@@ -76,7 +76,6 @@
 //      rerun with --resume continues bit-identically
 #include <algorithm>
 #include <atomic>
-#include <charconv>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -126,22 +125,6 @@ namespace {
 bool ends_with(const std::string& s, const char* suffix) {
     const std::size_t n = std::strlen(suffix);
     return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
-}
-
-// --ci: a whole number, 0 (no interval) or 2..kMaxBootstrapReplicates.
-// Anything else — a sign, trailing text, an out-of-range value — is a
-// usage error that names the flag.
-int parse_ci(const std::string& text) {
-    long long count = -1;
-    const char* end = text.data() + text.size();
-    const auto [stop, ec] = std::from_chars(text.data(), end, count);
-    if (ec != std::errc() || stop != end ||
-        !stats::valid_replicate_count(count))
-        throw std::invalid_argument(
-            "--ci must be 0 or an integer in [2, " +
-            std::to_string(stats::kMaxBootstrapReplicates) + "], got '" +
-            text + "'");
-    return static_cast<int>(count);
 }
 
 // Expands a .drt path or a shard prefix to the ordered shard list.
@@ -308,7 +291,8 @@ int main(int argc, char** argv) {
                 config.reward_model =
                     core::parse_reward_model_kind(next("--model"));
             } else if (arg == "--ci") {
-                config.ci_replicates = parse_ci(next("--ci"));
+                config.ci_replicates =
+                    stats::parse_replicate_count(next("--ci"), "--ci");
             } else if (arg == "--quantile") {
                 quantile_q = std::stod(next("--quantile"));
             } else if (arg == "--by-group") {

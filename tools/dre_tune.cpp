@@ -35,7 +35,8 @@
 //   --redeploy-epsilon e    uniform smoothing on the deployed incumbent
 //                           (default 0.1)
 //   --eval-model kind       referee reward model for DR scoring
-//   --replicates N          bootstrap replicates for the CI gate (default 200)
+//   --replicates N          bootstrap replicates for the CI gate (default
+//                           200; 0 = no CI, --offline only, else 2..100000)
 //   --ci-level l            CI level (default 0.95)
 //   --train-fraction f      offline train split (default 0.5)
 //   --seed n                RNG seed (default 1)
@@ -61,6 +62,7 @@
 #include "core/policy.h"
 #include "core/streaming.h"
 #include "obs/obs.h"
+#include "stats/bootstrap.h"
 #include "stats/rng.h"
 #include "store/sharded.h"
 #include "trace/csv.h"
@@ -214,7 +216,8 @@ int main(int argc, char** argv) {
                     core::parse_reward_model_kind(next("--eval-model"));
                 offline_options.eval_model = options.eval_model;
             } else if (arg == "--replicates") {
-                options.bootstrap_replicates = std::stoi(next("--replicates"));
+                options.bootstrap_replicates = stats::parse_replicate_count(
+                    next("--replicates"), "--replicates");
                 offline_options.bootstrap_replicates =
                     options.bootstrap_replicates;
             } else if (arg == "--ci-level") {
