@@ -3,22 +3,15 @@
 #include <cmath>
 #include <cstring>
 
-#include "obs/obs.h"
-
-#if defined(__unix__) || defined(__APPLE__)
-#define DRE_SERVE_HAVE_SOCKETS 1
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
-#else
-#define DRE_SERVE_HAVE_SOCKETS 0
-#endif
+
+#include "obs/obs.h"
 
 namespace dre::serve {
-
-#if DRE_SERVE_HAVE_SOCKETS
 
 Client::Client(std::uint16_t port) {
     fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -104,24 +97,7 @@ PingMsg Client::ping(std::uint64_t token) {
     return decode_ping(read_frame());
 }
 
-#else // !DRE_SERVE_HAVE_SOCKETS
-
-Client::Client(std::uint16_t) {
-    throw std::runtime_error("serve client: no socket support on this platform");
-}
-Client::~Client() = default;
-void Client::send_bytes(const std::vector<unsigned char>&) {}
-Frame Client::read_frame() { return {}; }
-ResultMsg Client::evaluate(const EvaluateMsg&) { return {}; }
-StatsReplyMsg Client::stats() { return {}; }
-TimeseriesReplyMsg Client::timeseries() { return {}; }
-PingMsg Client::ping(std::uint64_t) { return {}; }
-
-#endif // DRE_SERVE_HAVE_SOCKETS
-
 // --- RetryingClient --------------------------------------------------------
-// Platform-independent: it only composes Client, which carries the socket
-// guard itself.
 
 namespace {
 

@@ -5,24 +5,17 @@
 #include <stdexcept>
 #include <string>
 
-#include "obs/obs.h"
-#include "obs/openmetrics.h"
-
-#if defined(__unix__) || defined(__APPLE__)
-#define DRE_SERVE_HAVE_SOCKETS 1
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
-#else
-#define DRE_SERVE_HAVE_SOCKETS 0
-#endif
+
+#include "obs/obs.h"
+#include "obs/openmetrics.h"
 
 namespace dre::serve {
-
-#if DRE_SERVE_HAVE_SOCKETS
 
 namespace {
 
@@ -186,18 +179,5 @@ void MetricsHttpServer::loop() {
     ::close(listen_fd_);
     listen_fd_ = -1;
 }
-
-#else // !DRE_SERVE_HAVE_SOCKETS
-
-MetricsHttpServer::MetricsHttpServer(std::uint16_t port, int request_timeout_ms)
-    : requested_port_(port), request_timeout_ms_(request_timeout_ms) {}
-MetricsHttpServer::~MetricsHttpServer() = default;
-void MetricsHttpServer::start() {
-    throw std::runtime_error("serve metrics: no socket support on this platform");
-}
-void MetricsHttpServer::stop_and_join() {}
-void MetricsHttpServer::loop() {}
-
-#endif // DRE_SERVE_HAVE_SOCKETS
 
 } // namespace dre::serve

@@ -5,24 +5,17 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "fault/fault.h"
-#include "obs/obs.h"
-
-#if defined(__unix__) || defined(__APPLE__)
-#define DRE_SERVE_HAVE_SOCKETS 1
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
-#else
-#define DRE_SERVE_HAVE_SOCKETS 0
-#endif
+
+#include "fault/fault.h"
+#include "obs/obs.h"
 
 namespace dre::serve {
-
-#if DRE_SERVE_HAVE_SOCKETS
 
 namespace {
 
@@ -825,30 +818,5 @@ TimeseriesReplyMsg EvalServer::timeseries_snapshot() {
     for (auto& [name, series] : by_name) m.series.push_back(std::move(series));
     return m;
 }
-
-#else // !DRE_SERVE_HAVE_SOCKETS
-
-struct EvalServer::Session {};
-struct EvalServer::Job {};
-struct EvalServer::Waiter {};
-
-EvalServer::EvalServer(ServerOptions options)
-    : options_(options),
-      service_(options.service),
-      ring_(options.ts_capacity),
-      request_ms_(obs::registry().histogram("serve.request_ms")) {}
-EvalServer::~EvalServer() = default;
-void EvalServer::start() {
-    throw std::runtime_error("serve: no socket support on this platform");
-}
-void EvalServer::request_stop() {}
-void EvalServer::stop_and_join() {}
-void EvalServer::io_loop() {}
-void EvalServer::dispatch_loop() {}
-StatsReplyMsg EvalServer::stats_snapshot() { return {}; }
-std::uint16_t EvalServer::metrics_port() const noexcept { return 0; }
-TimeseriesReplyMsg EvalServer::timeseries_snapshot() { return {}; }
-
-#endif // DRE_SERVE_HAVE_SOCKETS
 
 } // namespace dre::serve

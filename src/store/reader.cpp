@@ -6,23 +6,16 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <list>
-#include <mutex>
 #include <stdexcept>
 
-#include "fault/fault.h"
-#include "obs/obs.h"
-#include "store/crc32c.h"
-
-#if defined(__unix__) || defined(__APPLE__)
-#define DRE_STORE_HAVE_MMAP 1
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#else
-#define DRE_STORE_HAVE_MMAP 0
-#endif
+
+#include "fault/fault.h"
+#include "obs/obs.h"
+#include "store/crc32c.h"
 
 namespace dre::store {
 namespace {
@@ -79,7 +72,6 @@ RowGroupView make_view(const StoreSchema& schema, const unsigned char* base,
 struct StoreReader::Impl {
     std::string path;
     Options options;
-    IoMode mode = IoMode::kPread;
     StoreHeader header;
     std::vector<RowGroupInfo> groups;
     std::vector<std::uint64_t> row_offset; // prefix sums; size groups+1
@@ -90,24 +82,15 @@ struct StoreReader::Impl {
     std::unique_ptr<std::atomic<bool>[]> validated; // lazy CRC memo
 
     // pread backend
-#if DRE_STORE_HAVE_MMAP
     int fd = -1;
-#else
-    std::FILE* file = nullptr;
-#endif
     // Decoded-group LRU: either the caller's shared cache or a private one
     // (see StoreReaderOptions::shared_group_cache).
     std::shared_ptr<GroupCache> cache;
-    mutable std::mutex io_mutex; // serializes fseek+fread on the FILE* path
 
     ~Impl() {
-#if DRE_STORE_HAVE_MMAP
         if (map_base != nullptr)
             ::munmap(const_cast<unsigned char*>(map_base), file_size);
         if (fd >= 0) ::close(fd);
-#else
-        if (file != nullptr) std::fclose(file);
-#endif
     }
 
     // Deterministic virtual backoff: computed and recorded, never slept —
@@ -124,7 +107,6 @@ struct StoreReader::Impl {
     // Positional read of exactly `size` bytes (used for open-time metadata
     // in pread mode, and for row-group fetches).
     void pread_exact(std::uint64_t offset, void* dst, std::size_t size) const {
-#if DRE_STORE_HAVE_MMAP
         std::size_t done = 0;
         while (done < size) {
             const ::ssize_t got =
@@ -139,12 +121,6 @@ struct StoreReader::Impl {
             if (got == 0) fail(path, "unexpected end of file (truncated)");
             done += static_cast<std::size_t>(got);
         }
-#else
-        std::lock_guard<std::mutex> lock(io_mutex);
-        if (std::fseek(file, static_cast<long>(offset), SEEK_SET) != 0 ||
-            std::fread(dst, 1, size, file) != size)
-            fail(path, "unexpected end of file (truncated)");
-#endif
     }
 
     const unsigned char* group_base_mmap(std::size_t g) const {
@@ -176,7 +152,7 @@ struct StoreReader::Impl {
         DRE_FAULT_INJECT("store.read", fault_index, attempt);
         DRE_FAULT_INJECT("store.crc", fault_index, attempt);
         RowGroup out;
-        if (mode == IoMode::kMmap) {
+        if (options.io_mode == IoMode::kMmap) {
             const unsigned char* base = group_base_mmap(group);
             // Validate lazily, once. The flag is a monotonic latch: a benign
             // double validation under a race costs a re-scan, never
@@ -243,8 +219,6 @@ StoreReader::StoreReader(const std::string& path, Options options)
         }
     }
 
-#if DRE_STORE_HAVE_MMAP
-    im.mode = options.io_mode == IoMode::kPread ? IoMode::kPread : IoMode::kMmap;
     im.fd = ::open(path.c_str(), O_RDONLY);
     if (im.fd < 0)
         fail(path, std::string("cannot open: ") + std::strerror(errno),
@@ -254,26 +228,16 @@ StoreReader::StoreReader(const std::string& path, Options options)
     if (::fstat(im.fd, &st) != 0)
         fail(path, std::string("stat failed: ") + std::strerror(errno));
     im.file_size = static_cast<std::uint64_t>(st.st_size);
-#else
-    im.mode = IoMode::kPread;
-    im.file = std::fopen(path.c_str(), "rb");
-    if (im.file == nullptr)
-        fail(path, std::string("cannot open: ") + std::strerror(errno));
-    std::fseek(im.file, 0, SEEK_END);
-    im.file_size = static_cast<std::uint64_t>(std::ftell(im.file));
-#endif
     if (im.file_size < kHeaderBytes + kTailBytes)
         fail(path, "file too small to be a .drt trace (truncated?)");
 
-#if DRE_STORE_HAVE_MMAP
-    if (im.mode == IoMode::kMmap) {
+    if (im.options.io_mode == IoMode::kMmap) {
         void* map = ::mmap(nullptr, im.file_size, PROT_READ, MAP_SHARED,
                            im.fd, 0);
         if (map == MAP_FAILED)
             fail(path, std::string("mmap failed: ") + std::strerror(errno));
         im.map_base = static_cast<const unsigned char*>(map);
     }
-#endif
 
     // Header.
     unsigned char header[kHeaderBytes];
@@ -366,7 +330,7 @@ StoreReader::StoreReader(const std::string& path, Options options)
         fail(path, "header/index tuple count mismatch (header says " +
                        std::to_string(im.header.num_tuples) + ", index sums to " +
                        std::to_string(rows_total) + ")");
-    if (im.mode == IoMode::kMmap) {
+    if (im.options.io_mode == IoMode::kMmap) {
         im.validated =
             std::make_unique<std::atomic<bool>[]>(std::max<std::size_t>(
                 static_cast<std::size_t>(group_count), 1));
@@ -378,7 +342,9 @@ StoreReader::StoreReader(const std::string& path, Options options)
 StoreReader::~StoreReader() = default;
 
 const std::string& StoreReader::path() const noexcept { return impl_->path; }
-StoreReader::IoMode StoreReader::io_mode() const noexcept { return impl_->mode; }
+StoreReader::IoMode StoreReader::io_mode() const noexcept {
+    return impl_->options.io_mode;
+}
 StoreSchema StoreReader::schema() const noexcept { return impl_->header.schema; }
 std::uint32_t StoreReader::row_group_rows() const noexcept {
     return impl_->header.row_group_rows;

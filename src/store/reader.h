@@ -10,12 +10,12 @@
 // the file — corrupt input is never undefined behavior.
 //
 // Two I/O backends sit behind the same interface:
-//  * kMmap (default where available): the file is mapped once and row
-//    groups are zero-copy spans into the mapping — scans touch the page
-//    cache directly and concurrent readers share it.
+//  * kMmap (default): the file is mapped once and row groups are zero-copy
+//    spans into the mapping — scans touch the page cache directly and
+//    concurrent readers share it.
 //  * kPread: positional reads into an LRU cache of `pread_cache_groups`
-//    decoded row groups — the portable fallback, and the backend that
-//    gives a hard, configurable memory bound for out-of-core runs.
+//    decoded row groups — the backend that gives a hard, configurable
+//    memory bound for out-of-core runs.
 //
 // Retry policy: transient failures (EINTR is absorbed inside the syscall
 // loop; EAGAIN/EIO-class errnos and injected `store.read`/`store.crc`
@@ -47,7 +47,6 @@
 namespace dre::store {
 
 enum class IoMode {
-    kAuto,  // mmap where the platform supports it, else pread
     kMmap,
     kPread,
 };
@@ -64,7 +63,7 @@ struct StoreRetryPolicy {
 // Namespace-scope (not nested) so it is complete where constructor default
 // arguments need it; spelled StoreReader::Options at call sites.
 struct StoreReaderOptions {
-    IoMode io_mode = IoMode::kAuto;
+    IoMode io_mode = IoMode::kMmap;
     // LRU capacity (in decoded row groups) for the pread backend; ignored
     // by mmap. Small by design: this is the out-of-core memory bound. The
     // pread backend's peak memory is
@@ -108,7 +107,7 @@ public:
     StoreReader& operator=(const StoreReader&) = delete;
 
     const std::string& path() const noexcept;
-    IoMode io_mode() const noexcept; // resolved backend (never kAuto)
+    IoMode io_mode() const noexcept;
     StoreSchema schema() const noexcept;
     std::uint32_t row_group_rows() const noexcept;
     std::size_t num_decisions() const noexcept;

@@ -4,15 +4,10 @@
 #include <cstring>
 #include <stdexcept>
 
+#include <unistd.h>
+
 #include "obs/obs.h"
 #include "store/crc32c.h"
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <unistd.h>
-#define DRE_STORE_HAVE_FSYNC 1
-#else
-#define DRE_STORE_HAVE_FSYNC 0
-#endif
 
 namespace dre::store {
 namespace {
@@ -182,9 +177,7 @@ void StoreWriter::finalize() {
         fail_errno("header rewrite failed for", tmp_path_);
 
     if (std::fflush(file_) != 0) fail_errno("flush failed for", tmp_path_);
-#if DRE_STORE_HAVE_FSYNC
     if (::fsync(::fileno(file_)) != 0) fail_errno("fsync failed for", tmp_path_);
-#endif
     if (std::fclose(file_) != 0) {
         file_ = nullptr;
         fail_errno("close failed for", tmp_path_);

@@ -41,7 +41,7 @@
 //                             trace (bit-identical results; .drt input only)
 //   --fit-sample <n>          rows read in-memory to fit the reward model /
 //                             greedy policy under --streaming (default 100000)
-//   --io mmap|pread           I/O backend for .drt input (default: auto)
+//   --io mmap|pread           I/O backend for .drt input (default: mmap)
 //   --fault-spec <spec>       arm deterministic fault injection, e.g.
 //                             store.read:p=0.01,kind=transient;store.crc:nth=7
 //                             (seeded by --seed; see fault/fault.h)

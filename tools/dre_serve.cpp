@@ -10,7 +10,7 @@
 //                     ephemeral port without a race
 //   --max-queue <n>   pending unique Evaluate jobs before admission control
 //                     answers kOverloaded (default 64)
-//   --io mmap|pread   I/O backend for .drt traces (default: auto)
+//   --io mmap|pread   I/O backend for .drt traces (default: mmap)
 //
 // Resilience (DESIGN.md §15):
 //   --brownout-watermark <n>  queue depth at/above which new unique
