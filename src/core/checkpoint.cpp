@@ -66,7 +66,7 @@ std::optional<CheckpointReader> CheckpointReader::open(
     if (file == nullptr)
         reader.fail(std::string("cannot open: ") + std::strerror(open_errno));
     char block[1 << 16];
-    std::size_t got;
+    std::size_t got = 0;
     while ((got = std::fread(block, 1, sizeof block, file)) > 0)
         reader.bytes_.append(block, got);
     const bool read_error = std::ferror(file) != 0;
@@ -78,7 +78,7 @@ std::optional<CheckpointReader> CheckpointReader::open(
     if (bytes.compare(0, magic.size(), magic) != 0)
         reader.fail("not a " + reader.context_ + " file");
     reader.end_ = bytes.size() - 8;
-    std::uint64_t stored_sum;
+    std::uint64_t stored_sum = 0;
     std::memcpy(&stored_sum, bytes.data() + reader.end_, 8);
     if (fnv1a(std::string_view(bytes).substr(0, reader.end_)) != stored_sum)
         reader.fail("corrupt (checksum mismatch)");
@@ -110,7 +110,7 @@ void CheckpointReader::fail(const std::string& what) const {
 
 std::uint64_t CheckpointReader::get() {
     if (end_ - pos_ < 8) fail("truncated file");
-    std::uint64_t word;
+    std::uint64_t word = 0;
     std::memcpy(&word, bytes_.data() + pos_, 8);
     pos_ += 8;
     return word;

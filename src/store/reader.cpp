@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <list>
 #include <stdexcept>
 
 #include <fcntl.h>
