@@ -1,5 +1,6 @@
 #include "core/policy_learning.h"
 
+#include <algorithm>
 #include <charconv>
 #include <stdexcept>
 
@@ -15,25 +16,34 @@ GreedyModelPolicy::GreedyModelPolicy(std::shared_ptr<const RewardModel> model,
         throw std::invalid_argument("GreedyModelPolicy: epsilon outside [0,1]");
 }
 
+Decision GreedyModelPolicy::argmax_row(const ClientContext& context,
+                                       std::vector<double>& row) const {
+    row.resize(model_->num_decisions());
+    model_->predict_row(context, row.data());
+    std::size_t best = 0;
+    for (std::size_t d = 1; d < row.size(); ++d)
+        if (row[d] > row[best]) best = d;
+    return static_cast<Decision>(best);
+}
+
 Decision GreedyModelPolicy::greedy_decision(const ClientContext& context) const {
-    Decision best = 0;
-    double best_value = model_->predict(context, 0);
-    for (std::size_t d = 1; d < model_->num_decisions(); ++d) {
-        const double value = model_->predict(context, static_cast<Decision>(d));
-        if (value > best_value) {
-            best_value = value;
-            best = static_cast<Decision>(d);
-        }
-    }
-    return best;
+    std::vector<double> row;
+    return argmax_row(context, row);
 }
 
 std::vector<double> GreedyModelPolicy::action_probabilities(
     const ClientContext& context) const {
-    std::vector<double> probs(model_->num_decisions(),
-                              epsilon_ / static_cast<double>(model_->num_decisions()));
-    probs[static_cast<std::size_t>(greedy_decision(context))] += 1.0 - epsilon_;
+    std::vector<double> probs;
+    action_probabilities_into(context, probs);
     return probs;
+}
+
+void GreedyModelPolicy::action_probabilities_into(const ClientContext& context,
+                                                  std::vector<double>& out) const {
+    const auto best = static_cast<std::size_t>(argmax_row(context, out));
+    std::fill(out.begin(), out.end(),
+              epsilon_ / static_cast<double>(out.size()));
+    out[best] += 1.0 - epsilon_;
 }
 
 std::shared_ptr<GreedyModelPolicy> learn_greedy_policy(const Trace& trace,

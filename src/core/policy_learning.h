@@ -22,12 +22,15 @@
 namespace dre::core {
 
 // Policy that plays argmax_d r^(c, d) of a reward model, mixed with
-// epsilon-uniform exploration.
+// epsilon-uniform exploration. The argmax is the first maximum of one
+// predict_row, so the lowest decision wins a tie.
 class GreedyModelPolicy final : public Policy {
 public:
     GreedyModelPolicy(std::shared_ptr<const RewardModel> model, double epsilon = 0.0);
 
     std::vector<double> action_probabilities(const ClientContext& context) const override;
+    void action_probabilities_into(const ClientContext& context,
+                                   std::vector<double>& out) const override;
     std::size_t num_decisions() const noexcept override {
         return model_->num_decisions();
     }
@@ -36,6 +39,11 @@ public:
     const RewardModel& model() const noexcept { return *model_; }
 
 private:
+    // Fills `row` with the model's predictions for `context` and returns
+    // the decision of their first maximum.
+    Decision argmax_row(const ClientContext& context,
+                        std::vector<double>& row) const;
+
     std::shared_ptr<const RewardModel> model_;
     double epsilon_;
 };

@@ -7,18 +7,6 @@
 namespace dre::core {
 namespace {
 
-// Mix the decision into an already-computed context fingerprint. Split out
-// of cell_key so predict_row can fingerprint the context once per row.
-std::uint64_t mix_decision(std::uint64_t h, Decision d) noexcept {
-    h ^= 0x9e3779b97f4a7c15ull + static_cast<std::uint64_t>(d) +
-         (h << 6) + (h >> 2);
-    return h;
-}
-
-std::uint64_t cell_key(const ClientContext& context, Decision d) noexcept {
-    return mix_decision(context_fingerprint(context), d);
-}
-
 void check_decision(Decision d, std::size_t n, const char* who) {
     if (d < 0 || static_cast<std::size_t>(d) >= n)
         throw std::out_of_range(std::string(who) + ": decision out of range");
@@ -45,50 +33,68 @@ double OracleRewardModel::predict(const ClientContext& context, Decision d) cons
 }
 
 TabularRewardModel::TabularRewardModel(std::size_t num_decisions)
-    : num_decisions_(num_decisions), decision_means_(num_decisions) {
+    : num_decisions_(num_decisions) {
     if (num_decisions_ == 0)
         throw std::invalid_argument("TabularRewardModel: empty decision space");
 }
 
 void TabularRewardModel::fit(const Trace& trace) {
     validate_trace(trace);
-    cell_means_.clear();
-    decision_means_.assign(num_decisions_, {});
-    global_mean_ = {};
+    // Chain links are 32-bit, and a trace makes at most one cell per tuple.
+    if (trace.size() >= kNoCell)
+        throw std::length_error("TabularRewardModel::fit: trace too large");
+    // Fit into locals so a throwing fit leaves the previous one intact.
+    std::unordered_map<std::uint64_t, Cell> first_cells;
+    std::vector<Cell> more_cells;
+    std::vector<MeanCount> decision_means(num_decisions_);
+    MeanCount global_mean;
     for (const auto& t : trace) {
         check_decision(t.decision, num_decisions_, "TabularRewardModel::fit");
-        cell_means_[cell_key(t.context, t.decision)].add(t.reward);
-        decision_means_[static_cast<std::size_t>(t.decision)].add(t.reward);
-        global_mean_.add(t.reward);
+        Cell* cell = &first_cells
+                          .try_emplace(context_fingerprint(t.context),
+                                       Cell{{}, t.decision})
+                          .first->second;
+        while (cell->decision != t.decision && cell->next != kNoCell)
+            cell = &more_cells[cell->next];
+        if (cell->decision != t.decision) {
+            cell->next = static_cast<std::uint32_t>(more_cells.size());
+            cell = &more_cells.emplace_back(Cell{{}, t.decision});
+        }
+        cell->reward.add(t.reward); // in trace order, as every mean here
+        decision_means[static_cast<std::size_t>(t.decision)].add(t.reward);
+        global_mean.add(t.reward);
     }
+    std::vector<double> fallback(num_decisions_);
+    for (std::size_t d = 0; d < num_decisions_; ++d)
+        fallback[d] = decision_means[d].count > 0 ? decision_means[d].mean
+                                                  : global_mean.mean;
+    first_cells_ = std::move(first_cells);
+    more_cells_ = std::move(more_cells);
+    fallback_ = std::move(fallback);
     fitted_ = true;
+}
+
+const TabularRewardModel::Cell* TabularRewardModel::first_cell(
+    const ClientContext& context) const {
+    const auto it = first_cells_.find(context_fingerprint(context));
+    return it == first_cells_.end() ? nullptr : &it->second;
 }
 
 double TabularRewardModel::predict(const ClientContext& context, Decision d) const {
     if (!fitted_) throw std::logic_error("TabularRewardModel::predict before fit");
     check_decision(d, num_decisions_, "TabularRewardModel::predict");
-    const auto it = cell_means_.find(cell_key(context, d));
-    if (it != cell_means_.end()) return it->second.mean;
-    const auto& per_decision = decision_means_[static_cast<std::size_t>(d)];
-    if (per_decision.count > 0) return per_decision.mean;
-    return global_mean_.mean;
+    for (const Cell* cell = first_cell(context); cell; cell = next_cell(*cell))
+        if (cell->decision == d) return cell->reward.mean;
+    return fallback_[static_cast<std::size_t>(d)];
 }
 
 void TabularRewardModel::predict_row(const ClientContext& context,
                                      double* out) const {
     if (!fitted_)
         throw std::logic_error("TabularRewardModel::predict_row before fit");
-    const std::uint64_t fp = context_fingerprint(context);
-    for (std::size_t d = 0; d < num_decisions_; ++d) {
-        const auto it =
-            cell_means_.find(mix_decision(fp, static_cast<Decision>(d)));
-        if (it != cell_means_.end()) {
-            out[d] = it->second.mean;
-            continue;
-        }
-        const auto& per_decision = decision_means_[d];
-        out[d] = per_decision.count > 0 ? per_decision.mean : global_mean_.mean;
-    }
+    std::copy(fallback_.begin(), fallback_.end(), out);
+    for (const Cell* cell = first_cell(context); cell; cell = next_cell(*cell))
+        out[cell->decision] = cell->reward.mean;
 }
 
 LinearRewardModel::LinearRewardModel(std::size_t num_decisions, double l2)
@@ -100,9 +106,6 @@ LinearRewardModel::LinearRewardModel(std::size_t num_decisions, double l2)
 
 void LinearRewardModel::fit(const Trace& trace) {
     validate_trace(trace);
-    per_decision_.assign(num_decisions_, {});
-    has_model_.assign(num_decisions_, false);
-
     std::vector<std::vector<std::vector<double>>> features(num_decisions_);
     std::vector<std::vector<double>> targets(num_decisions_);
     double total = 0.0;
@@ -113,12 +116,17 @@ void LinearRewardModel::fit(const Trace& trace) {
         targets[d].push_back(t.reward);
         total += t.reward;
     }
-    global_mean_ = trace.empty() ? 0.0 : total / static_cast<double>(trace.size());
+    // Fit into locals so a throwing fit leaves the previous one intact.
+    std::vector<stats::LinearRegression> per_decision(num_decisions_);
+    std::vector<bool> has_model(num_decisions_, false);
     for (std::size_t d = 0; d < num_decisions_; ++d) {
         if (features[d].empty()) continue;
-        per_decision_[d].fit(features[d], targets[d], l2_);
-        has_model_[d] = true;
+        per_decision[d].fit(features[d], targets[d], l2_);
+        has_model[d] = true;
     }
+    per_decision_ = std::move(per_decision);
+    has_model_ = std::move(has_model);
+    global_mean_ = trace.empty() ? 0.0 : total / static_cast<double>(trace.size());
     fitted_ = true;
 }
 
@@ -147,12 +155,14 @@ KnnRewardModel::KnnRewardModel(std::size_t num_decisions, std::size_t k,
     if (k_ == 0) throw std::invalid_argument("KnnRewardModel: k must be > 0");
 }
 
-std::vector<double> KnnRewardModel::encode(const ClientContext& context) const {
+std::vector<double> KnnRewardModel::encode(
+    const ClientContext& context,
+    const std::vector<std::int32_t>& cardinalities) const {
     if (!one_hot_) return context.flattened();
     std::vector<double> out = context.numeric;
     for (std::size_t i = 0; i < context.categorical.size(); ++i) {
         const std::int32_t cardinality =
-            i < cardinalities_.size() ? cardinalities_[i] : 0;
+            i < cardinalities.size() ? cardinalities[i] : 0;
         const std::size_t base = out.size();
         out.resize(base + static_cast<std::size_t>(std::max(cardinality, 1)), 0.0);
         const std::int32_t value = context.categorical[i];
@@ -164,18 +174,16 @@ std::vector<double> KnnRewardModel::encode(const ClientContext& context) const {
 
 void KnnRewardModel::fit(const Trace& trace) {
     validate_trace(trace);
-    per_decision_.assign(num_decisions_, stats::KnnRegressor{k_});
-    has_model_.assign(num_decisions_, false);
-
-    // Infer categorical cardinalities for one-hot encoding.
-    cardinalities_.clear();
+    // Everything is fit into locals so a throwing fit leaves the previous
+    // one intact. First infer categorical cardinalities for one-hot encoding.
+    std::vector<std::int32_t> cardinalities;
     if (one_hot_) {
         for (const auto& t : trace) {
-            if (t.context.categorical.size() > cardinalities_.size())
-                cardinalities_.resize(t.context.categorical.size(), 0);
+            if (t.context.categorical.size() > cardinalities.size())
+                cardinalities.resize(t.context.categorical.size(), 0);
             for (std::size_t i = 0; i < t.context.categorical.size(); ++i)
-                cardinalities_[i] =
-                    std::max(cardinalities_[i], t.context.categorical[i] + 1);
+                cardinalities[i] =
+                    std::max(cardinalities[i], t.context.categorical[i] + 1);
         }
     }
 
@@ -185,16 +193,22 @@ void KnnRewardModel::fit(const Trace& trace) {
     for (const auto& t : trace) {
         check_decision(t.decision, num_decisions_, "KnnRewardModel::fit");
         const auto d = static_cast<std::size_t>(t.decision);
-        features[d].push_back(encode(t.context));
+        features[d].push_back(encode(t.context, cardinalities));
         targets[d].push_back(t.reward);
         total += t.reward;
     }
-    global_mean_ = trace.empty() ? 0.0 : total / static_cast<double>(trace.size());
+    std::vector<stats::KnnRegressor> per_decision(num_decisions_,
+                                                  stats::KnnRegressor{k_});
+    std::vector<bool> has_model(num_decisions_, false);
     for (std::size_t d = 0; d < num_decisions_; ++d) {
         if (features[d].empty()) continue;
-        per_decision_[d].fit(features[d], targets[d]);
-        has_model_[d] = true;
+        per_decision[d].fit(features[d], targets[d]);
+        has_model[d] = true;
     }
+    cardinalities_ = std::move(cardinalities);
+    per_decision_ = std::move(per_decision);
+    has_model_ = std::move(has_model);
+    global_mean_ = trace.empty() ? 0.0 : total / static_cast<double>(trace.size());
     fitted_ = true;
 }
 
@@ -203,14 +217,14 @@ double KnnRewardModel::predict(const ClientContext& context, Decision d) const {
     check_decision(d, num_decisions_, "KnnRewardModel::predict");
     const auto index = static_cast<std::size_t>(d);
     if (!has_model_[index]) return global_mean_;
-    return per_decision_[index].predict(encode(context));
+    return per_decision_[index].predict(encode(context, cardinalities_));
 }
 
 void KnnRewardModel::predict_row(const ClientContext& context,
                                  double* out) const {
     if (!fitted_)
         throw std::logic_error("KnnRewardModel::predict_row before fit");
-    const std::vector<double> encoded = encode(context);
+    const std::vector<double> encoded = encode(context, cardinalities_);
     for (std::size_t d = 0; d < num_decisions_; ++d)
         out[d] = has_model_[d] ? per_decision_[d].predict(encoded) : global_mean_;
 }
@@ -228,7 +242,7 @@ void KnnRewardModel::predict_rows(const ClientContext* const* contexts,
         const std::size_t batch = std::min(kRowBatch, count - base);
         encoded.clear();
         for (std::size_t i = 0; i < batch; ++i)
-            encoded.push_back(encode(*contexts[base + i]));
+            encoded.push_back(encode(*contexts[base + i], cardinalities_));
         // Decision-major: one tree serves the whole batch before the next
         // tree is touched. Each out[row * num_decisions_ + d] gets exactly
         // the value predict_row would have written — entries are

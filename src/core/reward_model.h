@@ -97,6 +97,11 @@ private:
 // cell, falling back to the per-decision mean, then the global mean.
 // Zero-bias where data exists; useless off the observed support — exactly
 // the failure mode Fig. 4/Fig. 5 illustrate.
+//
+// Keyed by context: the hash entry of each distinct context fingerprint
+// holds that context's first (decision, mean) cell and chains the rest, and
+// the fallback row is fixed at fit time. A row is then one fingerprint, one
+// probe, a copy of the fallback row and one store per populated cell.
 class TabularRewardModel final : public RewardModel {
 public:
     explicit TabularRewardModel(std::size_t num_decisions);
@@ -104,14 +109,17 @@ public:
     void fit(const Trace& trace);
 
     double predict(const ClientContext& context, Decision d) const override;
-    // Fingerprints the context once instead of once per decision.
     void predict_row(const ClientContext& context, double* out) const override;
     std::size_t num_decisions() const noexcept override { return num_decisions_; }
 
     // Number of populated (context, decision) cells.
-    std::size_t cells() const noexcept { return cell_means_.size(); }
+    std::size_t cells() const noexcept {
+        return first_cells_.size() + more_cells_.size();
+    }
 
 private:
+    static constexpr std::uint32_t kNoCell = 0xffffffffu;
+
     struct MeanCount {
         double mean = 0.0;
         std::size_t count = 0;
@@ -121,10 +129,23 @@ private:
         }
     };
 
+    struct Cell {
+        MeanCount reward;
+        Decision decision = 0;
+        std::uint32_t next = kNoCell; // the context's next cell in more_cells_
+    };
+
+    // The context's first cell, or nullptr for an unseen context.
+    const Cell* first_cell(const ClientContext& context) const;
+    const Cell* next_cell(const Cell& cell) const {
+        return cell.next == kNoCell ? nullptr : &more_cells_[cell.next];
+    }
+
     std::size_t num_decisions_;
-    std::unordered_map<std::uint64_t, MeanCount> cell_means_; // key mixes d
-    std::vector<MeanCount> decision_means_;
-    MeanCount global_mean_;
+    std::unordered_map<std::uint64_t, Cell> first_cells_; // by fingerprint
+    std::vector<Cell> more_cells_;
+    // Per decision: its mean when logged, else the global mean.
+    std::vector<double> fallback_;
     bool fitted_ = false;
 };
 
@@ -174,7 +195,8 @@ public:
     std::size_t num_decisions() const noexcept override { return num_decisions_; }
 
 private:
-    std::vector<double> encode(const ClientContext& context) const;
+    std::vector<double> encode(const ClientContext& context,
+                               const std::vector<std::int32_t>& cardinalities) const;
 
     std::size_t num_decisions_;
     std::size_t k_;

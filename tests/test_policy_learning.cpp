@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
+#include <vector>
 
 #include "core/environment.h"
 #include "stats/rng.h"
@@ -46,6 +48,81 @@ TEST(GreedyModelPolicy, EpsilonSmoothsProbabilities) {
     EXPECT_NEAR(probs[1], 0.1, 1e-12);
     EXPECT_THROW(GreedyModelPolicy(nullptr, 0.0), std::invalid_argument);
     EXPECT_THROW(GreedyModelPolicy(model, 1.5), std::invalid_argument);
+}
+
+// The per-decision definition the row path replaced: predict(c, d) for
+// each d, strict-> argmax, then the epsilon mix.
+std::vector<double> per_decision_reference(const RewardModel& model,
+                                           const ClientContext& c,
+                                           double epsilon) {
+    const std::size_t n = model.num_decisions();
+    std::size_t best = 0;
+    double best_value = model.predict(c, 0);
+    for (std::size_t d = 1; d < n; ++d) {
+        const double value = model.predict(c, static_cast<Decision>(d));
+        if (value > best_value) {
+            best_value = value;
+            best = d;
+        }
+    }
+    std::vector<double> probs(n, epsilon / static_cast<double>(n));
+    probs[best] += 1.0 - epsilon;
+    return probs;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(GreedyModelPolicy, RowPathMatchesPerDecisionReferenceBitwise) {
+    stats::Rng rng(9);
+    Trace trace;
+    for (int i = 0; i < 400; ++i) {
+        LoggedTuple t;
+        t.context = ClientContext({rng.uniform(-1.0, 1.0)},
+                                  {static_cast<std::int32_t>(rng.uniform_index(3))});
+        t.decision = static_cast<Decision>(rng.uniform_index(4));
+        t.reward = t.context.numeric[0] * static_cast<double>(t.decision) +
+                   rng.normal(0.0, 0.5);
+        t.propensity = 0.25;
+        trace.add(std::move(t));
+    }
+    // Ties: in this context decisions 1 and 2 share the top tabular mean,
+    // and decision 3 (never logged here) falls back to a lower mean.
+    for (const Decision d : {0, 1, 2}) {
+        LoggedTuple t;
+        t.context = ClientContext({2.0}, {7});
+        t.decision = d;
+        t.reward = d == 0 ? -5.0 : 5.0;
+        t.propensity = 0.25;
+        trace.add(std::move(t));
+    }
+    std::vector<ClientContext> contexts = {ClientContext({2.0}, {7}),
+                                           ClientContext({0.25}, {9})};
+    for (std::size_t k = 0; k < trace.size(); k += 37)
+        contexts.push_back(trace[k].context);
+
+    for (const auto kind : {RewardModelKind::kTabular, RewardModelKind::kLinear,
+                            RewardModelKind::kKnn}) {
+        const std::shared_ptr<const RewardModel> model =
+            fit_reward_model(kind, 4, trace);
+        for (const double epsilon : {0.0, 0.25, 1.0}) {
+            const GreedyModelPolicy policy(model, epsilon);
+            std::vector<double> into(9, -1.0); // wrong size, stale values
+            for (const ClientContext& c : contexts) {
+                const auto want = per_decision_reference(*model, c, epsilon);
+                policy.action_probabilities_into(c, into);
+                EXPECT_TRUE(same_bits(into, want))
+                    << static_cast<int>(kind) << " eps=" << epsilon << " "
+                    << to_string(c);
+                EXPECT_TRUE(same_bits(policy.action_probabilities(c), want));
+            }
+        }
+    }
+    const GreedyModelPolicy tabular(
+        fit_reward_model(RewardModelKind::kTabular, 4, trace));
+    EXPECT_EQ(tabular.greedy_decision(ClientContext({2.0}, {7})), 1);
 }
 
 TEST(LearnGreedyPolicy, BeatsLoggingPolicyInTruth) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <set>
+#include <utility>
+
 #include "stats/rng.h"
 
 namespace dre::core {
@@ -65,6 +69,86 @@ TEST(TabularRewardModel, PredictBeforeFitThrows) {
     EXPECT_THROW(model.predict(ClientContext{}, 0), std::logic_error);
 }
 
+// predict_row is one fingerprint and one probe per row; it must write
+// exactly what predict(c, d) returns for every d, whether the context was
+// seen at every decision, at some, or never, and for a decision no tuple
+// logged (3 of 4), which falls back to the global mean.
+TEST(TabularRewardModel, PredictRowMatchesPredictBitwise) {
+    stats::Rng rng(5);
+    Trace trace;
+    for (int i = 0; i < 300; ++i) {
+        const auto d = static_cast<Decision>(rng.uniform_index(3));
+        trace.add(tuple({0.5}, {0}, d, rng.normal(1.0, 0.3))); // all of 0..2
+        if (d != 2) trace.add(tuple({}, {1, 4}, d, rng.normal(2.0, 0.7)));
+    }
+    trace.add(tuple({1.0 / 3.0}, {}, 1, 0.1)); // one cell
+    TabularRewardModel model(4);
+    model.fit(trace);
+    const std::vector<ClientContext> contexts = {
+        ClientContext({0.5}, {0}), ClientContext({}, {1, 4}),
+        ClientContext({1.0 / 3.0}, {}), ClientContext({0.5}, {1}),
+        ClientContext{}};
+    for (const ClientContext& c : contexts) {
+        double row[4];
+        model.predict_row(c, row);
+        for (Decision d = 0; d < 4; ++d) {
+            const double want = model.predict(c, d);
+            EXPECT_EQ(std::memcmp(&row[d], &want, sizeof(double)), 0)
+                << to_string(c) << " d=" << d;
+        }
+    }
+    EXPECT_EQ(model.predict(ClientContext({0.5}, {0}), 3),
+              model.predict(ClientContext{}, 3)); // never logged
+}
+
+// cells() counts distinct (context fingerprint, decision) pairs.
+TEST(TabularRewardModel, CellsCountDistinctContextDecisionPairs) {
+    stats::Rng rng(6);
+    Trace trace;
+    std::set<std::pair<std::uint64_t, Decision>> distinct;
+    for (int i = 0; i < 2000; ++i) {
+        LoggedTuple t = tuple({}, {static_cast<std::int32_t>(rng.uniform_index(7)),
+                                   static_cast<std::int32_t>(rng.uniform_index(5))},
+                              static_cast<Decision>(rng.uniform_index(6)),
+                              rng.normal());
+        distinct.emplace(context_fingerprint(t.context), t.decision);
+        trace.add(std::move(t));
+    }
+    TabularRewardModel model(6);
+    model.fit(trace);
+    EXPECT_EQ(model.cells(), distinct.size());
+    EXPECT_LT(model.cells(), trace.size());
+}
+
+// A fit that throws leaves the previous fit in place: fit two cells of one
+// context, then refit on a trace whose second tuple logs decision 5 of 2.
+template <typename Model>
+void expect_failed_refit_keeps_previous_fit(Model& model) {
+    const ClientContext c({1.0}, {0});
+    Trace good;
+    good.add(tuple({1.0}, {0}, 0, 1.0));
+    good.add(tuple({1.0}, {0}, 1, 3.0));
+    model.fit(good);
+    const double before0 = model.predict(c, 0);
+    const double before1 = model.predict(c, 1);
+    EXPECT_NEAR(before0, 1.0, 1e-3);
+    EXPECT_NEAR(before1, 3.0, 1e-3);
+
+    Trace bad;
+    bad.add(tuple({1.0}, {0}, 0, 7.0));
+    bad.add(tuple({1.0}, {0}, 5, 7.0));
+    EXPECT_THROW(model.fit(bad), std::out_of_range);
+    EXPECT_EQ(model.predict(c, 0), before0);
+    EXPECT_EQ(model.predict(c, 1), before1);
+}
+
+TEST(TabularRewardModel, FailedRefitKeepsPreviousFit) {
+    TabularRewardModel model(2);
+    expect_failed_refit_keeps_previous_fit(model);
+    EXPECT_EQ(model.predict(ClientContext({1.0}, {0}), 0), 1.0);
+    EXPECT_EQ(model.cells(), 2u);
+}
+
 TEST(LinearRewardModel, LearnsPerDecisionLinearRewards) {
     stats::Rng rng(1);
     Trace trace;
@@ -89,6 +173,11 @@ TEST(LinearRewardModel, UnseenDecisionFallsBackToGlobalMean) {
     EXPECT_DOUBLE_EQ(model.predict(ClientContext({1.0}, {}), 2), 3.0);
 }
 
+TEST(LinearRewardModel, FailedRefitKeepsPreviousFit) {
+    LinearRewardModel model(2);
+    expect_failed_refit_keeps_previous_fit(model);
+}
+
 TEST(KnnRewardModel, LocalAveraging) {
     Trace trace;
     trace.add(tuple({0.0}, {}, 0, 1.0));
@@ -111,6 +200,12 @@ TEST(KnnRewardModel, SeparatesDecisions) {
     model.fit(trace);
     EXPECT_NEAR(model.predict(ClientContext({0.5}, {}), 0), 5.0, 0.1);
     EXPECT_NEAR(model.predict(ClientContext({0.5}, {}), 1), -5.0, 0.1);
+}
+
+TEST(KnnRewardModel, FailedRefitKeepsPreviousFit) {
+    KnnRewardModel model(2, 1);
+    expect_failed_refit_keeps_previous_fit(model);
+    EXPECT_EQ(model.predict(ClientContext({1.0}, {0}), 1), 3.0);
 }
 
 TEST(FitRewardModel, FactoryProducesEachKind) {
