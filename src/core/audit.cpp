@@ -7,6 +7,7 @@
 
 #include "core/diagnostics.h"
 #include "core/drift.h"
+#include "core/policy_learning.h"
 #include "stats/hypothesis.h"
 #include "trace/validate.h"
 
@@ -122,10 +123,21 @@ void check_overlap(const Trace& trace, const Policy& target,
     }
     const double deviation = std::fabs(overlap.mean_weight - 1.0);
     if (deviation > options.max_mean_weight_deviation) {
+        // A target learned from a reward model was most likely fit on these
+        // very tuples, so it favours their logged decisions; that, not the
+        // logged propensities, is the likelier cause.
+        const bool learned =
+            dynamic_cast<const GreedyModelPolicy*>(&target) != nullptr;
         add(findings, AuditSeverity::kWarning, "propensity-mismatch",
-            format("mean importance weight is %.2f (should be ~1): logged "
-                   "propensities are inconsistent with the observed decisions "
-                   "or the target lacks support",
+            format(learned
+                       ? "mean importance weight is %.2f (should be ~1): the "
+                         "target is learned from a reward model, and one fit "
+                         "on these tuples favours their logged decisions; "
+                         "fit it on a split the evaluation does not use "
+                         "(dre_tune --offline)"
+                       : "mean importance weight is %.2f (should be ~1): logged "
+                         "propensities are inconsistent with the observed "
+                         "decisions or the target lacks support",
                    overlap.mean_weight),
             overlap.mean_weight);
     }

@@ -14,7 +14,8 @@
 //   thin-support            propensities close enough to 0 to blow up IPS
 //   low-ess                 effective sample size collapses for the target
 //   zero-overlap            most tuples carry zero weight for the target
-//   propensity-mismatch     mean importance weight far from 1
+//   propensity-mismatch     mean importance weight far from 1 (for a
+//                           learned target, most likely an in-sample fit)
 //   reward-drift            change-points in the reward stream (§4.1 world
 //                           state / §4.3 remedy)
 //   context-shift           the client population moved between the first
