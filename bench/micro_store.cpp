@@ -153,8 +153,10 @@ int main(int argc, char** argv) {
     const store::IoMode modes[2] = {store::IoMode::kMmap, store::IoMode::kPread};
     const char* mode_names[2] = {"mmap", "pread"};
     for (int m = 0; m < 2; ++m) {
-        const store::ShardedStore shards(
-            shard_paths, store::StoreReader::Options{modes[m], 4});
+        store::StoreReader::Options reader_options;
+        reader_options.io_mode = modes[m];
+        reader_options.pread_cache_groups = 4;
+        const store::ShardedStore shards(shard_paths, reader_options);
         std::vector<LoggedTuple> rows;
         const auto start = std::chrono::steady_clock::now();
         for (std::uint64_t row = 0; row < shards.num_tuples(); row += batch) {
@@ -201,8 +203,10 @@ int main(int argc, char** argv) {
     // --- Out-of-core streaming evaluation (pread, bounded cache) ----------
     // The full trace is NOT in memory here: the model fits on a bounded
     // prefix and the evaluation streams row groups through a 4-group LRU.
-    const store::ShardedStore shards(
-        shard_paths, store::StoreReader::Options{store::IoMode::kPread, 4});
+    store::StoreReader::Options reader_options;
+    reader_options.io_mode = store::IoMode::kPread;
+    reader_options.pread_cache_groups = 4;
+    const store::ShardedStore shards(shard_paths, reader_options);
     const std::size_t decisions = shards.num_decisions();
     const core::UniformRandomPolicy policy(decisions);
 

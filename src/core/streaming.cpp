@@ -282,6 +282,8 @@ const char* stream_fault_reason(fault::FaultKind kind) noexcept {
         case fault::FaultKind::kTransient: return "stream-fault-transient";
         case fault::FaultKind::kPermanent: return "stream-fault-permanent";
         case fault::FaultKind::kCorruption: return "stream-fault-corruption";
+        // Slow faults never throw (Injector::maybe_inject returns early).
+        case fault::FaultKind::kSlow: break;
     }
     return "stream-fault";
 }

@@ -177,7 +177,7 @@ std::vector<std::string> split_store(const ShardedStore& in,
     std::vector<std::string> paths;
     paths.reserve(num_shards);
     for (std::size_t s = 0; s < num_shards; ++s) {
-        char suffix[16];
+        char suffix[32]; // "%05zu" of a size_t is up to 20 digits
         std::snprintf(suffix, sizeof(suffix), "%05zu.drt", s);
         const std::string path = out_prefix + suffix;
         const std::uint64_t begin = n * s / num_shards;

@@ -265,7 +265,9 @@ TEST(Property, IpsVarianceMonotonicallyWorsensWithLessExploration) {
             env, logging, *target, 500, 80,
             [&](const Trace& t) { return inverse_propensity(t, *target).value; },
             41);
-        if (!first) EXPECT_GT(e.stddev, previous);
+        if (!first) {
+            EXPECT_GT(e.stddev, previous);
+        }
         previous = e.stddev;
         first = false;
     }

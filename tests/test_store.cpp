@@ -111,6 +111,13 @@ void expect_bitwise_equal(const Trace& a, const Trace& b) {
     }
 }
 
+StoreReader::Options two_group_options(IoMode mode) {
+    StoreReader::Options options;
+    options.io_mode = mode;
+    options.pread_cache_groups = 2;
+    return options;
+}
+
 void check_round_trip(const Trace& trace, const TempDir& tmp,
                       const std::string& label) {
     SCOPED_TRACE(label);
@@ -118,7 +125,7 @@ void check_round_trip(const Trace& trace, const TempDir& tmp,
     // Small row groups force multiple groups per file.
     write_store_file(trace, path, StoreWriter::Options{256});
     for (const IoMode mode : {IoMode::kMmap, IoMode::kPread}) {
-        const StoreReader reader(path, StoreReader::Options{mode, 2});
+        const StoreReader reader(path, two_group_options(mode));
         EXPECT_EQ(reader.num_tuples(), trace.size());
         EXPECT_EQ(reader.num_decisions(), trace.num_decisions());
         expect_bitwise_equal(reader.read_all(), trace);
@@ -467,7 +474,7 @@ TEST_F(StoreCorruptionTest, FlippedChunkByteNamesTheGroup) {
         SCOPED_TRACE(static_cast<int>(mode));
         // Opening succeeds (payload CRCs are lazy); touching group 1 fails
         // and the error names it. Other groups stay readable.
-        const StoreReader reader(flipped, StoreReader::Options{mode, 2});
+        const StoreReader reader(flipped, two_group_options(mode));
         std::vector<LoggedTuple> rows;
         reader.read_rows(0, 128, rows); // group 0 is intact
         EXPECT_EQ(rows.size(), 128u);

@@ -196,7 +196,7 @@ int run_convert(int argc, char** argv) {
                                   static_cast<std::uint32_t>(
                                       trace[0].context.categorical_dims())};
             for (std::size_t s = 0; s < shards; ++s) {
-                char suffix[16];
+                char suffix[32]; // "%05zu" of a size_t is up to 20 digits
                 std::snprintf(suffix, sizeof(suffix), "%05zu.drt", s);
                 const std::string path = out_path + suffix;
                 store::StoreWriter writer(path, schema, writer_options);
