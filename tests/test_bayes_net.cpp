@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
+#include "obs/obs.h"
 #include "stats/rng.h"
 
 namespace dre::wise {
@@ -169,6 +171,20 @@ TEST(BayesNet, PosteriorCacheReturnsIdenticalValues) {
     net.posterior(0, {{2, 0}});
     EXPECT_EQ(net.posterior_cache_size(), 2u);
 }
+
+#if DRE_OBS_ENABLED
+// The memo cache's hits reach the obs registry: a repeated posterior is
+// one cbn.cache_hits, the first one none.
+TEST(BayesNet, RepeatedPosteriorCountsOneObsCacheHit) {
+    const BayesianNetwork net = fitted_chain(2000);
+    const obs::Counter& hits = obs::registry().counter("cbn.cache_hits");
+    const std::uint64_t before = hits.value();
+    (void)net.posterior(0, {{2, 1}});
+    EXPECT_EQ(hits.value(), before);
+    (void)net.posterior(0, {{2, 1}});
+    EXPECT_EQ(hits.value(), before + 1);
+}
+#endif
 
 TEST(BayesNet, PosteriorCacheStatsCountHitsAndResetOnRefit) {
     BayesianNetwork net = fitted_chain(2000);

@@ -341,6 +341,24 @@ TEST(FaultMatrix, StorePointsAcrossKindsAndModes) {
         clean = fingerprint(
             run_guarded(source, evaluator, policy, strict_options).evaluation);
     }
+    // On clean data the tolerant modes are strict streaming to the bit, DR
+    // CI included, and quarantine nothing.
+    {
+        const store::ShardedStore store(fx.paths);
+        const store::StoreTupleSource source(store);
+        StreamingOptions options;
+        options.ci_replicates = 200;
+        const std::string strict = fingerprint(
+            run_guarded(source, evaluator, policy, options).evaluation);
+        for (const FailureMode mode :
+             {FailureMode::kQuarantine, FailureMode::kDegrade}) {
+            options.on_error = mode;
+            const StreamingResult r =
+                run_guarded(source, evaluator, policy, options);
+            EXPECT_EQ(fingerprint(r.evaluation), strict) << to_string(mode);
+            EXPECT_TRUE(r.quarantine.empty()) << to_string(mode);
+        }
+    }
 
     for (const char* point : {"store.read", "store.crc"}) {
         for (const char* kind : {"transient", "permanent", "corruption"}) {

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
+#include "core/parallel.h"
+#include "obs/obs.h"
 #include "stats/rng.h"
 
 namespace dre::stats {
@@ -188,6 +191,38 @@ TEST(Knn, PredictBatchMatchesPredict) {
     for (std::size_t i = 0; i < queries.size(); ++i)
         EXPECT_EQ(batch[i], knn.predict(queries[i]));
 }
+
+#if DRE_OBS_ENABLED
+// A KD-tree query flushes its traversal counts once, as per-query sums, so
+// the counters fire and their totals are the same for any thread count.
+TEST(Knn, KdTreeCountsPrunedNodesIndependentOfThreadCount) {
+    Rng rng(16);
+    std::vector<std::vector<double>> rows;
+    std::vector<double> targets;
+    for (int i = 0; i < 2000; ++i) {
+        rows.push_back({rng.normal(), rng.normal(), rng.normal()});
+        targets.push_back(rng.normal());
+    }
+    std::vector<std::vector<double>> queries;
+    for (int i = 0; i < 300; ++i)
+        queries.push_back({rng.normal(), rng.normal(), rng.normal()});
+    KnnRegressor knn(10);
+    knn.fit(rows, targets);
+    knn.set_algorithm(KnnRegressor::Algorithm::kKdTree);
+
+    const obs::Counter& pruned = obs::registry().counter("knn.nodes_pruned");
+    std::vector<std::uint64_t> totals;
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+        par::set_thread_count(threads);
+        const std::uint64_t before = pruned.value();
+        (void)knn.predict_batch(queries);
+        totals.push_back(pruned.value() - before);
+    }
+    par::set_thread_count(0);
+    EXPECT_GT(totals[0], 0u);
+    EXPECT_EQ(totals[0], totals[1]);
+}
+#endif
 
 TEST(Knn, InputValidation) {
     EXPECT_THROW(KnnRegressor(0), std::invalid_argument);

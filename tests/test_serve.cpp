@@ -3,6 +3,7 @@
 // at any client concurrency, admission-control backpressure, request
 // coalescing, and graceful shutdown. The concurrent cases run under TSan
 // in CI (8 client threads against the io + dispatcher threads).
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -656,6 +657,122 @@ TEST(ServeServerTest, StartStopCyclesNeverHang) {
     }
     EXPECT_EQ(cycles.load(), kCycles);
     worker.join();
+}
+
+// --- warm-service gates -----------------------------------------------------
+//
+// One EvalServer on a 2,000-tuple cdn trace, asked for uniform/tabular with
+// no CI: once its service has cached the trace and the evaluator, a repeat
+// is only the estimator sweep. These cases hold the service's cost
+// contracts: the cache pays for itself, the retry wrapper is free when
+// nothing fails, and span tracing stays cheap. Two of them time requests,
+// so the test_serve ctest entry is RUN_SERIAL.
+
+double elapsed_ms(std::chrono::steady_clock::time_point start) {
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+}
+
+// The middle value; for an even count, the upper of the two middle ones.
+double median(std::vector<double> xs) {
+    std::sort(xs.begin(), xs.end());
+    return xs[xs.size() / 2];
+}
+
+class ServeWarmTest : public ::testing::Test {
+protected:
+    // No time-series sampler: its registry scrapes would land inside the
+    // timed batches.
+    static serve::ServerOptions quiet_options() {
+        serve::ServerOptions options;
+        options.ts_interval_ms = 0;
+        return options;
+    }
+
+    ServeWarmTest() : server_(quiet_options()) {
+        write_csv_file(make_trace(2000), dir_.file("trace.csv"));
+        request_ = make_request(dir_.file("trace.csv"), "uniform");
+        server_.start();
+    }
+    ~ServeWarmTest() override {
+        obs::set_trace_enabled(false);
+        obs::clear_trace_events();
+    }
+
+    // Median latency of `n` in-process requests.
+    double batch_median_ms(int n) {
+        std::vector<double> ms;
+        for (int i = 0; i < n; ++i) {
+            const auto start = std::chrono::steady_clock::now();
+            (void)server_.service().evaluate(request_);
+            ms.push_back(elapsed_ms(start));
+        }
+        return median(std::move(ms));
+    }
+
+    TempDir dir_;
+    serve::EvaluateMsg request_;
+    serve::EvalServer server_;
+};
+
+// The first request pays the CSV parse, the reward-model fit and the q-hat
+// build; a warm one answers from the cached evaluator. Warm throughput must
+// be at least 3x cold over the wire.
+TEST_F(ServeWarmTest, WarmCacheServesAtLeastThreeTimesColdThroughput) {
+    serve::Client client(server_.port());
+    const auto cold_start = std::chrono::steady_clock::now();
+    const serve::ResultMsg cold = client.evaluate(request_);
+    const double cold_ms = elapsed_ms(cold_start);
+    EXPECT_FALSE(cold.cache_hit);
+
+    std::vector<double> warm_ms;
+    for (int i = 0; i < 8; ++i) {
+        const auto start = std::chrono::steady_clock::now();
+        const serve::ResultMsg warm = client.evaluate(request_);
+        warm_ms.push_back(elapsed_ms(start));
+        EXPECT_TRUE(warm.cache_hit);
+        EXPECT_EQ(warm.text, cold.text);
+    }
+    const double warm_p50_ms = median(warm_ms);
+    RecordProperty("warm_over_cold", std::to_string(cold_ms / warm_p50_ms));
+    EXPECT_GE(cold_ms / warm_p50_ms, 3.0)
+        << "cold " << cold_ms << " ms, warm p50 " << warm_p50_ms << " ms";
+}
+
+// Against a fault-free server every attempt succeeds first time, so the
+// retry wrapper records no retry and no backoff.
+TEST_F(ServeWarmTest, FaultFreeRetryingClientNeverRetries) {
+    serve::RetryingClient client(server_.port());
+    const std::string first = client.evaluate(request_).text;
+    for (int i = 0; i < 8; ++i) EXPECT_EQ(client.evaluate(request_).text, first);
+    EXPECT_EQ(client.retries(), 0u);
+    EXPECT_EQ(client.virtual_backoff_ms(), 0.0);
+}
+
+// Span tracing on the warm path costs at most 15%: 4 rounds of 24 requests
+// with tracing off and on. Each round is its own baseline, so slow drift
+// cancels, and the order alternates between rounds, so the turbo decay the
+// second batch of a round sees is charged to both modes. The overhead is
+// the median of the per-round ratios.
+TEST_F(ServeWarmTest, TracingAddsAtMostFifteenPercentToWarmRequests) {
+    (void)server_.service().evaluate(request_); // pay the cold build once
+    std::vector<double> overhead_pct;
+    for (int round = 0; round < 4; ++round) {
+        const bool off_first = round % 2 == 0;
+        obs::set_trace_enabled(!off_first);
+        const double first_ms = batch_median_ms(24);
+        obs::set_trace_enabled(off_first);
+        const double second_ms = batch_median_ms(24);
+        const double off_ms = off_first ? first_ms : second_ms;
+        const double on_ms = off_first ? second_ms : first_ms;
+        overhead_pct.push_back((on_ms / off_ms - 1.0) * 100.0);
+    }
+    obs::set_trace_enabled(false);
+    RecordProperty("tracing_overhead_pct",
+                   std::to_string(median(overhead_pct)));
+    EXPECT_LE(median(overhead_pct), 15.0)
+        << "per-round overheads (%): " << ::testing::PrintToString(overhead_pct);
 }
 
 // --- telemetry pipeline -----------------------------------------------------

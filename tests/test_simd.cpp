@@ -397,9 +397,10 @@ TEST(SimdKnn, KdTreeMatchesBruteForceAtEveryLevel) {
     }
 }
 
-// End-to-end: the whole estimator suite (model path, matrix path, and a
-// bootstrap CI) must be byte-identical across every (dispatch level,
-// thread count) combination — the (scalar, 1 thread) run is the golden.
+// End-to-end: the whole estimator suite (model path, matrix path, every
+// q-hat cell, and the bootstrap CIs) must be byte-identical across every
+// (dispatch level, thread count) combination — the (scalar, 1 thread) run
+// is the golden.
 TEST(SimdEndToEnd, EstimatorSuiteInvariantAcrossLevelsAndThreads) {
     DispatchGuard guard;
     cdn::VideoQualityEnv env{cdn::CdnWorldConfig{}};
@@ -410,6 +411,12 @@ TEST(SimdEndToEnd, EstimatorSuiteInvariantAcrossLevelsAndThreads) {
     model.fit(trace);
     const core::UniformRandomPolicy target(env.num_decisions());
     core::EstimatorOptions options;
+    // Two full 4096-value chunks and a ragged 808-value tail for the
+    // chunked bootstrap, whose 201 replicates end one past a multiple of
+    // the AVX2 pass width.
+    std::vector<double> long_sample(9000);
+    stats::Rng long_fill(79);
+    for (double& x : long_sample) x = long_fill.lognormal(0.0, 1.0);
 
     struct Results {
         std::vector<double> values;
@@ -445,6 +452,14 @@ TEST(SimdEndToEnd, EstimatorSuiteInvariantAcrossLevelsAndThreads) {
             stats::chunked_bootstrap_mean_ci(sample, ci.point, chunk_rng, 200);
         r.values.push_back(chunked.lower);
         r.values.push_back(chunked.upper);
+        stats::Rng long_rng(80);
+        const stats::ConfidenceInterval chunked_long =
+            stats::chunked_bootstrap_mean_ci(long_sample, 0.0, long_rng, 201);
+        r.values.push_back(chunked_long.lower);
+        r.values.push_back(chunked_long.upper);
+        // Every q-hat cell, not just the estimates read off them.
+        r.values.insert(r.values.end(), qhat.row(0),
+                        qhat.row(0) + qhat.num_tuples() * qhat.num_decisions());
         return r;
     };
 

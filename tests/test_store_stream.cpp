@@ -107,7 +107,8 @@ TEST(StreamingEvaluation, MatchesInMemoryAcrossThreadsShardsAndBackends) {
         (dir / "multi-").string(), 3, store::StoreWriter::Options{256});
 
     // In-memory source first: isolates the streaming arithmetic from I/O.
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    for (const std::size_t threads :
+         {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
         par::set_thread_count(threads);
         const TraceTupleSource source(trace);
         EXPECT_EQ(fingerprint(stream_over(source, evaluator, policy, 200, 7)),
@@ -126,7 +127,8 @@ TEST(StreamingEvaluation, MatchesInMemoryAcrossThreadsShardsAndBackends) {
             reader_options.pread_cache_groups = 2;
             const store::ShardedStore sharded(paths, reader_options);
             const store::StoreTupleSource source(sharded);
-            for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+            for (const std::size_t threads :
+                 {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
                 par::set_thread_count(threads);
                 EXPECT_EQ(
                     fingerprint(stream_over(source, evaluator, policy, 200, 7)),
