@@ -1,25 +1,17 @@
 // Shared output helpers for the experiment harnesses. Each bench binary
 // regenerates one paper artifact (or ablation) and prints aligned rows of
 // the same statistics the paper reports (mean / min / max over runs).
-#ifndef DRE_BENCH_BENCH_UTIL_H
-#define DRE_BENCH_BENCH_UTIL_H
+#ifndef DRE_BENCHUTIL_H
+#define DRE_BENCHUTIL_H
 
 #include <cstdint>
 #include <cstdio>
-#include <ctime>
 #include <span>
 #include <string>
-#include <string_view>
 #include <type_traits>
 #include <vector>
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <stdio.h> // popen/pclose
-#endif
-
 #include "core/parallel.h"
-#include "obs/obs.h"
-#include "simd/simd.h"
 #include "stats/hypothesis.h"
 #include "stats/rng.h"
 #include "stats/summary.h"
@@ -89,72 +81,6 @@ inline void print_significance(const std::string& better, const std::string& wor
                 worse.c_str(), test.p_value_less);
 }
 
-// --- Shared JSON report writer --------------------------------------------
-//
-// Every bench binary emits its BENCH_*.json through the one writer below so
-// all artifacts share the same envelope: bench name, UTC timestamp,
-// `git describe` of the built tree, configured thread count, and — embedded
-// under "obs" — the full dre::obs registry snapshot at write time.
-
-inline std::string git_describe() {
-    std::string out;
-#if defined(__unix__) || defined(__APPLE__)
-    if (std::FILE* pipe = ::popen("git describe --always --dirty 2>/dev/null", "r")) {
-        char buffer[256];
-        while (std::fgets(buffer, sizeof(buffer), pipe) != nullptr) out += buffer;
-        ::pclose(pipe);
-    }
-#endif
-    while (!out.empty() && (out.back() == '\n' || out.back() == '\r'))
-        out.pop_back();
-    return out.empty() ? std::string("unknown") : out;
-}
-
-inline std::string utc_timestamp() {
-    const std::time_t now = std::time(nullptr);
-    std::tm tm{};
-#if defined(_WIN32)
-    gmtime_s(&tm, &now);
-#else
-    gmtime_r(&now, &tm);
-#endif
-    char buffer[32];
-    std::strftime(buffer, sizeof(buffer), "%Y-%m-%dT%H:%M:%SZ", &tm);
-    return buffer;
-}
-
-// A Report pre-populated with the shared envelope; benches add their own
-// sections on top (report.set("knn", "speedup", ...)).
-inline obs::Report make_bench_report(std::string_view bench_name,
-                                     std::string_view mode = {}) {
-    obs::Report report;
-    report.set("", "bench", bench_name);
-    report.set("", "generated_at", utc_timestamp());
-    report.set("", "git", git_describe());
-    report.set("", "threads",
-               static_cast<std::uint64_t>(par::thread_count()));
-    // Which SIMD tier the CPU offers vs which one dispatch actually picked
-    // (they differ under a DRE_SIMD override) — needed to interpret any
-    // timing in the artifact.
-    report.set("", "isa_detected", simd::level_name(simd::detected_level()));
-    report.set("", "isa_active", simd::level_name(simd::active_level()));
-    if (!mode.empty()) report.set("", "mode", mode);
-    return report;
-}
-
-// Embed the current obs registry snapshot and write the report to `path`.
-inline bool write_bench_json(obs::Report report, const std::string& path) {
-    std::string obs_json = obs::registry_json();
-    while (!obs_json.empty() && obs_json.back() == '\n') obs_json.pop_back();
-    report.set_raw_json("", "obs", std::move(obs_json));
-    if (!report.write_json_file(path)) {
-        std::fprintf(stderr, "failed to write %s\n", path.c_str());
-        return false;
-    }
-    std::printf("\nwrote %s\n", path.c_str());
-    return true;
-}
-
 } // namespace dre::bench
 
-#endif // DRE_BENCH_BENCH_UTIL_H
+#endif // DRE_BENCHUTIL_H

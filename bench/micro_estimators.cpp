@@ -1,13 +1,23 @@
-// E13 — google-benchmark microbenchmarks: estimator cost per logged tuple.
+// E13 — google-benchmark microbenchmarks: estimator cost per logged tuple,
+// and each rebuilt kernel timed against the reference it replaced. The
+// pairs only time; test_knn, test_bayes_net and test_simd assert that the
+// two sides of each pair agree.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <map>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "core/environment.h"
 #include "core/estimators.h"
 #include "core/policy.h"
 #include "core/reward_model.h"
+#include "simd/simd.h"
+#include "stats/knn.h"
 #include "stats/rng.h"
+#include "wise/bayes_net.h"
 
 namespace {
 
@@ -90,11 +100,152 @@ void BM_FitTabularModel(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 
+// --- Kernel pairs -----------------------------------------------------------
+
+// k-NN: 200 queries against n standardized 8-dimensional points, k = 10.
+void BM_KnnPredictBatch(benchmark::State& state,
+                        stats::KnnRegressor::Algorithm algorithm) {
+    const auto n = static_cast<std::size_t>(state.range(0));
+    stats::Rng rng(101);
+    std::vector<std::vector<double>> rows, queries;
+    std::vector<double> targets;
+    for (std::size_t i = 0; i < n; ++i) {
+        std::vector<double> row(8);
+        for (double& x : row) x = rng.normal();
+        rows.push_back(std::move(row));
+        targets.push_back(rng.normal(0.0, 3.0));
+    }
+    for (int i = 0; i < 200; ++i) {
+        std::vector<double> query(8);
+        for (double& x : query) x = rng.normal();
+        queries.push_back(std::move(query));
+    }
+    stats::KnnRegressor knn(10);
+    knn.fit(rows, targets);
+    knn.set_algorithm(algorithm);
+    for (auto _ : state) benchmark::DoNotOptimize(knn.predict_batch(queries));
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(queries.size()));
+}
+
+// CBN posteriors on a chain-of-pairs network of `vars` variables fit to
+// 2,000 rows: every variable queried under evidence on two others, over
+// all evidence values.
+struct CbnFixture {
+    wise::BayesianNetwork net;
+    std::vector<wise::Assignment> rows;
+    std::vector<std::pair<std::size_t, std::map<std::size_t, std::int32_t>>>
+        queries;
+
+    static std::vector<std::int32_t> cardinalities(std::size_t vars) {
+        std::vector<std::int32_t> cards(vars, 2);
+        cards[1] = 3;
+        cards[vars - 1] = 3;
+        return cards;
+    }
+
+    explicit CbnFixture(std::size_t vars) : net(cardinalities(vars)) {
+        net.set_parents(1, {0});
+        for (std::size_t v = 2; v < vars; ++v) net.set_parents(v, {v - 1, v - 2});
+        stats::Rng rng(202);
+        for (int i = 0; i < 2000; ++i) {
+            wise::Assignment row(vars);
+            for (std::size_t v = 0; v < vars; ++v)
+                row[v] = static_cast<std::int32_t>(rng.uniform_index(
+                    static_cast<std::size_t>(net.cardinality(v))));
+            rows.push_back(std::move(row));
+        }
+        net.fit(rows, 1.0);
+        for (std::size_t q = 0; q < vars; ++q) {
+            const std::size_t e1 = (q + 3) % vars;
+            const std::size_t e2 = (q + 7) % vars;
+            if (e1 == q || e2 == q || e1 == e2) continue;
+            for (std::int32_t v1 = 0; v1 < net.cardinality(e1); ++v1)
+                for (std::int32_t v2 = 0; v2 < net.cardinality(e2); ++v2)
+                    queries.push_back({q, {{e1, v1}, {e2, v2}}});
+        }
+    }
+};
+
+void BM_CbnEnumeration(benchmark::State& state) {
+    const CbnFixture fx(static_cast<std::size_t>(state.range(0)));
+    for (auto _ : state)
+        for (const auto& [query, evidence] : fx.queries)
+            benchmark::DoNotOptimize(fx.net.posterior_enumerate(query, evidence));
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(fx.queries.size()));
+}
+
+void BM_CbnVariableElimination(benchmark::State& state) {
+    CbnFixture fx(static_cast<std::size_t>(state.range(0)));
+    for (auto _ : state) {
+        // A refit with the same rows empties the memo cache without
+        // changing a CPT, so every timed query runs the elimination.
+        state.PauseTiming();
+        fx.net.fit(fx.rows, 1.0);
+        state.ResumeTiming();
+        for (const auto& [query, evidence] : fx.queries)
+            benchmark::DoNotOptimize(fx.net.posterior(query, evidence));
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(fx.queries.size()));
+}
+
+// The bootstrap resampler on one 4096-value chunk for 1001 replicates (one
+// past a multiple of the AVX2 pass width): the scalar table against the
+// dispatched one.
+void BM_ResampleSum8(benchmark::State& state, bool dispatched) {
+    constexpr std::size_t kValues = 4096;
+    constexpr std::size_t kStreams = 1001;
+    const simd::Ops& ops =
+        dispatched ? simd::ops() : simd::ops_for(simd::Level::kScalar);
+    state.SetLabel(dispatched ? simd::level_name(simd::active_level())
+                              : "scalar");
+    stats::Rng fill(8);
+    std::vector<double> values(kValues);
+    for (double& x : values) x = fill.lognormal(0.0, 1.0);
+    const stats::Rng base(43);
+    std::vector<std::uint64_t> states;
+    for (std::size_t b = 0; b < kStreams; ++b)
+        for (const std::uint64_t word : base.split(b).state())
+            states.push_back(word);
+    std::vector<double> sums(kStreams);
+    for (auto _ : state) {
+        ops.resample_sum8(values.data(), kValues, states.data(), kStreams,
+                          sums.data());
+        benchmark::DoNotOptimize(sums.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(kValues * kStreams));
+}
+
 BENCHMARK(BM_DirectMethod)->Arg(1000)->Arg(10000)->Arg(100000);
 BENCHMARK(BM_Ips)->Arg(1000)->Arg(10000)->Arg(100000);
 BENCHMARK(BM_DoublyRobust)->Arg(1000)->Arg(10000)->Arg(100000);
 BENCHMARK(BM_SwitchDr)->Arg(1000)->Arg(10000)->Arg(100000);
 BENCHMARK(BM_FitTabularModel)->Arg(1000)->Arg(10000)->Arg(100000);
+BENCHMARK_CAPTURE(BM_KnnPredictBatch, brute_force,
+                  stats::KnnRegressor::Algorithm::kBruteForce)
+    ->Arg(2000)
+    ->Arg(50000)
+    ->UseRealTime() // predict_batch runs on the dre::par pool
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_KnnPredictBatch, kd_tree,
+                  stats::KnnRegressor::Algorithm::kKdTree)
+    ->Arg(2000)
+    ->Arg(50000)
+    ->UseRealTime() // predict_batch runs on the dre::par pool
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CbnEnumeration)->Arg(8)->Arg(14)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CbnVariableElimination)
+    ->Arg(8)
+    ->Arg(14)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ResampleSum8, scalar, false)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ResampleSum8, dispatched, true)
+    ->Unit(benchmark::kMillisecond);
 
 } // namespace
 

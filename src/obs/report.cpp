@@ -2,7 +2,6 @@
 
 #include <cinttypes>
 #include <cmath>
-#include <cstring>
 
 #include "obs/metrics.h"
 
@@ -132,11 +131,6 @@ void JsonWriter::value(std::string_view v) {
     out_->push_back('"');
 }
 
-void JsonWriter::raw_value(std::string_view json) {
-    comma_for_value();
-    out_->append(json);
-}
-
 // --- Report ----------------------------------------------------------------
 
 Report::Section& Report::section(std::string_view name) {
@@ -196,51 +190,6 @@ void Report::set(std::string_view section, std::string_view key,
     set_value(section, key, std::move(v));
 }
 
-void Report::set_raw_json(std::string_view section, std::string_view key,
-                          std::string raw) {
-    Value v;
-    v.kind = Value::Kind::kRawJson;
-    v.s = std::move(raw);
-    set_value(section, key, std::move(v));
-}
-
-std::string Report::to_json() const {
-    std::string out;
-    JsonWriter json(&out);
-    const auto emit = [&](const Value& v) {
-        switch (v.kind) {
-            case Value::Kind::kDouble: json.value(v.d); break;
-            case Value::Kind::kInt: json.value(v.i); break;
-            case Value::Kind::kUint: json.value(v.u); break;
-            case Value::Kind::kBool: json.value(v.b); break;
-            case Value::Kind::kString: json.value(std::string_view(v.s)); break;
-            case Value::Kind::kRawJson: json.raw_value(v.s); break;
-        }
-    };
-    json.begin_object();
-    // Top-level scalars (section "") first, then named sections as objects.
-    for (const Section& s : sections_) {
-        if (!s.name.empty()) continue;
-        for (const auto& [key, value] : s.entries) {
-            json.key(key);
-            emit(value);
-        }
-    }
-    for (const Section& s : sections_) {
-        if (s.name.empty()) continue;
-        json.key(s.name);
-        json.begin_object();
-        for (const auto& [key, value] : s.entries) {
-            json.key(key);
-            emit(value);
-        }
-        json.end_object();
-    }
-    json.end_object();
-    out.push_back('\n');
-    return out;
-}
-
 std::string Report::to_text() const {
     std::string out;
     char row[512];
@@ -272,8 +221,6 @@ std::string Report::to_text() const {
                 case Value::Kind::kString:
                     append_row("  %-28s %s\n", key, value.s.c_str());
                     break;
-                case Value::Kind::kRawJson:
-                    break; // machine-only payload
             }
         }
     }
@@ -283,36 +230,6 @@ std::string Report::to_text() const {
 void Report::print(std::FILE* out) const {
     const std::string text = to_text();
     std::fwrite(text.data(), 1, text.size(), out);
-}
-
-bool Report::write_json_file(const std::string& path) const {
-    std::FILE* file = std::fopen(path.c_str(), "w");
-    if (file == nullptr) return false;
-    const std::string json = to_json();
-    const bool ok = std::fwrite(json.data(), 1, json.size(), file) == json.size();
-    return std::fclose(file) == 0 && ok;
-}
-
-Report Report::from_registry() {
-    Report report;
-    report.set("", "obs_enabled", DRE_OBS_ENABLED != 0);
-    const Registry& reg = registry();
-    for (const CounterSample& c : reg.counters())
-        report.set("counters", c.name, std::uint64_t{c.value});
-    for (const GaugeSample& g : reg.gauges()) report.set("gauges", g.name, g.value);
-    for (const HistogramSample& h : reg.histograms()) {
-        report.set("histograms", h.name + ".count", std::uint64_t{h.count});
-        report.set("histograms", h.name + ".mean", h.mean);
-        report.set("histograms", h.name + ".p99", h.p99);
-        report.set("histograms", h.name + ".max", h.max);
-    }
-    for (const SpanSample& s : reg.spans()) {
-        report.set("spans", s.name + ".count", std::uint64_t{s.count});
-        report.set("spans", s.name + ".total_ms", s.total_ms);
-        report.set("spans", s.name + ".mean_ms", s.mean_ms);
-        report.set("spans", s.name + ".p99_ms", s.p99_ms);
-    }
-    return report;
 }
 
 std::string registry_json() {

@@ -3,15 +3,14 @@
 // Two pieces:
 //
 //  * JsonWriter — a minimal streaming JSON serializer (objects, arrays,
-//    escaped strings, automatic commas). Shared by the registry report, the
-//    chrome-trace exporter, and the bench harness writer so every JSON
-//    artifact in the repo comes out of one implementation.
+//    escaped strings, automatic commas). Shared by the registry report
+//    (`registry_json()`, written by `--obs-out`), the chrome-trace exporter
+//    and the serve journal, so every JSON artifact in the repo comes out of
+//    one implementation.
 //
-//  * Report — an ordered section -> key -> value document with two
-//    renderers: aligned human-readable text (the one format shared by the
-//    dre_eval CLI and the examples) and JSON. `Report::from_registry()`
-//    snapshots every registered metric; `registry_json()` is the raw nested
-//    form written by `--obs-out`.
+//  * Report — an ordered section -> key -> value document rendered as
+//    aligned human-readable text: the one format shared by the dre_eval
+//    CLI, the examples and the serve Result payload.
 #ifndef DRE_OBS_REPORT_H
 #define DRE_OBS_REPORT_H
 
@@ -39,8 +38,6 @@ public:
     void value(int v) { value(static_cast<std::int64_t>(v)); }
     void value(bool v);
     void value(std::string_view v);
-    // Splice a pre-serialized JSON document in value position.
-    void raw_value(std::string_view json);
 
     static std::string escape(std::string_view text);
 
@@ -53,8 +50,8 @@ private:
     bool after_key_ = false;
 };
 
-// Ordered two-level document. Section "" holds top-level scalars (emitted
-// before the named sections in JSON; skipped as a heading in text).
+// Ordered two-level document. Section "" holds top-level rows (rendered
+// without a heading).
 class Report {
 public:
     void set(std::string_view section, std::string_view key, double value);
@@ -68,26 +65,15 @@ public:
     void set(std::string_view section, std::string_view key, const char* value) {
         set(section, key, std::string_view(value));
     }
-    // Pre-serialized JSON (e.g. registry_json()) emitted verbatim in JSON
-    // output; rendered as "<json>" placeholder-free text is skipped.
-    void set_raw_json(std::string_view section, std::string_view key,
-                      std::string raw);
-
-    std::string to_json() const;
     // Aligned text: "section:" headings, "  key  value" rows. print() emits
     // exactly these bytes — the serve Result payload carries to_text() so a
     // server response can be byte-diffed against the CLI's stdout.
     std::string to_text() const;
     void print(std::FILE* out = stdout) const;
-    bool write_json_file(const std::string& path) const;
-
-    // Snapshot of every registered metric (counters, gauges, histograms,
-    // span profile), one Report section per metric kind.
-    static Report from_registry();
 
 private:
     struct Value {
-        enum class Kind { kDouble, kInt, kUint, kBool, kString, kRawJson };
+        enum class Kind { kDouble, kInt, kUint, kBool, kString };
         Kind kind = Kind::kDouble;
         double d = 0.0;
         std::int64_t i = 0;

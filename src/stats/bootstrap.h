@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <functional>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "stats/rng.h"
@@ -35,12 +34,6 @@ inline constexpr int kMaxBootstrapReplicates = 100000;
 constexpr bool valid_replicate_count(long long count) noexcept {
     return count == 0 || (count >= 2 && count <= kMaxBootstrapReplicates);
 }
-
-// Parses the value of a replicate-count flag (`flag`, e.g. "--ci"): a whole
-// number that passes valid_replicate_count. Anything else — a sign,
-// trailing text, an out-of-range value — throws std::invalid_argument
-// naming the flag.
-int parse_replicate_count(std::string_view text, std::string_view flag);
 
 // Statistic over a sample (e.g., mean, quantile, estimator value).
 using Statistic = std::function<double(std::span<const double>)>;

@@ -135,8 +135,8 @@ struct TuneResult {
     bool interrupted = false;
 
     // Canonical journal rendering: every line + '\n'. Byte-identical across
-    // DRE_THREADS and across checkpoint/resume (the tune-smoke CI job and
-    // micro_tune diff exactly these bytes).
+    // DRE_THREADS and across checkpoint/resume (test_tune and the tune-smoke
+    // CI job diff exactly these bytes).
     std::string journal_text() const;
 };
 

@@ -3,6 +3,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -13,8 +14,10 @@
 #include "stats/rng.h"
 #include "trace/csv.h"
 
-#if !defined(DRE_EVAL_PATH) || !defined(DRE_TUNE_PATH)
-#error "DRE_EVAL_PATH and DRE_TUNE_PATH must be defined by the build"
+#if !defined(DRE_EVAL_PATH) || !defined(DRE_SIMULATE_PATH) ||              \
+    !defined(DRE_TUNE_PATH) || !defined(DRE_SERVE_PATH) ||                 \
+    !defined(DRE_LOADGEN_PATH) || !defined(DRE_TOP_PATH)
+#error "the build must define the DRE_*_PATH of every tool"
 #endif
 
 namespace dre {
@@ -109,7 +112,6 @@ TEST(Cli, SupportsPerGroupBreakdown) {
     EXPECT_NE(run_cli(fixture_csv() + " uniform --by-group 9"), 0);
 }
 
-#ifdef DRE_SIMULATE_PATH
 TEST(Cli, SupportsAudit) {
     EXPECT_EQ(run_cli(fixture_csv() + " uniform --audit"), 0);
 }
@@ -134,7 +136,6 @@ TEST(Cli, SimulateThenEvaluatePipeline) {
                             " alien /tmp/x.csv > /dev/null 2>&1";
     EXPECT_NE(WEXITSTATUS(std::system(bad.c_str())), 0);
 }
-#endif
 
 TEST(Cli, RejectsBadInvocations) {
     EXPECT_NE(run_cli(""), 0);                                   // no args
@@ -211,6 +212,75 @@ TEST(Cli, RejectsReplicateCountsOutsideTheBound) {
         EXPECT_EQ(run_cli_env("", base + "2", err, tool.binary), 0)
             << slurp(err);
     }
+}
+
+// Every numeric flag of the six tools reads its whole token with one
+// checked parser: trailing text, an exponent on an integer, a sign on an
+// unsigned value, a non-finite number or a value outside the destination
+// type exits 2 with one error line naming the flag, before any work —
+// dre_serve before it binds, so no port file appears. The commands run
+// under `timeout` so a server that wrongly starts fails the row instead
+// of hanging the suite.
+TEST(Cli, RejectsMalformedNumericFlags) {
+    const std::string dir = testing::TempDir();
+    const std::string err = dir + "dre_cli_flag_err.txt";
+    const std::string port_file = dir + "dre_cli_flag_port.txt";
+    const std::string eval = fixture_csv() + " uniform";
+    const std::string convert =
+        "convert " + fixture_csv() + " " + dir + "dre_cli_flag.drt";
+    const std::string simulate = "cdn " + dir + "dre_cli_flag.csv";
+    const std::string tune = fixture_csv() + " --offline --constants";
+    const std::string serve = "--port-file " + port_file;
+    const std::string loadgen = "--port 1 " + eval;
+    const struct {
+        const char* binary;
+        std::string args;
+        const char* flag;
+        const char* value;
+    } rows[] = {
+        {DRE_EVAL_PATH, eval, "--seed", "-1"},
+        {DRE_EVAL_PATH, eval, "--seed", "18446744073709551616"},
+        {DRE_EVAL_PATH, eval, "--fit-sample", "1e3"},
+        {DRE_EVAL_PATH, eval, "--quantile", "0.9x"},
+        {DRE_EVAL_PATH, eval, "--by-group", "-1"},
+        {DRE_EVAL_PATH, convert, "--shards", "3x"},
+        {DRE_EVAL_PATH, convert, "--row-group-rows", "4294967296"},
+        {DRE_SIMULATE_PATH, simulate, "--n", "1e3"},
+        {DRE_SIMULATE_PATH, simulate, "--n", "300x"},
+        {DRE_SIMULATE_PATH, simulate, "--seed", " 7"},
+        {DRE_SIMULATE_PATH, simulate, "--epsilon", "nan"},
+        {DRE_TUNE_PATH, tune, "--waves", "-2"},
+        {DRE_TUNE_PATH, tune, "--epsilons", "0,0.1x"},
+        {DRE_TUNE_PATH, tune, "--mixture-arm", "1.5"},
+        {DRE_TUNE_PATH, tune, "--ci-level", "inf"},
+        {DRE_SERVE_PATH, serve, "--port", "70000"},
+        {DRE_SERVE_PATH, serve, "--port", "abc"},
+        {DRE_SERVE_PATH, serve, "--max-queue", "-1"},
+        {DRE_SERVE_PATH, serve, "--brownout-coverage", "0.5.5"},
+        {DRE_SERVE_PATH, serve, "--metrics-port", "65536"},
+        {DRE_LOADGEN_PATH, eval, "--port", "70000"},
+        {DRE_LOADGEN_PATH, loadgen, "--seed", "16184226688143867045x"},
+        {DRE_LOADGEN_PATH, loadgen, "--clients", "8x"},
+        {DRE_LOADGEN_PATH, loadgen, "--hedge-ms", "inf"},
+        {DRE_LOADGEN_PATH, loadgen, "--ci", "1"},
+        {DRE_TOP_PATH, "", "--port", "65536"},
+        {DRE_TOP_PATH, "--port 1", "--watch", "2s"},
+    };
+    for (const auto& row : rows) {
+        std::filesystem::remove(port_file);
+        const std::string args =
+            row.args + " " + row.flag + " '" + row.value + "'";
+        EXPECT_EQ(run_cli_env("timeout 10", args, err, row.binary), 2)
+            << row.binary << " " << args;
+        const std::string text = slurp(err);
+        EXPECT_EQ(text.rfind(std::string("error: ") + row.flag + " ", 0), 0u)
+            << row.binary << " " << args << ": " << text;
+        EXPECT_EQ(text.find('\n'), text.size() - 1) << text;
+        EXPECT_FALSE(std::filesystem::exists(port_file)) << args;
+    }
+    // The whole uint64 range is a seed, past 2^63 included.
+    EXPECT_EQ(run_cli(eval + " --seed 16184226688143867045"), 0);
+    EXPECT_EQ(run_cli(eval + " --seed 18446744073709551615"), 0);
 }
 
 TEST(Cli, ErrorsAreOneLineOnStderr) {

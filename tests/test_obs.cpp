@@ -299,36 +299,25 @@ TEST_F(ObsTest, ReportRendersSectionsInInsertionOrder) {
     report.set("alpha", "flag", true);
     report.set("beta", "label", "hello");
     report.set("beta", "n", std::uint64_t{3});
-    const std::string json = report.to_json();
-    EXPECT_TRUE(json_balanced(json));
-    EXPECT_LT(json.find("\"bench\""), json.find("\"alpha\""));
-    EXPECT_LT(json.find("\"alpha\""), json.find("\"beta\""));
-    EXPECT_EQ(json_scalar(json, "x"), "1.5");
-    EXPECT_EQ(json_scalar(json, "flag"), "true");
-    EXPECT_EQ(json_scalar(json, "label"), "hello");
+    EXPECT_EQ(report.to_text(),
+              "  bench                        unit\n"
+              "\n"
+              "alpha:\n"
+              "  x                                1.5000\n"
+              "  flag                                yes\n"
+              "\n"
+              "beta:\n"
+              "  label                        hello\n"
+              "  n                                     3\n");
 
     // Re-setting a key overwrites in place instead of duplicating.
     report.set("alpha", "x", 2.5);
-    const std::string updated = report.to_json();
-    EXPECT_EQ(json_scalar(updated, "x"), "2.5");
-    EXPECT_EQ(updated.find("\"x\""), updated.rfind("\"x\""));
-}
-
-TEST_F(ObsTest, ReportSplicesRawJson) {
-    Report report;
-    report.set_raw_json("", "obs", "{\"counters\": {\"a\": 1}}");
-    const std::string json = report.to_json();
-    EXPECT_TRUE(json_balanced(json));
-    EXPECT_NE(json.find("\"obs\":{\"counters\": {\"a\": 1}}"),
-              std::string::npos);
-}
-
-TEST_F(ObsTest, FromRegistrySnapshotsRegisteredMetrics) {
-    registry().counter("test.snapshot_counter").add(1);
-    const Report report = Report::from_registry();
-    const std::string json = report.to_json();
-    EXPECT_TRUE(json_balanced(json));
-    EXPECT_NE(json.find("test.snapshot_counter"), std::string::npos);
+    const std::string updated = report.to_text();
+    EXPECT_NE(updated.find("alpha:\n  x                                2.5000\n"
+                           "  flag"),
+              std::string::npos)
+        << updated;
+    EXPECT_EQ(updated.find("  x  "), updated.rfind("  x  "));
 }
 
 // --- Macro layer ------------------------------------------------------------

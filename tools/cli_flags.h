@@ -1,0 +1,78 @@
+// Checked numeric flag values for the command-line tools.
+//
+// Every numeric flag of every tool goes through parse_flag<T>: the whole
+// token must be one number of type T as std::from_chars reads it — no sign
+// on an unsigned type, no fraction or exponent on an integer type, no
+// whitespace or trailing text, nothing outside T's range and, for a
+// floating-point T, nothing non-finite. Anything else prints one
+// `error: <flag> ...` line and exits 2, the tools' bad-argument code, so a
+// typo never runs with a saturated, truncated or default value.
+#ifndef DRE_TOOLS_CLI_FLAGS_H
+#define DRE_TOOLS_CLI_FLAGS_H
+
+#include <charconv>
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <limits>
+#include <optional>
+#include <string>
+#include <string_view>
+#include <type_traits>
+
+#include "stats/bootstrap.h"
+
+namespace dre::tools {
+
+// `text` read whole as a T, or nullopt.
+template <typename T>
+std::optional<T> read_number(std::string_view text) {
+    static_assert(std::is_arithmetic_v<T> && !std::is_same_v<T, bool>);
+    T value{};
+    const char* end = text.data() + text.size();
+    const auto [stop, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc() || stop != end) return std::nullopt;
+    if constexpr (std::is_floating_point_v<T>) {
+        if (!std::isfinite(value)) return std::nullopt;
+    }
+    return value;
+}
+
+[[noreturn]] inline void reject_flag(std::string_view flag,
+                                     const std::string& expected,
+                                     std::string_view text) {
+    std::fprintf(stderr, "error: %.*s must be %s, got '%.*s'\n",
+                 static_cast<int>(flag.size()), flag.data(), expected.c_str(),
+                 static_cast<int>(text.size()), text.data());
+    std::exit(2);
+}
+
+template <typename T>
+T parse_flag(std::string_view flag, std::string_view text) {
+    if (const std::optional<T> value = read_number<T>(text)) return *value;
+    if constexpr (std::is_floating_point_v<T>) {
+        reject_flag(flag, "a finite number", text);
+    } else {
+        reject_flag(flag,
+                    "an integer in [" +
+                        std::to_string(std::numeric_limits<T>::min()) + ", " +
+                        std::to_string(std::numeric_limits<T>::max()) + "]",
+                    text);
+    }
+}
+
+// A bootstrap replicate count (dre_eval --ci, dre_tune --replicates,
+// dre_loadgen --ci): 0, or 2..stats::kMaxBootstrapReplicates.
+inline int parse_replicate_count(std::string_view flag, std::string_view text) {
+    const std::optional<int> count = read_number<int>(text);
+    if (!count || !stats::valid_replicate_count(*count))
+        reject_flag(flag,
+                    "0 or an integer in [2, " +
+                        std::to_string(stats::kMaxBootstrapReplicates) + "]",
+                    text);
+    return *count;
+}
+
+} // namespace dre::tools
+
+#endif // DRE_TOOLS_CLI_FLAGS_H

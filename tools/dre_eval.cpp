@@ -81,8 +81,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
+
+#include "cli_flags.h"
 
 #include "core/audit.h"
 #include "core/checkpoint.h"
@@ -94,7 +97,6 @@
 #include "core/subgroup.h"
 #include "fault/fault.h"
 #include "obs/obs.h"
-#include "stats/bootstrap.h"
 #include "store/error.h"
 #include "store/reader.h"
 #include "store/sharded.h"
@@ -160,10 +162,10 @@ int run_convert(int argc, char** argv) {
             return argv[++i];
         };
         if (arg == "--shards") {
-            shards = static_cast<std::size_t>(std::stoul(next("--shards")));
+            shards = tools::parse_flag<std::size_t>("--shards", next("--shards"));
         } else if (arg == "--row-group-rows") {
-            writer_options.row_group_rows = static_cast<std::uint32_t>(
-                std::stoul(next("--row-group-rows")));
+            writer_options.row_group_rows = tools::parse_flag<std::uint32_t>(
+                "--row-group-rows", next("--row-group-rows"));
         } else {
             usage(argv[0]);
         }
@@ -263,7 +265,7 @@ int main(int argc, char** argv) {
 
         core::EvaluationConfig config;
         double quantile_q = -1.0;
-        long group_index = -1;
+        std::optional<std::size_t> group_index;
         bool check_drift = false;
         bool run_audit = false;
         bool streaming = false;
@@ -292,11 +294,13 @@ int main(int argc, char** argv) {
                     core::parse_reward_model_kind(next("--model"));
             } else if (arg == "--ci") {
                 config.ci_replicates =
-                    stats::parse_replicate_count(next("--ci"), "--ci");
+                    tools::parse_replicate_count("--ci", next("--ci"));
             } else if (arg == "--quantile") {
-                quantile_q = std::stod(next("--quantile"));
+                quantile_q =
+                    tools::parse_flag<double>("--quantile", next("--quantile"));
             } else if (arg == "--by-group") {
-                group_index = std::stol(next("--by-group"));
+                group_index = tools::parse_flag<std::size_t>(
+                    "--by-group", next("--by-group"));
             } else if (arg == "--check-drift") {
                 check_drift = true;
             } else if (arg == "--audit") {
@@ -311,11 +315,12 @@ int main(int argc, char** argv) {
                 // pays the per-span trace-buffer cost.
                 obs::set_trace_enabled(true);
             } else if (arg == "--seed") {
-                seed = std::stoull(next("--seed"));
+                seed = tools::parse_flag<std::uint64_t>("--seed", next("--seed"));
             } else if (arg == "--streaming") {
                 streaming = true;
             } else if (arg == "--fit-sample") {
-                fit_sample = std::stoull(next("--fit-sample"));
+                fit_sample = tools::parse_flag<std::uint64_t>(
+                    "--fit-sample", next("--fit-sample"));
             } else if (arg == "--io") {
                 const std::string mode = next("--io");
                 if (mode == "mmap") {
@@ -362,7 +367,7 @@ int main(int argc, char** argv) {
             // The streaming path never materializes the trace, so every
             // option that needs random access to all tuples is out.
             if (config.cross_fit || config.estimate_propensities ||
-                run_audit || check_drift || group_index >= 0 ||
+                run_audit || check_drift || group_index ||
                 quantile_q >= 0.0 || !compare_spec.empty())
                 throw std::invalid_argument(
                     "--streaming supports only --model/--ci/--seed/"
@@ -567,12 +572,12 @@ int main(int argc, char** argv) {
 
         out.print(stdout);
 
-        if (group_index >= 0) {
+        if (group_index) {
             const auto groups = core::subgroup_analysis(
                 evaluator.evaluation_trace(), *policy, evaluator.reward_model(),
-                core::group_by_categorical(static_cast<std::size_t>(group_index)));
-            std::printf("\nper-segment DR (categorical feature %ld):\n",
-                        group_index);
+                core::group_by_categorical(*group_index));
+            std::printf("\nper-segment DR (categorical feature %zu):\n",
+                        *group_index);
             std::printf("  %8s %8s %10s %8s %s\n", "group", "tuples", "DR",
                         "ESS", "reliable");
             for (const auto& g : groups)

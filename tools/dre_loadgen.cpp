@@ -30,9 +30,6 @@
 //   --dump-response    print the first response's text verbatim to stdout
 //                      (and the summary to stderr), so CI can byte-diff a
 //                      server response against `dre_eval` output
-//   --json-out <f>     write the run summary as JSON in the shared bench
-//                      envelope (same shape as BENCH_*.json), including the
-//                      server Stats snapshot
 //
 // Every request carries a client-generated trace id; a telemetry-enabled
 // server must echo that exact id on the Result frame (a disabled or older
@@ -54,8 +51,6 @@
 // connect.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <future>
 #include <map>
@@ -65,7 +60,8 @@
 #include <thread>
 #include <vector>
 
-#include "bench_util.h"
+#include "cli_flags.h"
+
 #include "obs/metrics.h"
 #include "obs/trace_context.h"
 #include "serve/client.h"
@@ -79,7 +75,7 @@ int usage() {
                  "                   [--clients N] [--requests N] [--distinct] "
                  "[--small] [--dump-response]\n"
                  "                   [--retry N] [--deadline-ms N] "
-                 "[--hedge-ms X] [--json-out F]\n");
+                 "[--hedge-ms X]\n");
     return 2;
 }
 
@@ -101,23 +97,23 @@ int main(int argc, char** argv) {
     int retry_attempts = 1;
     std::uint64_t deadline_ms = 0;
     double hedge_ms = 0.0;
-    std::string json_out;
 
     std::vector<std::string> positional;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--port" && i + 1 < argc) {
-            port = std::atoi(argv[++i]);
+            port = tools::parse_flag<std::uint16_t>("--port", argv[++i]);
         } else if (arg == "--model" && i + 1 < argc) {
             model = argv[++i];
         } else if (arg == "--ci" && i + 1 < argc) {
-            ci_replicates = static_cast<std::uint32_t>(std::atoi(argv[++i]));
+            ci_replicates = static_cast<std::uint32_t>(
+                tools::parse_replicate_count("--ci", argv[++i]));
         } else if (arg == "--seed" && i + 1 < argc) {
-            seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
+            seed = tools::parse_flag<std::uint64_t>("--seed", argv[++i]);
         } else if (arg == "--clients" && i + 1 < argc) {
-            clients = static_cast<std::size_t>(std::atoll(argv[++i]));
+            clients = tools::parse_flag<std::size_t>("--clients", argv[++i]);
         } else if (arg == "--requests" && i + 1 < argc) {
-            requests = static_cast<std::size_t>(std::atoll(argv[++i]));
+            requests = tools::parse_flag<std::size_t>("--requests", argv[++i]);
         } else if (arg == "--distinct") {
             distinct = true;
         } else if (arg == "--small") {
@@ -125,13 +121,12 @@ int main(int argc, char** argv) {
         } else if (arg == "--dump-response") {
             dump_response = true;
         } else if (arg == "--retry" && i + 1 < argc) {
-            retry_attempts = std::atoi(argv[++i]);
+            retry_attempts = tools::parse_flag<int>("--retry", argv[++i]);
         } else if (arg == "--deadline-ms" && i + 1 < argc) {
-            deadline_ms = static_cast<std::uint64_t>(std::atoll(argv[++i]));
+            deadline_ms =
+                tools::parse_flag<std::uint64_t>("--deadline-ms", argv[++i]);
         } else if (arg == "--hedge-ms" && i + 1 < argc) {
-            hedge_ms = std::atof(argv[++i]);
-        } else if (arg == "--json-out" && i + 1 < argc) {
-            json_out = argv[++i];
+            hedge_ms = tools::parse_flag<double>("--hedge-ms", argv[++i]);
         } else if (!arg.empty() && arg[0] == '-') {
             std::fprintf(stderr, "error: unknown argument '%s'\n", arg.c_str());
             return usage();
@@ -363,12 +358,9 @@ int main(int argc, char** argv) {
                      static_cast<unsigned long long>(degraded_count));
 
     // One Stats round trip so operators see the server-side view too.
-    bool have_stats = false;
-    serve::StatsReplyMsg stats;
     try {
         serve::Client client(static_cast<std::uint16_t>(port));
-        stats = client.stats();
-        have_stats = true;
+        const serve::StatsReplyMsg stats = client.stats();
         std::fprintf(summary,
                      "server: %llu total (%llu coalesced, %llu rejected), "
                      "evaluator cache %llu hits / %llu misses, server p50 "
@@ -383,55 +375,5 @@ int main(int argc, char** argv) {
         std::fprintf(summary, "server stats unavailable: %s\n", e.what());
     }
 
-    if (!json_out.empty()) {
-        obs::Report report = bench::make_bench_report(
-            "loadgen", distinct ? "distinct" : "identical");
-        report.set("config", "trace", trace_path);
-        report.set("config", "policy", policy_spec);
-        report.set("config", "model", model);
-        report.set("config", "ci", static_cast<std::uint64_t>(ci_replicates));
-        report.set("config", "seed", seed);
-        report.set("config", "clients", static_cast<std::uint64_t>(clients));
-        report.set("config", "requests_per_client",
-                   static_cast<std::uint64_t>(requests));
-        report.set("run", "completed", completed);
-        report.set("run", "rejected", rejected);
-        report.set("run", "echo_confirmed", echo_confirmed);
-        report.set("run", "echo_zero", echo_zero);
-        report.set("run", "retries", retries_total);
-        report.set("run", "virtual_backoff_ms", backoff_total_ms);
-        report.set("run", "hedged", hedged);
-        report.set("run", "hedge_wins", hedge_wins);
-        report.set("run", "deadline_exceeded", deadline_hits);
-        report.set("run", "degraded", degraded_count);
-        report.set("run", "wall_ms", wall_ms);
-        report.set("run", "rps", rps);
-        report.set("latency", "p50_ms", latency_ms.p50());
-        report.set("latency", "p90_ms", latency_ms.p90());
-        report.set("latency", "p99_ms", latency_ms.p99());
-        report.set("latency", "min_ms", latency_ms.min());
-        report.set("latency", "max_ms", latency_ms.max());
-        report.set("latency", "mean_ms", latency_ms.mean());
-        if (have_stats) {
-            report.set("server", "requests_total", stats.requests_total);
-            report.set("server", "coalesced", stats.coalesced);
-            report.set("server", "rejected", stats.rejected);
-            report.set("server", "evaluator_hits", stats.evaluator_hits);
-            report.set("server", "evaluator_misses", stats.evaluator_misses);
-            report.set("server", "p50_ms", stats.p50_ms);
-            report.set("server", "p99_ms", stats.p99_ms);
-            report.set("server", "queue_p50_ms", stats.queue_p50_ms);
-            report.set("server", "queue_p99_ms", stats.queue_p99_ms);
-            report.set("server", "compute_p50_ms", stats.compute_p50_ms);
-            report.set("server", "compute_p99_ms", stats.compute_p99_ms);
-            report.set("server", "journal_lines", stats.journal_lines);
-            report.set("server", "deadline_exceeded",
-                       stats.deadline_exceeded);
-            report.set("server", "shed", stats.shed);
-            report.set("server", "brownout", stats.brownout);
-            report.set("server", "sessions_reaped", stats.sessions_reaped);
-        }
-        if (!bench::write_bench_json(std::move(report), json_out)) return 1;
-    }
     return 0;
 }

@@ -56,10 +56,10 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
+
+#include "cli_flags.h"
 
 #include "core/checkpoint.h"
 #include "fault/fault.h"
@@ -102,40 +102,44 @@ int main(int argc, char** argv) {
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--port" && i + 1 < argc) {
-            options.port = static_cast<std::uint16_t>(std::atoi(argv[++i]));
+            options.port = tools::parse_flag<std::uint16_t>("--port", argv[++i]);
         } else if (arg == "--port-file" && i + 1 < argc) {
             port_file = argv[++i];
         } else if (arg == "--max-queue" && i + 1 < argc) {
             options.max_queue =
-                static_cast<std::size_t>(std::atoll(argv[++i]));
+                tools::parse_flag<std::size_t>("--max-queue", argv[++i]);
         } else if (arg == "--brownout-watermark" && i + 1 < argc) {
-            options.brownout_watermark =
-                static_cast<std::size_t>(std::atoll(argv[++i]));
+            options.brownout_watermark = tools::parse_flag<std::size_t>(
+                "--brownout-watermark", argv[++i]);
         } else if (arg == "--brownout-coverage" && i + 1 < argc) {
-            options.brownout_coverage = std::atof(argv[++i]);
+            options.brownout_coverage =
+                tools::parse_flag<double>("--brownout-coverage", argv[++i]);
         } else if (arg == "--idle-timeout-ms" && i + 1 < argc) {
-            options.idle_timeout_ms =
-                static_cast<std::uint64_t>(std::atoll(argv[++i]));
+            options.idle_timeout_ms = tools::parse_flag<std::uint64_t>(
+                "--idle-timeout-ms", argv[++i]);
         } else if (arg == "--fault-spec" && i + 1 < argc) {
             fault_spec = argv[++i];
         } else if (arg == "--fault-seed" && i + 1 < argc) {
-            fault_seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
+            fault_seed =
+                tools::parse_flag<std::uint64_t>("--fault-seed", argv[++i]);
         } else if (arg == "--metrics-port" && i + 1 < argc) {
-            options.metrics_port = std::atoi(argv[++i]);
+            options.metrics_port =
+                tools::parse_flag<std::uint16_t>("--metrics-port", argv[++i]);
         } else if (arg == "--metrics-port-file" && i + 1 < argc) {
             metrics_port_file = argv[++i];
         } else if (arg == "--journal" && i + 1 < argc) {
             options.journal_path = argv[++i];
         } else if (arg == "--journal-threshold-ms" && i + 1 < argc) {
-            options.journal_threshold_ms = std::atof(argv[++i]);
+            options.journal_threshold_ms =
+                tools::parse_flag<double>("--journal-threshold-ms", argv[++i]);
         } else if (arg == "--trace-out" && i + 1 < argc) {
             trace_out = argv[++i];
         } else if (arg == "--ts-interval-ms" && i + 1 < argc) {
             options.ts_interval_ms =
-                static_cast<std::uint64_t>(std::atoll(argv[++i]));
+                tools::parse_flag<std::uint64_t>("--ts-interval-ms", argv[++i]);
         } else if (arg == "--ts-capacity" && i + 1 < argc) {
             options.ts_capacity =
-                static_cast<std::size_t>(std::atoll(argv[++i]));
+                tools::parse_flag<std::size_t>("--ts-capacity", argv[++i]);
         } else if (arg == "--io" && i + 1 < argc) {
             const std::string mode = argv[++i];
             if (mode == "mmap") {

@@ -19,6 +19,8 @@
 #include <memory>
 #include <string>
 
+#include "cli_flags.h"
+
 #include "cdn/scenario.h"
 #include "core/environment.h"
 #include "netsim/assignment_env.h"
@@ -91,11 +93,12 @@ int main(int argc, char** argv) {
                 return argv[++i];
             };
             if (arg == "--n") {
-                n = std::stoull(next("--n"));
+                n = tools::parse_flag<std::size_t>("--n", next("--n"));
             } else if (arg == "--seed") {
-                seed = std::stoull(next("--seed"));
+                seed = tools::parse_flag<std::uint64_t>("--seed", next("--seed"));
             } else if (arg == "--epsilon") {
-                epsilon = std::stod(next("--epsilon"));
+                epsilon =
+                    tools::parse_flag<double>("--epsilon", next("--epsilon"));
             } else {
                 usage(argv[0]);
             }

@@ -21,11 +21,11 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "cli_flags.h"
 
 #include "serve/client.h"
 
@@ -108,11 +108,11 @@ int main(int argc, char** argv) {
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--port" && i + 1 < argc) {
-            port = std::atoi(argv[++i]);
+            port = dre::tools::parse_flag<std::uint16_t>("--port", argv[++i]);
         } else if (arg == "--watch") {
             watch = true;
             if (i + 1 < argc && argv[i + 1][0] != '-') {
-                period_s = std::atof(argv[++i]);
+                period_s = dre::tools::parse_flag<double>("--watch", argv[++i]);
                 if (period_s <= 0.0) return usage();
             }
         } else if (arg == "--filter" && i + 1 < argc) {

@@ -56,13 +56,14 @@
 #include <string>
 #include <vector>
 
+#include "cli_flags.h"
+
 #include "cdn/scenario.h"
 #include "core/checkpoint.h"
 #include "core/environment.h"
 #include "core/policy.h"
 #include "core/streaming.h"
 #include "obs/obs.h"
-#include "stats/bootstrap.h"
 #include "stats/rng.h"
 #include "store/sharded.h"
 #include "trace/csv.h"
@@ -109,19 +110,10 @@ std::vector<std::string> split_list(const std::string& csv) {
     return out;
 }
 
-std::vector<double> parse_double_list(const std::string& csv, const char* what) {
+std::vector<double> parse_double_list(const std::string& csv, const char* flag) {
     std::vector<double> out;
-    for (const std::string& field : split_list(csv)) {
-        try {
-            std::size_t used = 0;
-            const double v = std::stod(field, &used);
-            if (used != field.size()) throw std::invalid_argument(field);
-            out.push_back(v);
-        } catch (const std::exception&) {
-            throw std::invalid_argument(std::string(what) +
-                                        ": malformed number \"" + field + "\"");
-        }
-    }
+    for (const std::string& field : split_list(csv))
+        out.push_back(tools::parse_flag<double>(flag, field));
     return out;
 }
 
@@ -196,38 +188,43 @@ int main(int argc, char** argv) {
                 space.mixture_weights = parse_double_list(
                     next("--mixture-weights"), "--mixture-weights");
             } else if (arg == "--mixture-arm") {
-                space.mixture_arm =
-                    static_cast<Decision>(std::stol(next("--mixture-arm")));
+                space.mixture_arm = tools::parse_flag<Decision>(
+                    "--mixture-arm", next("--mixture-arm"));
             } else if (arg == "--offline") {
                 offline = true;
             } else if (arg == "--waves") {
-                options.waves = std::stoull(next("--waves"));
+                options.waves =
+                    tools::parse_flag<std::uint64_t>("--waves", next("--waves"));
             } else if (arg == "--wave-size") {
-                wave_size = std::stoull(next("--wave-size"));
+                wave_size = tools::parse_flag<std::size_t>("--wave-size",
+                                                           next("--wave-size"));
             } else if (arg == "--explore") {
-                options.controller.epsilon = std::stod(next("--explore"));
+                options.controller.epsilon =
+                    tools::parse_flag<double>("--explore", next("--explore"));
             } else if (arg == "--alpha") {
-                options.controller.alpha = std::stod(next("--alpha"));
+                options.controller.alpha =
+                    tools::parse_flag<double>("--alpha", next("--alpha"));
             } else if (arg == "--redeploy-epsilon") {
-                options.redeploy_epsilon =
-                    std::stod(next("--redeploy-epsilon"));
+                options.redeploy_epsilon = tools::parse_flag<double>(
+                    "--redeploy-epsilon", next("--redeploy-epsilon"));
             } else if (arg == "--eval-model") {
                 options.eval_model =
                     core::parse_reward_model_kind(next("--eval-model"));
                 offline_options.eval_model = options.eval_model;
             } else if (arg == "--replicates") {
-                options.bootstrap_replicates = stats::parse_replicate_count(
-                    next("--replicates"), "--replicates");
+                options.bootstrap_replicates = tools::parse_replicate_count(
+                    "--replicates", next("--replicates"));
                 offline_options.bootstrap_replicates =
                     options.bootstrap_replicates;
             } else if (arg == "--ci-level") {
-                options.ci_level = std::stod(next("--ci-level"));
+                options.ci_level =
+                    tools::parse_flag<double>("--ci-level", next("--ci-level"));
                 offline_options.ci_level = options.ci_level;
             } else if (arg == "--train-fraction") {
-                offline_options.train_fraction =
-                    std::stod(next("--train-fraction"));
+                offline_options.train_fraction = tools::parse_flag<double>(
+                    "--train-fraction", next("--train-fraction"));
             } else if (arg == "--seed") {
-                seed = std::stoull(next("--seed"));
+                seed = tools::parse_flag<std::uint64_t>("--seed", next("--seed"));
             } else if (arg == "--journal") {
                 journal_out = next("--journal");
             } else if (arg == "--checkpoint") {
