@@ -27,15 +27,18 @@ TabularPropensityModel::TabularPropensityModel(std::size_t num_decisions,
 
 void TabularPropensityModel::fit(const Trace& trace) {
     validate_trace(trace);
-    counts_.clear();
-    marginal_counts_.assign(num_decisions_, 0.0);
+    // Fit into locals so a throwing fit leaves the previous one intact.
+    std::unordered_map<std::uint64_t, std::vector<double>> counts;
+    std::vector<double> marginal_counts(num_decisions_, 0.0);
     for (const auto& t : trace) {
         check_decision(t.decision, num_decisions_, "TabularPropensityModel::fit");
-        auto& row = counts_[context_fingerprint(t.context)];
+        auto& row = counts[context_fingerprint(t.context)];
         if (row.empty()) row.assign(num_decisions_, 0.0);
         row[static_cast<std::size_t>(t.decision)] += 1.0;
-        marginal_counts_[static_cast<std::size_t>(t.decision)] += 1.0;
+        marginal_counts[static_cast<std::size_t>(t.decision)] += 1.0;
     }
+    counts_ = std::move(counts);
+    marginal_counts_ = std::move(marginal_counts);
     fitted_ = true;
 }
 
@@ -66,18 +69,19 @@ void LogisticPropensityModel::fit(const Trace& trace) {
     validate_trace(trace);
     if (trace.empty())
         throw std::invalid_argument("LogisticPropensityModel::fit: empty trace");
-    per_decision_.assign(num_decisions_, {});
-    has_model_.assign(num_decisions_, false);
-    marginals_.assign(num_decisions_, 0.0);
+    // Fit into locals so a throwing fit leaves the previous one intact.
+    std::vector<stats::LogisticRegression> per_decision(num_decisions_);
+    std::vector<bool> has_model(num_decisions_, false);
+    std::vector<double> marginals(num_decisions_, 0.0);
 
     std::vector<std::vector<double>> features;
     features.reserve(trace.size());
     for (const auto& t : trace) {
         check_decision(t.decision, num_decisions_, "LogisticPropensityModel::fit");
         features.push_back(t.context.flattened());
-        marginals_[static_cast<std::size_t>(t.decision)] += 1.0;
+        marginals[static_cast<std::size_t>(t.decision)] += 1.0;
     }
-    for (double& m : marginals_) m /= static_cast<double>(trace.size());
+    for (double& m : marginals) m /= static_cast<double>(trace.size());
 
     for (std::size_t d = 0; d < num_decisions_; ++d) {
         // One-vs-rest labels; skip decisions that are all-0 or all-1.
@@ -88,9 +92,12 @@ void LogisticPropensityModel::fit(const Trace& trace) {
             positives += static_cast<std::size_t>(labels[i]);
         }
         if (positives == 0 || positives == trace.size()) continue;
-        per_decision_[d].fit(features, labels);
-        has_model_[d] = true;
+        per_decision[d].fit(features, labels);
+        has_model[d] = true;
     }
+    per_decision_ = std::move(per_decision);
+    has_model_ = std::move(has_model);
+    marginals_ = std::move(marginals);
     fitted_ = true;
 }
 

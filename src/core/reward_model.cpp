@@ -1,6 +1,7 @@
 #include "core/reward_model.h"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 #include <string>
 
@@ -10,6 +11,12 @@ namespace {
 void check_decision(Decision d, std::size_t n, const char* who) {
     if (d < 0 || static_cast<std::size_t>(d) >= n)
         throw std::out_of_range(std::string(who) + ": decision out of range");
+}
+
+// TabularRewardModel's slot count for `contexts` distinct contexts: the
+// smallest power of two (at least 2) that holds them at most half full.
+std::size_t slot_count(std::size_t contexts) {
+    return std::bit_ceil(std::max<std::size_t>(2 * contexts, 2));
 }
 
 } // namespace
@@ -40,44 +47,77 @@ TabularRewardModel::TabularRewardModel(std::size_t num_decisions)
 
 void TabularRewardModel::fit(const Trace& trace) {
     validate_trace(trace);
-    // Chain links are 32-bit, and a trace makes at most one cell per tuple.
+    // Cell links are 32-bit, and a trace makes at most one context and one
+    // cell per tuple, so both arrays are sized once, here: growing them
+    // mid-fit would fault in fresh pages at every doubling.
     if (trace.size() >= kNoCell)
         throw std::length_error("TabularRewardModel::fit: trace too large");
     // Fit into locals so a throwing fit leaves the previous one intact.
-    std::unordered_map<std::uint64_t, Cell> first_cells;
-    std::vector<Cell> more_cells;
+    std::vector<std::uint32_t> slots(slot_count(trace.size()), kNoCell);
+    std::vector<Cell> cells;
+    cells.reserve(trace.size()); // so `link` below never dangles
+    std::size_t contexts = 0;
     std::vector<MeanCount> decision_means(num_decisions_);
     MeanCount global_mean;
     for (const auto& t : trace) {
         check_decision(t.decision, num_decisions_, "TabularRewardModel::fit");
-        Cell* cell = &first_cells
-                          .try_emplace(context_fingerprint(t.context),
-                                       Cell{{}, t.decision})
-                          .first->second;
-        while (cell->decision != t.decision && cell->next != kNoCell)
-            cell = &more_cells[cell->next];
-        if (cell->decision != t.decision) {
-            cell->next = static_cast<std::uint32_t>(more_cells.size());
-            cell = &more_cells.emplace_back(Cell{{}, t.decision});
+        const std::uint64_t fingerprint = context_fingerprint(t.context);
+        // Walk the context's chain from its slot; a new cell goes at the tail.
+        std::uint32_t* link = &slots[find_slot(slots, cells, fingerprint)];
+        if (*link == kNoCell) ++contexts;
+        while (*link != kNoCell && cells[*link].decision != t.decision)
+            link = &cells[*link].next;
+        if (*link == kNoCell) {
+            *link = static_cast<std::uint32_t>(cells.size());
+            cells.push_back(Cell{fingerprint, {}, t.decision});
         }
-        cell->reward.add(t.reward); // in trace order, as every mean here
+        cells[*link].reward.add(t.reward); // in trace order, as every mean here
         decision_means[static_cast<std::size_t>(t.decision)].add(t.reward);
         global_mean.add(t.reward);
+    }
+    // A trace that repeated contexts sized both arrays for more than it
+    // made. Keep memory in proportion to the contexts: drop the unused
+    // cells, and rebuild the slots at their smallest size. A context's
+    // first cell precedes the rest of its chain in `cells`, so the first
+    // cell seen with each fingerprint is the one its slot holds.
+    cells.shrink_to_fit();
+    if (slot_count(contexts) < slots.size()) {
+        slots = std::vector<std::uint32_t>(slot_count(contexts), kNoCell);
+        for (std::size_t i = 0; i < cells.size(); ++i) {
+            std::uint32_t& first =
+                slots[find_slot(slots, cells, cells[i].fingerprint)];
+            if (first == kNoCell) first = static_cast<std::uint32_t>(i);
+        }
     }
     std::vector<double> fallback(num_decisions_);
     for (std::size_t d = 0; d < num_decisions_; ++d)
         fallback[d] = decision_means[d].count > 0 ? decision_means[d].mean
                                                   : global_mean.mean;
-    first_cells_ = std::move(first_cells);
-    more_cells_ = std::move(more_cells);
+    slots_ = std::move(slots);
+    cells_ = std::move(cells);
     fallback_ = std::move(fallback);
     fitted_ = true;
 }
 
+std::size_t TabularRewardModel::find_slot(
+    const std::vector<std::uint32_t>& slots, const std::vector<Cell>& cells,
+    std::uint64_t fingerprint) {
+    // Fibonacci hashing: the home slot is the product's top log2(size)
+    // bits. The table is at most half full, so the probe ends.
+    const std::uint64_t mask = slots.size() - 1;
+    std::size_t slot = static_cast<std::size_t>(
+        (fingerprint * 0x9e3779b97f4a7c15ull) >> std::countl_zero(mask));
+    while (slots[slot] != kNoCell &&
+           cells[slots[slot]].fingerprint != fingerprint)
+        slot = (slot + 1) & mask;
+    return slot;
+}
+
 const TabularRewardModel::Cell* TabularRewardModel::first_cell(
     const ClientContext& context) const {
-    const auto it = first_cells_.find(context_fingerprint(context));
-    return it == first_cells_.end() ? nullptr : &it->second;
+    const std::uint32_t first =
+        slots_[find_slot(slots_, cells_, context_fingerprint(context))];
+    return first == kNoCell ? nullptr : &cells_[first];
 }
 
 double TabularRewardModel::predict(const ClientContext& context, Decision d) const {

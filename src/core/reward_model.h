@@ -7,9 +7,9 @@
 #ifndef DRE_CORE_REWARD_MODEL_H
 #define DRE_CORE_REWARD_MODEL_H
 
+#include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "stats/knn.h"
@@ -98,10 +98,13 @@ private:
 // Zero-bias where data exists; useless off the observed support — exactly
 // the failure mode Fig. 4/Fig. 5 illustrate.
 //
-// Keyed by context: the hash entry of each distinct context fingerprint
-// holds that context's first (decision, mean) cell and chains the rest, and
-// the fallback row is fixed at fit time. A row is then one fingerprint, one
-// probe, a copy of the fallback row and one store per populated cell.
+// Keyed by context: one open-addressing table over context fingerprints.
+// A power-of-two slot array (linear probing, at most half full) holds each
+// distinct context's first cell, an index into one dense cell array. A
+// cell carries its context's fingerprint and chains the context's next
+// cell, and the fallback row is fixed at fit time. A row is then one
+// fingerprint, one probe, a copy of the fallback row and one store per
+// populated cell.
 class TabularRewardModel final : public RewardModel {
 public:
     explicit TabularRewardModel(std::size_t num_decisions);
@@ -113,9 +116,7 @@ public:
     std::size_t num_decisions() const noexcept override { return num_decisions_; }
 
     // Number of populated (context, decision) cells.
-    std::size_t cells() const noexcept {
-        return first_cells_.size() + more_cells_.size();
-    }
+    std::size_t cells() const noexcept { return cells_.size(); }
 
 private:
     static constexpr std::uint32_t kNoCell = 0xffffffffu;
@@ -130,20 +131,26 @@ private:
     };
 
     struct Cell {
+        std::uint64_t fingerprint = 0; // of the cell's context
         MeanCount reward;
         Decision decision = 0;
-        std::uint32_t next = kNoCell; // the context's next cell in more_cells_
+        std::uint32_t next = kNoCell; // the context's next cell
     };
 
+    // The slot holding the first cell of `fingerprint`'s context, else the
+    // empty slot where it would go.
+    static std::size_t find_slot(const std::vector<std::uint32_t>& slots,
+                                 const std::vector<Cell>& cells,
+                                 std::uint64_t fingerprint);
     // The context's first cell, or nullptr for an unseen context.
     const Cell* first_cell(const ClientContext& context) const;
     const Cell* next_cell(const Cell& cell) const {
-        return cell.next == kNoCell ? nullptr : &more_cells_[cell.next];
+        return cell.next == kNoCell ? nullptr : &cells_[cell.next];
     }
 
     std::size_t num_decisions_;
-    std::unordered_map<std::uint64_t, Cell> first_cells_; // by fingerprint
-    std::vector<Cell> more_cells_;
+    std::vector<std::uint32_t> slots_; // first cell per context, or kNoCell
+    std::vector<Cell> cells_;          // each context's cells in fit order
     // Per decision: its mean when logged, else the global mean.
     std::vector<double> fallback_;
     bool fitted_ = false;

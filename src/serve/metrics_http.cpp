@@ -19,11 +19,6 @@ namespace dre::serve {
 
 namespace {
 
-[[noreturn]] void fail_errno(const char* what) {
-    throw std::runtime_error(std::string("serve metrics: ") + what + ": " +
-                             std::strerror(errno));
-}
-
 void send_all(int fd, const std::string& bytes) {
     std::size_t done = 0;
     while (done < bytes.size()) {
@@ -115,6 +110,10 @@ void MetricsHttpServer::start() {
         "serve metrics: built with DRE_OBS_ENABLED=OFF; the metrics "
         "listener has nothing to serve (rebuild with observability on)");
 #else
+    const auto fail_errno = [](const char* what) {
+        throw std::runtime_error(std::string("serve metrics: ") + what + ": " +
+                                 std::strerror(errno));
+    };
     if (started_) throw std::runtime_error("serve metrics: already started");
     listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
     if (listen_fd_ < 0) fail_errno("socket");

@@ -65,6 +65,39 @@ TEST(TabularPropensity, Validation) {
     EXPECT_THROW(model.probability(ClientContext{}, 0), std::logic_error);
 }
 
+// A fit that throws leaves the previous fit in place: fit one context
+// logged 6 times at decision 0 and 3 times at decision 1, then refit on a
+// trace whose last tuple logs decision 5 of 2. validate_trace lets that
+// tuple through, so the throw comes from the fit's loop, after it has
+// counted 20 tuples at decision 0.
+template <typename Model>
+void expect_failed_refit_keeps_previous_fit(Model& model) {
+    const ClientContext c({}, {0});
+    Trace good;
+    for (int i = 0; i < 9; ++i) good.add(tuple({0}, i < 6 ? 0 : 1));
+    model.fit(good);
+    const double before0 = model.probability(c, 0);
+    const double before1 = model.probability(c, 1);
+    EXPECT_NEAR(before1, 1.0 / 3.0, 0.05);
+
+    Trace bad;
+    for (int i = 0; i < 20; ++i) bad.add(tuple({0}, 0));
+    bad.add(tuple({0}, 5));
+    EXPECT_THROW(model.fit(bad), std::out_of_range);
+    EXPECT_EQ(model.probability(c, 0), before0);
+    EXPECT_EQ(model.probability(c, 1), before1);
+}
+
+TEST(TabularPropensity, FailedRefitKeepsPreviousFit) {
+    TabularPropensityModel model(2);
+    expect_failed_refit_keeps_previous_fit(model);
+}
+
+TEST(LogisticPropensity, FailedRefitKeepsPreviousFit) {
+    LogisticPropensityModel model(2);
+    expect_failed_refit_keeps_previous_fit(model);
+}
+
 TEST(LogisticPropensity, LearnsContextDependentLogging) {
     // Logging policy: P(d=1|x) = sigmoid(3x).
     stats::Rng rng(1);

@@ -2,10 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstring>
+#include <map>
 #include <set>
+#include <string>
 #include <utility>
+#include <vector>
 
+#include "cdn/scenario.h"
+#include "core/environment.h"
+#include "core/policy.h"
 #include "stats/rng.h"
 
 namespace dre::core {
@@ -101,7 +109,93 @@ TEST(TabularRewardModel, PredictRowMatchesPredictBitwise) {
               model.predict(ClientContext{}, 3)); // never logged
 }
 
-// cells() counts distinct (context fingerprint, decision) pairs.
+// The tabular fit's independent reference: a running mean per
+// (context fingerprint, decision) pair in a std::map, updated in trace
+// order, and the fallback row (the decision's mean, else the global mean).
+class TabularReference {
+public:
+    TabularReference(const Trace& trace, std::size_t num_decisions)
+        : decision_means_(num_decisions) {
+        for (const LoggedTuple& t : trace) {
+            cells_[{context_fingerprint(t.context), t.decision}].add(t.reward);
+            decision_means_[static_cast<std::size_t>(t.decision)].add(t.reward);
+            global_mean_.add(t.reward);
+        }
+    }
+
+    std::size_t cells() const { return cells_.size(); }
+
+    double predict(const ClientContext& context, Decision d) const {
+        const auto it = cells_.find({context_fingerprint(context), d});
+        if (it != cells_.end()) return it->second.mean;
+        const RunningMean& decision = decision_means_[static_cast<std::size_t>(d)];
+        return decision.count > 0 ? decision.mean : global_mean_.mean;
+    }
+
+private:
+    struct RunningMean {
+        double mean = 0.0;
+        std::size_t count = 0;
+        void add(double x) {
+            ++count;
+            mean += (x - mean) / static_cast<double>(count);
+        }
+    };
+
+    std::map<std::pair<std::uint64_t, Decision>, RunningMean> cells_;
+    std::vector<RunningMean> decision_means_;
+    RunningMean global_mean_;
+};
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+// predict_row and predict against the reference, bitwise, for every
+// context of `trace` and every context of `probes`, seen or not, and
+// cells() against the reference's pair count.
+void expect_matches_reference(const TabularRewardModel& model, const Trace& trace,
+                              const std::vector<ClientContext>& probes) {
+    const std::size_t n = model.num_decisions();
+    const TabularReference reference(trace, n);
+    EXPECT_EQ(model.cells(), reference.cells());
+    std::vector<const ClientContext*> contexts;
+    std::set<std::uint64_t> seen;
+    for (const LoggedTuple& t : trace)
+        if (seen.insert(context_fingerprint(t.context)).second)
+            contexts.push_back(&t.context);
+    for (const ClientContext& c : probes) contexts.push_back(&c);
+
+    std::size_t mismatches = 0;
+    std::string first;
+    std::vector<double> row(n);
+    for (const ClientContext* c : contexts) {
+        model.predict_row(*c, row.data());
+        for (std::size_t d = 0; d < n; ++d) {
+            const auto decision = static_cast<Decision>(d);
+            const double want = reference.predict(*c, decision);
+            if (bits(row[d]) == bits(want) &&
+                bits(model.predict(*c, decision)) == bits(want))
+                continue;
+            if (mismatches++ == 0)
+                first = to_string(*c) + " d=" + std::to_string(d);
+        }
+    }
+    EXPECT_EQ(mismatches, 0u) << "of " << contexts.size() * n
+                              << " cells; first: " << first;
+}
+
+Trace cdn_trace(std::size_t n) {
+    cdn::VideoQualityEnv env{cdn::CdnWorldConfig{}};
+    const UniformRandomPolicy logging(env.num_decisions());
+    stats::Rng rng(12);
+    return collect_trace(env, logging, n, rng);
+}
+
+// cells() counts distinct (context fingerprint, decision) pairs, and every
+// row matches the reference: on 2,000 tuples over 35 categorical contexts;
+// an empty trace; one tuple; 50,000 cdn tuples, every context unique, so
+// the table is large and its probe runs long; their categorical-only copy,
+// whose repeated contexts chain up to 12 cells each and leave the fit to
+// shrink its arrays; and one model refit from large to small and back.
 TEST(TabularRewardModel, CellsCountDistinctContextDecisionPairs) {
     stats::Rng rng(6);
     Trace trace;
@@ -118,6 +212,63 @@ TEST(TabularRewardModel, CellsCountDistinctContextDecisionPairs) {
     model.fit(trace);
     EXPECT_EQ(model.cells(), distinct.size());
     EXPECT_LT(model.cells(), trace.size());
+    expect_matches_reference(model, trace,
+                             {ClientContext{}, ClientContext({}, {7, 0})});
+
+    const Trace cdn = cdn_trace(50000);
+    Trace categorical = cdn;
+    for (LoggedTuple& t : categorical) t.context.numeric.clear();
+    const Trace empty;
+    Trace one;
+    one.add(cdn[0]);
+    // Probes beside each trace's own contexts: the first cdn contexts, one
+    // ulp away, categorical-only and with a category no tuple has.
+    std::vector<ClientContext> probes{ClientContext{}};
+    for (std::size_t i = 0; i < 100; ++i) {
+        ClientContext c = cdn[i].context;
+        probes.push_back(c);
+        c.numeric[0] = std::nextafter(c.numeric[0], 1e300);
+        probes.push_back(c);
+        c.numeric.clear();
+        probes.push_back(c);
+        c.categorical.push_back(1000);
+        probes.push_back(c);
+    }
+
+    std::set<std::uint64_t> categorical_contexts;
+    for (const LoggedTuple& t : categorical)
+        categorical_contexts.insert(context_fingerprint(t.context));
+    TabularRewardModel chained(12);
+    chained.fit(categorical);
+    EXPECT_GT(chained.cells(), categorical_contexts.size());
+    EXPECT_LT(chained.cells(), categorical.size());
+
+    const std::vector<std::pair<const char*, const Trace*>> inputs = {
+        {"empty", &empty}, {"one tuple", &one}, {"cdn", &cdn},
+        {"categorical", &categorical}};
+    for (const auto& [name, input] : inputs) {
+        SCOPED_TRACE(name);
+        TabularRewardModel fresh(12);
+        fresh.fit(*input);
+        expect_matches_reference(fresh, *input, probes);
+    }
+    // One model refit from large to small and back. On the way it passes
+    // every slot count up to 128 at up to half full, where some probes
+    // wrap at the end of the slot array.
+    TabularRewardModel refit(12);
+    refit.fit(cdn);
+    Trace prefix;
+    for (std::size_t k = 1; k <= 64; ++k) {
+        prefix.add(cdn[k - 1]);
+        SCOPED_TRACE("refit to " + std::to_string(k) + " tuples");
+        refit.fit(prefix);
+        expect_matches_reference(refit, prefix, probes);
+    }
+    for (const auto& [name, input] : {inputs[3], inputs[0], inputs[2]}) {
+        SCOPED_TRACE(std::string("refit to ") + name);
+        refit.fit(*input);
+        expect_matches_reference(refit, *input, probes);
+    }
 }
 
 // A fit that throws leaves the previous fit in place: fit two cells of one

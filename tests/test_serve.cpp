@@ -750,15 +750,16 @@ TEST_F(ServeWarmTest, FaultFreeRetryingClientNeverRetries) {
     EXPECT_EQ(client.virtual_backoff_ms(), 0.0);
 }
 
-// Span tracing on the warm path costs at most 15%: 4 rounds of 24 requests
+// Span tracing on the warm path costs at most 15%: 8 rounds of 24 requests
 // with tracing off and on. Each round is its own baseline, so slow drift
 // cancels, and the order alternates between rounds, so the turbo decay the
 // second batch of a round sees is charged to both modes. The overhead is
-// the median of the per-round ratios.
+// the upper median of the per-round ratios, so host noise must spoil 4 of
+// the 8 rounds to fail the gate, while a real 25-30% cost still fails it.
 TEST_F(ServeWarmTest, TracingAddsAtMostFifteenPercentToWarmRequests) {
     (void)server_.service().evaluate(request_); // pay the cold build once
     std::vector<double> overhead_pct;
-    for (int round = 0; round < 4; ++round) {
+    for (int round = 0; round < 8; ++round) {
         const bool off_first = round % 2 == 0;
         obs::set_trace_enabled(!off_first);
         const double first_ms = batch_median_ms(24);
