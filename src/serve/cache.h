@@ -3,7 +3,7 @@
 // The expensive inputs of an evaluation request are pure functions of the
 // request's identity fields and the bytes on disk:
 //
-//   trace entry   (trace path)            → loaded Trace + open ShardedStore
+//   trace         (trace path)            → loaded Trace
 //   policy        (trace path, spec)      → parsed/fitted Policy
 //   evaluator     (trace path, model)     → fitted RewardModel + q̂
 //                                           PredictionMatrix inside an
@@ -41,19 +41,9 @@
 
 #include "core/evaluator.h"
 #include "core/policy.h"
-#include "store/sharded.h"
 #include "trace/trace.h"
 
 namespace dre::serve {
-
-// A loaded trace plus the store that backs it. The ShardedStore member
-// keeps the mmaps (or the shared pread GroupCache) alive and owned by the
-// server for its whole lifetime — the "load once, serve many" half of the
-// perf story. Null for CSV input, which has no store to keep open.
-struct TraceEntry {
-    std::shared_ptr<const store::ShardedStore> store;
-    Trace trace;
-};
 
 struct CacheCounters {
     std::atomic<std::uint64_t> hits{0};
@@ -77,7 +67,7 @@ struct CachedResult {
 
 class EvalCache {
 public:
-    using TracePtr = std::shared_ptr<const TraceEntry>;
+    using TracePtr = std::shared_ptr<const Trace>;
     using PolicyPtr = std::shared_ptr<const core::Policy>;
     using EvaluatorPtr = std::shared_ptr<const core::Evaluator>;
 
@@ -126,7 +116,7 @@ private:
             const char* hit_metric, const char* miss_metric);
     };
 
-    SlotMap<TraceEntry> traces_;
+    SlotMap<Trace> traces_;
     SlotMap<core::Policy> policies_;
     SlotMap<core::Evaluator> evaluators_;
 

@@ -57,8 +57,9 @@ private:
     std::uint32_t server_version_ = 0;
 };
 
-// Client-side retry schedule. Mirrors store::StoreRetryPolicy: the backoff
-// is *virtual* — computed as base * multiplier^attempt and recorded to the
+// Client-side retry schedule. Mirrors the .drt reader's retries (see
+// store/reader.h): the backoff is *virtual* — computed as
+// base * multiplier^attempt and recorded to the
 // serve.client.retry_backoff_ms histogram, never slept — so retry behavior
 // is deterministic and tests never wait on wall clocks. Safe because
 // Evaluate is idempotent by construction: the server keys requests by

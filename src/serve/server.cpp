@@ -78,7 +78,6 @@ struct EvalServer::Job {
 
 EvalServer::EvalServer(ServerOptions options)
     : options_(options),
-      service_(options.service),
       ring_(options.ts_capacity),
       request_ms_(obs::registry().histogram("serve.request_ms")) {}
 

@@ -84,7 +84,6 @@ struct ServerOptions {
     std::uint16_t port = 0;  // 0 = kernel-assigned; read back via port()
     std::size_t max_queue = 64; // pending unique Evaluate jobs (0 = reject
                                 // everything that cannot coalesce)
-    EvalService::Options service;
 
     // Resilience knobs (DESIGN.md §15). All off by default.
     std::size_t brownout_watermark = 0; // queue depth at/above which new

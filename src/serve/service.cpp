@@ -3,63 +3,16 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <stdexcept>
 
 #include "core/policy_learning.h"
 #include "obs/obs.h"
 #include "stats/bootstrap.h"
 #include "store/sharded.h"
-#include "trace/csv.h"
 #include "trace/validate.h"
 
 namespace dre::serve {
 namespace {
-
-bool ends_with(const std::string& s, const char* suffix) {
-    const std::size_t n = std::strlen(suffix);
-    return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
-}
-
-// Mirrors dre_eval's input handling: CSV loads directly; .drt paths and
-// shard prefixes open as a ShardedStore (kept alive in the TraceEntry).
-TraceEntry load_entry(const std::string& path,
-                      const store::StoreReaderOptions& options) {
-    TraceEntry entry;
-    if (ends_with(path, ".csv")) {
-        entry.trace = read_csv_file(path);
-    } else {
-        std::vector<std::string> shards;
-        if (ends_with(path, ".drt")) {
-            shards = {path};
-        } else {
-            shards = store::find_shards(path);
-            if (shards.empty())
-                throw std::runtime_error("no .drt shards match prefix " + path);
-        }
-        auto sharded =
-            std::make_shared<const store::ShardedStore>(shards, options);
-        entry.trace = sharded->read_all();
-        entry.store = std::move(sharded);
-    }
-    if (entry.trace.empty()) throw std::runtime_error("trace is empty");
-    // Same structural gate as the CLI: the in-memory estimators need every
-    // tuple sound, so a defective trace is rejected with the same census
-    // message a dre_eval run would print.
-    const auto defects =
-        count_defects(entry.trace, entry.trace.num_decisions());
-    if (!defects.empty()) {
-        std::string census;
-        for (const auto& [code, count] : defects) {
-            if (!census.empty()) census += ", ";
-            census += code + ": " + std::to_string(count);
-        }
-        throw std::runtime_error(
-            "trace has defective tuples (" + census +
-            "); use --streaming --on-error quarantine to skip them");
-    }
-    return entry;
-}
 
 void check_deadline(const DeadlineFn& deadline, const char* phase) {
     if (deadline && deadline()) throw DeadlineExceeded(phase);
@@ -123,16 +76,20 @@ ResultMsg EvalService::answer(const EvaluateMsg& request,
 #if DRE_OBS_ENABLED
     const std::uint64_t cache_start_ns = obs::now_ns();
 #endif
+    // Same input handling and structural gate as the CLI: the in-memory
+    // estimators need every tuple sound, so a defective trace is rejected
+    // with the census a dre_eval run would print.
     bool trace_hit = false;
-    const EvalCache::TracePtr entry = cache_.trace(
+    const EvalCache::TracePtr cached_trace = cache_.trace(
         request.trace,
         [&] {
             DRE_SPAN("serve.load_trace");
-            return std::make_shared<const TraceEntry>(
-                load_entry(request.trace, options_.reader_options));
+            Trace loaded = store::load_trace(request.trace);
+            require_evaluable(loaded);
+            return std::make_shared<const Trace>(std::move(loaded));
         },
         &trace_hit);
-    const Trace& trace = entry->trace;
+    const Trace& trace = *cached_trace;
 
     // The policy is always the full-trace fit — brownout shares the cache
     // key with the full-fidelity path, so it never pays a model fit, and

@@ -1,12 +1,13 @@
 // EvalService — the evaluation engine behind the TCP server (and behind
 // in-process tests, which exercise it without sockets).
 //
-// One instance owns the stores, traces, fitted models, and prediction
-// matrices for every trace it has been asked about, via EvalCache. A
-// request is answered by:
+// One instance owns the traces, fitted models, and prediction matrices
+// for every trace it has been asked about, via EvalCache. A request is
+// answered by:
 //
-//   1. trace entry for the request path (load once; .drt stores stay open
-//      so their mmaps / shared pread GroupCache are reused),
+//   1. cached trace for the request path (loaded once through
+//      store::load_trace; a .drt store is closed once its tuples are
+//      copied, so the service holds no file mapped),
 //   2. cached policy for (trace, policy spec) — greedy specs fit a reward
 //      model, which is the expensive part,
 //   3. cached Evaluator for (trace, model kind) — reward-model fit plus
@@ -31,7 +32,6 @@
 
 #include "serve/cache.h"
 #include "serve/protocol.h"
-#include "store/reader.h"
 
 namespace dre::serve {
 
@@ -58,10 +58,6 @@ using DeadlineFn = std::function<bool()>;
 
 class EvalService {
 public:
-    struct Options {
-        store::StoreReaderOptions reader_options;
-    };
-
     // Per-request phase breakdown for telemetry (Result frame timing tail
     // and the journal). Filled only when the library is built with
     // DRE_OBS_ENABLED=1; otherwise everything stays zero, matching the
@@ -74,8 +70,6 @@ public:
         bool policy_hit = false;
         bool evaluator_hit = false;
     };
-
-    explicit EvalService(Options options = {}) : options_(options) {}
 
     // Throws std::invalid_argument for malformed specs (→ kBadRequest),
     // std::runtime_error for missing/corrupt/empty traces (→ kNotFound),
@@ -117,7 +111,6 @@ private:
     ResultMsg answer(const EvaluateMsg& request, std::optional<double> coverage,
                      EvalPhases* phases, const DeadlineFn& deadline);
 
-    Options options_;
     EvalCache cache_;
 };
 

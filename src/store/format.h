@@ -17,8 +17,8 @@
 //   └────────────────────┘
 //
 // Inside a row group of m rows every column is a contiguous array, each
-// padded to an 8-byte boundary so doubles are always naturally aligned
-// (both for mmap'd zero-copy spans and for pread buffers):
+// padded to an 8-byte boundary so doubles in the mapped file are always
+// naturally aligned for zero-copy spans:
 //
 //   decision  i32[m]   reward f64[m]   propensity f64[m]   state i32[m]
 //   numeric_0 f64[m] … numeric_{nd-1}  categorical_0 i32[m] … cat_{cd-1}
@@ -127,9 +127,8 @@ struct RowGroupLayout {
     }
 };
 
-// Zero-copy typed views over one row group's columns. In mmap mode the
-// spans alias the mapping directly; in pread mode they alias a cached
-// buffer pinned by the owning StoreReader::RowGroup handle.
+// Zero-copy typed views over one row group's columns. The spans alias the
+// owning StoreReader's mapping and stay valid while the reader lives.
 struct RowGroupView {
     std::size_t rows = 0;
     std::span<const std::int32_t> decision;

@@ -5,19 +5,14 @@
 #include <filesystem>
 #include <stdexcept>
 
+#include "trace/csv.h"
+
 namespace dre::store {
 
-ShardedStore::ShardedStore(std::vector<std::string> paths,
-                           StoreReader::Options options) {
+ShardedStore::ShardedStore(std::vector<std::string> paths) {
     if (paths.empty())
         throw std::invalid_argument("ShardedStore: empty shard list");
     std::sort(paths.begin(), paths.end());
-    // One group cache for the whole shard set, so the pread memory bound
-    // (`pread_cache_groups` decoded groups) holds per store rather than per
-    // shard — and per connection, when serve sessions share this store.
-    if (!options.shared_group_cache)
-        options.shared_group_cache =
-            std::make_shared<GroupCache>(options.pread_cache_groups);
     shards_.reserve(paths.size());
     row_offset_.reserve(paths.size() + 1);
     row_offset_.push_back(0);
@@ -25,12 +20,11 @@ ShardedStore::ShardedStore(std::vector<std::string> paths,
     // store.open, cumulative row-group id for store.read/store.crc), so a
     // seeded schedule addresses "the 7th row group of the logical trace"
     // regardless of how it is sharded or which thread touches it.
-    std::uint64_t group_offset = 0;
+    StoreReader::Options options;
     for (const std::string& path : paths) {
         options.fault_shard_index = shards_.size();
-        options.fault_group_offset = group_offset;
         auto reader = std::make_unique<StoreReader>(path, options);
-        group_offset += reader->num_row_groups();
+        options.fault_group_offset += reader->num_row_groups();
         if (!shards_.empty() && !(reader->schema() == shards_[0]->schema()))
             throw std::runtime_error(
                 "ShardedStore: shard " + path + " schema (" +
@@ -58,7 +52,8 @@ std::uint64_t ShardedStore::num_tuples() const noexcept {
 }
 
 void ShardedStore::read_rows(std::uint64_t begin, std::uint64_t count,
-                             std::vector<LoggedTuple>& out) const {
+                             std::vector<LoggedTuple>& out,
+                             std::vector<ReadFailure>* failures) const {
     out.clear();
     if (begin + count > num_tuples())
         throw std::out_of_range(
@@ -70,58 +65,25 @@ void ShardedStore::read_rows(std::uint64_t begin, std::uint64_t count,
     const auto it =
         std::upper_bound(row_offset_.begin(), row_offset_.end(), begin);
     std::size_t s = static_cast<std::size_t>(it - row_offset_.begin()) - 1;
-    std::uint64_t row = begin;
     const std::uint64_t end = begin + count;
     std::vector<LoggedTuple> shard_rows;
-    while (row < end) {
+    for (std::uint64_t row = begin; row < end; ++s) {
         const std::uint64_t shard_begin = row_offset_[s];
         const std::uint64_t local_begin = row - shard_begin;
         const std::uint64_t local_end =
             std::min<std::uint64_t>(end - shard_begin,
                                     shards_[s]->num_tuples());
+        row = shard_begin + local_end;
+        const std::size_t first_failure = failures ? failures->size() : 0;
         shards_[s]->read_rows(local_begin, local_end - local_begin,
-                              shard_rows);
-        for (LoggedTuple& t : shard_rows) out.push_back(std::move(t));
-        row = shard_begin + local_end;
-        ++s;
-    }
-}
-
-void ShardedStore::read_rows_tolerant(std::uint64_t begin, std::uint64_t count,
-                                      std::vector<LoggedTuple>& out,
-                                      std::vector<ReadFailure>& failures) const {
-    out.clear();
-    if (begin + count > num_tuples())
-        throw std::out_of_range(
-            "ShardedStore: read_rows range [" + std::to_string(begin) + ", " +
-            std::to_string(begin + count) + ") exceeds " +
-            std::to_string(num_tuples()) + " tuples");
-    if (count == 0) return;
-    out.reserve(count);
-    const auto it =
-        std::upper_bound(row_offset_.begin(), row_offset_.end(), begin);
-    std::size_t s = static_cast<std::size_t>(it - row_offset_.begin()) - 1;
-    std::uint64_t row = begin;
-    const std::uint64_t end = begin + count;
-    std::vector<LoggedTuple> shard_rows;
-    std::vector<ReadFailure> shard_failures;
-    while (row < end) {
-        const std::uint64_t shard_begin = row_offset_[s];
-        const std::uint64_t local_begin = row - shard_begin;
-        const std::uint64_t local_end =
-            std::min<std::uint64_t>(end - shard_begin,
-                                    shards_[s]->num_tuples());
-        shard_failures.clear();
-        shards_[s]->read_rows_tolerant(local_begin, local_end - local_begin,
-                                       shard_rows, shard_failures);
-        for (LoggedTuple& t : shard_rows) out.push_back(std::move(t));
-        for (ReadFailure& f : shard_failures) {
-            f.begin += shard_begin; // shard-local -> global coordinates
-            f.shard = static_cast<std::int64_t>(s);
-            failures.push_back(std::move(f));
+                              shard_rows, failures);
+        if (failures != nullptr) {
+            for (std::size_t f = first_failure; f < failures->size(); ++f) {
+                (*failures)[f].begin += shard_begin; // shard-local -> global
+                (*failures)[f].shard = static_cast<std::int64_t>(s);
+            }
         }
-        row = shard_begin + local_end;
-        ++s;
+        for (LoggedTuple& t : shard_rows) out.push_back(std::move(t));
     }
 }
 
@@ -149,6 +111,19 @@ std::vector<std::string> find_shards(const std::string& prefix) {
     }
     std::sort(shards.begin(), shards.end());
     return shards;
+}
+
+std::vector<std::string> resolve_shards(const std::string& path) {
+    if (path.ends_with(".drt")) return {path};
+    std::vector<std::string> shards = find_shards(path);
+    if (shards.empty())
+        throw std::runtime_error("no .drt shards match prefix " + path);
+    return shards;
+}
+
+Trace load_trace(const std::string& path) {
+    if (path.ends_with(".csv")) return read_csv_file(path);
+    return ShardedStore(resolve_shards(path)).read_all();
 }
 
 namespace {

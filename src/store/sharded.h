@@ -29,8 +29,7 @@ class ShardedStore {
 public:
     // Opens every path as a shard, in lexicographic path order. Throws if
     // the list is empty, a file fails validation, or schemas disagree.
-    explicit ShardedStore(std::vector<std::string> paths,
-                          StoreReader::Options options = {});
+    explicit ShardedStore(std::vector<std::string> paths);
 
     std::size_t num_shards() const noexcept { return shards_.size(); }
     const StoreReader& shard(std::size_t i) const { return *shards_.at(i); }
@@ -45,15 +44,11 @@ public:
 
     // Appends tuples [begin, begin + count) in global order to `out`
     // (cleared first), crossing shard boundaries as needed. Thread-safe.
+    // `failures` works as in StoreReader::read_rows; recorded failures are
+    // in global row order, begin/count in global coordinates, shard filled.
     void read_rows(std::uint64_t begin, std::uint64_t count,
-                   std::vector<LoggedTuple>& out) const;
-
-    // Fault-tolerant variant: damaged row groups are skipped (after each
-    // shard's retry policy runs) and recorded in `failures` (appended, in
-    // global row order, begin/count in global coordinates, shard filled).
-    void read_rows_tolerant(std::uint64_t begin, std::uint64_t count,
-                            std::vector<LoggedTuple>& out,
-                            std::vector<ReadFailure>& failures) const;
+                   std::vector<LoggedTuple>& out,
+                   std::vector<ReadFailure>* failures = nullptr) const;
 
     Trace read_all() const;
 
@@ -83,7 +78,7 @@ public:
         std::vector<LoggedTuple>& out,
         std::vector<core::TupleReadFailure>& failures) const override {
         std::vector<ReadFailure> store_failures;
-        store_->read_rows_tolerant(begin, count, out, store_failures);
+        store_->read_rows(begin, count, out, &store_failures);
         for (ReadFailure& f : store_failures)
             failures.push_back(
                 {f.begin, f.count, f.reason, std::move(f.detail), f.shard});
@@ -97,6 +92,16 @@ private:
 // lexicographically (e.g. prefix "out/trace-" matches out/trace-00001.drt).
 // Returns an empty vector when nothing matches.
 std::vector<std::string> find_shards(const std::string& prefix);
+
+// The shards a trace argument names: a path ending in .drt is one shard,
+// anything else a prefix for find_shards. Throws std::runtime_error when a
+// prefix matches nothing.
+std::vector<std::string> resolve_shards(const std::string& path);
+
+// Reads a whole trace from a trace argument: a path ending in .csv is CSV,
+// anything else is opened through resolve_shards. The store is closed (and
+// unmapped) before this returns.
+Trace load_trace(const std::string& path);
 
 // Rewrites `in` as `num_shards` balanced shards named
 // `<out_prefix>NNNNN.drt` (zero-padded shard index). Streams row-group

@@ -1,6 +1,7 @@
 #include "trace/validate.h"
 
 #include <cmath>
+#include <stdexcept>
 #include <vector>
 
 namespace dre {
@@ -55,6 +56,20 @@ std::map<std::string, std::uint64_t> remove_defective_tuples(
     }
     if (!counts.empty()) trace = Trace(std::move(kept));
     return counts;
+}
+
+void require_evaluable(const Trace& trace) {
+    if (trace.empty()) throw std::runtime_error("trace is empty");
+    std::string census;
+    for (const auto& [code, count] :
+         count_defects(trace, trace.num_decisions())) {
+        if (!census.empty()) census += ", ";
+        census += code + ": " + std::to_string(count);
+    }
+    if (!census.empty())
+        throw std::runtime_error(
+            "trace has defective tuples (" + census +
+            "); use --streaming --on-error quarantine to skip them");
 }
 
 } // namespace dre

@@ -1,8 +1,8 @@
 // Structural tuple validation with stable reason codes.
 //
 // One classifier shared by every layer that meets raw tuples: the audit
-// linter (core/audit), the load paths (CSV and .drt in dre_eval), and the
-// hardened streaming evaluator (core/streaming), whose QuarantineReport
+// linter (core/audit), the in-memory load paths (dre_eval, dre_serve), and
+// the hardened streaming evaluator (core/streaming), whose QuarantineReport
 // uses exactly these reason-code strings. A tuple that passes is safe for
 // every estimator: finite reward and context, propensity in (0, 1], and a
 // decision inside [0, num_decisions).
@@ -46,6 +46,11 @@ std::map<std::string, std::uint64_t> count_defects(const Trace& trace,
 // of what was removed. Order of surviving tuples is preserved.
 std::map<std::string, std::uint64_t> remove_defective_tuples(
     Trace& trace, std::size_t num_decisions);
+
+// Rejects a trace the in-memory estimators cannot evaluate: throws
+// std::runtime_error when it is empty, or when any tuple is defective with
+// a census of reason codes and counts ("trace has defective tuples (...)").
+void require_evaluable(const Trace& trace);
 
 } // namespace dre
 

@@ -159,6 +159,17 @@ TEST(Cli, ExitCodesDistinguishArgumentAndInputErrors) {
     EXPECT_EQ(run_cli(fixture_drt() + " uniform --resume --checkpoint " +
                       testing::TempDir() + "dre_cli_nock.bin"),
               2);
+    // So is --fit-sample, and an empty fit sample could fit nothing; both
+    // print one error line naming the flag.
+    const std::string err = testing::TempDir() + "dre_cli_fit_err.txt";
+    for (const std::string& args :
+         {fixture_drt() + " uniform --streaming --fit-sample 0",
+          fixture_drt() + " uniform --fit-sample 5"}) {
+        EXPECT_EQ(run_cli_env("", args, err), 2) << args;
+        const std::string text = slurp(err);
+        EXPECT_EQ(text.rfind("error: --fit-sample ", 0), 0u) << text;
+        EXPECT_EQ(text.find('\n'), text.size() - 1) << text;
+    }
     // Missing / unreadable input is an input error, not a usage error.
     EXPECT_EQ(run_cli("/nonexistent.csv uniform"), 3);
     EXPECT_EQ(run_cli("/nonexistent-prefix- uniform --streaming"), 3);

@@ -37,6 +37,8 @@
 #include "serve/server.h"
 #include "serve/service.h"
 #include "stats/rng.h"
+#include "store/sharded.h"
+#include "store/writer.h"
 #include "trace/csv.h"
 
 namespace {
@@ -312,9 +314,7 @@ TEST(ServeCacheTest, BuildsOnceCountsHitsAndLatchesErrors) {
     std::atomic<int> builds{0};
     const auto build = [&] {
         builds.fetch_add(1);
-        auto entry = std::make_shared<serve::TraceEntry>();
-        entry->trace = make_trace(4);
-        return std::shared_ptr<const serve::TraceEntry>(std::move(entry));
+        return std::make_shared<const Trace>(make_trace(4));
     };
 
     bool hit = true;
@@ -330,7 +330,7 @@ TEST(ServeCacheTest, BuildsOnceCountsHitsAndLatchesErrors) {
     // A failed build is cached like a success: the key keeps throwing the
     // same error without re-running the builder.
     std::atomic<int> failed_builds{0};
-    const auto failing = [&]() -> std::shared_ptr<const serve::TraceEntry> {
+    const auto failing = [&]() -> std::shared_ptr<const Trace> {
         failed_builds.fetch_add(1);
         throw std::runtime_error("no such trace");
     };
@@ -367,6 +367,50 @@ TEST(ServeServiceTest, ResponseMatchesCliRenderingAndCachesEvaluator) {
     EXPECT_EQ(stats.trace_misses, 1u);
     EXPECT_EQ(stats.evaluator_misses, 1u);
     EXPECT_EQ(stats.evaluator_hits, 2u);
+}
+
+// The service loads .drt input through the store: one file and a shard
+// prefix answer with the bytes of the CSV they were converted from, and
+// once loaded no store stays mapped — the cache holds only the tuples.
+TEST(ServeServiceTest, DrtAndShardPrefixAnswerLikeCsvAndStayUnmapped) {
+    TempDir dir;
+    const std::string csv = dir.file("trace.csv");
+    write_csv_file(make_trace(300), csv);
+    const std::string drt = dir.file("trace.drt");
+    store::write_store_file(read_csv_file(csv), drt,
+                            store::StoreWriter::Options{64});
+    const std::vector<std::string> shards =
+        store::split_store(store::ShardedStore({drt}), dir.file("shard-"), 3,
+                           store::StoreWriter::Options{64});
+
+    serve::EvalService service;
+    serve::EvaluateMsg request = make_request(csv);
+    request.ci_replicates = 50;
+    const std::string want = service.evaluate(request).text;
+    for (const std::string& path : {drt, dir.file("shard-")}) {
+        request.trace = path;
+        EXPECT_EQ(service.evaluate(request).text, want) << path;
+    }
+    EXPECT_EQ(service.cache_stats().trace_misses, 3u);
+
+#if defined(__linux__)
+    const auto mapped = [](const std::string& path) {
+        std::ifstream maps("/proc/self/maps");
+        const std::string canonical =
+            std::filesystem::canonical(path).string();
+        for (std::string line; std::getline(maps, line);)
+            if (line.ends_with(" " + canonical)) return true;
+        return false;
+    };
+    {
+        // The probe sees a mapping while a store is open...
+        const store::ShardedStore open_store(shards);
+        EXPECT_TRUE(mapped(shards[0]));
+    }
+    // ...and none of the service's inputs once their tuples are loaded.
+    EXPECT_FALSE(mapped(drt));
+    for (const std::string& shard : shards) EXPECT_FALSE(mapped(shard));
+#endif
 }
 
 TEST(ServeServiceTest, BadRequestsClassify) {

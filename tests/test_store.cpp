@@ -3,6 +3,7 @@
 // The round trips run over real scenario traces (wise / cdn / video /
 // relay), and equality is *bitwise* — every double must survive the trip
 // exactly, which is what the streaming determinism contract rests on.
+#include "store/crc32c.h"
 #include "store/reader.h"
 #include "store/sharded.h"
 #include "store/writer.h"
@@ -111,31 +112,21 @@ void expect_bitwise_equal(const Trace& a, const Trace& b) {
     }
 }
 
-StoreReader::Options two_group_options(IoMode mode) {
-    StoreReader::Options options;
-    options.io_mode = mode;
-    options.pread_cache_groups = 2;
-    return options;
-}
-
 void check_round_trip(const Trace& trace, const TempDir& tmp,
                       const std::string& label) {
     SCOPED_TRACE(label);
     const std::string path = tmp.path(label + ".drt");
     // Small row groups force multiple groups per file.
     write_store_file(trace, path, StoreWriter::Options{256});
-    for (const IoMode mode : {IoMode::kMmap, IoMode::kPread}) {
-        const StoreReader reader(path, two_group_options(mode));
-        EXPECT_EQ(reader.num_tuples(), trace.size());
-        EXPECT_EQ(reader.num_decisions(), trace.num_decisions());
-        expect_bitwise_equal(reader.read_all(), trace);
-    }
+    const StoreReader reader(path);
+    EXPECT_EQ(reader.num_tuples(), trace.size());
+    EXPECT_EQ(reader.num_decisions(), trace.num_decisions());
+    expect_bitwise_equal(reader.read_all(), trace);
 
     // CSV -> drt -> CSV is byte-identical text (CSV writes %.17g-precision
     // doubles, and the store keeps them bit-exact in between).
     std::stringstream first;
     write_csv(trace, first);
-    const StoreReader reader(path);
     std::stringstream second;
     write_csv(reader.read_all(), second);
     EXPECT_EQ(first.str(), second.str());
@@ -236,120 +227,6 @@ TEST(ShardedStoreTest, SplitAndConcatPreserveGlobalOrder) {
     const std::string merged = tmp.path("merged.drt");
     concat_stores(sharded, merged, StoreWriter::Options{512});
     expect_bitwise_equal(StoreReader(merged).read_all(), trace);
-}
-
-// --- pread LRU cache bound (reader.h documents the memory model) --------
-
-TEST(StoreReaderTest, PreadLruHandleSurvivesEvictionMidIteration) {
-    TempDir tmp;
-    const Trace trace = cdn_trace(600); // 5 groups at 128 rows
-    const std::string path = tmp.path("lru.drt");
-    write_store_file(trace, path, StoreWriter::Options{128});
-
-    StoreReader::Options options;
-    options.io_mode = IoMode::kPread;
-    options.pread_cache_groups = 1; // every new group evicts the previous
-    const StoreReader reader(path, options);
-    ASSERT_EQ(reader.io_mode(), IoMode::kPread);
-    ASSERT_GE(reader.num_row_groups(), 4u);
-
-    // Pin group 0, then march the cache through every other group — group 0
-    // is evicted immediately, but the handle keeps its buffer alive and
-    // bit-exact for the rest of the iteration.
-    const StoreReader::RowGroup pinned = reader.row_group(0);
-    const double first_reward = pinned.view().reward[0];
-    const double* stable_ptr = pinned.view().reward.data();
-    for (std::size_t g = 1; g < reader.num_row_groups(); ++g) {
-        const StoreReader::RowGroup other = reader.row_group(g);
-        EXPECT_EQ(other.view().rows,
-                  reader.row_group_info(g).rows);
-    }
-    EXPECT_EQ(pinned.view().reward.data(), stable_ptr);
-    for (std::size_t i = 0; i < pinned.view().rows; ++i)
-        EXPECT_EQ(std::memcmp(&pinned.view().reward[i], &trace[i].reward,
-                              sizeof(double)),
-                  0)
-            << "row " << i;
-    EXPECT_EQ(pinned.view().reward[0], first_reward);
-
-    // Re-fetching the evicted group decodes afresh and matches bitwise.
-    const StoreReader::RowGroup again = reader.row_group(0);
-    for (std::size_t i = 0; i < again.view().rows; ++i)
-        EXPECT_EQ(again.view().reward[i], pinned.view().reward[i]);
-}
-
-TEST(StoreReaderTest, PreadCacheCapacityZeroStillReadsCorrectly) {
-    TempDir tmp;
-    const Trace trace = cdn_trace(500);
-    const std::string path = tmp.path("nocache.drt");
-    write_store_file(trace, path, StoreWriter::Options{128});
-
-    StoreReader::Options options;
-    options.io_mode = IoMode::kPread;
-    options.pread_cache_groups = 0; // caches nothing; handles pin buffers
-    const StoreReader reader(path, options);
-
-    std::vector<LoggedTuple> rows;
-    reader.read_rows(130, 250, rows);
-    ASSERT_EQ(rows.size(), 250u);
-    for (std::size_t i = 0; i < rows.size(); ++i)
-        EXPECT_EQ(std::memcmp(&rows[i].reward, &trace[130 + i].reward,
-                              sizeof(double)),
-                  0)
-            << "row " << i;
-    // Repeated fetches of the same group each decode their own buffer.
-    const StoreReader::RowGroup a = reader.row_group(1);
-    const StoreReader::RowGroup b = reader.row_group(1);
-    EXPECT_NE(a.view().reward.data(), b.view().reward.data());
-    for (std::size_t i = 0; i < a.view().rows; ++i)
-        EXPECT_EQ(a.view().reward[i], b.view().reward[i]);
-}
-
-TEST(StoreReaderTest, SharedGroupCacheSpansReaders) {
-    TempDir tmp;
-    const Trace trace = cdn_trace(600);
-    const std::string path = tmp.path("shared.drt");
-    write_store_file(trace, path, StoreWriter::Options{128});
-
-    StoreReader::Options options;
-    options.io_mode = IoMode::kPread;
-    auto cache = std::make_shared<GroupCache>(2);
-    options.shared_group_cache = cache;
-    const StoreReader a(path, options);
-    const StoreReader b(path, options);
-
-    const StoreReader::RowGroup first = a.row_group(1);
-    EXPECT_EQ(cache->hits(), 0u);
-    EXPECT_EQ(cache->misses(), 1u);
-    // The second reader is served from the first reader's fetch: the same
-    // shared buffer, not a second decode.
-    const StoreReader::RowGroup second = b.row_group(1);
-    EXPECT_EQ(cache->hits(), 1u);
-    EXPECT_EQ(cache->misses(), 1u);
-    EXPECT_EQ(first.view().reward.data(), second.view().reward.data());
-    EXPECT_EQ(cache->size(), 1u);
-}
-
-TEST(ShardedStoreTest, OneGroupCacheBoundsWholeShardSet) {
-    TempDir tmp;
-    const Trace trace = wise_trace(1000);
-    const std::string single = tmp.path("single.drt");
-    write_store_file(trace, single, StoreWriter::Options{128});
-    const auto shard_paths =
-        split_store(ShardedStore({single}), tmp.path("cshard-"), 3,
-                    StoreWriter::Options{128});
-
-    StoreReader::Options options;
-    options.io_mode = IoMode::kPread;
-    options.pread_cache_groups = 2;
-    auto cache = std::make_shared<GroupCache>(2);
-    options.shared_group_cache = cache;
-    const ShardedStore sharded(shard_paths, options);
-    expect_bitwise_equal(sharded.read_all(), trace);
-    // The scan crossed all three shards, but the decoded-group memory
-    // bound held per store: at most 2 resident groups in total.
-    EXPECT_LE(cache->size(), 2u);
-    EXPECT_GT(cache->misses(), 0u);
 }
 
 TEST(ShardedStoreTest, MixedSchemasRejected) {
@@ -462,6 +339,34 @@ TEST_F(StoreCorruptionTest, FooterCorruptionRejected) {
     expect_rejected([&] { StoreReader reader(path_); }, "checksum mismatch");
 }
 
+TEST_F(StoreCorruptionTest, MisalignedGroupOffsetRejected) {
+    // Move every row group 4 bytes down and re-seal the footer: all
+    // checksums still hold, but no group starts on an 8-byte boundary, so
+    // the zero-copy views would read doubles through misaligned pointers.
+    const auto* in = reinterpret_cast<const unsigned char*>(bytes_.data());
+    std::size_t pos = bytes_.size() - kTailBytes;
+    const std::uint64_t footer = decode_value<std::uint64_t>(in, pos) + 4;
+    std::vector<char> moved(bytes_.begin(), bytes_.begin() + kHeaderBytes);
+    moved.insert(moved.end(), 4, '\0');
+    moved.insert(moved.end(), bytes_.begin() + kHeaderBytes, bytes_.end());
+    auto* out = reinterpret_cast<unsigned char*>(moved.data());
+    pos = footer;
+    const auto groups = decode_value<std::uint64_t>(out, pos);
+    for (std::uint64_t g = 0; g < groups; ++g) {
+        std::size_t at = footer + sizeof(std::uint64_t) + g * kFooterEntryBytes;
+        std::size_t read = at;
+        encode_value(out, at, decode_value<std::uint64_t>(out, read) + 4);
+    }
+    const std::size_t crc_len = footer_bytes(groups) - 2 * sizeof(std::uint32_t);
+    pos = footer + crc_len;
+    encode_value(out, pos, crc32c(out + footer, crc_len));
+    pos = moved.size() - kTailBytes;
+    encode_value(out, pos, footer);
+    dump(path_, moved);
+    expect_rejected([&] { StoreReader reader(path_); },
+                    "corrupt row-group index entry 0");
+}
+
 TEST_F(StoreCorruptionTest, FlippedChunkByteNamesTheGroup) {
     const StoreReader meta(path_);
     ASSERT_GE(meta.num_row_groups(), 3u);
@@ -470,17 +375,14 @@ TEST_F(StoreCorruptionTest, FlippedChunkByteNamesTheGroup) {
 
     const std::string flipped = tmp_.path("flipped.drt");
     dump(flipped, bytes_);
-    for (const IoMode mode : {IoMode::kMmap, IoMode::kPread}) {
-        SCOPED_TRACE(static_cast<int>(mode));
-        // Opening succeeds (payload CRCs are lazy); touching group 1 fails
-        // and the error names it. Other groups stay readable.
-        const StoreReader reader(flipped, two_group_options(mode));
-        std::vector<LoggedTuple> rows;
-        reader.read_rows(0, 128, rows); // group 0 is intact
-        EXPECT_EQ(rows.size(), 128u);
-        expect_rejected([&] { reader.read_rows(0, 300, rows); },
-                        "row group 1 checksum mismatch");
-    }
+    // Opening succeeds (payload CRCs are lazy); touching group 1 fails and
+    // the error names it. Other groups stay readable.
+    const StoreReader reader(flipped);
+    std::vector<LoggedTuple> rows;
+    reader.read_rows(0, 128, rows); // group 0 is intact
+    EXPECT_EQ(rows.size(), 128u);
+    expect_rejected([&] { reader.read_rows(0, 300, rows); },
+                    "row group 1 checksum mismatch");
 }
 
 } // namespace

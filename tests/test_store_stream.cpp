@@ -120,22 +120,15 @@ TEST(StreamingEvaluation, MatchesInMemoryAcrossThreadsShardsAndBackends) {
         const std::vector<std::string> paths =
             shards == 1 ? std::vector<std::string>{(dir / "single.drt").string()}
                         : store::find_shards((dir / "multi-").string());
-        for (const store::IoMode mode :
-             {store::IoMode::kMmap, store::IoMode::kPread}) {
-            store::StoreReader::Options reader_options;
-            reader_options.io_mode = mode;
-            reader_options.pread_cache_groups = 2;
-            const store::ShardedStore sharded(paths, reader_options);
-            const store::StoreTupleSource source(sharded);
-            for (const std::size_t threads :
-                 {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
-                par::set_thread_count(threads);
-                EXPECT_EQ(
-                    fingerprint(stream_over(source, evaluator, policy, 200, 7)),
-                    want)
-                    << "shards=" << shards << " mode=" << static_cast<int>(mode)
-                    << " threads=" << threads;
-            }
+        const store::ShardedStore sharded(paths);
+        const store::StoreTupleSource source(sharded);
+        for (const std::size_t threads :
+             {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
+            par::set_thread_count(threads);
+            EXPECT_EQ(
+                fingerprint(stream_over(source, evaluator, policy, 200, 7)),
+                want)
+                << "shards=" << shards << " threads=" << threads;
         }
     }
 

@@ -40,8 +40,8 @@
 //                             through the estimators instead of loading the
 //                             trace (bit-identical results; .drt input only)
 //   --fit-sample <n>          rows read in-memory to fit the reward model /
-//                             greedy policy under --streaming (default 100000)
-//   --io mmap|pread           I/O backend for .drt input (default: mmap)
+//                             greedy policy under --streaming (default
+//                             100000, at least 1)
 //   --fault-spec <spec>       arm deterministic fault injection, e.g.
 //                             store.read:p=0.01,kind=transient;store.crc:nth=7
 //                             (seeded by --seed; see fault/fault.h)
@@ -98,7 +98,6 @@
 #include "fault/fault.h"
 #include "obs/obs.h"
 #include "store/error.h"
-#include "store/reader.h"
 #include "store/sharded.h"
 #include "store/writer.h"
 #include "trace/csv.h"
@@ -115,37 +114,13 @@ namespace {
                  "[--cross-fit] [--model tabular|linear|knn] [--ci N] "
                  "[--quantile q] [--by-group i] [--check-drift] [--audit] "
                  "[--compare policy-spec] [--obs-out file] [--trace-out file] "
-                 "[--seed n] [--streaming] [--fit-sample n] [--io mmap|pread] "
+                 "[--seed n] [--streaming] [--fit-sample n] "
                  "[--fault-spec spec] [--on-error strict|quarantine|degrade] "
                  "[--checkpoint file] [--resume] [--quarantine-out file]\n"
                  "       %s convert <input> <output> [--shards N] "
                  "[--row-group-rows M]\n",
                  argv0, argv0);
     std::exit(2);
-}
-
-bool ends_with(const std::string& s, const char* suffix) {
-    const std::size_t n = std::strlen(suffix);
-    return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
-}
-
-// Expands a .drt path or a shard prefix to the ordered shard list.
-std::vector<std::string> resolve_shards(const std::string& path) {
-    if (ends_with(path, ".drt")) return {path};
-    std::vector<std::string> shards = store::find_shards(path);
-    if (shards.empty())
-        throw std::runtime_error("no .drt shards match prefix " + path);
-    return shards;
-}
-
-bool is_store_input(const std::string& path) {
-    return !ends_with(path, ".csv");
-}
-
-// Loads any accepted input format fully into memory.
-Trace load_trace(const std::string& path, store::StoreReader::Options options) {
-    if (!is_store_input(path)) return read_csv_file(path);
-    return store::ShardedStore(resolve_shards(path), options).read_all();
 }
 
 int run_convert(int argc, char** argv) {
@@ -171,10 +146,10 @@ int run_convert(int argc, char** argv) {
         }
     }
 
-    if (ends_with(out_path, ".csv")) {
+    if (out_path.ends_with(".csv")) {
         if (shards != 0)
             throw std::invalid_argument("--shards only applies to .drt output");
-        const Trace trace = load_trace(in_path, {});
+        const Trace trace = store::load_trace(in_path);
         write_csv_file(trace, out_path);
         std::printf("wrote %zu tuples to %s\n", trace.size(), out_path.c_str());
         return 0;
@@ -184,8 +159,8 @@ int run_convert(int argc, char** argv) {
         // Output is a shard prefix. Store input streams shard-to-shard in
         // bounded batches; CSV input is already in memory from parsing.
         std::vector<std::string> out_shards;
-        if (is_store_input(in_path)) {
-            const store::ShardedStore in(resolve_shards(in_path));
+        if (!in_path.ends_with(".csv")) {
+            const store::ShardedStore in(store::resolve_shards(in_path));
             out_shards = store::split_store(in, out_path, shards, writer_options);
         } else {
             const Trace trace = read_csv_file(in_path);
@@ -214,12 +189,12 @@ int run_convert(int argc, char** argv) {
         return 0;
     }
 
-    if (!ends_with(out_path, ".drt"))
+    if (!out_path.ends_with(".drt"))
         throw std::invalid_argument(
             "output must end in .csv or .drt (or pass --shards N with a "
             "prefix)");
-    if (is_store_input(in_path)) {
-        const store::ShardedStore in(resolve_shards(in_path));
+    if (!in_path.ends_with(".csv")) {
+        const store::ShardedStore in(store::resolve_shards(in_path));
         store::concat_stores(in, out_path, writer_options);
         std::printf("wrote %llu tuples to %s\n",
                     static_cast<unsigned long long>(in.num_tuples()),
@@ -269,8 +244,7 @@ int main(int argc, char** argv) {
         bool check_drift = false;
         bool run_audit = false;
         bool streaming = false;
-        std::uint64_t fit_sample = 100000;
-        store::StoreReader::Options reader_options;
+        std::optional<std::uint64_t> fit_sample; // default 100000 rows
         std::string compare_spec;
         std::string obs_out, trace_out;
         std::string fault_spec, checkpoint_path, quarantine_out;
@@ -319,17 +293,11 @@ int main(int argc, char** argv) {
             } else if (arg == "--streaming") {
                 streaming = true;
             } else if (arg == "--fit-sample") {
-                fit_sample = tools::parse_flag<std::uint64_t>(
-                    "--fit-sample", next("--fit-sample"));
-            } else if (arg == "--io") {
-                const std::string mode = next("--io");
-                if (mode == "mmap") {
-                    reader_options.io_mode = store::IoMode::kMmap;
-                } else if (mode == "pread") {
-                    reader_options.io_mode = store::IoMode::kPread;
-                } else {
-                    throw std::invalid_argument("--io must be mmap or pread");
-                }
+                const std::string text = next("--fit-sample");
+                fit_sample =
+                    tools::parse_flag<std::uint64_t>("--fit-sample", text);
+                if (*fit_sample == 0)
+                    tools::reject_flag("--fit-sample", "at least 1", text);
             } else if (arg == "--fault-spec") {
                 fault_spec = next("--fault-spec");
             } else if (arg == "--on-error") {
@@ -356,6 +324,8 @@ int main(int argc, char** argv) {
                          "--fault-spec is parsed but no fault will fire\n");
 #endif
         }
+        if (!streaming && fit_sample)
+            throw std::invalid_argument("--fit-sample requires --streaming");
         if (!streaming &&
             (on_error_set || !checkpoint_path.empty() || resume ||
              !quarantine_out.empty()))
@@ -371,15 +341,14 @@ int main(int argc, char** argv) {
                 quantile_q >= 0.0 || !compare_spec.empty())
                 throw std::invalid_argument(
                     "--streaming supports only --model/--ci/--seed/"
-                    "--fit-sample/--io (the other analyses need the full "
-                    "trace in memory)");
-            if (!is_store_input(path))
+                    "--fit-sample (the other analyses need the full trace "
+                    "in memory)");
+            if (path.ends_with(".csv"))
                 throw std::invalid_argument(
                     "--streaming needs .drt input (run `dre_eval convert` "
                     "first)");
 
-            const store::ShardedStore shards(resolve_shards(path),
-                                             reader_options);
+            const store::ShardedStore shards(store::resolve_shards(path));
             const std::uint64_t n = shards.num_tuples();
             if (n == 0) throw std::runtime_error("trace is empty");
             const std::size_t decisions = shards.num_decisions();
@@ -394,13 +363,13 @@ int main(int argc, char** argv) {
             // defective tuples dropped, so a quarantinable trace does not
             // abort before the guarded evaluation even starts.
             std::vector<LoggedTuple> head;
-            const std::uint64_t head_n = std::min<std::uint64_t>(fit_sample, n);
-            if (on_error == core::FailureMode::kStrict) {
-                shards.read_rows(0, head_n, head);
-            } else {
-                std::vector<store::ReadFailure> fit_failures;
-                shards.read_rows_tolerant(0, head_n, head, fit_failures);
-            }
+            const std::uint64_t head_n =
+                std::min<std::uint64_t>(fit_sample.value_or(100000), n);
+            std::vector<store::ReadFailure> fit_failures;
+            shards.read_rows(0, head_n, head,
+                             on_error == core::FailureMode::kStrict
+                                 ? nullptr
+                                 : &fit_failures);
             Trace fit_trace(std::move(head));
             if (on_error != core::FailureMode::kStrict)
                 remove_defective_tuples(fit_trace, decisions);
@@ -480,24 +449,12 @@ int main(int argc, char** argv) {
             return 0;
         }
 
-        const Trace trace = load_trace(path, reader_options);
-        if (trace.empty()) throw std::runtime_error("trace is empty");
+        const Trace trace = store::load_trace(path);
         // Structural validation at read time, with the same reason codes
-        // the audit linter and the streaming QuarantineReport use. The
-        // in-memory estimators need every tuple to be sound, so a
+        // the audit linter and the streaming QuarantineReport use, so a
         // defective trace is rejected here with a per-reason census
         // instead of failing later inside an estimator.
-        const auto defects = count_defects(trace, trace.num_decisions());
-        if (!defects.empty()) {
-            std::string census;
-            for (const auto& [code, count] : defects) {
-                if (!census.empty()) census += ", ";
-                census += code + ": " + std::to_string(count);
-            }
-            throw std::runtime_error(
-                "trace has defective tuples (" + census +
-                "); use --streaming --on-error quarantine to skip them");
-        }
+        require_evaluable(trace);
         std::printf("trace: %zu tuples, %zu decisions\n", trace.size(),
                     trace.num_decisions());
 

@@ -10,7 +10,6 @@
 //                     ephemeral port without a race
 //   --max-queue <n>   pending unique Evaluate jobs before admission control
 //                     answers kOverloaded (default 64)
-//   --io mmap|pread   I/O backend for .drt traces (default: mmap)
 //
 // Resilience (DESIGN.md §15):
 //   --brownout-watermark <n>  queue depth at/above which new unique
@@ -43,8 +42,8 @@
 //                             0 = sampler off)
 //   --ts-capacity <n>         samples retained in the ring (default 512)
 //
-// The process owns the stores, traces, and fitted models for every trace
-// it is asked about (see serve/service.h); responses are byte-identical to
+// The process owns the traces and fitted models for every trace it is
+// asked about (see serve/service.h); responses are byte-identical to
 // the equivalent `dre_eval <trace> <policy> --model M [--ci N] --seed S`
 // run. SIGINT/SIGTERM shut down gracefully: the listener closes, every
 // queued job drains and its waiters get their reply, then the process
@@ -65,7 +64,6 @@
 #include "fault/fault.h"
 #include "obs/obs.h"
 #include "serve/server.h"
-#include "store/reader.h"
 
 namespace {
 
@@ -75,8 +73,7 @@ extern "C" void handle_stop_signal(int) { g_stop.store(true); }
 
 int usage() {
     std::fprintf(stderr,
-                 "usage: dre_serve [--port N] [--port-file F] [--max-queue N] "
-                 "[--io mmap|pread]\n"
+                 "usage: dre_serve [--port N] [--port-file F] [--max-queue N]\n"
                  "                 [--brownout-watermark N] "
                  "[--brownout-coverage X] [--idle-timeout-ms N]\n"
                  "                 [--fault-spec S] [--fault-seed N]\n"
@@ -140,17 +137,6 @@ int main(int argc, char** argv) {
         } else if (arg == "--ts-capacity" && i + 1 < argc) {
             options.ts_capacity =
                 tools::parse_flag<std::size_t>("--ts-capacity", argv[++i]);
-        } else if (arg == "--io" && i + 1 < argc) {
-            const std::string mode = argv[++i];
-            if (mode == "mmap") {
-                options.service.reader_options.io_mode = store::IoMode::kMmap;
-            } else if (mode == "pread") {
-                options.service.reader_options.io_mode = store::IoMode::kPread;
-            } else {
-                std::fprintf(stderr, "error: unknown --io mode '%s'\n",
-                             mode.c_str());
-                return 2;
-            }
         } else {
             std::fprintf(stderr, "error: unknown argument '%s'\n", arg.c_str());
             return usage();

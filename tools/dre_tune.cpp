@@ -51,7 +51,6 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -90,11 +89,6 @@ namespace {
     std::exit(2);
 }
 
-bool ends_with(const std::string& s, const char* suffix) {
-    const std::size_t n = std::strlen(suffix);
-    return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
-}
-
 std::vector<std::string> split_list(const std::string& csv) {
     std::vector<std::string> out;
     std::size_t start = 0;
@@ -122,14 +116,6 @@ std::vector<core::RewardModelKind> parse_model_list(const std::string& csv) {
     for (const std::string& field : split_list(csv))
         out.push_back(core::parse_reward_model_kind(field));
     return out;
-}
-
-std::vector<std::string> resolve_shards(const std::string& path) {
-    if (ends_with(path, ".drt")) return {path};
-    std::vector<std::string> shards = store::find_shards(path);
-    if (shards.empty())
-        throw std::runtime_error("no .drt shards match prefix " + path);
-    return shards;
 }
 
 std::atomic<bool> g_interrupted{false};
@@ -249,7 +235,7 @@ int main(int argc, char** argv) {
             env = std::make_unique<cdn::VideoQualityEnv>(cdn::CdnWorldConfig{});
             space.num_decisions = env->num_decisions();
             source = std::make_unique<tune::EnvWaveSource>(*env, wave_size);
-        } else if (ends_with(source_arg, ".csv")) {
+        } else if (source_arg.ends_with(".csv")) {
             trace_storage =
                 std::make_unique<Trace>(read_csv_file(source_arg));
             space.num_decisions = trace_storage->num_decisions();
@@ -259,7 +245,7 @@ int main(int argc, char** argv) {
                                                              wave_size);
         } else {
             store_storage = std::make_unique<store::ShardedStore>(
-                resolve_shards(source_arg));
+                store::resolve_shards(source_arg));
             space.num_decisions = store_storage->num_decisions();
             tuple_source =
                 std::make_unique<store::StoreTupleSource>(*store_storage);
