@@ -199,7 +199,7 @@ std::vector<double> KnnRewardModel::encode(
     const ClientContext& context,
     const std::vector<std::int32_t>& cardinalities) const {
     if (!one_hot_) return context.flattened();
-    std::vector<double> out = context.numeric;
+    std::vector<double> out(context.numeric.begin(), context.numeric.end());
     for (std::size_t i = 0; i < context.categorical.size(); ++i) {
         const std::int32_t cardinality =
             i < cardinalities.size() ? cardinalities[i] : 0;

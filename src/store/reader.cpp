@@ -98,11 +98,12 @@ RowGroupView make_view(const StoreSchema& schema, const unsigned char* base,
     return v;
 }
 
-// Appends rows [lo, hi) of one row group to `out` as LoggedTuples.
-void append_rows(const RowGroupView& v, std::size_t lo, std::size_t hi,
+// Decodes rows [lo, hi) of one row group onto the end of `out`, each
+// tuple built in place.
+void decode_rows(const RowGroupView& v, std::size_t lo, std::size_t hi,
                  std::vector<LoggedTuple>& out) {
     for (std::size_t k = lo; k < hi; ++k) {
-        LoggedTuple t;
+        LoggedTuple& t = out.emplace_back();
         t.decision = v.decision[k];
         t.reward = v.reward[k];
         t.propensity = v.propensity[k];
@@ -113,7 +114,6 @@ void append_rows(const RowGroupView& v, std::size_t lo, std::size_t hi,
         t.context.categorical.resize(v.categorical.size());
         for (std::size_t j = 0; j < v.categorical.size(); ++j)
             t.context.categorical[j] = v.categorical[j][k];
-        out.push_back(std::move(t));
     }
 }
 
@@ -340,14 +340,20 @@ RowGroupView StoreReader::row_group(std::size_t group) const {
 void StoreReader::read_rows(std::uint64_t begin, std::uint64_t count,
                             std::vector<LoggedTuple>& out,
                             std::vector<ReadFailure>* failures) const {
-    const Impl& im = *impl_;
     out.clear();
+    append_rows(begin, count, out, failures);
+}
+
+void StoreReader::append_rows(std::uint64_t begin, std::uint64_t count,
+                              std::vector<LoggedTuple>& out,
+                              std::vector<ReadFailure>* failures) const {
+    const Impl& im = *impl_;
     if (begin + count > im.header.num_tuples)
         fail(im.path, "read_rows range [" + std::to_string(begin) + ", " +
                           std::to_string(begin + count) + ") exceeds " +
                           std::to_string(im.header.num_tuples) + " tuples");
     if (count == 0) return;
-    out.reserve(count);
+    out.reserve(out.size() + count);
     // First group containing `begin`.
     const auto it = std::upper_bound(im.row_offset.begin(), im.row_offset.end(),
                                      begin);
@@ -360,7 +366,7 @@ void StoreReader::read_rows(std::uint64_t begin, std::uint64_t count,
             end - group_begin, im.groups[g].rows));
         row = group_begin + hi;
         try {
-            append_rows(row_group(g), lo, hi, out);
+            decode_rows(row_group(g), lo, hi, out);
         } catch (const StoreError& e) {
             if (failures == nullptr) throw;
             failures->push_back({group_begin + lo,

@@ -94,6 +94,14 @@ public:
     Trace read_all() const;
 
 private:
+    friend class ShardedStore;
+
+    // read_rows without the clear: decodes each row group straight onto
+    // the end of `out`, so a shard set fills one vector shard by shard.
+    void append_rows(std::uint64_t begin, std::uint64_t count,
+                     std::vector<LoggedTuple>& out,
+                     std::vector<ReadFailure>* failures) const;
+
     struct Impl;
     std::unique_ptr<Impl> impl_;
 };

@@ -66,7 +66,6 @@ void ShardedStore::read_rows(std::uint64_t begin, std::uint64_t count,
         std::upper_bound(row_offset_.begin(), row_offset_.end(), begin);
     std::size_t s = static_cast<std::size_t>(it - row_offset_.begin()) - 1;
     const std::uint64_t end = begin + count;
-    std::vector<LoggedTuple> shard_rows;
     for (std::uint64_t row = begin; row < end; ++s) {
         const std::uint64_t shard_begin = row_offset_[s];
         const std::uint64_t local_begin = row - shard_begin;
@@ -75,15 +74,14 @@ void ShardedStore::read_rows(std::uint64_t begin, std::uint64_t count,
                                     shards_[s]->num_tuples());
         row = shard_begin + local_end;
         const std::size_t first_failure = failures ? failures->size() : 0;
-        shards_[s]->read_rows(local_begin, local_end - local_begin,
-                              shard_rows, failures);
+        shards_[s]->append_rows(local_begin, local_end - local_begin, out,
+                                failures);
         if (failures != nullptr) {
             for (std::size_t f = first_failure; f < failures->size(); ++f) {
                 (*failures)[f].begin += shard_begin; // shard-local -> global
                 (*failures)[f].shard = static_cast<std::int64_t>(s);
             }
         }
-        for (LoggedTuple& t : shard_rows) out.push_back(std::move(t));
     }
 }
 

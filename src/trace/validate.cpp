@@ -54,7 +54,7 @@ std::map<std::string, std::uint64_t> remove_defective_tuples(
         else
             ++counts[reason_code(defect)];
     }
-    if (!counts.empty()) trace = Trace(std::move(kept));
+    trace = Trace(std::move(kept));
     return counts;
 }
 

@@ -294,6 +294,39 @@ TEST(Cli, RejectsMalformedNumericFlags) {
     EXPECT_EQ(run_cli(eval + " --seed 18446744073709551615"), 0);
 }
 
+// An unknown argument exits 2 and is named on the first stderr line,
+// ahead of the usage text, by every tool and both dre_eval forms.
+TEST(Cli, UnknownArgumentIsNamedFirst) {
+    const std::string dir = testing::TempDir();
+    const std::string err = dir + "dre_cli_unknown_err.txt";
+    const std::string port_file = dir + "dre_cli_unknown_port.txt";
+    const std::string eval = fixture_csv() + " uniform";
+    const struct {
+        const char* binary;
+        std::string args;
+    } rows[] = {
+        {DRE_EVAL_PATH, eval},
+        {DRE_EVAL_PATH,
+         "convert " + fixture_csv() + " " + dir + "dre_cli_unknown.drt"},
+        {DRE_SIMULATE_PATH, "cdn " + dir + "dre_cli_unknown.csv"},
+        {DRE_TUNE_PATH, fixture_csv() + " --offline --constants"},
+        {DRE_SERVE_PATH, "--port-file " + port_file},
+        {DRE_LOADGEN_PATH, "--port 1 " + eval},
+        {DRE_TOP_PATH, "--port 1"},
+    };
+    for (const auto& row : rows) {
+        std::filesystem::remove(port_file);
+        const std::string args = row.args + " --alien-flag";
+        EXPECT_EQ(run_cli_env("timeout 10", args, err, row.binary), 2)
+            << row.binary << " " << args;
+        const std::string text = slurp(err);
+        EXPECT_EQ(text.substr(0, text.find('\n')),
+                  "error: unknown argument '--alien-flag'")
+            << row.binary << " " << args << ": " << text;
+        EXPECT_FALSE(std::filesystem::exists(port_file)) << args;
+    }
+}
+
 TEST(Cli, ErrorsAreOneLineOnStderr) {
     const std::string err = testing::TempDir() + "dre_cli_err.txt";
     ASSERT_EQ(run_cli_env("", "/nonexistent.csv uniform", err), 3);

@@ -9,7 +9,8 @@
 namespace dre::core {
 namespace {
 
-LoggedTuple tuple(std::vector<std::int32_t> cat, Decision d, double reward = 0.0) {
+LoggedTuple tuple(ClientContext::Categorical cat, Decision d,
+                  double reward = 0.0) {
     LoggedTuple t;
     t.context.categorical = std::move(cat);
     t.decision = d;

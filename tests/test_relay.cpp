@@ -54,7 +54,7 @@ TEST(LoggingPolicy, RoutesNatCallsToRelaysOnly) {
 TEST(StripNat, RemovesOnlyTheNatFlag) {
     const ClientContext full({1.5}, {2, 3, 1});
     const ClientContext stripped = strip_nat(full);
-    EXPECT_EQ(stripped.categorical, (std::vector<std::int32_t>{2, 3}));
+    EXPECT_EQ(stripped.categorical, (ClientContext::Categorical{2, 3}));
     EXPECT_EQ(stripped.numeric, full.numeric);
     EXPECT_THROW(strip_nat(ClientContext({}, {1})), std::invalid_argument);
 }

@@ -19,8 +19,8 @@
 namespace dre::core {
 namespace {
 
-LoggedTuple tuple(std::vector<double> numeric, std::vector<std::int32_t> cat,
-                  Decision d, double reward) {
+LoggedTuple tuple(ClientContext::Numeric numeric,
+                  ClientContext::Categorical cat, Decision d, double reward) {
     LoggedTuple t;
     t.context.numeric = std::move(numeric);
     t.context.categorical = std::move(cat);

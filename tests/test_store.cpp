@@ -10,8 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -27,6 +29,20 @@
 #include "trace/csv.h"
 #include "video/session.h"
 #include "wise/scenario.h"
+
+// Every operator new call of the process, for the allocation test below.
+// Out of line, so the compiler never pairs an inlined free() with new.
+std::atomic<std::size_t> g_operator_new_calls{0};
+
+[[gnu::noinline]] void* operator new(std::size_t size) {
+    g_operator_new_calls.fetch_add(1, std::memory_order_relaxed);
+    if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+    throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+    std::free(p);
+}
 
 namespace dre::store {
 namespace {
@@ -90,6 +106,25 @@ Trace video_trace(std::size_t sessions) {
     return video::simulate_population(sim, bba, sessions, 2.0, 0.5, rng);
 }
 
+// cdn contexts widened past ClientContext::kInlineDims: 7 numeric (6 noise
+// features) and 5 categorical (2 extra codes), so every context keeps its
+// features in heap blocks.
+Trace wide_cdn_trace(std::size_t n) {
+    cdn::CdnWorldConfig world;
+    world.noise_features = 6;
+    cdn::VideoQualityEnv env{world};
+    const core::UniformRandomPolicy logging(env.num_decisions());
+    stats::Rng rng(15);
+    Trace trace = core::collect_trace(env, logging, n, rng);
+    for (LoggedTuple& t : trace) {
+        t.context.categorical.push_back(
+            static_cast<std::int32_t>(rng.uniform_index(5)));
+        t.context.categorical.push_back(
+            static_cast<std::int32_t>(rng.uniform_index(9)));
+    }
+    return trace;
+}
+
 void expect_bitwise_equal(const Trace& a, const Trace& b) {
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
@@ -150,6 +185,14 @@ TEST(StoreRoundTrip, VideoScenario) {
 TEST(StoreRoundTrip, RelayScenario) {
     TempDir tmp;
     check_round_trip(relay_trace(700), tmp, "relay");
+}
+
+TEST(StoreRoundTrip, ContextsPastTheInlineCapacity) {
+    TempDir tmp;
+    const Trace trace = wide_cdn_trace(700);
+    ASSERT_EQ(trace[0].context.numeric.size(), 7u);
+    ASSERT_EQ(trace[0].context.categorical.size(), 5u);
+    check_round_trip(trace, tmp, "wide");
 }
 
 TEST(StoreRoundTrip, EmptyTrace) {
@@ -227,6 +270,34 @@ TEST(ShardedStoreTest, SplitAndConcatPreserveGlobalOrder) {
     const std::string merged = tmp.path("merged.drt");
     concat_stores(sharded, merged, StoreWriter::Options{512});
     expect_bitwise_equal(StoreReader(merged).read_all(), trace);
+}
+
+// Decoding allocates per read and per row group, never per tuple: with
+// contexts inside the inline capacity, 1k and 10k rows that span the same
+// two row groups (one per shard) cost the same operator new calls.
+TEST(ShardedStoreTest, ReadRowsAllocationsDoNotGrowWithRows) {
+    TempDir tmp;
+    const Trace trace = cdn_trace(12000);
+    ASSERT_LE(trace[0].context.numeric.size(), ClientContext::kInlineDims);
+    ASSERT_LE(trace[0].context.categorical.size(), ClientContext::kInlineDims);
+    const std::string single = tmp.path("single.drt");
+    write_store_file(trace, single);
+    const ShardedStore sharded(
+        split_store(ShardedStore({single}), tmp.path("shard-"), 2));
+    ASSERT_EQ(sharded.shard_row_offset(1), 6000u);
+
+    const auto operator_new_calls = [&](std::uint64_t begin,
+                                        std::uint64_t count) {
+        std::vector<LoggedTuple> rows;
+        const std::size_t before = g_operator_new_calls.load();
+        sharded.read_rows(begin, count, rows);
+        const std::size_t calls = g_operator_new_calls.load() - before;
+        EXPECT_EQ(rows.size(), count);
+        for (std::size_t i = 0; i < rows.size(); ++i)
+            EXPECT_EQ(rows[i].context, trace[begin + i].context) << "row " << i;
+        return calls;
+    };
+    EXPECT_EQ(operator_new_calls(5500, 1000), operator_new_calls(1000, 10000));
 }
 
 TEST(ShardedStoreTest, MixedSchemasRejected) {

@@ -43,6 +43,25 @@ Trace cdn_trace(std::size_t n) {
     return collect_trace(env, logging, n, rng);
 }
 
+// cdn contexts widened past ClientContext::kInlineDims: 7 numeric (6 noise
+// features) and 5 categorical (2 extra codes), so every context keeps its
+// features in heap blocks.
+Trace wide_cdn_trace(std::size_t n) {
+    cdn::CdnWorldConfig world;
+    world.noise_features = 6;
+    cdn::VideoQualityEnv env{world};
+    const UniformRandomPolicy logging(env.num_decisions());
+    stats::Rng rng(15);
+    Trace trace = collect_trace(env, logging, n, rng);
+    for (LoggedTuple& t : trace) {
+        t.context.categorical.push_back(
+            static_cast<std::int32_t>(rng.uniform_index(5)));
+        t.context.categorical.push_back(
+            static_cast<std::int32_t>(rng.uniform_index(9)));
+    }
+    return trace;
+}
+
 Trace wise_trace(std::size_t n) {
     wise::RequestRoutingEnv env{wise::WiseWorldConfig{}};
     const UniformRandomPolicy logging(env.num_decisions());
@@ -87,9 +106,9 @@ private:
     std::size_t saved_;
 };
 
-TEST(StreamingEvaluation, MatchesInMemoryAcrossThreadsShardsAndBackends) {
-    ThreadCountGuard guard;
-    const Trace trace = cdn_trace(2500);
+// Streams `trace` from memory and from 1 and 3 shards at 1, 4 and 8
+// threads; every run must give the in-memory Evaluator's bits.
+void expect_streaming_matches_in_memory(const Trace& trace) {
     EvaluationConfig config;
     config.ci_replicates = 200;
     const Evaluator evaluator(trace, config, stats::Rng(7));
@@ -134,6 +153,13 @@ TEST(StreamingEvaluation, MatchesInMemoryAcrossThreadsShardsAndBackends) {
 
     std::error_code ec;
     fs::remove_all(dir, ec);
+}
+
+TEST(StreamingEvaluation, MatchesInMemoryAcrossThreadsShardsAndBackends) {
+    ThreadCountGuard guard;
+    expect_streaming_matches_in_memory(cdn_trace(2500));
+    SCOPED_TRACE("contexts past the inline capacity");
+    expect_streaming_matches_in_memory(wide_cdn_trace(2500));
 }
 
 TEST(StreamingEvaluation, WaveSizeNeverAffectsResults) {

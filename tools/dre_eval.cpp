@@ -64,8 +64,9 @@
 // The trace CSV format is the library's own (see dre::write_csv):
 //   decision,reward,propensity,state,n0,...,c0,...
 //
-// Every failure prints exactly one `error: ...` line to stderr and exits
-// with a classified code:
+// Every failure prints exactly one `error: ...` line to stderr (an unknown
+// argument's is followed by the usage text) and exits with a classified
+// code:
 //   0  success
 //   2  bad arguments (unknown flag, malformed spec, incompatible options)
 //   3  bad input (missing/corrupt trace or store, empty trace, checkpoint
@@ -142,6 +143,8 @@ int run_convert(int argc, char** argv) {
             writer_options.row_group_rows = tools::parse_flag<std::uint32_t>(
                 "--row-group-rows", next("--row-group-rows"));
         } else {
+            std::fprintf(stderr, "error: unknown argument '%s'\n",
+                         arg.c_str());
             usage(argv[0]);
         }
     }
@@ -310,6 +313,8 @@ int main(int argc, char** argv) {
             } else if (arg == "--quarantine-out") {
                 quarantine_out = next("--quarantine-out");
             } else {
+                std::fprintf(stderr, "error: unknown argument '%s'\n",
+                             arg.c_str());
                 usage(argv[0]);
             }
         }

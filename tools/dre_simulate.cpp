@@ -100,6 +100,8 @@ int main(int argc, char** argv) {
                 epsilon =
                     tools::parse_flag<double>("--epsilon", next("--epsilon"));
             } else {
+                std::fprintf(stderr, "error: unknown argument '%s'\n",
+                             arg.c_str());
                 usage(argv[0]);
             }
         }

@@ -220,6 +220,8 @@ int main(int argc, char** argv) {
             } else if (arg == "--obs-out") {
                 obs_out = next("--obs-out");
             } else {
+                std::fprintf(stderr, "error: unknown argument '%s'\n",
+                             arg.c_str());
                 usage(argv[0]);
             }
         }
