@@ -192,15 +192,17 @@ void BM_CbnVariableElimination(benchmark::State& state) {
 }
 
 // The bootstrap resampler on one 4096-value chunk for 1001 replicates (one
-// past a multiple of the AVX2 pass width): the scalar table against the
-// dispatched one.
-void BM_ResampleSum8(benchmark::State& state, bool dispatched) {
+// past a multiple of the 8-stream pass width) at each vector level and at
+// the scalar spec. A level this CPU lacks is reported as skipped rather
+// than timed at a lower level.
+void BM_ResampleSum8(benchmark::State& state, simd::Level level) {
     constexpr std::size_t kValues = 4096;
     constexpr std::size_t kStreams = 1001;
-    const simd::Ops& ops =
-        dispatched ? simd::ops() : simd::ops_for(simd::Level::kScalar);
-    state.SetLabel(dispatched ? simd::level_name(simd::active_level())
-                              : "scalar");
+    if (level > simd::detected_level()) {
+        state.SkipWithError("level not supported by this CPU");
+        return;
+    }
+    const simd::Ops& ops = simd::ops_for(level);
     stats::Rng fill(8);
     std::vector<double> values(kValues);
     for (double& x : values) x = fill.lognormal(0.0, 1.0);
@@ -242,9 +244,11 @@ BENCHMARK(BM_CbnVariableElimination)
     ->Arg(8)
     ->Arg(14)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_ResampleSum8, scalar, false)
+BENCHMARK_CAPTURE(BM_ResampleSum8, scalar, simd::Level::kScalar)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_ResampleSum8, dispatched, true)
+BENCHMARK_CAPTURE(BM_ResampleSum8, avx2, simd::Level::kAvx2)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ResampleSum8, avx512, simd::Level::kAvx512)
     ->Unit(benchmark::kMillisecond);
 
 } // namespace

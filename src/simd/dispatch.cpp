@@ -1,9 +1,10 @@
 // Runtime dispatch: one CPUID probe, one optional DRE_SIMD override read on
 // first use, immutable per-level tables, an atomic pointer to the active
 // one. Levels without their own implementation of a kernel inherit the
-// next-lower level's pointer here (e.g. AVX2 reuses the SSE4.2 CRC, SSE4.2
-// reuses the scalar gather and resampler) — the table is the single place
-// that encodes the inheritance.
+// next-lower level's pointer here (e.g. AVX-512 reuses everything of AVX2
+// but the resampler, AVX2 reuses the SSE4.2 CRC, SSE4.2 reuses the scalar
+// gather and resampler) — the table is the single place that encodes the
+// inheritance.
 #include "simd/simd.h"
 
 #include <atomic>
@@ -39,11 +40,19 @@ constexpr Ops kAvx2Ops = {crc32c_sse42,      // crc32 maxes out at SSE4.2
                           weighted_sum_skip_zero_avx2,
                           gather_avx2,
                           resample_sum8_avx2};
+
+constexpr Ops kAvx512Ops = {kAvx2Ops.crc32c,
+                            kAvx2Ops.l2sq_scan,
+                            kAvx2Ops.dot8,
+                            kAvx2Ops.weighted_sum_skip_zero,
+                            kAvx2Ops.gather,
+                            resample_sum8_avx512};
 #endif
 
 const Ops& table_for(Level level) noexcept {
 #if DRE_SIMD_X86
     switch (level) {
+        case Level::kAvx512: return kAvx512Ops;
         case Level::kAvx2: return kAvx2Ops;
         case Level::kSse42: return kSse42Ops;
         case Level::kScalar: break;
@@ -60,6 +69,7 @@ Level min_level(Level a, Level b) noexcept {
 
 Level probe_cpu() noexcept {
 #if DRE_SIMD_X86
+    if (__builtin_cpu_supports("avx512f")) return Level::kAvx512;
     if (__builtin_cpu_supports("avx2")) return Level::kAvx2;
     if (__builtin_cpu_supports("sse4.2")) return Level::kSse42;
 #endif
@@ -80,7 +90,7 @@ const Ops* init_active() noexcept {
         } else {
             std::fprintf(stderr,
                          "dre::simd: ignoring unrecognized DRE_SIMD=\"%s\" "
-                         "(expected scalar|sse42|avx2)\n",
+                         "(expected scalar|sse42|avx2|avx512)\n",
                          env);
         }
     }
@@ -101,6 +111,7 @@ const char* level_name(Level level) noexcept {
     switch (level) {
         case Level::kSse42: return "sse42";
         case Level::kAvx2: return "avx2";
+        case Level::kAvx512: return "avx512";
         case Level::kScalar: break;
     }
     return "scalar";
@@ -112,6 +123,7 @@ std::optional<Level> parse_level(const char* text) noexcept {
     if (std::strcmp(text, "sse42") == 0 || std::strcmp(text, "sse4.2") == 0)
         return Level::kSse42;
     if (std::strcmp(text, "avx2") == 0) return Level::kAvx2;
+    if (std::strcmp(text, "avx512") == 0) return Level::kAvx512;
     return std::nullopt;
 }
 

@@ -108,6 +108,12 @@ void resample_sum8_avx2(const double* values, std::size_t m,
                         const std::uint64_t* states, std::size_t streams,
                         double* out);
 
+// --- AVX-512 level (8-stream zmm resampler; the rest inherited from AVX2) ---
+
+void resample_sum8_avx512(const double* values, std::size_t m,
+                          const std::uint64_t* states, std::size_t streams,
+                          double* out);
+
 #endif // DRE_SIMD_X86
 
 } // namespace dre::simd::detail

@@ -6,7 +6,7 @@
 // resampling (index draws and resample sums), and CRC-32C over every
 // `.drt` row group. This library provides those loops as *batched
 // primitives* behind a runtime CPU dispatch: the best instruction set is
-// probed once (CPUID), an explicit `DRE_SIMD=scalar|sse42|avx2`
+// probed once (CPUID), an explicit `DRE_SIMD=scalar|sse42|avx2|avx512`
 // environment override exists for testing, and every primitive ships a
 // scalar implementation that is the executable specification of the
 // kernel's semantics.
@@ -30,8 +30,10 @@
 // Because the lane count is a property of the *kernel*, not the register
 // width, scalar (8 running sums), SSE4.2 (4 × 2-lane xmm) and AVX2
 // (2 × 4-lane ymm) execute the identical sequence of IEEE operations per
-// lane and produce byte-identical results. tests/test_simd.cpp asserts
-// bitwise equality — not a tolerance — for every kernel at every level.
+// lane and produce byte-identical results; AVX-512 reuses the AVX2 kernels
+// except the resampler, whose lanes are streams (see resample_sum8).
+// tests/test_simd.cpp asserts bitwise equality — not a tolerance — for
+// every kernel at every level.
 //
 // The documented tolerance contract for FP paths is therefore currently
 // **0 ulp**: `DRE_SIMD=scalar` and native runs are byte-identical
@@ -42,7 +44,7 @@
 // byte-diffed fingerprint sections in CI.
 //
 // Adding a new primitive: declare the pointer in `Ops`, implement it in
-// kernels_scalar.cpp (the spec) and optionally kernels_sse42/avx2.cpp
+// kernels_scalar.cpp (the spec) and optionally kernels_sse42/avx2/avx512.cpp
 // (levels without an override inherit the next-lower level's pointer in
 // dispatch.cpp), and add a scalar-vs-level bitwise equivalence test to
 // tests/test_simd.cpp. See DESIGN.md §11 for the full checklist.
@@ -57,10 +59,11 @@ namespace dre::simd {
 
 // Dispatch levels, ordered: every level is a superset of the ones below.
 // kSse42 is the CRC tier (hardware `crc32` instruction + 2-lane double
-// vectors); kAvx2 adds 4-lane double / 8-lane float vectors and gathers.
-enum class Level : int { kScalar = 0, kSse42 = 1, kAvx2 = 2 };
+// vectors); kAvx2 adds 4-lane double / 8-lane float vectors and gathers;
+// kAvx512 (AVX-512F) adds the 8-stream zmm resampler.
+enum class Level : int { kScalar = 0, kSse42 = 1, kAvx2 = 2, kAvx512 = 3 };
 
-inline constexpr int kNumLevels = 3;
+inline constexpr int kNumLevels = 4;
 
 // Logical lane count of the FP kernels' canonical arithmetic. A property
 // of the kernel contract, NOT of any register width — changing it changes
@@ -68,7 +71,7 @@ inline constexpr int kNumLevels = 3;
 // same status).
 inline constexpr std::size_t kFpLanes = 8;
 
-// "scalar" / "sse42" / "avx2".
+// "scalar" / "sse42" / "avx2" / "avx512".
 const char* level_name(Level level) noexcept;
 
 // Parse a DRE_SIMD-style level string; nullopt for anything unknown.
@@ -153,9 +156,10 @@ struct Ops {
     // rejection loop included (simd/xoshiro.h) — and out[s] receives the
     // canonical 8-lane sum of the drawn values: draw i accumulates into
     // lane (i mod 8), fixed reduce tree. The states are only read. AVX2
-    // runs 8 streams per pass, one per 64-bit lane; each stream's draws
-    // and adds are the scalar spec's, so the sums are bit-identical at
-    // every level and for any stream count.
+    // and AVX-512 run 8 streams per pass, one per 64-bit lane (of two ymm
+    // or one zmm state set); each stream's draws and adds are the scalar
+    // spec's, so the sums are bit-identical at every level and for any
+    // stream count.
     void (*resample_sum8)(const double* values, std::size_t m,
                           const std::uint64_t* states, std::size_t streams,
                           double* out);

@@ -227,8 +227,10 @@ TEST(Cli, RejectsReplicateCountsOutsideTheBound) {
 
 // Every numeric flag of the six tools reads its whole token with one
 // checked parser: trailing text, an exponent on an integer, a sign on an
-// unsigned value, a non-finite number or a value outside the destination
-// type exits 2 with one error line naming the flag, before any work —
+// unsigned value, a non-finite number, a value outside the destination
+// type or outside the flag's own interval (a probability, quantile, CI
+// level, fraction or weight) exits 2 with one error line naming the flag,
+// before any work —
 // dre_serve before it binds, so no port file appears. The commands run
 // under `timeout` so a server that wrongly starts fails the row instead
 // of hanging the suite.
@@ -253,6 +255,8 @@ TEST(Cli, RejectsMalformedNumericFlags) {
         {DRE_EVAL_PATH, eval, "--seed", "18446744073709551616"},
         {DRE_EVAL_PATH, eval, "--fit-sample", "1e3"},
         {DRE_EVAL_PATH, eval, "--quantile", "0.9x"},
+        {DRE_EVAL_PATH, eval, "--quantile", "-0.1"},
+        {DRE_EVAL_PATH, eval, "--quantile", "1.5"},
         {DRE_EVAL_PATH, eval, "--by-group", "-1"},
         {DRE_EVAL_PATH, convert, "--shards", "3x"},
         {DRE_EVAL_PATH, convert, "--row-group-rows", "4294967296"},
@@ -260,14 +264,28 @@ TEST(Cli, RejectsMalformedNumericFlags) {
         {DRE_SIMULATE_PATH, simulate, "--n", "300x"},
         {DRE_SIMULATE_PATH, simulate, "--seed", " 7"},
         {DRE_SIMULATE_PATH, simulate, "--epsilon", "nan"},
+        {DRE_SIMULATE_PATH, simulate, "--epsilon", "1.5"},
+        {DRE_SIMULATE_PATH, "relay " + dir + "dre_cli_flag.csv", "--epsilon",
+         "-0.5"},
         {DRE_TUNE_PATH, tune, "--waves", "-2"},
         {DRE_TUNE_PATH, tune, "--epsilons", "0,0.1x"},
+        {DRE_TUNE_PATH, tune, "--epsilons", "0,1.5"},
+        {DRE_TUNE_PATH, tune, "--mixture-weights", "2"},
         {DRE_TUNE_PATH, tune, "--mixture-arm", "1.5"},
         {DRE_TUNE_PATH, tune, "--ci-level", "inf"},
+        {DRE_TUNE_PATH, tune, "--ci-level", "1.5"},
+        {DRE_TUNE_PATH, tune, "--ci-level", "0"},
+        {DRE_TUNE_PATH, tune, "--train-fraction", "1.5"},
+        {DRE_TUNE_PATH, tune, "--train-fraction", "1"},
+        {DRE_TUNE_PATH, tune, "--explore", "-0.1"},
+        {DRE_TUNE_PATH, tune, "--redeploy-epsilon", "2"},
+        {DRE_TUNE_PATH, tune, "--alpha", "0"},
         {DRE_SERVE_PATH, serve, "--port", "70000"},
         {DRE_SERVE_PATH, serve, "--port", "abc"},
         {DRE_SERVE_PATH, serve, "--max-queue", "-1"},
         {DRE_SERVE_PATH, serve, "--brownout-coverage", "0.5.5"},
+        {DRE_SERVE_PATH, serve, "--brownout-coverage", "2"},
+        {DRE_SERVE_PATH, serve, "--brownout-coverage", "-1"},
         {DRE_SERVE_PATH, serve, "--metrics-port", "65536"},
         {DRE_LOADGEN_PATH, eval, "--port", "70000"},
         {DRE_LOADGEN_PATH, loadgen, "--seed", "16184226688143867045x"},
@@ -292,6 +310,9 @@ TEST(Cli, RejectsMalformedNumericFlags) {
     // The whole uint64 range is a seed, past 2^63 included.
     EXPECT_EQ(run_cli(eval + " --seed 16184226688143867045"), 0);
     EXPECT_EQ(run_cli(eval + " --seed 18446744073709551615"), 0);
+    // A closed interval admits its ends.
+    EXPECT_EQ(run_cli(eval + " --quantile 0"), 0);
+    EXPECT_EQ(run_cli(eval + " --quantile 1"), 0);
 }
 
 // An unknown argument exits 2 and is named on the first stderr line,

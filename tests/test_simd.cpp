@@ -13,6 +13,7 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -34,13 +35,21 @@ using namespace dre;
 
 namespace {
 
+// Every dispatch level, scalar first, whatever this CPU supports.
+std::vector<simd::Level> all_levels() {
+    std::vector<simd::Level> levels;
+    for (int i = 0; i < simd::kNumLevels; ++i)
+        levels.push_back(static_cast<simd::Level>(i));
+    return levels;
+}
+
+const simd::Level kTopLevel = static_cast<simd::Level>(simd::kNumLevels - 1);
+
 // Every level the host supports, scalar first (the reference).
 std::vector<simd::Level> supported_levels() {
-    std::vector<simd::Level> levels{simd::Level::kScalar};
-    if (simd::detected_level() >= simd::Level::kSse42)
-        levels.push_back(simd::Level::kSse42);
-    if (simd::detected_level() >= simd::Level::kAvx2)
-        levels.push_back(simd::Level::kAvx2);
+    std::vector<simd::Level> levels;
+    for (simd::Level level : all_levels())
+        if (level <= simd::detected_level()) levels.push_back(level);
     return levels;
 }
 
@@ -72,19 +81,37 @@ std::vector<double> random_vector(std::size_t n, stats::Rng& rng,
 
 } // namespace
 
+// Names the levels this run checks the kernels at, so a log shows
+// whether the host ran the widest level or stopped short of it.
+TEST(SimdDispatch, SupportedLevelsRunFromScalarToDetected) {
+    const std::vector<simd::Level> levels = supported_levels();
+    std::string names;
+    for (simd::Level level : levels)
+        names += std::string(names.empty() ? "" : " ") +
+                 simd::level_name(level);
+    std::printf("[ levels   ] checking %s (detected %s, widest %s)\n",
+                names.c_str(), simd::level_name(simd::detected_level()),
+                simd::level_name(kTopLevel));
+    ::testing::Test::RecordProperty("simd_levels", names);
+    ASSERT_FALSE(levels.empty());
+    EXPECT_EQ(levels.front(), simd::Level::kScalar);
+    // kNumLevels must reach every level the probe can return.
+    EXPECT_EQ(levels.back(), simd::detected_level());
+}
+
 TEST(SimdDispatch, ParseLevel) {
     EXPECT_EQ(simd::parse_level("scalar"), simd::Level::kScalar);
     EXPECT_EQ(simd::parse_level("sse42"), simd::Level::kSse42);
     EXPECT_EQ(simd::parse_level("sse4.2"), simd::Level::kSse42);
     EXPECT_EQ(simd::parse_level("avx2"), simd::Level::kAvx2);
-    EXPECT_EQ(simd::parse_level("avx512"), std::nullopt);
+    EXPECT_EQ(simd::parse_level("avx512"), simd::Level::kAvx512);
+    EXPECT_EQ(simd::parse_level("avx512f"), std::nullopt);
     EXPECT_EQ(simd::parse_level(""), std::nullopt);
     EXPECT_EQ(simd::parse_level(nullptr), std::nullopt);
 }
 
 TEST(SimdDispatch, LevelNamesRoundTrip) {
-    for (simd::Level level : {simd::Level::kScalar, simd::Level::kSse42,
-                              simd::Level::kAvx2})
+    for (simd::Level level : all_levels())
         EXPECT_EQ(simd::parse_level(simd::level_name(level)), level);
 }
 
@@ -96,25 +123,27 @@ TEST(SimdDispatch, SetActiveLevelClampsToCap) {
     DispatchGuard guard;
     // A capped request activates the cap, not the request: this simulates
     // dispatch on a CPU weaker than the build host.
-    EXPECT_EQ(simd::set_active_level(simd::Level::kAvx2, simd::Level::kScalar),
-              simd::Level::kScalar);
-    EXPECT_EQ(simd::active_level(), simd::Level::kScalar);
-    if (simd::detected_level() >= simd::Level::kSse42) {
-        EXPECT_EQ(
-            simd::set_active_level(simd::Level::kAvx2, simd::Level::kSse42),
-            simd::Level::kSse42);
-        EXPECT_EQ(simd::active_level(), simd::Level::kSse42);
+    for (simd::Level cap : supported_levels()) {
+        EXPECT_EQ(simd::set_active_level(kTopLevel, cap), cap)
+            << simd::level_name(cap);
+        EXPECT_EQ(simd::active_level(), cap) << simd::level_name(cap);
     }
     // Requests above detected clamp to detected even with a generous cap.
-    EXPECT_EQ(simd::set_active_level(simd::Level::kAvx2),
+    EXPECT_EQ(simd::set_active_level(kTopLevel), simd::detected_level());
+    EXPECT_EQ(simd::set_active_level(kTopLevel, kTopLevel),
               simd::detected_level());
 }
 
 TEST(SimdDispatch, OpsForClampsToDetected) {
     // Asking for a level above what the CPU has must return a table that
     // cannot fault — i.e. the detected level's table.
-    EXPECT_EQ(&simd::ops_for(simd::Level::kAvx2),
-              &simd::ops_for(simd::detected_level()));
+    for (simd::Level level : all_levels()) {
+        if (level > simd::detected_level()) {
+            EXPECT_EQ(&simd::ops_for(level),
+                      &simd::ops_for(simd::detected_level()))
+                << simd::level_name(level);
+        }
+    }
 }
 
 TEST(SimdCrc, KnownVector) {
@@ -325,8 +354,8 @@ TEST(SimdKernels, ResampleSum8MatchesSpecAndPerDrawLoop) {
             // split(b) children, as the chunked bootstrap derives them.
             // Streams 0, 3, 11, ... get word 1 = 0, so their first output
             // is 0: Lemire rejects it unless m is a power of two, and the
-            // AVX2 level's scalar fix-up runs in that lane while the other
-            // lanes of the pass accept.
+            // vector levels' scalar fix-up runs in that lane while the
+            // other lanes of the pass accept.
             std::vector<std::uint64_t> states(4 * streams);
             for (std::size_t b = 0; b < streams; ++b) {
                 std::array<std::uint64_t, 4> words = base.split(b).state();
@@ -413,7 +442,7 @@ TEST(SimdEndToEnd, EstimatorSuiteInvariantAcrossLevelsAndThreads) {
     core::EstimatorOptions options;
     // Two full 4096-value chunks and a ragged 808-value tail for the
     // chunked bootstrap, whose 201 replicates end one past a multiple of
-    // the AVX2 pass width.
+    // the vector levels' 8-stream pass width.
     std::vector<double> long_sample(9000);
     stats::Rng long_fill(79);
     for (double& x : long_sample) x = long_fill.lognormal(0.0, 1.0);

@@ -6,7 +6,10 @@
 // whitespace or trailing text, nothing outside T's range and, for a
 // floating-point T, nothing non-finite. Anything else prints one
 // `error: <flag> ...` line and exits 2, the tools' bad-argument code, so a
-// typo never runs with a saturated, truncated or default value.
+// typo never runs with a saturated, truncated or default value. Flags with
+// a narrower domain (parse_unit_flag, parse_replicate_count) are checked
+// against it at the same point, so a value outside it never reaches the
+// library or is clamped there.
 #ifndef DRE_TOOLS_CLI_FLAGS_H
 #define DRE_TOOLS_CLI_FLAGS_H
 
@@ -59,6 +62,29 @@ T parse_flag(std::string_view flag, std::string_view text) {
                         std::to_string(std::numeric_limits<T>::max()) + "]",
                     text);
     }
+}
+
+// Which ends of [0, 1] a unit-interval flag admits.
+enum class UnitInterval {
+    kClosed,  // [0, 1]: a probability or a quantile
+    kOpen,    // (0, 1): a CI level or a train fraction
+    kOpenLow, // (0, 1]: a recency weight
+};
+
+// A number in the unit interval, checked when the flag is parsed: anything
+// else exits 2 naming the flag and the interval, before any work runs.
+inline double parse_unit_flag(std::string_view flag, std::string_view text,
+                              UnitInterval ends = UnitInterval::kClosed) {
+    static constexpr const char* kExpected[] = {
+        "a number in [0, 1]", "a number in (0, 1)", "a number in (0, 1]"};
+    const std::optional<double> value = read_number<double>(text);
+    const bool inside =
+        value &&
+        (ends == UnitInterval::kClosed ? *value >= 0.0 : *value > 0.0) &&
+        (ends == UnitInterval::kOpen ? *value < 1.0 : *value <= 1.0);
+    if (!inside)
+        reject_flag(flag, kExpected[static_cast<int>(ends)], text);
+    return *value;
 }
 
 // A bootstrap replicate count (dre_eval --ci, dre_tune --replicates,

@@ -23,6 +23,7 @@
 //   --ci <replicates>         bootstrap CI replicates for the DR estimate
 //                             (0 = none, else 2..100000)
 //   --quantile <q>            also report the q-quantile under the policy
+//                             (q in [0, 1])
 //   --by-group <i>            per-segment DR values, grouped by the i-th
 //                             categorical feature
 //   --check-drift             flag reward change-points inside the trace
@@ -242,7 +243,7 @@ int main(int argc, char** argv) {
         const std::string policy_spec = argv[2];
 
         core::EvaluationConfig config;
-        double quantile_q = -1.0;
+        std::optional<double> quantile_q;
         std::optional<std::size_t> group_index;
         bool check_drift = false;
         bool run_audit = false;
@@ -274,7 +275,7 @@ int main(int argc, char** argv) {
                     tools::parse_replicate_count("--ci", next("--ci"));
             } else if (arg == "--quantile") {
                 quantile_q =
-                    tools::parse_flag<double>("--quantile", next("--quantile"));
+                    tools::parse_unit_flag("--quantile", next("--quantile"));
             } else if (arg == "--by-group") {
                 group_index = tools::parse_flag<std::size_t>(
                     "--by-group", next("--by-group"));
@@ -343,7 +344,7 @@ int main(int argc, char** argv) {
             // option that needs random access to all tuples is out.
             if (config.cross_fit || config.estimate_propensities ||
                 run_audit || check_drift || group_index ||
-                quantile_q >= 0.0 || !compare_spec.empty())
+                quantile_q || !compare_spec.empty())
                 throw std::invalid_argument(
                     "--streaming supports only --model/--ci/--seed/"
                     "--fit-sample (the other analyses need the full trace "
@@ -501,12 +502,12 @@ int main(int argc, char** argv) {
         // CLI, the examples, and the serve layer all emit identical bytes.
         obs::Report out = core::make_policy_report(policy_spec, result);
 
-        if (quantile_q >= 0.0) {
+        if (quantile_q) {
             const double q = core::off_policy_quantile(
-                evaluator.evaluation_trace(), *policy, quantile_q);
+                evaluator.evaluation_trace(), *policy, *quantile_q);
             char label[64];
             std::snprintf(label, sizeof(label), "reward %.0f%%-quantile",
-                          100.0 * quantile_q);
+                          100.0 * *quantile_q);
             out.set("diagnostics", label, q);
         }
 

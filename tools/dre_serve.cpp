@@ -17,7 +17,7 @@
 //                             coverage-rescaled prefix evaluation with an
 //                             explicit degraded flag; default 0 = off)
 //   --brownout-coverage <x>   target trace coverage for degraded
-//                             evaluations (default 0.25)
+//                             evaluations, in [0, 1] (default 0.25)
 //   --idle-timeout-ms <n>     io watchdog: reap sessions idle this long
 //                             with no request in flight (default 0 = off)
 //   --fault-spec <spec>       arm deterministic network/dispatch fault
@@ -110,7 +110,7 @@ int main(int argc, char** argv) {
                 "--brownout-watermark", argv[++i]);
         } else if (arg == "--brownout-coverage" && i + 1 < argc) {
             options.brownout_coverage =
-                tools::parse_flag<double>("--brownout-coverage", argv[++i]);
+                tools::parse_unit_flag("--brownout-coverage", argv[++i]);
         } else if (arg == "--idle-timeout-ms" && i + 1 < argc) {
             options.idle_timeout_ms = tools::parse_flag<std::uint64_t>(
                 "--idle-timeout-ms", argv[++i]);

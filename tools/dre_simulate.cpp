@@ -98,7 +98,7 @@ int main(int argc, char** argv) {
                 seed = tools::parse_flag<std::uint64_t>("--seed", next("--seed"));
             } else if (arg == "--epsilon") {
                 epsilon =
-                    tools::parse_flag<double>("--epsilon", next("--epsilon"));
+                    tools::parse_unit_flag("--epsilon", next("--epsilon"));
             } else {
                 std::fprintf(stderr, "error: unknown argument '%s'\n",
                              arg.c_str());

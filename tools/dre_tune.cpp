@@ -111,6 +111,13 @@ std::vector<double> parse_double_list(const std::string& csv, const char* flag) 
     return out;
 }
 
+std::vector<double> parse_unit_list(const std::string& csv, const char* flag) {
+    std::vector<double> out;
+    for (const std::string& field : split_list(csv))
+        out.push_back(tools::parse_unit_flag(flag, field));
+    return out;
+}
+
 std::vector<core::RewardModelKind> parse_model_list(const std::string& csv) {
     std::vector<core::RewardModelKind> out;
     for (const std::string& field : split_list(csv))
@@ -164,14 +171,14 @@ int main(int argc, char** argv) {
                 space.models = parse_model_list(next("--models"));
             } else if (arg == "--epsilons") {
                 space.epsilons =
-                    parse_double_list(next("--epsilons"), "--epsilons");
+                    parse_unit_list(next("--epsilons"), "--epsilons");
             } else if (arg == "--temperatures") {
                 space.temperatures =
                     parse_double_list(next("--temperatures"), "--temperatures");
             } else if (arg == "--constants") {
                 space.include_constants = true;
             } else if (arg == "--mixture-weights") {
-                space.mixture_weights = parse_double_list(
+                space.mixture_weights = parse_unit_list(
                     next("--mixture-weights"), "--mixture-weights");
             } else if (arg == "--mixture-arm") {
                 space.mixture_arm = tools::parse_flag<Decision>(
@@ -186,12 +193,12 @@ int main(int argc, char** argv) {
                                                            next("--wave-size"));
             } else if (arg == "--explore") {
                 options.controller.epsilon =
-                    tools::parse_flag<double>("--explore", next("--explore"));
+                    tools::parse_unit_flag("--explore", next("--explore"));
             } else if (arg == "--alpha") {
-                options.controller.alpha =
-                    tools::parse_flag<double>("--alpha", next("--alpha"));
+                options.controller.alpha = tools::parse_unit_flag(
+                    "--alpha", next("--alpha"), tools::UnitInterval::kOpenLow);
             } else if (arg == "--redeploy-epsilon") {
-                options.redeploy_epsilon = tools::parse_flag<double>(
+                options.redeploy_epsilon = tools::parse_unit_flag(
                     "--redeploy-epsilon", next("--redeploy-epsilon"));
             } else if (arg == "--eval-model") {
                 options.eval_model =
@@ -204,11 +211,14 @@ int main(int argc, char** argv) {
                     options.bootstrap_replicates;
             } else if (arg == "--ci-level") {
                 options.ci_level =
-                    tools::parse_flag<double>("--ci-level", next("--ci-level"));
+                    tools::parse_unit_flag("--ci-level", next("--ci-level"),
+                                           tools::UnitInterval::kOpen);
                 offline_options.ci_level = options.ci_level;
             } else if (arg == "--train-fraction") {
-                offline_options.train_fraction = tools::parse_flag<double>(
-                    "--train-fraction", next("--train-fraction"));
+                offline_options.train_fraction =
+                    tools::parse_unit_flag("--train-fraction",
+                                           next("--train-fraction"),
+                                           tools::UnitInterval::kOpen);
             } else if (arg == "--seed") {
                 seed = tools::parse_flag<std::uint64_t>("--seed", next("--seed"));
             } else if (arg == "--journal") {
