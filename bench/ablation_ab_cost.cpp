@@ -120,7 +120,8 @@ int main() {
             core::KnnRewardModel model(4, 15);
             model.fit(trace);
             const core::ImprovementReport report = core::certify_improvement(
-                trace, incumbent, candidate, model, rng, 600, 0.95);
+                trace, incumbent, candidate,
+                core::PredictionMatrix::build(model, trace), rng, 600, 0.95);
             lift_err.add(std::fabs(report.estimated_lift - true_lift));
             certified.add(report.certified ? 1.0 : 0.0);
         }

@@ -2,9 +2,10 @@
 //
 // The paper's program only works if practitioners can *trust* the error
 // bars on a trace-driven estimate before acting on it. This ablation
-// empirically calibrates the two interval constructions in
-// core/diagnostics.h: the percentile bootstrap over per-tuple DR
-// contributions, and the distribution-free empirical-Bernstein bound.
+// empirically calibrates the two interval constructions: the chunk-keyed
+// percentile bootstrap over per-tuple DR contributions
+// (stats::chunked_bootstrap_mean_ci, the engine's), and the
+// distribution-free empirical-Bernstein bound (core/diagnostics.h).
 // For each trace size we run many independent collect-and-estimate cycles
 // and count how often the nominal-90% interval actually covers the true
 // policy value.
@@ -24,6 +25,7 @@
 #include "core/policy.h"
 #include "core/reward_model.h"
 #include "netsim/assignment_env.h"
+#include "stats/bootstrap.h"
 #include "stats/rng.h"
 #include "stats/summary.h"
 
@@ -85,13 +87,13 @@ int main() {
                 RunIntervals r;
                 const core::EstimateResult dr =
                     core::doubly_robust(trace, target, model);
-                r.dr_boot =
-                    core::estimate_confidence_interval(dr, run_rng, 400, 0.90);
+                r.dr_boot = stats::chunked_bootstrap_mean_ci(
+                    dr.per_tuple, dr.value, run_rng, 400, 0.90);
                 r.dr_bern = core::empirical_bernstein_interval(dr, 0.90);
                 const core::EstimateResult ips =
                     core::inverse_propensity(trace, target);
-                r.ips_boot =
-                    core::estimate_confidence_interval(ips, run_rng, 400, 0.90);
+                r.ips_boot = stats::chunked_bootstrap_mean_ci(
+                    ips.per_tuple, ips.value, run_rng, 400, 0.90);
                 return r;
             });
         Calibration dr_boot, dr_bern, ips_boot;

@@ -49,7 +49,8 @@ int main() {
         core::KnnRewardModel model(world.num_decisions(), 10);
         model.fit(certify_split);
         const core::ImprovementReport report = core::certify_improvement(
-            certify_split, *incumbent, *candidate, model, rng, 500);
+            certify_split, *incumbent, *candidate,
+            core::PredictionMatrix::build(model, certify_split), rng, 500);
 
         // Ground truth for the printout only — a real operator cannot do this.
         const double incumbent_truth =

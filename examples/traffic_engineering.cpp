@@ -38,8 +38,9 @@ int main() {
     model.fit(trace);
 
     // Mean comparison with certification.
-    const core::ImprovementReport report =
-        core::certify_improvement(trace, incumbent, candidate, model, rng);
+    const core::ImprovementReport report = core::certify_improvement(
+        trace, incumbent, candidate, core::PredictionMatrix::build(model, trace),
+        rng);
     std::printf("\nmean reward (-cost/100):\n");
     std::printf("  incumbent  %8.4f\n", report.incumbent_value);
     std::printf("  candidate  %8.4f\n", report.candidate_value);

@@ -51,15 +51,6 @@ MatchDiagnostics match_diagnostics(const Trace& trace, const Policy& new_policy)
     return diag;
 }
 
-stats::ConfidenceInterval estimate_confidence_interval(const EstimateResult& result,
-                                                       stats::Rng& rng,
-                                                       int replicates, double level) {
-    if (result.per_tuple.empty())
-        throw std::invalid_argument(
-            "estimate_confidence_interval: no per-tuple contributions");
-    return stats::bootstrap_mean_ci(result.per_tuple, rng, replicates, level);
-}
-
 stats::ConfidenceInterval empirical_bernstein_interval(const EstimateResult& result,
                                                        double level) {
     if (result.per_tuple.size() < 2)

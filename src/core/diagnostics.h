@@ -7,7 +7,6 @@
 #include "core/estimators.h"
 #include "core/policy.h"
 #include "stats/bootstrap.h"
-#include "stats/rng.h"
 #include "trace/trace.h"
 
 namespace dre::core {
@@ -39,18 +38,14 @@ struct MatchDiagnostics {
 
 MatchDiagnostics match_diagnostics(const Trace& trace, const Policy& new_policy);
 
-// Bootstrap CI over per-tuple estimator contributions.
-stats::ConfidenceInterval estimate_confidence_interval(const EstimateResult& result,
-                                                       stats::Rng& rng,
-                                                       int replicates = 1000,
-                                                       double level = 0.95);
-
 // Distribution-free empirical-Bernstein confidence interval around the
 // mean of the per-tuple contributions: with probability >= level,
 //   |mean - E| <= sqrt(2 Var_n ln(3/delta) / n) + 3 R ln(3/delta) / n
 // where R is the observed contribution range. Wider but assumption-free
 // compared to the bootstrap; useful when weight tails make resampling
-// optimistic (Maurer & Pontil 2009).
+// optimistic (Maurer & Pontil 2009). The bootstrap interval over the same
+// contributions is stats::chunked_bootstrap_mean_ci(result.per_tuple,
+// result.value, ...).
 stats::ConfidenceInterval empirical_bernstein_interval(const EstimateResult& result,
                                                        double level = 0.95);
 

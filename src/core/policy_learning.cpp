@@ -104,10 +104,11 @@ std::shared_ptr<Policy> parse_policy_spec(const std::string& spec,
 
 ImprovementReport certify_improvement(const Trace& trace, const Policy& incumbent,
                                       const Policy& candidate,
-                                      const RewardModel& model, stats::Rng& rng,
-                                      int bootstrap_replicates, double level) {
-    const EstimateResult incumbent_dr = doubly_robust(trace, incumbent, model);
-    const EstimateResult candidate_dr = doubly_robust(trace, candidate, model);
+                                      const PredictionMatrix& qhat,
+                                      stats::Rng& rng, int bootstrap_replicates,
+                                      double level) {
+    const EstimateResult incumbent_dr = doubly_robust(trace, incumbent, qhat);
+    const EstimateResult candidate_dr = doubly_robust(trace, candidate, qhat);
 
     ImprovementReport report;
     report.incumbent_value = incumbent_dr.value;
@@ -119,8 +120,8 @@ ImprovementReport certify_improvement(const Trace& trace, const Policy& incumben
     std::vector<double> lift(trace.size());
     for (std::size_t k = 0; k < trace.size(); ++k)
         lift[k] = candidate_dr.per_tuple[k] - incumbent_dr.per_tuple[k];
-    report.lift_ci =
-        stats::bootstrap_mean_ci(lift, rng, bootstrap_replicates, level);
+    report.lift_ci = stats::chunked_bootstrap_mean_ci(
+        lift, report.estimated_lift, rng, bootstrap_replicates, level);
     report.certified = report.lift_ci.lower > 0.0;
     return report;
 }

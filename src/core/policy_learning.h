@@ -15,6 +15,7 @@
 #include "core/diagnostics.h"
 #include "core/estimators.h"
 #include "core/policy.h"
+#include "core/qhat.h"
 #include "core/reward_model.h"
 #include "stats/rng.h"
 #include "trace/trace.h"
@@ -73,8 +74,11 @@ std::shared_ptr<Policy> parse_policy_spec(const std::string& spec,
                                           std::size_t decisions);
 
 // Paired off-policy comparison of a candidate against the incumbent: DR
-// values for both on the same tuples, plus a bootstrap CI on the per-tuple
-// *difference* (paired, so shared noise cancels).
+// values for both on the same tuples, read off one q̂ matrix, plus a
+// chunk-keyed bootstrap CI (stats::chunked_bootstrap_mean_ci) on the
+// per-tuple *difference* (paired, so shared noise cancels). The CI's point
+// is the DR lift. dre_eval --compare and dre_tune's promotion gate both
+// certify through this one function.
 struct ImprovementReport {
     double incumbent_value = 0.0;
     double candidate_value = 0.0;
@@ -85,9 +89,12 @@ struct ImprovementReport {
     bool certified = false;
 };
 
+// `qhat` must be built over `trace` (PredictionMatrix::build). Advances
+// `rng` once, as chunked_bootstrap_mean_ci does.
 ImprovementReport certify_improvement(const Trace& trace, const Policy& incumbent,
                                       const Policy& candidate,
-                                      const RewardModel& model, stats::Rng& rng,
+                                      const PredictionMatrix& qhat,
+                                      stats::Rng& rng,
                                       int bootstrap_replicates = 1000,
                                       double level = 0.95);
 

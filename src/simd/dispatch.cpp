@@ -3,8 +3,7 @@
 // one. Levels without their own implementation of a kernel inherit the
 // next-lower level's pointer here (e.g. AVX-512 reuses everything of AVX2
 // but the resampler, AVX2 reuses the SSE4.2 CRC, SSE4.2 reuses the scalar
-// gather and resampler) — the table is the single place that encodes the
-// inheritance.
+// resampler) — the table is the single place that encodes the inheritance.
 #include "simd/simd.h"
 
 #include <atomic>
@@ -23,7 +22,6 @@ constexpr Ops kScalarOps = {crc32c_scalar,
                             l2sq_scan_scalar,
                             dot8_scalar,
                             weighted_sum_skip_zero_scalar,
-                            gather_scalar,
                             resample_sum8_scalar};
 
 #if DRE_SIMD_X86
@@ -31,21 +29,18 @@ constexpr Ops kSse42Ops = {crc32c_sse42,
                            l2sq_scan_sse42,
                            dot8_sse42,
                            weighted_sum_skip_zero_sse42,
-                           gather_scalar,     // no SSE gather instruction
                            resample_sum8_scalar};
 
 constexpr Ops kAvx2Ops = {crc32c_sse42,      // crc32 maxes out at SSE4.2
                           l2sq_scan_avx2,
                           dot8_avx2,
                           weighted_sum_skip_zero_avx2,
-                          gather_avx2,
                           resample_sum8_avx2};
 
 constexpr Ops kAvx512Ops = {kAvx2Ops.crc32c,
                             kAvx2Ops.l2sq_scan,
                             kAvx2Ops.dot8,
                             kAvx2Ops.weighted_sum_skip_zero,
-                            kAvx2Ops.gather,
                             resample_sum8_avx512};
 #endif
 

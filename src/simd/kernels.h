@@ -74,8 +74,6 @@ std::size_t l2sq_scan_scalar(const double* blocks, std::size_t num_blocks,
 double dot8_scalar(const double* a, const double* b, std::size_t n);
 double weighted_sum_skip_zero_scalar(const double* w, const double* x,
                                      std::size_t n, std::uint64_t* skips);
-void gather_scalar(const double* values, const std::uint32_t* idx,
-                   std::size_t n, double* out);
 void resample_sum8_scalar(const double* values, std::size_t m,
                           const std::uint64_t* states, std::size_t streams,
                           double* out);
@@ -94,7 +92,7 @@ double dot8_sse42(const double* a, const double* b, std::size_t n);
 double weighted_sum_skip_zero_sse42(const double* w, const double* x,
                                     std::size_t n, std::uint64_t* skips);
 
-// --- AVX2 level (4-lane double vectors, gathers; crc32 inherited) -----------
+// --- AVX2 level (4-lane double vectors; crc32 inherited) ---------------------
 
 std::size_t l2sq_scan_avx2(const double* blocks, std::size_t num_blocks,
                            std::size_t dims, const double* query, double worst,
@@ -102,8 +100,6 @@ std::size_t l2sq_scan_avx2(const double* blocks, std::size_t num_blocks,
 double dot8_avx2(const double* a, const double* b, std::size_t n);
 double weighted_sum_skip_zero_avx2(const double* w, const double* x,
                                    std::size_t n, std::uint64_t* skips);
-void gather_avx2(const double* values, const std::uint32_t* idx, std::size_t n,
-                 double* out);
 void resample_sum8_avx2(const double* values, std::size_t m,
                         const std::uint64_t* states, std::size_t streams,
                         double* out);

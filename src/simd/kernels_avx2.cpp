@@ -1,9 +1,9 @@
-// AVX2 level: 2 × 4-lane double kernels and gathers (ymm k holds lanes
-// {4k .. 4k+3}); the CRC pointer is inherited from the SSE4.2 level in
-// dispatch.cpp. Same canonical 8-lane arithmetic as the scalar spec — see
-// kernels.h. resample_sum8 is the exception in layout only: its 64-bit
-// lanes are 8 independent generator streams, each running the scalar
-// spec's exact draws and adds.
+// AVX2 level: 2 × 4-lane double kernels (ymm k holds lanes {4k .. 4k+3});
+// the CRC pointer is inherited from the SSE4.2 level in dispatch.cpp. Same
+// canonical 8-lane arithmetic as the scalar spec — see kernels.h.
+// resample_sum8 is the exception in layout only: its 64-bit lanes are 8
+// independent generator streams, each running the scalar spec's exact
+// draws and adds.
 #include "simd/kernels.h"
 
 #if DRE_SIMD_X86
@@ -17,20 +17,6 @@
 #define DRE_TARGET_AVX2 __attribute__((target("avx2")))
 
 namespace dre::simd::detail {
-namespace {
-
-// All-lanes-enabled gather. The masked form with an explicit zero source is
-// semantically identical to the plain intrinsic but avoids GCC's
-// maybe-uninitialized warning on _mm256_undefined_pd.
-DRE_TARGET_AVX2
-inline __m256d gather4(const double* values, const std::uint32_t* idx) {
-    const __m128i vi =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(idx));
-    const __m256d all = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
-    return _mm256_mask_i32gather_pd(_mm256_setzero_pd(), values, vi, all, 8);
-}
-
-} // namespace
 
 DRE_TARGET_AVX2
 std::size_t l2sq_scan_avx2(const double* blocks, std::size_t num_blocks,
@@ -195,15 +181,6 @@ double weighted_sum_skip_zero_avx2(const double* w, const double* x,
     return reduce8(lanes);
 }
 
-DRE_TARGET_AVX2
-void gather_avx2(const double* values, const std::uint32_t* idx, std::size_t n,
-                 double* out) {
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4)
-        _mm256_storeu_pd(out + i, gather4(values, idx + i));
-    for (; i < n; ++i) out[i] = values[idx[i]];
-}
-
 // --- resample_sum8: 8 bootstrap replicates per pass --------------------------
 //
 // Lanes are replicates, not elements: 64-bit lane l of half h (ymm pair)
@@ -281,6 +258,9 @@ void lemire_fixup4(__m256i s[4], __m256i x, __m256i flagged, std::uint64_t n,
     idx = _mm256_load_si256(reinterpret_cast<const __m256i*>(out));
 }
 
+// All-lanes-enabled gather. The masked form with an explicit zero source is
+// semantically identical to the plain intrinsic but avoids GCC's
+// maybe-uninitialized warning on _mm256_undefined_pd.
 DRE_TARGET_AVX2
 inline __m256d gather4_i64(const double* values, __m256i idx) {
     const __m256d all = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));

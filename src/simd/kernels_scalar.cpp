@@ -181,11 +181,6 @@ double weighted_sum_skip_zero_scalar(const double* w, const double* x,
     return reduce8(acc);
 }
 
-void gather_scalar(const double* values, const std::uint32_t* idx,
-                   std::size_t n, double* out) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = values[idx[i]];
-}
-
 void resample_sum8_scalar(const double* values, std::size_t m,
                           const std::uint64_t* states, std::size_t streams,
                           double* out) {

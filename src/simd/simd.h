@@ -23,7 +23,7 @@
 //    mul/add chain (no FMA contraction anywhere in this library), and the
 //    horizontal reduce is the fixed tree
 //    ((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7));
-//  * integer kernels (CRC-32C, gathers) are exact by construction;
+//  * the integer kernel (CRC-32C) is exact by construction;
 //  * the resampler's index draws are integer xoshiro256** / Lemire
 //    arithmetic (exact), and its sums follow the FP rule above per stream.
 //
@@ -142,11 +142,6 @@ struct Ops {
     // is incremented by the number of zero weights.
     double (*weighted_sum_skip_zero)(const double* w, const double* x,
                                      std::size_t n, std::uint64_t* skips);
-
-    // out[i] = values[idx[i]] — exact data movement (bootstrap resample
-    // fill). Indices must be < 2^31 (bootstrap samples are).
-    void (*gather)(const double* values, const std::uint32_t* idx,
-                   std::size_t n, double* out);
 
     // Multi-stream bootstrap resample sums over one chunk of m values,
     // m < 2^32. `states` holds `streams` xoshiro256** states, 4 words each

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
 #include <stdexcept>
 
 #include "core/parallel.h"
 #include "obs/obs.h"
 #include "simd/simd.h"
-#include "stats/summary.h"
 
 namespace dre::stats {
 namespace {
@@ -34,104 +32,6 @@ double quantile_select(std::vector<double>& xs, double q,
 }
 
 } // namespace
-
-ConfidenceInterval bootstrap_ci(std::span<const double> sample,
-                                const Statistic& statistic, Rng& rng,
-                                int replicates, double level) {
-    if (sample.empty()) throw std::invalid_argument("bootstrap_ci: empty sample");
-    if (replicates < 2) throw std::invalid_argument("bootstrap_ci: need >= 2 replicates");
-    if (level <= 0.0 || level >= 1.0)
-        throw std::invalid_argument("bootstrap_ci: level outside (0,1)");
-
-    DRE_SPAN("bootstrap.ci");
-
-    ConfidenceInterval ci;
-    ci.level = level;
-    ci.point = statistic(sample);
-
-    // Advance the caller's generator once (consecutive calls stay distinct),
-    // then key every replicate off its own split stream so the replicate
-    // values — and hence the interval — are identical for any thread count.
-    const Rng base = rng.split();
-    const std::size_t n = sample.size();
-    const auto b_count = static_cast<std::size_t>(replicates);
-    std::vector<double> replicate_values(b_count);
-    // Replicates are cheap relative to thread dispatch unless there are many
-    // of them: below the grain the whole loop runs serially on the caller
-    // (parallel_for_chunked's fallback), and above it each task claims a
-    // batch of replicates and reuses one resample buffer across its batch.
-    // Replicate b's value depends only on base.split(b), so serial and
-    // parallel schedules produce identical intervals.
-    constexpr std::size_t kReplicateGrain = 16;
-    par::parallel_for_chunked(
-        b_count,
-        [&](std::size_t begin, std::size_t end) {
-            std::vector<double> resample(n); // one buffer per batch, reused
-            // Draw all indices first, then gather in one vectorized pass.
-            // Same draws in the same order, same elements copied, so the
-            // replicate values are bit-identical to the fused loop. The
-            // 32-bit index scratch requires n < 2^31; larger samples (which
-            // would also defeat the gather's int32 indices) keep the plain
-            // fused loop.
-            const bool narrow_idx = n < (std::size_t{1} << 31);
-            std::vector<std::uint32_t> idx(narrow_idx ? n : 0);
-            const simd::Ops& ops = simd::ops();
-#if DRE_OBS_ENABLED
-            // Where replicate time goes: drawing the resample vs computing
-            // the statistic. Accumulated locally, flushed once per chunk;
-            // timing-derived, so diagnostics-only, but the replicate *count*
-            // is a per-item sum and stays thread-count deterministic.
-            std::uint64_t resample_ns = 0, statistic_ns = 0;
-#endif
-            for (std::size_t b = begin; b < end; ++b) {
-                Rng replicate_rng = base.split(b);
-#if DRE_OBS_ENABLED
-                const std::uint64_t t0 = obs::now_ns();
-#endif
-                if (narrow_idx) {
-                    for (std::size_t i = 0; i < n; ++i)
-                        idx[i] = static_cast<std::uint32_t>(
-                            replicate_rng.uniform_index(n));
-                    ops.gather(sample.data(), idx.data(), n, resample.data());
-                } else {
-                    for (std::size_t i = 0; i < n; ++i)
-                        resample[i] = sample[replicate_rng.uniform_index(n)];
-                }
-#if DRE_OBS_ENABLED
-                const std::uint64_t t1 = obs::now_ns();
-#endif
-                replicate_values[b] = statistic(resample);
-#if DRE_OBS_ENABLED
-                const std::uint64_t t2 = obs::now_ns();
-                resample_ns += t1 - t0;
-                statistic_ns += t2 - t1;
-                DRE_HIST_RECORD("bootstrap.replicate_ns", t2 - t0);
-#endif
-            }
-#if DRE_OBS_ENABLED
-            DRE_COUNTER_ADD("bootstrap.replicates", end - begin);
-            DRE_COUNTER_ADD("bootstrap.resample_ns", resample_ns);
-            DRE_COUNTER_ADD("bootstrap.statistic_ns", statistic_ns);
-#endif
-        },
-        /*min_grain=*/kReplicateGrain);
-
-    const double alpha = 1.0 - level;
-    // Partial selection instead of a full sort; the upper quantile's
-    // selection can skip everything below the lower quantile's rank.
-    ci.lower = quantile_select(replicate_values, alpha / 2.0);
-    const auto lower_rank = static_cast<std::size_t>(
-        (alpha / 2.0) * static_cast<double>(b_count - 1));
-    ci.upper = quantile_select(replicate_values, 1.0 - alpha / 2.0, lower_rank);
-    return ci;
-}
-
-ConfidenceInterval bootstrap_mean_ci(std::span<const double> sample, Rng& rng,
-                                     int replicates, double level) {
-    return bootstrap_ci(
-        sample, [](std::span<const double> xs) { return mean(xs); }, rng,
-        replicates, level);
-}
 
 ChunkedMeanBootstrap::ChunkedMeanBootstrap(Rng base, int replicates,
                                            double level)

@@ -1,9 +1,8 @@
-// Percentile bootstrap confidence intervals for arbitrary sample statistics.
+// Chunk-keyed percentile bootstrap confidence intervals for a sample mean.
 #ifndef DRE_STATS_BOOTSTRAP_H
 #define DRE_STATS_BOOTSTRAP_H
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -35,25 +34,12 @@ constexpr bool valid_replicate_count(long long count) noexcept {
     return count == 0 || (count >= 2 && count <= kMaxBootstrapReplicates);
 }
 
-// Statistic over a sample (e.g., mean, quantile, estimator value).
-using Statistic = std::function<double(std::span<const double>)>;
-
-// Percentile bootstrap: resample with replacement `replicates` times and
-// take the (alpha/2, 1-alpha/2) quantiles of the replicate statistics.
-ConfidenceInterval bootstrap_ci(std::span<const double> sample,
-                                const Statistic& statistic, Rng& rng,
-                                int replicates = 1000, double level = 0.95);
-
-// Convenience: CI for the mean.
-ConfidenceInterval bootstrap_mean_ci(std::span<const double> sample, Rng& rng,
-                                     int replicates = 1000, double level = 0.95);
-
 // ---------------------------------------------------------------------------
 // Chunk-keyed streaming bootstrap for the mean.
 //
-// The classic percentile bootstrap above draws n indices over the whole
-// sample per replicate, which requires random access to all n values — a
-// non-starter for out-of-core evaluation. This variant stratifies each
+// A whole-sample bootstrap draws n indices over all n values per
+// replicate, which requires random access to the whole sample — a
+// non-starter for out-of-core evaluation. This one stratifies each
 // replicate by fixed-size chunk (par::kReduceChunk, the deterministic
 // reduction geometry): replicate b resamples chunk c within itself using
 // the pure child stream base.split(c).split(b), producing one partial sum
@@ -120,9 +106,10 @@ private:
 };
 
 // In-memory convenience wrapper: chunk the sample, compute partials in
-// parallel (dre::par), merge in order, finalize. Advances `rng` once (the
-// same protocol as bootstrap_ci), so a streaming run that splits its rng
-// identically produces the identical interval.
+// parallel (dre::par), merge in order, finalize. Advances `rng` once (one
+// split for the base), so a streaming run that splits its rng identically
+// produces the identical interval. Every bootstrap interval in the repo
+// comes from here or from the class above.
 ConfidenceInterval chunked_bootstrap_mean_ci(std::span<const double> sample,
                                              double point, Rng& rng,
                                              int replicates = 1000,

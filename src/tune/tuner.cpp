@@ -7,11 +7,10 @@
 #include <utility>
 
 #include "core/checkpoint.h"
-#include "core/estimators.h"
 #include "core/parallel.h"
+#include "core/policy_learning.h"
 #include "core/qhat.h"
 #include "obs/obs.h"
-#include "stats/bootstrap.h"
 
 namespace dre::tune {
 
@@ -275,24 +274,13 @@ TuneResult run_tune(const WaveSource& source,
         const std::shared_ptr<core::Policy> cand_policy =
             materialize(candidate, fit, decisions);
 
-        const core::EstimateResult cand_dr =
-            core::doubly_robust(eval, *cand_policy, qhat);
-        const core::EstimateResult inc_dr =
-            core::doubly_robust(eval, *incumbent_policy, qhat);
-        // Paired per-tuple difference: shared clients and rewards cancel,
-        // exactly the certify_improvement gate, with the chunk-keyed
-        // bootstrap so the CI is thread-count independent.
-        std::vector<double> lift(eval.size());
-        for (std::size_t k = 0; k < eval.size(); ++k)
-            lift[k] = cand_dr.per_tuple[k] - inc_dr.per_tuple[k];
-        const double lift_point = cand_dr.value - inc_dr.value;
         stats::Rng gate_rng = base.split(w).split(kGateStream);
-        const stats::ConfidenceInterval ci = stats::chunked_bootstrap_mean_ci(
-            lift, lift_point, gate_rng, options.bootstrap_replicates,
-            options.ci_level);
-        const bool promote = ci.lower > 0.0;
+        const core::ImprovementReport gate = core::certify_improvement(
+            eval, *incumbent_policy, *cand_policy, qhat, gate_rng,
+            options.bootstrap_replicates, options.ci_level);
+        const bool promote = gate.certified;
 
-        controller.record(proposed, cand_dr.value);
+        controller.record(proposed, gate.candidate_value);
         ++state.evaluations;
 
         const std::string incumbent_spec =
@@ -303,8 +291,9 @@ TuneResult run_tune(const WaveSource& source,
                       "wave %llu propose=%zu spec=%s dr=%.17g incumbent=%s "
                       "lift=%.17g ci=[%.17g, %.17g] decision=%s reward=%.17g",
                       static_cast<unsigned long long>(w), proposed,
-                      candidate.spec().c_str(), cand_dr.value,
-                      incumbent_spec.c_str(), lift_point, ci.lower, ci.upper,
+                      candidate.spec().c_str(), gate.candidate_value,
+                      incumbent_spec.c_str(), gate.estimated_lift,
+                      gate.lift_ci.lower, gate.lift_ci.upper,
                       promote ? "promote" : "hold", wave_reward);
         state.journal.emplace_back(line);
         state.wave_rewards.push_back(wave_reward);

@@ -10,9 +10,9 @@
 //   3. the wave is index-split in half: models fit on the first half, the
 //      candidate AND the incumbent are DR-scored on the second half against
 //      one shared PredictionMatrix;
-//   4. the paired per-tuple DR difference gets a chunk-keyed bootstrap CI;
-//      the candidate is promoted to incumbent only when the CI's lower
-//      bound clears zero (the same gate as core::certify_improvement);
+//   4. core::certify_improvement gives the paired per-tuple DR difference
+//      a chunk-keyed bootstrap CI; the candidate is promoted to incumbent
+//      only when the CI's lower bound clears zero;
 //   5. one canonical journal line records the wave; the controller absorbs
 //      the candidate's DR score.
 //

@@ -11,11 +11,13 @@
 namespace dre::stats {
 namespace {
 
+// The point is the caller's full-sample statistic, reported verbatim, and
+// the percentile interval brackets it.
 TEST(Bootstrap, PointEstimateIsFullSampleStatistic) {
     Rng rng(1);
     const std::vector<double> xs{1.0, 2.0, 3.0, 4.0, 5.0};
-    const ConfidenceInterval ci = bootstrap_mean_ci(xs, rng, 200);
-    EXPECT_DOUBLE_EQ(ci.point, 3.0);
+    const ConfidenceInterval ci = chunked_bootstrap_mean_ci(xs, mean(xs), rng, 200);
+    EXPECT_EQ(ci.point, 3.0);
     EXPECT_LE(ci.lower, ci.point);
     EXPECT_GE(ci.upper, ci.point);
 }
@@ -27,7 +29,8 @@ TEST(Bootstrap, CoversTrueMeanMostOfTheTime) {
     for (int t = 0; t < trials; ++t) {
         std::vector<double> sample(60);
         for (double& x : sample) x = rng.normal(10.0, 2.0);
-        const ConfidenceInterval ci = bootstrap_mean_ci(sample, rng, 400, 0.95);
+        const ConfidenceInterval ci =
+            chunked_bootstrap_mean_ci(sample, mean(sample), rng, 400, 0.95);
         covered += ci.contains(10.0);
     }
     // Nominal 95%; allow generous Monte-Carlo slack.
@@ -39,29 +42,22 @@ TEST(Bootstrap, WidthShrinksWithSampleSize) {
     std::vector<double> small(30), large(3000);
     for (double& x : small) x = rng.normal(0.0, 1.0);
     for (double& x : large) x = rng.normal(0.0, 1.0);
-    const ConfidenceInterval ci_small = bootstrap_mean_ci(small, rng, 400);
-    const ConfidenceInterval ci_large = bootstrap_mean_ci(large, rng, 400);
+    const ConfidenceInterval ci_small =
+        chunked_bootstrap_mean_ci(small, mean(small), rng, 400);
+    const ConfidenceInterval ci_large =
+        chunked_bootstrap_mean_ci(large, mean(large), rng, 400);
     EXPECT_LT(ci_large.width(), ci_small.width());
-}
-
-TEST(Bootstrap, WorksWithCustomStatistic) {
-    Rng rng(4);
-    std::vector<double> sample(500);
-    for (double& x : sample) x = rng.uniform(0.0, 1.0);
-    const ConfidenceInterval ci = bootstrap_ci(
-        sample, [](std::span<const double> xs) { return quantile(xs, 0.9); },
-        rng, 300);
-    EXPECT_NEAR(ci.point, 0.9, 0.05);
-    EXPECT_TRUE(ci.contains(0.9));
 }
 
 TEST(Bootstrap, InputValidation) {
     Rng rng(5);
     const std::vector<double> xs{1.0, 2.0};
-    EXPECT_THROW(bootstrap_mean_ci(std::vector<double>{}, rng),
+    EXPECT_THROW(chunked_bootstrap_mean_ci(std::vector<double>{}, 0.0, rng),
                  std::invalid_argument);
-    EXPECT_THROW(bootstrap_mean_ci(xs, rng, 1), std::invalid_argument);
-    EXPECT_THROW(bootstrap_mean_ci(xs, rng, 100, 1.5), std::invalid_argument);
+    EXPECT_THROW(chunked_bootstrap_mean_ci(xs, 1.5, rng, 1),
+                 std::invalid_argument);
+    EXPECT_THROW(chunked_bootstrap_mean_ci(xs, 1.5, rng, 100, 1.5),
+                 std::invalid_argument);
 }
 
 // Chunk partials resample within one reduction chunk; a longer span is a

@@ -243,6 +243,7 @@ TEST(Cli, RejectsMalformedNumericFlags) {
         "convert " + fixture_csv() + " " + dir + "dre_cli_flag.drt";
     const std::string simulate = "cdn " + dir + "dre_cli_flag.csv";
     const std::string tune = fixture_csv() + " --offline --constants";
+    const std::string tune_online = fixture_csv() + " --constants";
     const std::string serve = "--port-file " + port_file;
     const std::string loadgen = "--port 1 " + eval;
     const struct {
@@ -280,6 +281,10 @@ TEST(Cli, RejectsMalformedNumericFlags) {
         {DRE_TUNE_PATH, tune, "--explore", "-0.1"},
         {DRE_TUNE_PATH, tune, "--redeploy-epsilon", "2"},
         {DRE_TUNE_PATH, tune, "--alpha", "0"},
+        {DRE_TUNE_PATH, tune, "--temperatures", "-1"},
+        {DRE_TUNE_PATH, tune, "--temperatures", "0"},
+        {DRE_TUNE_PATH, tune, "--temperatures", "0.5,0"},
+        {DRE_TUNE_PATH, tune_online, "--replicates", "0"},
         {DRE_SERVE_PATH, serve, "--port", "70000"},
         {DRE_SERVE_PATH, serve, "--port", "abc"},
         {DRE_SERVE_PATH, serve, "--max-queue", "-1"},
@@ -294,6 +299,7 @@ TEST(Cli, RejectsMalformedNumericFlags) {
         {DRE_LOADGEN_PATH, loadgen, "--ci", "1"},
         {DRE_TOP_PATH, "", "--port", "65536"},
         {DRE_TOP_PATH, "--port 1", "--watch", "2s"},
+        {DRE_TOP_PATH, "--port 1", "--watch", "0"},
     };
     for (const auto& row : rows) {
         std::filesystem::remove(port_file);
@@ -313,6 +319,11 @@ TEST(Cli, RejectsMalformedNumericFlags) {
     // A closed interval admits its ends.
     EXPECT_EQ(run_cli(eval + " --quantile 0"), 0);
     EXPECT_EQ(run_cli(eval + " --quantile 1"), 0);
+    // Zero replicates (no CI) stays valid for the offline leaderboard.
+    EXPECT_EQ(run_cli_env("", tune + " --wave-size 200 --replicates 0", err,
+                          DRE_TUNE_PATH),
+              0)
+        << slurp(err);
 }
 
 // An unknown argument exits 2 and is named on the first stderr line,

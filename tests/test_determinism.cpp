@@ -17,6 +17,7 @@
 #include "core/reward_model.h"
 #include "stats/bootstrap.h"
 #include "stats/rng.h"
+#include "stats/summary.h"
 #include "wise/scenario.h"
 
 namespace dre {
@@ -96,13 +97,15 @@ public:
 TEST(Determinism, BootstrapCiIsThreadCountInvariant) {
     ThreadCountGuard guard;
     stats::Rng fill(2024);
+    // Two chunks (4096 + 904 values), so the partials run as parallel tasks.
     std::vector<double> sample(5000);
     for (double& x : sample) x = fill.lognormal(0.0, 1.0);
 
     const auto run_with = [&](std::size_t threads) {
         par::set_thread_count(threads);
         stats::Rng rng(808);
-        return stats::bootstrap_mean_ci(sample, rng, 4000);
+        return stats::chunked_bootstrap_mean_ci(sample, stats::mean(sample),
+                                                rng, 4000);
     };
     const stats::ConfidenceInterval serial = run_with(1);
     const stats::ConfidenceInterval parallel = run_with(8);

@@ -67,18 +67,5 @@ TEST(Match, CountsArgmaxAgreement) {
     EXPECT_THROW(match_diagnostics(Trace{}, target), std::invalid_argument);
 }
 
-TEST(ConfidenceInterval, CoversDrEstimate) {
-    stats::Rng rng(5);
-    const Trace trace = uniform_trace(800, 2, rng);
-    UniformRandomPolicy target(2);
-    const EstimateResult dr =
-        doubly_robust(trace, target, ConstantRewardModel(2, 0.0));
-    const auto ci = estimate_confidence_interval(dr, rng, 500);
-    EXPECT_TRUE(ci.contains(dr.value));
-    EXPECT_GT(ci.width(), 0.0);
-    EstimateResult empty;
-    EXPECT_THROW(estimate_confidence_interval(empty, rng), std::invalid_argument);
-}
-
 } // namespace
 } // namespace dre::core

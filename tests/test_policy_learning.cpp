@@ -3,11 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/environment.h"
+#include "core/parallel.h"
+#include "simd/simd.h"
+#include "stats/bootstrap.h"
 #include "stats/rng.h"
 
 namespace dre::core {
@@ -150,8 +155,8 @@ TEST(CertifyImprovement, CertifiesGenuineLift) {
     DeterministicPolicy good(2, [](const ClientContext& c) {
         return static_cast<Decision>(c.numeric[0] > 0.0 ? 1 : 0);
     });
-    const ImprovementReport report =
-        certify_improvement(trace, logging, good, model, rng, 600);
+    const ImprovementReport report = certify_improvement(
+        trace, logging, good, PredictionMatrix::build(model, trace), rng, 600);
     EXPECT_GT(report.estimated_lift, 0.3);
     EXPECT_TRUE(report.certified);
     EXPECT_NEAR(report.estimated_lift,
@@ -168,8 +173,9 @@ TEST(CertifyImprovement, DoesNotCertifyNoise) {
     model.fit(trace);
     // A candidate identical in value to the incumbent (both uniform).
     UniformRandomPolicy candidate(2);
-    const ImprovementReport report =
-        certify_improvement(trace, logging, candidate, model, rng, 600);
+    const ImprovementReport report = certify_improvement(
+        trace, logging, candidate, PredictionMatrix::build(model, trace), rng,
+        600);
     EXPECT_FALSE(report.certified);
     EXPECT_NEAR(report.estimated_lift, 0.0, 0.05);
 }
@@ -184,10 +190,88 @@ TEST(CertifyImprovement, RejectsWorseCandidate) {
     DeterministicPolicy bad(2, [](const ClientContext& c) {
         return static_cast<Decision>(c.numeric[0] > 0.0 ? 0 : 1); // anti-optimal
     });
-    const ImprovementReport report =
-        certify_improvement(trace, logging, bad, model, rng, 600);
+    const ImprovementReport report = certify_improvement(
+        trace, logging, bad, PredictionMatrix::build(model, trace), rng, 600);
     EXPECT_LT(report.estimated_lift, -0.3);
     EXPECT_FALSE(report.certified);
+}
+
+// Restores the dispatch level and the pool size even if an assertion
+// fails midway.
+struct DispatchGuard {
+    simd::Level level = simd::active_level();
+    std::size_t threads = par::thread_count();
+    ~DispatchGuard() {
+        simd::set_active_level(level);
+        par::set_thread_count(threads);
+    }
+};
+
+// Known answer: the paired lift built here from the model-based DR
+// estimators, resampled by chunked_bootstrap_mean_ci with the DR lift as
+// its point, is certify_improvement's report bit for bit. The trace spans
+// two full chunks and a ragged tail, and 201 replicates end one past a
+// multiple of the vector resamplers' 8-stream pass; every supported SIMD
+// level at 1 and 8 threads must reproduce the (scalar, 1 thread) answer.
+TEST(CertifyImprovement, LiftCiIsTheChunkedBootstrapOfPairedDrDifferences) {
+    DispatchGuard guard;
+    SplitEnv env;
+    stats::Rng rng(5);
+    UniformRandomPolicy logging(2);
+    const Trace trace = collect_trace(env, logging, 9000, rng);
+    ASSERT_GT(trace.size(), 2 * par::kReduceChunk);
+    LinearRewardModel model(2);
+    model.fit(trace);
+    DeterministicPolicy good(2, [](const ClientContext& c) {
+        return static_cast<Decision>(c.numeric[0] > 0.0 ? 1 : 0);
+    });
+    constexpr int kReplicates = 201;
+    constexpr double kLevel = 0.9;
+
+    simd::set_active_level(simd::Level::kScalar);
+    par::set_thread_count(1);
+    const EstimateResult incumbent_dr = doubly_robust(trace, logging, model);
+    const EstimateResult candidate_dr = doubly_robust(trace, good, model);
+    std::vector<double> diffs(trace.size());
+    for (std::size_t k = 0; k < trace.size(); ++k)
+        diffs[k] = candidate_dr.per_tuple[k] - incumbent_dr.per_tuple[k];
+    const double lift = candidate_dr.value - incumbent_dr.value;
+    stats::Rng reference_rng(77);
+    const stats::ConfidenceInterval reference = stats::chunked_bootstrap_mean_ci(
+        diffs, lift, reference_rng, kReplicates, kLevel);
+    ASSERT_GT(reference.lower, 0.0); // the candidate is genuinely better
+
+    const PredictionMatrix qhat = PredictionMatrix::build(model, trace);
+    const auto bits = [](double x) {
+        std::uint64_t u = 0;
+        std::memcpy(&u, &x, sizeof u);
+        return u;
+    };
+    for (int l = 0; l < simd::kNumLevels; ++l) {
+        const auto level = static_cast<simd::Level>(l);
+        if (level > simd::detected_level()) break;
+        for (const std::size_t threads : {1ul, 8ul}) {
+            simd::set_active_level(level);
+            par::set_thread_count(threads);
+            stats::Rng report_rng(77);
+            const ImprovementReport report = certify_improvement(
+                trace, logging, good, qhat, report_rng, kReplicates, kLevel);
+            const std::string where = std::string(simd::level_name(level)) +
+                                      " threads=" + std::to_string(threads);
+            EXPECT_EQ(bits(report.incumbent_value), bits(incumbent_dr.value))
+                << where;
+            EXPECT_EQ(bits(report.candidate_value), bits(candidate_dr.value))
+                << where;
+            EXPECT_EQ(bits(report.estimated_lift), bits(lift)) << where;
+            EXPECT_EQ(bits(report.lift_ci.point), bits(lift)) << where;
+            EXPECT_EQ(bits(report.lift_ci.lower), bits(reference.lower)) << where;
+            EXPECT_EQ(bits(report.lift_ci.upper), bits(reference.upper)) << where;
+            EXPECT_EQ(report.lift_ci.level, kLevel) << where;
+            EXPECT_TRUE(report.certified) << where;
+            // Both advance the caller's generator exactly once.
+            EXPECT_EQ(report_rng.state(), reference_rng.state()) << where;
+        }
+    }
 }
 
 TEST(ParsePolicySpec, GreedyAcceptsOptionalEpsilon) {

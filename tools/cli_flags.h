@@ -7,9 +7,9 @@
 // floating-point T, nothing non-finite. Anything else prints one
 // `error: <flag> ...` line and exits 2, the tools' bad-argument code, so a
 // typo never runs with a saturated, truncated or default value. Flags with
-// a narrower domain (parse_unit_flag, parse_replicate_count) are checked
-// against it at the same point, so a value outside it never reaches the
-// library or is clamped there.
+// a narrower domain (parse_unit_flag, parse_positive_flag,
+// parse_replicate_count) are checked against it at the same point, so a
+// value outside it never reaches the library or is clamped there.
 #ifndef DRE_TOOLS_CLI_FLAGS_H
 #define DRE_TOOLS_CLI_FLAGS_H
 
@@ -84,6 +84,14 @@ inline double parse_unit_flag(std::string_view flag, std::string_view text,
         (ends == UnitInterval::kOpen ? *value < 1.0 : *value <= 1.0);
     if (!inside)
         reject_flag(flag, kExpected[static_cast<int>(ends)], text);
+    return *value;
+}
+
+// A finite number > 0 (a softmax temperature, a refresh period), checked
+// when the flag is parsed like parse_unit_flag.
+inline double parse_positive_flag(std::string_view flag, std::string_view text) {
+    const std::optional<double> value = read_number<double>(text);
+    if (!value || !(*value > 0.0)) reject_flag(flag, "a number > 0", text);
     return *value;
 }
 

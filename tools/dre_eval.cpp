@@ -31,7 +31,9 @@
 //                             (propensity validity, overlap, drift, shifts)
 //   --compare <policy-spec>   treat <policy-spec> as the incumbent and
 //                             certify whether the main policy improves on
-//                             it (paired DR lift with a bootstrap CI)
+//                             it (paired DR lift over the q̂ rows, with
+//                             the engine's chunk-keyed 95% bootstrap CI,
+//                             1000 replicates)
 //   --obs-out <file>          write the dre::obs metric registry (counters,
 //                             gauges, histograms, span profile) as JSON
 //   --trace-out <file>        collect spans as a chrome://tracing JSON file
@@ -517,7 +519,7 @@ int main(int argc, char** argv) {
             stats::Rng certify_rng(seed + 1);
             const core::ImprovementReport report = core::certify_improvement(
                 evaluator.evaluation_trace(), *incumbent, *policy,
-                evaluator.reward_model(), certify_rng);
+                evaluator.prediction_matrix(), certify_rng);
             const std::string compare_section = "vs incumbent " + compare_spec;
             out.set(compare_section, "incumbent DR", report.incumbent_value);
             out.set(compare_section, "candidate DR", report.candidate_value);

@@ -112,8 +112,8 @@ int main(int argc, char** argv) {
         } else if (arg == "--watch") {
             watch = true;
             if (i + 1 < argc && argv[i + 1][0] != '-') {
-                period_s = dre::tools::parse_flag<double>("--watch", argv[++i]);
-                if (period_s <= 0.0) return usage();
+                period_s =
+                    dre::tools::parse_positive_flag("--watch", argv[++i]);
             }
         } else if (arg == "--filter" && i + 1 < argc) {
             filter = argv[++i];

@@ -104,10 +104,11 @@ std::vector<std::string> split_list(const std::string& csv) {
     return out;
 }
 
-std::vector<double> parse_double_list(const std::string& csv, const char* flag) {
+std::vector<double> parse_positive_list(const std::string& csv,
+                                        const char* flag) {
     std::vector<double> out;
     for (const std::string& field : split_list(csv))
-        out.push_back(tools::parse_flag<double>(flag, field));
+        out.push_back(tools::parse_positive_flag(flag, field));
     return out;
 }
 
@@ -173,8 +174,8 @@ int main(int argc, char** argv) {
                 space.epsilons =
                     parse_unit_list(next("--epsilons"), "--epsilons");
             } else if (arg == "--temperatures") {
-                space.temperatures =
-                    parse_double_list(next("--temperatures"), "--temperatures");
+                space.temperatures = parse_positive_list(
+                    next("--temperatures"), "--temperatures");
             } else if (arg == "--constants") {
                 space.include_constants = true;
             } else if (arg == "--mixture-weights") {
@@ -235,6 +236,15 @@ int main(int argc, char** argv) {
                 usage(argv[0]);
             }
         }
+        // Zero replicates means "no CI", which only the offline leaderboard
+        // can print; the online gate promotes on an interval.
+        if (!offline && options.bootstrap_replicates == 0)
+            tools::reject_flag(
+                "--replicates",
+                "an integer in [2, " +
+                    std::to_string(stats::kMaxBootstrapReplicates) +
+                    "] without --offline",
+                "0");
 
         // Assemble the wave source. Objects the source points at must
         // outlive the run, hence the unique_ptrs held here.
