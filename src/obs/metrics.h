@@ -102,7 +102,7 @@ inline constexpr std::size_t kHistogramBuckets = 64;
 
 // A plain-data copy of a Histogram's state at one scrape instant.
 // Snapshots are what the OpenMetrics exposition renders (cumulative `le`
-// buckets need a consistent view) and what the time-series ring diffs:
+// buckets need a consistent view) and what dre_top diffs between scrapes:
 // `delta_since(previous)` yields the window's histogram, whose quantiles
 // are the windowed p50/p99. Quantiles place the target rank at bucket
 // midpoints (rank - 0.5 within the winning bucket), so a bucket holding
@@ -250,10 +250,9 @@ public:
     std::vector<HistogramSample> histograms() const;
     std::vector<SpanSample> spans() const;
 
-    // Full-bucket snapshots for the OpenMetrics exposition and the
-    // time-series ring (which diffs consecutive snapshots for windowed
-    // quantiles). span_duration_snapshots covers each span profile's
-    // duration histogram (values in nanoseconds).
+    // Full-bucket snapshots for the OpenMetrics exposition.
+    // span_duration_snapshots covers each span profile's duration
+    // histogram (values in nanoseconds).
     std::vector<std::pair<std::string, HistogramSnapshot>>
     histogram_snapshots() const;
     std::vector<std::pair<std::string, HistogramSnapshot>>

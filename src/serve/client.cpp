@@ -34,8 +34,7 @@ Client::Client(std::uint16_t port) {
     ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 
     send_bytes(encode_hello({kProtocolVersion}));
-    const Frame reply = read_frame();
-    server_version_ = decode_hello(reply).version;
+    (void)decode_hello(read_frame()); // any version; no peer checks it
 }
 
 Client::~Client() {
@@ -85,11 +84,6 @@ ResultMsg Client::evaluate(const EvaluateMsg& request) {
 StatsReplyMsg Client::stats() {
     send_bytes(encode_stats_request());
     return decode_stats_reply(read_frame());
-}
-
-TimeseriesReplyMsg Client::timeseries() {
-    send_bytes(encode_timeseries_request());
-    return decode_timeseries_reply(read_frame());
 }
 
 PingMsg Client::ping(std::uint64_t token) {

@@ -41,12 +41,7 @@ public:
     // reply (kOverloaded = backpressure), ProtocolError on wire garbage.
     ResultMsg evaluate(const EvaluateMsg& request);
     StatsReplyMsg stats();
-    // Server-side telemetry ring, pivoted per series (empty when the
-    // server's sampler is off or the build has observability disabled).
-    TimeseriesReplyMsg timeseries();
     PingMsg ping(std::uint64_t token);
-
-    std::uint32_t server_version() const noexcept { return server_version_; }
 
 private:
     void send_bytes(const std::vector<unsigned char>& bytes);
@@ -54,7 +49,6 @@ private:
 
     int fd_ = -1;
     FrameDecoder decoder_;
-    std::uint32_t server_version_ = 0;
 };
 
 // Client-side retry schedule. Mirrors the .drt reader's retries (see

@@ -1,6 +1,5 @@
 #include "serve/protocol.h"
 
-#include <algorithm>
 #include <cstring>
 
 namespace dre::serve {
@@ -120,7 +119,7 @@ std::optional<Frame> FrameDecoder::next() {
     const auto raw_kind = buffer_.front();
     buffer_.pop_front();
     if (raw_kind < static_cast<unsigned char>(MsgKind::kHello) ||
-        raw_kind > static_cast<unsigned char>(MsgKind::kTimeseries))
+        raw_kind > static_cast<unsigned char>(MsgKind::kError))
         throw ProtocolError("serve: unknown message kind " +
                             std::to_string(static_cast<unsigned>(raw_kind)));
     Frame f;
@@ -168,8 +167,8 @@ std::vector<unsigned char> encode_evaluate(const EvaluateMsg& m) {
     w.str(m.model);
     w.u32(m.ci_replicates);
     w.u64(m.seed);
-    w.u64(m.trace_id); // optional tail; old decoders never read this far
-    w.u64(m.deadline_ms); // optional tail, after trace_id
+    w.u64(m.trace_id);
+    w.u64(m.deadline_ms);
     return encode_frame(MsgKind::kEvaluate, w.bytes());
 }
 
@@ -182,11 +181,8 @@ EvaluateMsg decode_evaluate(const Frame& f) {
     m.model = r.str();
     m.ci_replicates = r.u32();
     m.seed = r.u64();
-    // Optional tail: a pre-telemetry client's frame ends here, which
-    // decodes as trace_id 0 — never an error. deadline_ms follows under
-    // the same rule (absent = no deadline).
-    if (!r.done()) m.trace_id = r.u64();
-    if (!r.done()) m.deadline_ms = r.u64();
+    m.trace_id = r.u64();
+    m.deadline_ms = r.u64();
     r.expect_done();
     return m;
 }
@@ -196,12 +192,12 @@ std::vector<unsigned char> encode_result(const ResultMsg& m) {
     w.str(m.text);
     w.f64(m.dr);
     w.u8(m.cache_hit ? 1 : 0);
-    w.u64(m.trace_id); // optional tail, all-or-nothing with the timings
+    w.u64(m.trace_id);
     w.f64(m.queue_ms);
     w.f64(m.cache_ms);
     w.f64(m.compute_ms);
     w.f64(m.serialize_ms);
-    w.u8(m.degraded ? 1 : 0); // optional resilience tail
+    w.u8(m.degraded ? 1 : 0);
     w.f64(m.coverage);
     return encode_frame(MsgKind::kResult, w.bytes());
 }
@@ -213,19 +209,13 @@ ResultMsg decode_result(const Frame& f) {
     m.text = r.str();
     m.dr = r.f64();
     m.cache_hit = r.u8() != 0;
-    if (!r.done()) {
-        m.trace_id = r.u64();
-        m.queue_ms = r.f64();
-        m.cache_ms = r.f64();
-        m.compute_ms = r.f64();
-        m.serialize_ms = r.f64();
-    }
-    // Nested optional tail: pre-resilience frames end above and decode as
-    // a non-degraded, full-coverage result.
-    if (!r.done()) {
-        m.degraded = r.u8() != 0;
-        m.coverage = r.f64();
-    }
+    m.trace_id = r.u64();
+    m.queue_ms = r.f64();
+    m.cache_ms = r.f64();
+    m.compute_ms = r.f64();
+    m.serialize_ms = r.f64();
+    m.degraded = r.u8() != 0;
+    m.coverage = r.f64();
     r.expect_done();
     return m;
 }
@@ -254,12 +244,12 @@ std::vector<unsigned char> encode_stats_reply(const StatsReplyMsg& m) {
     w.f64(m.p50_ms);
     w.f64(m.p90_ms);
     w.f64(m.p99_ms);
-    w.u64(m.journal_lines); // optional tail
+    w.u64(m.journal_lines);
     w.f64(m.queue_p50_ms);
     w.f64(m.queue_p99_ms);
     w.f64(m.compute_p50_ms);
     w.f64(m.compute_p99_ms);
-    w.u64(m.deadline_exceeded); // optional resilience tail
+    w.u64(m.deadline_exceeded);
     w.u64(m.shed);
     w.u64(m.brownout);
     w.u64(m.sessions_reaped);
@@ -283,19 +273,15 @@ StatsReplyMsg decode_stats_reply(const Frame& f) {
     m.p50_ms = r.f64();
     m.p90_ms = r.f64();
     m.p99_ms = r.f64();
-    if (!r.done()) {
-        m.journal_lines = r.u64();
-        m.queue_p50_ms = r.f64();
-        m.queue_p99_ms = r.f64();
-        m.compute_p50_ms = r.f64();
-        m.compute_p99_ms = r.f64();
-    }
-    if (!r.done()) {
-        m.deadline_exceeded = r.u64();
-        m.shed = r.u64();
-        m.brownout = r.u64();
-        m.sessions_reaped = r.u64();
-    }
+    m.journal_lines = r.u64();
+    m.queue_p50_ms = r.f64();
+    m.queue_p99_ms = r.f64();
+    m.compute_p50_ms = r.f64();
+    m.compute_p99_ms = r.f64();
+    m.deadline_exceeded = r.u64();
+    m.shed = r.u64();
+    m.brownout = r.u64();
+    m.sessions_reaped = r.u64();
     r.expect_done();
     return m;
 }
@@ -332,57 +318,6 @@ ErrorMsg decode_error(const Frame& f) {
         throw ProtocolError("serve: unknown error code " + std::to_string(code));
     m.code = static_cast<ErrorCode>(code);
     m.message = r.str();
-    r.expect_done();
-    return m;
-}
-
-std::vector<unsigned char> encode_timeseries_request() {
-    return encode_frame(MsgKind::kTimeseries, {});
-}
-
-bool is_timeseries_request(const Frame& f) {
-    require_kind(f, MsgKind::kTimeseries, "Timeseries");
-    return f.payload.empty();
-}
-
-std::vector<unsigned char> encode_timeseries_reply(const TimeseriesReplyMsg& m) {
-    WireWriter w;
-    w.u64(m.interval_ms);
-    w.u32(static_cast<std::uint32_t>(m.series.size()));
-    for (const TimeseriesSeries& series : m.series) {
-        w.str(series.name);
-        w.u32(static_cast<std::uint32_t>(series.points.size()));
-        for (const TimeseriesPoint& point : series.points) {
-            w.u64(point.t_ms);
-            w.f64(point.value);
-        }
-    }
-    return encode_frame(MsgKind::kTimeseries, w.bytes());
-}
-
-TimeseriesReplyMsg decode_timeseries_reply(const Frame& f) {
-    require_kind(f, MsgKind::kTimeseries, "Timeseries");
-    WireReader r = reader(f);
-    TimeseriesReplyMsg m;
-    m.interval_ms = r.u64();
-    const std::uint32_t n_series = r.u32();
-    // Every series costs at least a name length + point count on the wire,
-    // so a bounds-checked reader naturally rejects absurd counts; reserve
-    // conservatively anyway.
-    m.series.reserve(std::min<std::uint32_t>(n_series, 4096));
-    for (std::uint32_t s = 0; s < n_series; ++s) {
-        TimeseriesSeries series;
-        series.name = r.str();
-        const std::uint32_t n_points = r.u32();
-        series.points.reserve(std::min<std::uint32_t>(n_points, 65536));
-        for (std::uint32_t p = 0; p < n_points; ++p) {
-            TimeseriesPoint point;
-            point.t_ms = r.u64();
-            point.value = r.f64();
-            series.points.push_back(point);
-        }
-        m.series.push_back(std::move(series));
-    }
     r.expect_done();
     return m;
 }

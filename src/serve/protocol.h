@@ -10,31 +10,30 @@
 // Payload scalars are little-endian fixed-width integers; doubles travel
 // as their IEEE-754 bit pattern in a u64 (bit-exact — the determinism
 // contract extends to the wire); strings are u32 length + raw bytes (no
-// terminator). The frame length covers the kind byte, so an empty-payload
-// message (Stats request, Ping without token) has length 1. Frames above
-// kMaxFrameBytes are a protocol error: the peer is malfunctioning or
-// hostile, and the connection is dropped rather than buffered without
-// bound.
+// terminator). The frame length covers the kind byte, so the empty-payload
+// Stats request has length 1. Frames above kMaxFrameBytes are a protocol
+// error: the peer is malfunctioning or hostile, and the connection is
+// dropped rather than buffered without bound.
 //
 // Message vocabulary (client → server unless noted):
 //
 //   Hello      version handshake; server echoes its own Hello
 //   Evaluate   one evaluation request (trace, policy, model, ci, seed,
-//              optional trace_id for request-scoped tracing)
+//              trace_id for request-scoped tracing, deadline_ms)
 //   Result     server → client: the rendered report + headline DR, plus
 //              the request's trace_id and phase timing breakdown
 //   Stats      empty request; server replies with a StatsReply frame
 //              (also kind kStats) carrying counters and latency quantiles
 //   Ping       liveness probe; server echoes the token back
 //   Error      server → client: classified failure for one request
-//   Timeseries empty request; server replies with a Timeseries frame
-//              carrying the telemetry ring (see obs/timeseries.h)
 //
-// Compatibility rule for the telemetry fields added in protocol v1:
-// they are *optional trailing fields*. Encoders always append them;
-// decoders read them only when bytes remain and otherwise default them to
-// zero — never an error — so a pre-telemetry client or server
-// interoperates unchanged (trace ids are simply absent/zero).
+// Every payload has one fixed layout: each field of the struct below, in
+// declaration order, every time. A decoder reads every field and then
+// requires the payload to end, so a short or long payload is a
+// ProtocolError. Every peer (Client, dre_loadgen, perfbench, the tests) is
+// built from this tree, so there are no optional or skipped fields. To
+// add a field: add the struct member, one write in its encode_*, one read
+// at the same position in its decode_*, and bump kProtocolVersion.
 //
 // The structs below are plain decoded forms; encode_*/decode_* do the
 // byte work. Decoding never trusts lengths: every read is bounds-checked
@@ -53,7 +52,7 @@
 
 namespace dre::serve {
 
-inline constexpr std::uint32_t kProtocolVersion = 1;
+inline constexpr std::uint32_t kProtocolVersion = 2;
 inline constexpr std::size_t kMaxFrameBytes = 16u << 20; // 16 MiB
 
 enum class MsgKind : std::uint8_t {
@@ -63,7 +62,6 @@ enum class MsgKind : std::uint8_t {
     kStats = 4,
     kPing = 5,
     kError = 6,
-    kTimeseries = 7,
 };
 
 enum class ErrorCode : std::uint32_t {
@@ -87,6 +85,7 @@ public:
 
 struct HelloMsg {
     std::uint32_t version = kProtocolVersion;
+    bool operator==(const HelloMsg&) const = default;
 };
 
 // One evaluation request. Mirrors the dre_eval CLI surface the service
@@ -98,32 +97,32 @@ struct EvaluateMsg {
     std::string model = "tabular";
     std::uint32_t ci_replicates = 0;
     std::uint64_t seed = 1;
-    // Optional trailing field: the client's trace id for request-scoped
-    // tracing. 0 (or absent on the wire) lets the server generate one.
+    // The client's trace id for request-scoped tracing; 0 lets the server
+    // generate one.
     std::uint64_t trace_id = 0;
-    // Optional trailing field (protocol v1, resilience): wall-clock budget
-    // for this request in milliseconds, measured from admission. 0 (or
-    // absent) = no deadline. The server sheds the request at admission if
-    // the budget is provably unmeetable, and answers kDeadlineExceeded the
-    // moment the budget expires in any later phase.
+    // Wall-clock budget for this request in milliseconds, measured from
+    // admission; 0 = no deadline. The server sheds the request at admission
+    // if the budget is provably unmeetable, and answers kDeadlineExceeded
+    // the moment the budget expires in any later phase.
     std::uint64_t deadline_ms = 0;
+    bool operator==(const EvaluateMsg&) const = default;
 };
 
 struct ResultMsg {
     std::string text; // exactly the CLI's stdout for the same request
     double dr = 0.0;  // headline number, for clients that skip parsing
     bool cache_hit = false; // evaluator came from the shared cache
-    // Optional trailing telemetry (zeros when the server was built with
-    // DRE_OBS_ENABLED=0 or spoke the pre-telemetry protocol). These are
-    // diagnostics about *this* service of the request — deliberately not
-    // part of `text`, which stays byte-identical to the dre_eval CLI.
+    // Telemetry (zeros when the server was built with DRE_OBS_ENABLED=0).
+    // These are diagnostics about *this* service of the request —
+    // deliberately not part of `text`, which stays byte-identical to the
+    // dre_eval CLI.
     std::uint64_t trace_id = 0; // echoed (or server-assigned) request id
     double queue_ms = 0.0;      // admission -> dispatcher pickup
     double cache_ms = 0.0;      // trace/policy/evaluator cache stage
     double compute_ms = 0.0;    // evaluate_seeded proper
     double serialize_ms = 0.0;  // response render + frame encode
-    // Optional trailing resilience block. A degraded Result was produced
-    // under overload brownout: estimates come from a prefix sub-trace with
+    // Resilience. A degraded Result was produced under overload
+    // brownout: estimates come from a prefix sub-trace with
     // denominators rescaled exactly over the tuples actually evaluated and
     // DR CI half-widths widened by 1/coverage (the PR 5 degrade-mode
     // semantics) — never a silently skewed full-trace estimate. Clients
@@ -131,6 +130,7 @@ struct ResultMsg {
     // does). coverage stays 1.0 for non-degraded responses.
     bool degraded = false;
     double coverage = 1.0; // evaluated tuples / full-trace tuples
+    bool operator==(const ResultMsg&) const = default;
 };
 
 struct StatsReplyMsg {
@@ -147,52 +147,32 @@ struct StatsReplyMsg {
     double p50_ms = 0.0;
     double p90_ms = 0.0;
     double p99_ms = 0.0;
-    // Optional trailing telemetry: phase-level quantiles and the journal
-    // line count (zeros from a pre-telemetry or obs-disabled server).
+    // Telemetry: phase-level quantiles and the journal line count (zeros
+    // from an obs-disabled server).
     std::uint64_t journal_lines = 0;
     double queue_p50_ms = 0.0;
     double queue_p99_ms = 0.0;
     double compute_p50_ms = 0.0;
     double compute_p99_ms = 0.0;
-    // Optional trailing resilience counters (zeros from a pre-resilience
-    // server): deadline outcomes, admission sheds, brownout responses
-    // (degraded compute + cache-only), and idle sessions reaped by the
-    // io-thread watchdog.
+    // Resilience counters: deadline outcomes, admission sheds, brownout
+    // responses (degraded compute + cache-only), and idle sessions reaped
+    // by the io-thread watchdog.
     std::uint64_t deadline_exceeded = 0;
     std::uint64_t shed = 0;
     std::uint64_t brownout = 0;
     std::uint64_t sessions_reaped = 0;
+    bool operator==(const StatsReplyMsg&) const = default;
 };
 
 struct PingMsg {
     std::uint64_t token = 0;
-};
-
-// --- Timeseries ------------------------------------------------------------
-//
-// An empty-payload kTimeseries frame asks for the server's telemetry ring;
-// the reply (same kind) is columnar: per named series, the (t_ms, value)
-// points present in the ring, oldest first. Series whose metric appeared
-// mid-ring simply have fewer points.
-
-struct TimeseriesPoint {
-    std::uint64_t t_ms = 0;
-    double value = 0.0;
-};
-
-struct TimeseriesSeries {
-    std::string name;
-    std::vector<TimeseriesPoint> points;
-};
-
-struct TimeseriesReplyMsg {
-    std::uint64_t interval_ms = 0; // sampling interval (0 = sampler off)
-    std::vector<TimeseriesSeries> series;
+    bool operator==(const PingMsg&) const = default;
 };
 
 struct ErrorMsg {
     ErrorCode code = ErrorCode::kInternal;
     std::string message;
+    bool operator==(const ErrorMsg&) const = default;
 };
 
 // --- payload primitives ----------------------------------------------------
@@ -223,7 +203,6 @@ public:
     std::uint64_t u64();
     double f64();
     std::string str();
-    bool done() const noexcept { return pos_ == size_; }
     // Trailing bytes after the last field are a framing bug.
     void expect_done() const;
 
@@ -267,8 +246,6 @@ std::vector<unsigned char> encode_stats_request();
 std::vector<unsigned char> encode_stats_reply(const StatsReplyMsg& m);
 std::vector<unsigned char> encode_ping(const PingMsg& m);
 std::vector<unsigned char> encode_error(const ErrorMsg& m);
-std::vector<unsigned char> encode_timeseries_request();
-std::vector<unsigned char> encode_timeseries_reply(const TimeseriesReplyMsg& m);
 
 HelloMsg decode_hello(const Frame& f);
 EvaluateMsg decode_evaluate(const Frame& f);
@@ -278,9 +255,6 @@ bool is_stats_request(const Frame& f);
 StatsReplyMsg decode_stats_reply(const Frame& f);
 PingMsg decode_ping(const Frame& f);
 ErrorMsg decode_error(const Frame& f);
-// Same empty-payload convention as Stats.
-bool is_timeseries_request(const Frame& f);
-TimeseriesReplyMsg decode_timeseries_reply(const Frame& f);
 
 const char* to_string(ErrorCode code) noexcept;
 

@@ -78,7 +78,6 @@ struct EvalServer::Job {
 
 EvalServer::EvalServer(ServerOptions options)
     : options_(options),
-      ring_(options.ts_capacity),
       request_ms_(obs::registry().histogram("serve.request_ms")) {}
 
 EvalServer::~EvalServer() {
@@ -140,9 +139,6 @@ void EvalServer::start() {
     io_done_.store(false);
     io_thread_ = std::thread([this] { io_loop(); });
     dispatch_thread_ = std::thread([this] { dispatch_loop(); });
-#if DRE_OBS_ENABLED
-    if (options_.ts_interval_ms > 0) ring_.start(options_.ts_interval_ms);
-#endif
 }
 
 void EvalServer::request_stop() {
@@ -165,7 +161,6 @@ void EvalServer::wake_io() {
 
 void EvalServer::stop_and_join() {
     if (!started_) return;
-    ring_.stop();
     if (metrics_http_) metrics_http_->stop_and_join();
     request_stop();
     if (io_thread_.joinable()) io_thread_.join();
@@ -416,13 +411,6 @@ void EvalServer::handle_frame(const std::shared_ptr<Session>& session,
         }
         case MsgKind::kEvaluate: {
             admit(session, decode_evaluate(f));
-            return;
-        }
-        case MsgKind::kTimeseries: {
-            if (!is_timeseries_request(f))
-                throw ProtocolError("serve: client sent a Timeseries reply");
-            send_frame(*session,
-                       encode_timeseries_reply(timeseries_snapshot()));
             return;
         }
         case MsgKind::kResult:
@@ -797,24 +785,6 @@ StatsReplyMsg EvalServer::stats_snapshot() {
     m.compute_p50_ms = compute_hist.p50();
     m.compute_p99_ms = compute_hist.p99();
 #endif
-    return m;
-}
-
-TimeseriesReplyMsg EvalServer::timeseries_snapshot() {
-    TimeseriesReplyMsg m;
-    m.interval_ms = ring_.interval_ms();
-    // Pivot row-oriented ring samples into per-series point lists, oldest
-    // points first (snapshot() is already oldest-first).
-    std::map<std::string, TimeseriesSeries> by_name;
-    for (const obs::TimeSeriesSample& sample : ring_.snapshot()) {
-        for (const auto& [name, value] : sample.values) {
-            TimeseriesSeries& series = by_name[name];
-            if (series.name.empty()) series.name = name;
-            series.points.push_back(TimeseriesPoint{sample.t_ms, value});
-        }
-    }
-    m.series.reserve(by_name.size());
-    for (auto& [name, series] : by_name) m.series.push_back(std::move(series));
     return m;
 }
 

@@ -72,7 +72,6 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "obs/timeseries.h"
 #include "serve/journal.h"
 #include "serve/metrics_http.h"
 #include "serve/protocol.h"
@@ -104,10 +103,6 @@ struct ServerOptions {
     std::string journal_path;          // JSONL request journal ("" = off)
     double journal_threshold_ms = 0.0; // log requests at/above this total
                                        // latency; errors always log
-    std::uint64_t ts_interval_ms = 1000; // time-series sampling interval
-                                         // (0 = sampler off; the ring still
-                                         // answers Timeseries, just empty)
-    std::size_t ts_capacity = 512; // samples retained in the ring
 };
 
 class EvalServer {
@@ -138,11 +133,6 @@ public:
     std::uint16_t metrics_port() const noexcept;
     // The journal, if one was configured (for line counts in tests/tools).
     const RequestJournal* journal() const noexcept { return journal_.get(); }
-    // The telemetry ring behind the Timeseries frame (tests/bench drive
-    // sample_once() directly).
-    obs::TimeSeriesRing& timeseries_ring() noexcept { return ring_; }
-    // The ring pivoted into the wire form, oldest points first.
-    TimeseriesReplyMsg timeseries_snapshot();
 
 private:
     struct Session;
@@ -163,7 +153,6 @@ private:
 
     ServerOptions options_;
     EvalService service_;
-    obs::TimeSeriesRing ring_;
     std::unique_ptr<RequestJournal> journal_;
     std::unique_ptr<MetricsHttpServer> metrics_http_;
 

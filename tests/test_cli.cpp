@@ -297,9 +297,10 @@ TEST(Cli, RejectsMalformedNumericFlags) {
         {DRE_LOADGEN_PATH, loadgen, "--clients", "8x"},
         {DRE_LOADGEN_PATH, loadgen, "--hedge-ms", "inf"},
         {DRE_LOADGEN_PATH, loadgen, "--ci", "1"},
-        {DRE_TOP_PATH, "", "--port", "65536"},
-        {DRE_TOP_PATH, "--port 1", "--watch", "2s"},
-        {DRE_TOP_PATH, "--port 1", "--watch", "0"},
+        {DRE_TOP_PATH, "", "--metrics-port", "65536"},
+        {DRE_TOP_PATH, "", "--metrics-port", "0"},
+        {DRE_TOP_PATH, "--metrics-port 1", "--watch", "2s"},
+        {DRE_TOP_PATH, "--metrics-port 1", "--watch", "0"},
     };
     for (const auto& row : rows) {
         std::filesystem::remove(port_file);
@@ -326,6 +327,19 @@ TEST(Cli, RejectsMalformedNumericFlags) {
         << slurp(err);
 }
 
+// The offline leaderboard reads the whole trace and walks no waves, so a
+// trace shorter than one default wave (2000 tuples) still ranks.
+TEST(Cli, OfflineTuneNeedsNoWaveOfTheTrace) {
+    const std::string out = testing::TempDir() + "dre_cli_offline.txt";
+    const std::string command = std::string(DRE_TUNE_PATH) + " " +
+                                fixture_csv() + " --offline --constants > " +
+                                out + " 2>&1";
+    const int status = std::system(command.c_str());
+    EXPECT_EQ(WEXITSTATUS(status), 0) << slurp(out);
+    EXPECT_NE(slurp(out).find("offline leaderboard"), std::string::npos)
+        << slurp(out);
+}
+
 // An unknown argument exits 2 and is named on the first stderr line,
 // ahead of the usage text, by every tool and both dre_eval forms.
 TEST(Cli, UnknownArgumentIsNamedFirst) {
@@ -344,7 +358,7 @@ TEST(Cli, UnknownArgumentIsNamedFirst) {
         {DRE_TUNE_PATH, fixture_csv() + " --offline --constants"},
         {DRE_SERVE_PATH, "--port-file " + port_file},
         {DRE_LOADGEN_PATH, "--port 1 " + eval},
-        {DRE_TOP_PATH, "--port 1"},
+        {DRE_TOP_PATH, "--metrics-port 1"},
     };
     for (const auto& row : rows) {
         std::filesystem::remove(port_file);

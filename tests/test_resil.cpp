@@ -1,7 +1,7 @@
 // dre::resil — deadlines, retries, and graceful degradation across the
-// evaluation service (DESIGN.md §15): wire compatibility of the new
-// resilience tails, deadline expiry in every phase (admission, queue,
-// cache, compute, serialize), client retry/backoff against seeded
+// evaluation service (DESIGN.md §15): the resilience fields on the wire,
+// deadline expiry in every phase (admission, queue, cache, compute,
+// serialize), client retry/backoff against seeded
 // serve.* network faults, brownout degraded results with the exact
 // PR 5 rescaling semantics, torn-frame robustness, the io-thread
 // watchdog, and the exactly-once journal contract under faults.
@@ -115,7 +115,7 @@ std::string expected_text(const Trace& trace, const serve::EvaluateMsg& m) {
     return header + core::make_policy_report(m.policy, result).to_text();
 }
 
-// --- protocol: resilience tails --------------------------------------------
+// --- protocol: resilience fields -------------------------------------------
 
 serve::Frame pump_one(const std::vector<unsigned char>& wire) {
     serve::FrameDecoder decoder;
@@ -163,55 +163,6 @@ TEST(ResilProtocolTest, DeadlineAndDegradedFieldsRoundTrip) {
     EXPECT_EQ(err.code, serve::ErrorCode::kDeadlineExceeded);
     EXPECT_STREQ(serve::to_string(serve::ErrorCode::kDeadlineExceeded),
                  "deadline-exceeded");
-}
-
-TEST(ResilProtocolTest, PreResilienceFramesDecodeWithDefaultedTail) {
-    // Frames from a pre-resilience peer end before the new optional
-    // fields; decoding must default them (deadline 0, degraded false,
-    // coverage 1.0, zeroed counters) — never throw.
-    const auto truncate_tail = [](std::vector<unsigned char> wire,
-                                  std::size_t tail_bytes) {
-        wire.resize(wire.size() - tail_bytes);
-        const std::uint32_t len = static_cast<std::uint32_t>(wire.size() - 4);
-        wire[0] = static_cast<unsigned char>(len & 0xff);
-        wire[1] = static_cast<unsigned char>((len >> 8) & 0xff);
-        wire[2] = static_cast<unsigned char>((len >> 16) & 0xff);
-        wire[3] = static_cast<unsigned char>((len >> 24) & 0xff);
-        return wire;
-    };
-
-    serve::EvaluateMsg req;
-    req.trace = "t.csv";
-    req.policy = "p";
-    req.trace_id = 9;
-    req.deadline_ms = 777;
-    const serve::EvaluateMsg req_back = serve::decode_evaluate(
-        pump_one(truncate_tail(serve::encode_evaluate(req), 8)));
-    EXPECT_EQ(req_back.deadline_ms, 0u); // tail absent -> no deadline
-    EXPECT_EQ(req_back.trace_id, 9u);    // earlier tail intact
-
-    serve::ResultMsg result;
-    result.text = "y\n";
-    result.degraded = true;
-    result.coverage = 0.25;
-    const serve::ResultMsg result_back = serve::decode_result(
-        pump_one(truncate_tail(serve::encode_result(result), 1 + 8)));
-    EXPECT_FALSE(result_back.degraded);
-    EXPECT_EQ(result_back.coverage, 1.0);
-
-    serve::StatsReplyMsg stats;
-    stats.deadline_exceeded = 3;
-    stats.shed = 2;
-    stats.brownout = 5;
-    stats.sessions_reaped = 1;
-    stats.journal_lines = 17; // pre-resilience tail, must survive
-    const serve::StatsReplyMsg stats_back = serve::decode_stats_reply(
-        pump_one(truncate_tail(serve::encode_stats_reply(stats), 4 * 8)));
-    EXPECT_EQ(stats_back.deadline_exceeded, 0u);
-    EXPECT_EQ(stats_back.shed, 0u);
-    EXPECT_EQ(stats_back.brownout, 0u);
-    EXPECT_EQ(stats_back.sessions_reaped, 0u);
-    EXPECT_EQ(stats_back.journal_lines, 17u);
 }
 
 // --- service: deadline phases + degraded exactness --------------------------

@@ -7,8 +7,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -21,6 +23,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 #endif
 
@@ -217,74 +220,221 @@ TEST(ServeProtocolTest, TelemetryTailFieldsRoundTrip) {
     EXPECT_EQ(stats_back.journal_lines, 17u);
     EXPECT_EQ(stats_back.queue_p50_ms, 1.0);
     EXPECT_EQ(stats_back.compute_p99_ms, 20.0);
-
-    const serve::Frame ts_request = pump(serve::encode_timeseries_request());
-    EXPECT_TRUE(serve::is_timeseries_request(ts_request));
-    serve::TimeseriesReplyMsg ts;
-    ts.interval_ms = 250;
-    ts.series.push_back({"serve.request_ms.p50", {{1000, 3.5}, {1250, 4.0}}});
-    ts.series.push_back({"serve.queue_depth", {{1000, 0.0}}});
-    const serve::Frame ts_reply = pump(serve::encode_timeseries_reply(ts));
-    EXPECT_FALSE(serve::is_timeseries_request(ts_reply));
-    const serve::TimeseriesReplyMsg ts_back =
-        serve::decode_timeseries_reply(ts_reply);
-    EXPECT_EQ(ts_back.interval_ms, 250u);
-    ASSERT_EQ(ts_back.series.size(), 2u);
-    EXPECT_EQ(ts_back.series[0].name, "serve.request_ms.p50");
-    ASSERT_EQ(ts_back.series[0].points.size(), 2u);
-    EXPECT_EQ(ts_back.series[0].points[1].t_ms, 1250u);
-    EXPECT_EQ(ts_back.series[0].points[1].value, 4.0);
 }
 
-TEST(ServeProtocolTest, PreTelemetryFramesDecodeWithZeroedTail) {
-    // A frame from a pre-telemetry peer simply ends before the optional
-    // fields. Simulate one by truncating a current frame's tail and fixing
-    // its length prefix (u32 LE, covers kind + payload): the decode must
-    // succeed with every telemetry field zero — never throw.
-    const auto truncate_tail = [](std::vector<unsigned char> wire,
-                                  std::size_t tail_bytes) {
-        wire.resize(wire.size() - tail_bytes);
-        const std::uint32_t len =
-            static_cast<std::uint32_t>(wire.size() - 4);
-        wire[0] = static_cast<unsigned char>(len & 0xff);
-        wire[1] = static_cast<unsigned char>((len >> 8) & 0xff);
-        wire[2] = static_cast<unsigned char>((len >> 16) & 0xff);
-        wire[3] = static_cast<unsigned char>((len >> 24) & 0xff);
-        return wire;
-    };
-    const auto pump = [](const std::vector<unsigned char>& wire) {
-        serve::FrameDecoder decoder;
-        decoder.feed(wire.data(), wire.size());
-        auto frame = decoder.next();
-        EXPECT_TRUE(frame.has_value());
-        return *frame;
-    };
+// --- wire-format properties --------------------------------------------------
+//
+// One message of every kind with every field away from its default. The
+// Evaluate, Result and StatsReply ones are pinned to hex below.
 
-    serve::EvaluateMsg req;
-    req.trace = "t.csv";
-    req.policy = "p";
-    req.model = "tabular";
-    req.seed = 9;
-    req.trace_id = 0xffffffffffffffffull;
-    // Pre-telemetry Evaluate tail: trace_id (8) + deadline_ms (8).
-    const serve::EvaluateMsg req_back = serve::decode_evaluate(
-        pump(truncate_tail(serve::encode_evaluate(req), 8 + 8)));
-    EXPECT_EQ(req_back.trace_id, 0u);
-    EXPECT_EQ(req_back.deadline_ms, 0u);
-    EXPECT_EQ(req_back.seed, 9u); // pre-tail fields intact
+serve::EvaluateMsg pinned_evaluate() {
+    serve::EvaluateMsg m;
+    m.trace = "t.csv";
+    m.policy = "uniform";
+    m.model = "knn";
+    m.ci_replicates = 200;
+    m.seed = 0x0123456789abcdefull;
+    m.trace_id = 0x1122334455667788ull;
+    m.deadline_ms = 250;
+    return m;
+}
 
-    serve::ResultMsg result;
-    result.text = "y\n";
-    result.trace_id = 7;
-    result.queue_ms = 3.0;
-    // Pre-telemetry Result tail: trace_id (8) + four f64 timings (32) +
-    // the resilience tail (degraded u8 + coverage f64).
-    const serve::ResultMsg result_back = serve::decode_result(
-        pump(truncate_tail(serve::encode_result(result), 8 + 4 * 8 + 1 + 8)));
-    EXPECT_EQ(result_back.text, "y\n");
-    EXPECT_EQ(result_back.trace_id, 0u);
-    EXPECT_EQ(result_back.queue_ms, 0.0);
-    EXPECT_FALSE(result_back.degraded);
+serve::ResultMsg pinned_result() {
+    serve::ResultMsg m;
+    m.text = "x\n";
+    m.dr = -1.25;
+    m.cache_hit = true;
+    m.trace_id = 42;
+    m.queue_ms = 1.5;
+    m.cache_ms = 0.25;
+    m.compute_ms = 8.75;
+    m.serialize_ms = 0.125;
+    m.degraded = true;
+    m.coverage = 0.25;
+    return m;
+}
+
+serve::StatsReplyMsg pinned_stats_reply() {
+    serve::StatsReplyMsg m;
+    m.requests_total = 1;
+    m.rejected = 2;
+    m.coalesced = 3;
+    m.queue_depth = 4;
+    m.evaluator_hits = 5;
+    m.evaluator_misses = 6;
+    m.policy_hits = 7;
+    m.policy_misses = 8;
+    m.trace_hits = 9;
+    m.trace_misses = 10;
+    m.p50_ms = 0.5;
+    m.p90_ms = 1.5;
+    m.p99_ms = 2.5;
+    m.journal_lines = 11;
+    m.queue_p50_ms = 3.5;
+    m.queue_p99_ms = 4.5;
+    m.compute_p50_ms = 5.5;
+    m.compute_p99_ms = 6.5;
+    m.deadline_exceeded = 12;
+    m.shed = 13;
+    m.brownout = 14;
+    m.sessions_reaped = 15;
+    return m;
+}
+
+serve::Frame frame_of(const std::vector<unsigned char>& wire) {
+    serve::FrameDecoder decoder;
+    decoder.feed(wire.data(), wire.size());
+    auto frame = decoder.next();
+    EXPECT_TRUE(frame.has_value());
+    EXPECT_EQ(decoder.buffered(), 0u);
+    return frame.value_or(serve::Frame{});
+}
+
+// Decodes a frame by its kind, as its receiver does. A kStats frame is a
+// request when its payload is empty and a reply otherwise.
+void decode_by_kind(const serve::Frame& f) {
+    switch (f.kind) {
+        case serve::MsgKind::kHello: (void)serve::decode_hello(f); return;
+        case serve::MsgKind::kEvaluate: (void)serve::decode_evaluate(f); return;
+        case serve::MsgKind::kResult: (void)serve::decode_result(f); return;
+        case serve::MsgKind::kStats:
+            if (!serve::is_stats_request(f)) (void)serve::decode_stats_reply(f);
+            return;
+        case serve::MsgKind::kPing: (void)serve::decode_ping(f); return;
+        case serve::MsgKind::kError: (void)serve::decode_error(f); return;
+    }
+    FAIL() << "unknown kind " << static_cast<int>(f.kind);
+}
+
+struct WireCase {
+    const char* name;
+    std::vector<unsigned char> wire; // one whole frame
+    void (*decode)(const serve::Frame&);
+};
+
+std::vector<WireCase> wire_cases() {
+    return {
+        {"Hello", serve::encode_hello({serve::kProtocolVersion}),
+         decode_by_kind},
+        {"Evaluate", serve::encode_evaluate(pinned_evaluate()), decode_by_kind},
+        {"Result", serve::encode_result(pinned_result()), decode_by_kind},
+        {"Stats request", serve::encode_stats_request(), decode_by_kind},
+        // An empty payload is a Stats request, so the reply's prefixes are
+        // read as a reply.
+        {"StatsReply", serve::encode_stats_reply(pinned_stats_reply()),
+         [](const serve::Frame& f) { (void)serve::decode_stats_reply(f); }},
+        {"Ping", serve::encode_ping({0xfeedfacecafebeefull}), decode_by_kind},
+        {"Error",
+         serve::encode_error({serve::ErrorCode::kDeadlineExceeded, "late"}),
+         decode_by_kind},
+    };
+}
+
+template <typename Msg>
+void expect_round_trip(const Msg& m,
+                       std::vector<unsigned char> (*encode)(const Msg&),
+                       Msg (*decode)(const serve::Frame&)) {
+    const std::vector<unsigned char> wire = encode(m);
+    const Msg back = decode(frame_of(wire));
+    EXPECT_TRUE(back == m);
+    EXPECT_EQ(encode(back), wire);
+}
+
+TEST(ServeProtocolTest, EveryKindDecodesToItsFieldsAndReencodesToItsBytes) {
+    expect_round_trip(serve::HelloMsg{serve::kProtocolVersion},
+                      serve::encode_hello, serve::decode_hello);
+    expect_round_trip(pinned_evaluate(), serve::encode_evaluate,
+                      serve::decode_evaluate);
+    expect_round_trip(pinned_result(), serve::encode_result,
+                      serve::decode_result);
+    expect_round_trip(pinned_stats_reply(), serve::encode_stats_reply,
+                      serve::decode_stats_reply);
+    expect_round_trip(serve::PingMsg{0xfeedfacecafebeefull}, serve::encode_ping,
+                      serve::decode_ping);
+    expect_round_trip(
+        serve::ErrorMsg{serve::ErrorCode::kDeadlineExceeded, "late"},
+        serve::encode_error, serve::decode_error);
+    EXPECT_TRUE(serve::is_stats_request(frame_of(serve::encode_stats_request())));
+}
+
+// Every field is mandatory: a payload one byte short of any field, or one
+// byte past the last, is malformed.
+TEST(ServeProtocolTest, EveryShortOrLongPayloadThrows) {
+    for (const WireCase& c : wire_cases()) {
+        const serve::Frame whole = frame_of(c.wire);
+        EXPECT_NO_THROW(c.decode(whole)) << c.name;
+        for (std::size_t n = 0; n < whole.payload.size(); ++n) {
+            serve::Frame prefix;
+            prefix.kind = whole.kind;
+            prefix.payload.assign(whole.payload.begin(),
+                                  whole.payload.begin() + n);
+            EXPECT_THROW(c.decode(prefix), serve::ProtocolError)
+                << c.name << " cut to " << n << " bytes";
+        }
+        serve::Frame longer = whole;
+        longer.payload.push_back(0);
+        EXPECT_THROW(c.decode(longer), serve::ProtocolError) << c.name;
+    }
+}
+
+// Any value in any one byte of a frame, the length prefix and the kind
+// included, either decodes or throws ProtocolError. A frame whose length
+// grew is left waiting for the rest of its bytes, which is neither.
+TEST(ServeProtocolTest, EverySingleByteFlipDecodesOrThrowsProtocolError) {
+    std::size_t decoded = 0;
+    std::size_t rejected = 0;
+    for (const WireCase& c : wire_cases()) {
+        for (std::size_t at = 0; at < c.wire.size(); ++at) {
+            for (unsigned flip = 1; flip < 256; ++flip) {
+                std::vector<unsigned char> wire = c.wire;
+                wire[at] ^= static_cast<unsigned char>(flip);
+                serve::FrameDecoder decoder;
+                decoder.feed(wire.data(), wire.size());
+                try {
+                    while (const auto frame = decoder.next()) {
+                        decode_by_kind(*frame);
+                        ++decoded;
+                    }
+                } catch (const serve::ProtocolError&) {
+                    ++rejected;
+                } catch (const std::exception& e) {
+                    ADD_FAILURE() << c.name << " byte " << at << " ^ " << flip
+                                  << ": " << e.what();
+                }
+            }
+        }
+    }
+    EXPECT_GT(decoded, 0u);
+    EXPECT_GT(rejected, 0u);
+}
+
+std::string hex(const std::vector<unsigned char>& bytes) {
+    std::string out;
+    char digits[3];
+    for (const unsigned char b : bytes) {
+        std::snprintf(digits, sizeof(digits), "%02x", b);
+        out += digits;
+    }
+    return out;
+}
+
+// The frames as the protocol-v1 encoders wrote them. Version 2 made every
+// field mandatory on the decoding side; the bytes on the wire are the same.
+TEST(ServeProtocolTest, FixedLayoutsKeepTheVersionOneBytes) {
+    EXPECT_EQ(hex(serve::encode_evaluate(pinned_evaluate())),
+              "380000000205000000742e63737607000000756e69666f726d030000006b6e"
+              "6ec8000000efcdab89674523018877665544332211fa00000000000000");
+    EXPECT_EQ(hex(serve::encode_result(pinned_result())),
+              "410000000302000000780a000000000000f4bf012a000000000000000000"
+              "00000000f83f000000000000d03f0000000000802140000000000000c03f"
+              "01000000000000d03f");
+    EXPECT_EQ(hex(serve::encode_stats_reply(pinned_stats_reply())),
+              "b100000004010000000000000002000000000000000300000000000000040"
+              "000000000000005000000000000000600000000000000070000000000000008"
+              "0000000000000009000000000000000a00000000000000000000000000e03f"
+              "000000000000f83f00000000000004400b00000000000000000000000000"
+              "0c40000000000000124000000000000016400000000000001a400c000000"
+              "000000000d000000000000000e000000000000000f00000000000000");
 }
 
 TEST(ServeProtocolTest, MalformedFramesThrow) {
@@ -726,15 +876,7 @@ double median(std::vector<double> xs) {
 
 class ServeWarmTest : public ::testing::Test {
 protected:
-    // No time-series sampler: its registry scrapes would land inside the
-    // timed batches.
-    static serve::ServerOptions quiet_options() {
-        serve::ServerOptions options;
-        options.ts_interval_ms = 0;
-        return options;
-    }
-
-    ServeWarmTest() : server_(quiet_options()) {
+    ServeWarmTest() {
         write_csv_file(make_trace(2000), dir_.file("trace.csv"));
         request_ = make_request(dir_.file("trace.csv"), "uniform");
         server_.start();
@@ -853,7 +995,6 @@ TEST(ServeTelemetryTest, ServerEchoesTraceIdsAndWritesTheJournal) {
 
     serve::ServerOptions options;
     options.journal_path = journal_path;
-    options.ts_interval_ms = 0; // sampler quiet; the ring is driven below
     serve::EvalServer server(options);
 #if !DRE_OBS_ENABLED
     // A disabled build must refuse the journal outright, not write an
@@ -897,34 +1038,39 @@ TEST(ServeTelemetryTest, ServerEchoesTraceIdsAndWritesTheJournal) {
 #endif // DRE_OBS_ENABLED
 }
 
-TEST(ServeTelemetryTest, TimeseriesFrameReturnsTheSampledRing) {
+// dre_top end to end: one scrape of a server that has answered one
+// Evaluate shows the request counter and the queue-depth gauge.
+TEST(ServeTelemetryTest, TopRendersTheMetricsEndpoint) {
+#if !DRE_OBS_ENABLED
+    GTEST_SKIP() << "the metrics listener needs a DRE_OBS_ENABLED build";
+#else
     TempDir dir;
     const std::string path = dir.file("trace.csv");
     write_csv_file(make_trace(120), path);
 
     serve::ServerOptions options;
-    options.ts_interval_ms = 0; // drive sample_once() deterministically
+    options.metrics_port = 0;
     serve::EvalServer server(options);
     server.start();
     serve::Client client(server.port());
     (void)client.evaluate(make_request(path));
-    server.timeseries_ring().sample_once();
 
-    const serve::TimeseriesReplyMsg ts = client.timeseries();
-#if DRE_OBS_ENABLED
-    ASSERT_FALSE(ts.series.empty());
-    bool found_queue_depth = false;
-    for (const serve::TimeseriesSeries& series : ts.series) {
-        ASSERT_FALSE(series.points.empty());
-        if (series.name == "serve.queue_depth") found_queue_depth = true;
-    }
-    EXPECT_TRUE(found_queue_depth);
-#else
-    // Disabled build: the frame still answers, with zero series — the
-    // "wire fields become zeros" contract.
-    EXPECT_TRUE(ts.series.empty());
-#endif
+    const std::string out = dir.file("top.txt");
+    const std::string command =
+        std::string(DRE_TOP_PATH) + " --metrics-port " +
+        std::to_string(server.metrics_port()) + " > " + out + " 2>&1";
+    const int status = std::system(command.c_str());
     server.stop_and_join();
+
+    std::ifstream in(out);
+    const std::string text((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    ASSERT_EQ(WEXITSTATUS(status), 0) << text;
+    EXPECT_NE(text.find("\ndre_serve_requests_total"), std::string::npos)
+        << text;
+    EXPECT_NE(text.find("\ndre_serve_queue_depth "), std::string::npos)
+        << text;
+#endif
 }
 
 TEST(ServeTelemetryTest, MetricsListenerRefusesToStartWhenObsDisabled) {

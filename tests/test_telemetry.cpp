@@ -1,15 +1,18 @@
 // dre::obs v2 telemetry primitives: trace-context propagation (including
 // across the dre::par pool), histogram snapshot quantiles / merge / delta
-// windows, the OpenMetrics renderer, the injectable-clock time-series
-// ring, and the journal line schema. None of this may perturb evaluation
-// results — the serve-side byte-identity cases live in test_serve.cpp.
+// windows, the OpenMetrics renderer and its parser, dre_top's window rules
+// between two scrapes, and the journal line schema. None of this may
+// perturb evaluation results — the serve-side byte-identity cases live in
+// test_serve.cpp.
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,7 +20,6 @@
 #include "core/parallel.h"
 #include "obs/obs.h"
 #include "obs/openmetrics.h"
-#include "obs/timeseries.h"
 #include "serve/journal.h"
 
 namespace {
@@ -239,59 +241,121 @@ TEST(OpenMetricsTest, HistogramBucketsAreCumulative) {
 }
 #endif // DRE_OBS_ENABLED
 
-// --- time-series ring -------------------------------------------------------
-
-TEST(TimeSeriesRingTest, InjectedClockStampsSamples) {
-    std::uint64_t now = 1000;
-    obs::TimeSeriesRing ring(8, [&] { return now; });
-    ring.sample_once();
-    now = 2000;
-    ring.sample_once();
-    const std::vector<obs::TimeSeriesSample> samples = ring.snapshot();
-    ASSERT_EQ(samples.size(), 2u);
-    EXPECT_EQ(samples[0].t_ms, 1000u);
-    EXPECT_EQ(samples[1].t_ms, 2000u);
-}
-
-TEST(TimeSeriesRingTest, WrapKeepsNewestAndStaysMonotonic) {
-    std::uint64_t now = 0;
-    obs::TimeSeriesRing ring(4, [&] { return now; });
-    for (int i = 0; i < 10; ++i) {
-        now = static_cast<std::uint64_t>(i) * 100;
-        ring.sample_once();
-    }
-    const std::vector<obs::TimeSeriesSample> samples = ring.snapshot();
-    ASSERT_EQ(samples.size(), 4u); // capacity bound, oldest evicted
-    EXPECT_EQ(samples.front().t_ms, 600u);
-    EXPECT_EQ(samples.back().t_ms, 900u);
-    for (std::size_t i = 1; i < samples.size(); ++i)
-        EXPECT_LT(samples[i - 1].t_ms, samples[i].t_ms);
-}
-
 #if DRE_OBS_ENABLED
-TEST(TimeSeriesRingTest, CounterRateUsesTheClockWindow) {
-    DRE_COUNTER_ADD("telemetry_test.ring_ctr", 0); // ensure registered
-    std::uint64_t now = 0;
-    obs::TimeSeriesRing ring(8, [&] { return now; });
-    ring.sample_once(); // baseline at t=0
-    DRE_COUNTER_ADD("telemetry_test.ring_ctr", 500);
-    now = 2000; // 2 s window -> 250/s
-    ring.sample_once();
-    const std::vector<obs::TimeSeriesSample> samples = ring.snapshot();
-    ASSERT_EQ(samples.size(), 2u);
-    double rate = -1.0;
-    for (const auto& [name, value] : samples[1].values)
-        if (name == "telemetry_test.ring_ctr.rate") rate = value;
-    EXPECT_DOUBLE_EQ(rate, 250.0);
+// Every family of the rendered registry reads back with the registry's own
+// values: counters, gauges, histogram buckets, sum and count, and span
+// duration histograms.
+TEST(OpenMetricsTest, ParseReadsBackTheRenderedRegistry) {
+    DRE_COUNTER_ADD("telemetry_test.parsed_hits", 7);
+    DRE_GAUGE_SET("telemetry_test.parsed_level", -2.75);
+    for (const double v : {0.5, 3.0, 3.0, 100.0, 70000.0})
+        DRE_HIST_RECORD("telemetry_test.parsed_ms", v);
+    { DRE_SPAN("telemetry_test.parsed_span"); }
+
+    const obs::Registry& reg = obs::registry();
+    const obs::Scrape scrape = obs::parse_openmetrics(obs::render_openmetrics());
+
+    const std::vector<obs::CounterSample> counters = reg.counters();
+    EXPECT_EQ(scrape.counters.size(), counters.size());
+    for (const obs::CounterSample& c : counters)
+        EXPECT_EQ(scrape.counters.at(obs::openmetrics_name(c.name)), c.value)
+            << c.name;
+    const std::vector<obs::GaugeSample> gauges = reg.gauges();
+    EXPECT_EQ(scrape.gauges.size(), gauges.size());
+    for (const obs::GaugeSample& g : gauges)
+        EXPECT_EQ(scrape.gauges.at(obs::openmetrics_name(g.name)), g.value)
+            << g.name;
+    auto histograms = reg.histogram_snapshots();
+    for (const auto& [name, snapshot] : reg.span_duration_snapshots())
+        histograms.emplace_back("span." + name + "_ns", snapshot);
+    EXPECT_EQ(scrape.histograms.size(), histograms.size());
+    for (const auto& [name, snapshot] : histograms) {
+        const obs::HistogramSnapshot& back =
+            scrape.histograms.at(obs::openmetrics_name(name));
+        EXPECT_EQ(back.buckets, snapshot.buckets) << name;
+        EXPECT_EQ(back.count, snapshot.count) << name;
+        EXPECT_EQ(back.sum, snapshot.sum) << name;
+        EXPECT_FALSE(back.has_extremes) << name;
+    }
+    EXPECT_EQ(scrape.gauges.at("dre_telemetry_test_parsed_level"), -2.75);
+    EXPECT_EQ(scrape.histograms.at("dre_telemetry_test_parsed_ms").count, 5u);
+    EXPECT_GE(scrape.histograms.at("dre_span_telemetry_test_parsed_span_ns")
+                  .count,
+              1u);
 }
 #endif // DRE_OBS_ENABLED
 
-TEST(TimeSeriesRingTest, ZeroCapacityIsCoercedToOne) {
-    std::uint64_t now = 5;
-    obs::TimeSeriesRing ring(0, [&] { return now; });
-    ring.sample_once();
-    ring.sample_once();
-    EXPECT_EQ(ring.snapshot().size(), 1u);
+TEST(OpenMetricsTest, ParseRejectsWhatTheRendererNeverWrites) {
+    for (const char* text : {
+             "# TYPE dre_c counter\ndre_c_total 1\n",   // no # EOF
+             "dre_c_total 1\n# EOF\n",                  // no family
+             "# TYPE dre_c counter\ndre_c_total x\n# EOF\n",
+             "# TYPE dre_c summary\n# EOF\n",
+             "# TYPE dre_h histogram\ndre_h_bucket{le=\"3\"} 1\n# EOF\n",
+             "# TYPE dre_h histogram\ndre_h_bucket{le=\"1\"} 2\n"
+             "dre_h_bucket{le=\"2\"} 1\n# EOF\n",
+             "# EOF\n# TYPE dre_g gauge\n",
+         })
+        EXPECT_THROW((void)obs::parse_openmetrics(text), std::runtime_error)
+            << text;
+}
+
+// --- dre_top's window rules -------------------------------------------------
+
+double series(const std::vector<std::pair<std::string, double>>& rows,
+              const std::string& name) {
+    for (const auto& [row, value] : rows)
+        if (row == name) return value;
+    ADD_FAILURE() << "no series " << name;
+    return -1.0;
+}
+
+TEST(WindowSeriesTest, CounterRateUsesTheScrapeInterval) {
+    obs::Scrape before;
+    before.counters["dre_c"] = 100;
+    before.counters["dre_restarted"] = 50;
+    obs::Scrape after;
+    after.counters["dre_c"] = 600; // +500 over 2 s
+    after.counters["dre_restarted"] = 10;
+    after.counters["dre_new"] = 30; // counted from zero
+    const auto rows = obs::window_series(before, after, 2000.0);
+    EXPECT_DOUBLE_EQ(series(rows, "dre_c_total.rate"), 250.0);
+    EXPECT_EQ(series(rows, "dre_restarted_total.rate"), 0.0);
+    EXPECT_DOUBLE_EQ(series(rows, "dre_new_total.rate"), 15.0);
+}
+
+TEST(WindowSeriesTest, FirstScrapeHasZeroRatesAndWholeHistogramQuantiles) {
+    obs::Histogram h;
+    for (const double v : {1.0, 2.0, 40.0, 300.0}) h.record(v);
+    obs::Scrape first;
+    first.counters["dre_c"] = 600;
+    first.gauges["dre_g"] = 4.5;
+    first.histograms["dre_h_ms"] = h.snapshot();
+    const auto rows = obs::window_series({}, first, 0.0);
+    ASSERT_EQ(rows.size(), 5u);
+    EXPECT_EQ(series(rows, "dre_c_total.rate"), 0.0);
+    EXPECT_EQ(series(rows, "dre_g"), 4.5);
+    EXPECT_EQ(series(rows, "dre_h_ms_count.rate"), 0.0);
+    EXPECT_EQ(series(rows, "dre_h_ms.p50"), h.snapshot().p50());
+    EXPECT_EQ(series(rows, "dre_h_ms.p99"), h.snapshot().p99());
+}
+
+TEST(WindowSeriesTest, LaterScrapeQuantilesAreThoseOfTheDelta) {
+    obs::Histogram h;
+    for (int i = 0; i < 10; ++i) h.record(2.0);
+    obs::Scrape before;
+    before.histograms["dre_h_ms"] = h.snapshot();
+    for (int i = 0; i < 30; ++i) h.record(500.0);
+    obs::Scrape after;
+    after.histograms["dre_h_ms"] = h.snapshot();
+    const obs::HistogramSnapshot delta =
+        after.histograms["dre_h_ms"].delta_since(before.histograms["dre_h_ms"]);
+
+    const auto rows = obs::window_series(before, after, 500.0);
+    EXPECT_DOUBLE_EQ(series(rows, "dre_h_ms_count.rate"), 60.0); // 30 in 0.5 s
+    EXPECT_EQ(series(rows, "dre_h_ms.p50"), delta.p50());
+    EXPECT_EQ(series(rows, "dre_h_ms.p99"), delta.p99());
+    EXPECT_GT(delta.p50(), 256.0); // the earlier 2.0 mass is outside
 }
 
 // --- journal line schema ----------------------------------------------------

@@ -38,9 +38,8 @@
 //                             latency (errors always log; default 0 = all)
 //   --trace-out <f>           enable span tracing; write a chrome://tracing
 //                             JSON file on shutdown
-//   --ts-interval-ms <n>      time-series sampling interval (default 1000,
-//                             0 = sampler off)
-//   --ts-capacity <n>         samples retained in the ring (default 512)
+//
+// `dre_top --metrics-port <n>` renders the /metrics listener live.
 //
 // The process owns the traces and fitted models for every trace it is
 // asked about (see serve/service.h); responses are byte-identical to
@@ -79,9 +78,8 @@ int usage() {
                  "                 [--fault-spec S] [--fault-seed N]\n"
                  "                 [--metrics-port N] [--metrics-port-file F] "
                  "[--journal F]\n"
-                 "                 [--journal-threshold-ms X] [--trace-out F] "
-                 "[--ts-interval-ms N]\n"
-                 "                 [--ts-capacity N]\n");
+                 "                 [--journal-threshold-ms X] "
+                 "[--trace-out F]\n");
     return 2;
 }
 
@@ -131,12 +129,6 @@ int main(int argc, char** argv) {
                 tools::parse_flag<double>("--journal-threshold-ms", argv[++i]);
         } else if (arg == "--trace-out" && i + 1 < argc) {
             trace_out = argv[++i];
-        } else if (arg == "--ts-interval-ms" && i + 1 < argc) {
-            options.ts_interval_ms =
-                tools::parse_flag<std::uint64_t>("--ts-interval-ms", argv[++i]);
-        } else if (arg == "--ts-capacity" && i + 1 < argc) {
-            options.ts_capacity =
-                tools::parse_flag<std::size_t>("--ts-capacity", argv[++i]);
         } else {
             std::fprintf(stderr, "error: unknown argument '%s'\n", arg.c_str());
             return usage();

@@ -246,33 +246,27 @@ int main(int argc, char** argv) {
                     "] without --offline",
                 "0");
 
-        // Assemble the wave source. Objects the source points at must
-        // outlive the run, hence the unique_ptrs held here.
+        // Open the input. Objects the sources point at must outlive the
+        // run, hence the unique_ptrs held here.
         std::unique_ptr<cdn::VideoQualityEnv> env;
         std::unique_ptr<Trace> trace_storage;
         std::unique_ptr<store::ShardedStore> store_storage;
         std::unique_ptr<core::TupleSource> tuple_source;
-        std::unique_ptr<tune::WaveSource> source;
         if (source_arg == "cdn") {
             env = std::make_unique<cdn::VideoQualityEnv>(cdn::CdnWorldConfig{});
             space.num_decisions = env->num_decisions();
-            source = std::make_unique<tune::EnvWaveSource>(*env, wave_size);
         } else if (source_arg.ends_with(".csv")) {
             trace_storage =
                 std::make_unique<Trace>(read_csv_file(source_arg));
             space.num_decisions = trace_storage->num_decisions();
             tuple_source =
                 std::make_unique<core::TraceTupleSource>(*trace_storage);
-            source = std::make_unique<tune::StoreWaveSource>(*tuple_source,
-                                                             wave_size);
         } else {
             store_storage = std::make_unique<store::ShardedStore>(
                 store::resolve_shards(source_arg));
             space.num_decisions = store_storage->num_decisions();
             tuple_source =
                 std::make_unique<store::StoreTupleSource>(*store_storage);
-            source = std::make_unique<tune::StoreWaveSource>(*tuple_source,
-                                                             wave_size);
         }
 
         const std::vector<tune::PolicyCandidate> candidates =
@@ -301,6 +295,16 @@ int main(int argc, char** argv) {
                 core::write_file_atomically(journal_out, board.to_text());
             write_obs(obs_out);
             return 0;
+        }
+
+        // Only the online loop walks waves, so only it needs the input to
+        // hold one.
+        std::unique_ptr<tune::WaveSource> source;
+        if (env != nullptr) {
+            source = std::make_unique<tune::EnvWaveSource>(*env, wave_size);
+        } else {
+            source = std::make_unique<tune::StoreWaveSource>(*tuple_source,
+                                                             wave_size);
         }
 
         std::signal(SIGINT, handle_stop_signal);
