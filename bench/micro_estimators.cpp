@@ -191,12 +191,14 @@ void BM_CbnVariableElimination(benchmark::State& state) {
                             static_cast<std::int64_t>(fx.queries.size()));
 }
 
-// The bootstrap resampler on one 4096-value chunk for 1001 replicates (one
-// past a multiple of the 8-stream pass width) at each vector level and at
-// the scalar spec. A level this CPU lacks is reported as skipped rather
+// The bootstrap resampler on one chunk for 1001 replicates (one past a
+// multiple of the 8-stream pass width) at each vector level and at the
+// scalar spec: a full 4096-value chunk (power of two, never rejects) and a
+// 1808-value one (eval_batch's ragged last chunk, which runs Lemire's
+// rejection check). A level this CPU lacks is reported as skipped rather
 // than timed at a lower level.
 void BM_ResampleSum8(benchmark::State& state, simd::Level level) {
-    constexpr std::size_t kValues = 4096;
+    const auto m = static_cast<std::size_t>(state.range(0));
     constexpr std::size_t kStreams = 1001;
     if (level > simd::detected_level()) {
         state.SkipWithError("level not supported by this CPU");
@@ -204,7 +206,7 @@ void BM_ResampleSum8(benchmark::State& state, simd::Level level) {
     }
     const simd::Ops& ops = simd::ops_for(level);
     stats::Rng fill(8);
-    std::vector<double> values(kValues);
+    std::vector<double> values(m);
     for (double& x : values) x = fill.lognormal(0.0, 1.0);
     const stats::Rng base(43);
     std::vector<std::uint64_t> states;
@@ -213,13 +215,13 @@ void BM_ResampleSum8(benchmark::State& state, simd::Level level) {
             states.push_back(word);
     std::vector<double> sums(kStreams);
     for (auto _ : state) {
-        ops.resample_sum8(values.data(), kValues, states.data(), kStreams,
+        ops.resample_sum8(values.data(), m, states.data(), kStreams,
                           sums.data());
         benchmark::DoNotOptimize(sums.data());
         benchmark::ClobberMemory();
     }
     state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(kValues * kStreams));
+                            static_cast<std::int64_t>(m * kStreams));
 }
 
 BENCHMARK(BM_DirectMethod)->Arg(1000)->Arg(10000)->Arg(100000);
@@ -245,10 +247,16 @@ BENCHMARK(BM_CbnVariableElimination)
     ->Arg(14)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_ResampleSum8, scalar, simd::Level::kScalar)
+    ->Arg(4096)
+    ->Arg(1808)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_ResampleSum8, avx2, simd::Level::kAvx2)
+    ->Arg(4096)
+    ->Arg(1808)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_ResampleSum8, avx512, simd::Level::kAvx512)
+    ->Arg(4096)
+    ->Arg(1808)
     ->Unit(benchmark::kMillisecond);
 
 } // namespace

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "obs/obs.h"
 #include "stats/summary.h"
 
 namespace dre::core {
@@ -30,9 +29,6 @@ OverlapDiagnostics overlap_diagnostics(const Trace& trace, const Policy& new_pol
         diag.mean_weight > 0.0 ? std::sqrt(var) / diag.mean_weight : 0.0;
     diag.zero_weight_fraction =
         static_cast<double>(zeros) / static_cast<double>(weights.size());
-    DRE_GAUGE_SET("estimators.effective_sample_size", diag.effective_sample_size);
-    DRE_GAUGE_SET("estimators.effective_sample_fraction",
-                  diag.effective_sample_fraction);
     return diag;
 }
 

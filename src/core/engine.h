@@ -26,7 +26,6 @@
 #include "core/estimators.h"
 #include "core/evaluator.h"
 #include "core/parallel.h"
-#include "obs/obs.h"
 #include "stats/bootstrap.h"
 #include "stats/summary.h"
 
@@ -131,10 +130,6 @@ public:
         diag.weight_cv =
             diag.mean_weight > 0.0 ? std::sqrt(var) / diag.mean_weight : 0.0;
         diag.zero_weight_fraction = static_cast<double>(t.o_zeros) / dn;
-        DRE_GAUGE_SET("estimators.effective_sample_size",
-                      diag.effective_sample_size);
-        DRE_GAUGE_SET("estimators.effective_sample_fraction",
-                      diag.effective_sample_fraction);
 
         if (bootstrap) out.dr_ci = bootstrap->finalize(t.dm.n, out.dr.value);
         return out;

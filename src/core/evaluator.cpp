@@ -23,7 +23,7 @@ Evaluator::Evaluator(Trace trace, EvaluationConfig config, stats::Rng rng)
     }
 
     if (config_.cross_fit) {
-        auto [train, holdout] = trace.split(config_.cross_fit_train_fraction, rng_);
+        auto [train, holdout] = trace.split(0.5, rng_);
         if (train.empty() || holdout.empty())
             throw std::invalid_argument("Evaluator: cross-fit split produced empty half");
         model_ = fit_reward_model(config_.reward_model, trace.num_decisions(), train);

@@ -33,10 +33,10 @@ struct EvaluationConfig {
     // trusting the logged ones (paper §2.1's "in practice" caveat).
     bool estimate_propensities = false;
     EstimatorOptions estimator_options;
-    // Fit the reward model on a split disjoint from the evaluation tuples
-    // (avoids the optimistic bias of fitting and evaluating on the same data).
+    // Fit the reward model on a random half of the trace and evaluate on the
+    // other half (avoids the optimistic bias of fitting and evaluating on
+    // the same data).
     bool cross_fit = false;
-    double cross_fit_train_fraction = 0.5;
     // Bootstrap CI settings (0 replicates disables CIs).
     int ci_replicates = 0;
     double ci_level = 0.95;

@@ -152,6 +152,10 @@ namespace {
 // interrupted run's floating-point state.
 constexpr std::string_view kCheckpointMagic = "DRECKPT1";
 
+// Tries per chunk when its stream.chunk fault is transient (the per-shard
+// store retries are the source's own).
+constexpr int kChunkMaxAttempts = 3;
+
 // The streaming run's own state across chunks; the checkpoint saves it
 // together with the engine's totals and bootstrap replicate sums.
 struct RunState {
@@ -301,9 +305,6 @@ StreamingResult evaluate_streaming_guarded(const TupleSource& source,
     if (source.num_decisions() > policy.num_decisions())
         throw std::invalid_argument(
             "evaluate_streaming: source uses decisions outside policy space");
-    if (options.chunk_max_attempts < 1)
-        throw std::invalid_argument(
-            "evaluate_streaming: chunk_max_attempts must be >= 1");
     if (options.resume && options.checkpoint_path.empty())
         throw std::invalid_argument(
             "evaluate_streaming: resume requires a checkpoint path");
@@ -366,7 +367,7 @@ StreamingResult evaluate_streaming_guarded(const TupleSource& source,
                     break;
                 } catch (const fault::FaultError& e) {
                     if (e.kind() == fault::FaultKind::kTransient &&
-                        attempt + 1 < options.chunk_max_attempts) {
+                        attempt + 1 < kChunkMaxAttempts) {
                         DRE_COUNTER_INC("stream.chunk_retries");
                         continue;
                     }

@@ -179,9 +179,6 @@ struct StreamingOptions {
     // Failure handling (see file comment). kStrict preserves the original
     // evaluate_streaming behavior bit-for-bit.
     FailureMode on_error = FailureMode::kStrict;
-    // Retry budget for transient stream.chunk faults (the per-shard store
-    // retry policy is configured on the source, not here).
-    int chunk_max_attempts = 3;
     // Non-empty: write the reduction state here after every wave (atomic
     // tmp+rename) so an interrupted run can resume.
     std::string checkpoint_path;

@@ -70,24 +70,6 @@ double HistogramSnapshot::quantile(double p) const noexcept {
     return has_extremes ? max : bucket_hi(buckets.size() - 1);
 }
 
-void HistogramSnapshot::merge(const HistogramSnapshot& other) noexcept {
-    const bool was_empty = count == 0;
-    for (std::size_t i = 0; i < buckets.size(); ++i)
-        buckets[i] += other.buckets[i];
-    count += other.count;
-    sum += other.sum;
-    if (other.count == 0) return; // nothing to fold into the extremes
-    if (was_empty) {
-        min = other.min;
-        max = other.max;
-        has_extremes = other.has_extremes;
-    } else {
-        min = std::min(min, other.min);
-        max = std::max(max, other.max);
-        has_extremes = has_extremes && other.has_extremes;
-    }
-}
-
 HistogramSnapshot HistogramSnapshot::delta_since(
     const HistogramSnapshot& earlier) const noexcept {
     HistogramSnapshot out;
@@ -236,46 +218,6 @@ std::vector<GaugeSample> Registry::gauges() const {
     out.reserve(gauges_.size());
     for (const auto& [name, gauge] : gauges_)
         out.push_back({name, gauge->value()});
-    return out;
-}
-
-std::vector<HistogramSample> Registry::histograms() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<HistogramSample> out;
-    out.reserve(histograms_.size());
-    for (const auto& [name, histogram] : histograms_) {
-        HistogramSample sample;
-        sample.name = name;
-        sample.count = histogram->count();
-        sample.sum = histogram->sum();
-        sample.min = histogram->min();
-        sample.max = histogram->max();
-        sample.mean = histogram->mean();
-        sample.p50 = histogram->p50();
-        sample.p90 = histogram->p90();
-        sample.p99 = histogram->p99();
-        out.push_back(std::move(sample));
-    }
-    return out;
-}
-
-std::vector<SpanSample> Registry::spans() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<SpanSample> out;
-    out.reserve(span_stats_.size());
-    for (const auto& [name, span] : span_stats_) {
-        SpanSample sample;
-        sample.name = name;
-        sample.count = span->count.load(std::memory_order_relaxed);
-        const auto total =
-            static_cast<double>(span->total_ns.load(std::memory_order_relaxed));
-        sample.total_ms = total / 1e6;
-        sample.mean_ms =
-            sample.count == 0 ? 0.0 : total / 1e6 / static_cast<double>(sample.count);
-        sample.p50_ms = span->duration_ns.quantile(0.50) / 1e6;
-        sample.p99_ms = span->duration_ns.quantile(0.99) / 1e6;
-        out.push_back(std::move(sample));
-    }
     return out;
 }
 

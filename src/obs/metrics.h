@@ -129,9 +129,6 @@ struct HistogramSnapshot {
     double p90() const noexcept { return quantile(0.90); }
     double p99() const noexcept { return quantile(0.99); }
 
-    // Fold `other` into this snapshot (bucket-wise sums; extremes combine
-    // only if both sides have them).
-    void merge(const HistogramSnapshot& other) noexcept;
     // The histogram of observations recorded after `earlier` was taken
     // (counter-style subtraction; extremes are unknowable for a window).
     HistogramSnapshot delta_since(const HistogramSnapshot& earlier) const noexcept;
@@ -165,8 +162,8 @@ public:
     // snapshot().quantile(p).
     double quantile(double p) const noexcept { return snapshot().quantile(p); }
     // Named quantile accessors, so consumers (the serve Stats reply, the
-    // loadgen summary, the report sink) share one definition of "p99"
-    // instead of each hard-coding the probability.
+    // loadgen summary) share one definition of "p99" instead of each
+    // hard-coding the probability.
     double p50() const noexcept { return quantile(0.50); }
     double p90() const noexcept { return quantile(0.90); }
     double p99() const noexcept { return quantile(0.99); }
@@ -183,23 +180,15 @@ private:
     std::atomic<bool> any_{false};
 };
 
-// Aggregated profile for one span name: count / total / duration histogram
-// (mean and p99 derive from these on scrape).
+// Aggregated profile for one span name: the duration histogram, whose
+// count and sum are the span's completions and total time.
 struct SpanStat {
-    std::atomic<std::uint64_t> count{0};
-    std::atomic<std::uint64_t> total_ns{0};
     Histogram duration_ns;
 
     void record(std::uint64_t ns) noexcept {
-        count.fetch_add(1, std::memory_order_relaxed);
-        total_ns.fetch_add(ns, std::memory_order_relaxed);
         duration_ns.record(static_cast<double>(ns));
     }
-    void reset() noexcept {
-        count.store(0, std::memory_order_relaxed);
-        total_ns.store(0, std::memory_order_relaxed);
-        duration_ns.reset();
-    }
+    void reset() noexcept { duration_ns.reset(); }
 };
 
 // --- Scrape-time snapshots -------------------------------------------------
@@ -212,19 +201,6 @@ struct CounterSample {
 struct GaugeSample {
     std::string name;
     double value = 0.0;
-};
-
-struct HistogramSample {
-    std::string name;
-    std::uint64_t count = 0;
-    double sum = 0.0, min = 0.0, max = 0.0, mean = 0.0;
-    double p50 = 0.0, p90 = 0.0, p99 = 0.0;
-};
-
-struct SpanSample {
-    std::string name;
-    std::uint64_t count = 0;
-    double total_ms = 0.0, mean_ms = 0.0, p50_ms = 0.0, p99_ms = 0.0;
 };
 
 // Process-global name -> metric map. Lookup takes a mutex, so
@@ -244,15 +220,11 @@ public:
     // Zero every metric (objects and references stay valid).
     void reset();
 
-    // Sorted-by-name snapshots for the report sink.
-    std::vector<CounterSample> counters() const;
-    std::vector<GaugeSample> gauges() const;
-    std::vector<HistogramSample> histograms() const;
-    std::vector<SpanSample> spans() const;
-
-    // Full-bucket snapshots for the OpenMetrics exposition.
+    // Sorted-by-name snapshots for the OpenMetrics exposition.
     // span_duration_snapshots covers each span profile's duration
     // histogram (values in nanoseconds).
+    std::vector<CounterSample> counters() const;
+    std::vector<GaugeSample> gauges() const;
     std::vector<std::pair<std::string, HistogramSnapshot>>
     histogram_snapshots() const;
     std::vector<std::pair<std::string, HistogramSnapshot>>

@@ -4,7 +4,7 @@
 // use the macros below. Each macro resolves its metric once per call site
 // via a function-local static reference, so the steady-state hot-path cost
 // is a single relaxed atomic op (counters/gauges) or two clock reads plus
-// three relaxed atomics (spans).
+// one histogram record (spans).
 //
 // Compile-time gate: build with -DDRE_OBS_ENABLED=0 (CMake option
 // DRE_OBS_ENABLED=OFF) and every macro expands to a no-op statement — no

@@ -119,6 +119,14 @@ std::string render_openmetrics() {
     return out;
 }
 
+bool write_openmetrics_file(const std::string& path) {
+    std::FILE* file = std::fopen(path.c_str(), "w");
+    if (file == nullptr) return false;
+    const std::string text = render_openmetrics();
+    const bool ok = std::fwrite(text.data(), 1, text.size(), file) == text.size();
+    return std::fclose(file) == 0 && ok;
+}
+
 Scrape parse_openmetrics(std::string_view text) {
     Scrape out;
     std::string family; // from the latest `# TYPE` line

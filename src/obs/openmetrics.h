@@ -2,14 +2,17 @@
 //
 // render_openmetrics() serializes every registered metric in the
 // OpenMetrics 1.0 text format, so a Prometheus-compatible scraper pointed
-// at `dre_serve --metrics-port` ingests the registry directly:
+// at `dre_serve --metrics-port` ingests the registry directly; `dre_eval
+// --obs-out` and `dre_tune --obs-out` write the same document to a file:
 //
 //   * naming: registry names are dotted ("serve.request_ms"); the
 //     exposition prefixes "dre_" and maps every non-[a-zA-Z0-9_] byte to
 //     '_' ("dre_serve_request_ms"). Units stay encoded in the name suffix
 //     (_ms, _ns, _bytes) exactly as registered.
 //   * counters export as `# TYPE <name> counter` with the `_total` sample
-//     suffix; gauges as plain gauges.
+//     suffix, so a counter's registry name does not end in `_total`
+//     ("serve.requests" -> sample `dre_serve_requests_total`); gauges
+//     export as plain gauges.
 //   * histograms export cumulative `le` buckets on the registry's
 //     power-of-two boundaries (only up to the highest occupied bucket,
 //     plus "+Inf"), then `_sum` and `_count`.
@@ -42,6 +45,9 @@ std::string openmetrics_name(std::string_view registry_name);
 
 // The full exposition document for the process-global registry.
 std::string render_openmetrics();
+
+// Writes render_openmetrics() to `path`; false on an I/O failure.
+bool write_openmetrics_file(const std::string& path);
 
 // One exposition document read back, keyed by family name
 // ("dre_serve_requests"). A histogram is rebuilt bucket by bucket from its

@@ -3,12 +3,6 @@
 #include <cinttypes>
 #include <cmath>
 
-#include "obs/metrics.h"
-
-#ifndef DRE_OBS_ENABLED
-#define DRE_OBS_ENABLED 1
-#endif
-
 namespace dre::obs {
 namespace {
 
@@ -230,82 +224,6 @@ std::string Report::to_text() const {
 void Report::print(std::FILE* out) const {
     const std::string text = to_text();
     std::fwrite(text.data(), 1, text.size(), out);
-}
-
-std::string registry_json() {
-    const Registry& reg = registry();
-    std::string out;
-    JsonWriter json(&out);
-    json.begin_object();
-    json.key("obs_enabled");
-    json.value(DRE_OBS_ENABLED != 0);
-    json.key("counters");
-    json.begin_object();
-    for (const CounterSample& c : reg.counters()) {
-        json.key(c.name);
-        json.value(std::uint64_t{c.value});
-    }
-    json.end_object();
-    json.key("gauges");
-    json.begin_object();
-    for (const GaugeSample& g : reg.gauges()) {
-        json.key(g.name);
-        json.value(g.value);
-    }
-    json.end_object();
-    json.key("histograms");
-    json.begin_object();
-    for (const HistogramSample& h : reg.histograms()) {
-        json.key(h.name);
-        json.begin_object();
-        json.key("count");
-        json.value(std::uint64_t{h.count});
-        json.key("sum");
-        json.value(h.sum);
-        json.key("min");
-        json.value(h.min);
-        json.key("max");
-        json.value(h.max);
-        json.key("mean");
-        json.value(h.mean);
-        json.key("p50");
-        json.value(h.p50);
-        json.key("p90");
-        json.value(h.p90);
-        json.key("p99");
-        json.value(h.p99);
-        json.end_object();
-    }
-    json.end_object();
-    json.key("spans");
-    json.begin_object();
-    for (const SpanSample& s : reg.spans()) {
-        json.key(s.name);
-        json.begin_object();
-        json.key("count");
-        json.value(std::uint64_t{s.count});
-        json.key("total_ms");
-        json.value(s.total_ms);
-        json.key("mean_ms");
-        json.value(s.mean_ms);
-        json.key("p50_ms");
-        json.value(s.p50_ms);
-        json.key("p99_ms");
-        json.value(s.p99_ms);
-        json.end_object();
-    }
-    json.end_object();
-    json.end_object();
-    out.push_back('\n');
-    return out;
-}
-
-bool write_registry_json_file(const std::string& path) {
-    std::FILE* file = std::fopen(path.c_str(), "w");
-    if (file == nullptr) return false;
-    const std::string json = registry_json();
-    const bool ok = std::fwrite(json.data(), 1, json.size(), file) == json.size();
-    return std::fclose(file) == 0 && ok;
 }
 
 } // namespace dre::obs

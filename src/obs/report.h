@@ -3,10 +3,9 @@
 // Two pieces:
 //
 //  * JsonWriter — a minimal streaming JSON serializer (objects, arrays,
-//    escaped strings, automatic commas). Shared by the registry report
-//    (`registry_json()`, written by `--obs-out`), the chrome-trace exporter
-//    and the serve journal, so every JSON artifact in the repo comes out of
-//    one implementation.
+//    escaped strings, automatic commas). Shared by the chrome-trace
+//    exporter and the serve journal, so every JSON artifact in the repo
+//    comes out of one implementation.
 //
 //  * Report — an ordered section -> key -> value document rendered as
 //    aligned human-readable text: the one format shared by the dre_eval
@@ -91,13 +90,6 @@ private:
 
     std::vector<Section> sections_;
 };
-
-// The whole registry as nested JSON:
-//   {"obs_enabled": ..., "counters": {...}, "gauges": {...},
-//    "histograms": {name: {count,sum,min,max,mean,p50,p90,p99}},
-//    "spans": {name: {count,total_ms,mean_ms,p50_ms,p99_ms}}}
-std::string registry_json();
-bool write_registry_json_file(const std::string& path);
 
 } // namespace dre::obs
 

@@ -1,8 +1,8 @@
 // Scoped tracing for `dre::obs`.
 //
 // `DRE_SPAN("knn.query")` (obs/obs.h) opens an RAII span: on destruction the
-// duration is folded into the span's aggregated profile (count / total /
-// histogram -> mean / p99 on scrape), and — only when tracing has been
+// duration is folded into the span's aggregated profile (a duration
+// histogram: count, sum and quantiles on scrape), and — only when tracing has been
 // switched on with set_trace_enabled(true) — a trace event is appended to a
 // per-thread buffer. Each event carries the request's TraceContext plus a
 // span_id / parent_span_id pair maintained on a thread-local span stack, so
@@ -11,7 +11,7 @@
 // trace.json at chrome://tracing or ui.perfetto.dev; the ids ride in each
 // event's "args").
 //
-// Cost model: profile recording is three relaxed atomics plus two
+// Cost model: profile recording is one histogram record plus two
 // steady_clock reads per span, so spans belong around coarse units (a query
 // batch, an estimator pass, a bootstrap chunk), never per tuple. Trace
 // events additionally take a span-id allocation and an uncontended

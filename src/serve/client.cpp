@@ -111,8 +111,8 @@ bool retryable_code(ErrorCode code) noexcept {
 
 } // namespace
 
-RetryingClient::RetryingClient(std::uint16_t port, RetryPolicy policy)
-    : port_(port), policy_(policy) {}
+RetryingClient::RetryingClient(std::uint16_t port, int max_attempts)
+    : port_(port), max_attempts_(max_attempts < 1 ? 1 : max_attempts) {}
 
 Client& RetryingClient::ensure_connected() {
     if (!client_) client_ = std::make_unique<Client>(port_);
@@ -120,7 +120,6 @@ Client& RetryingClient::ensure_connected() {
 }
 
 ResultMsg RetryingClient::evaluate(const EvaluateMsg& request) {
-    const int max_attempts = policy_.max_attempts < 1 ? 1 : policy_.max_attempts;
     for (int attempt = 0;; ++attempt) {
         bool reconnect = false;
         try {
@@ -129,22 +128,20 @@ ResultMsg RetryingClient::evaluate(const EvaluateMsg& request) {
             // The error reply was well-formed, so the connection is fine —
             // except after kBadFrame, where the server closes the session.
             reconnect = e.code() == ErrorCode::kBadFrame;
-            if (!retryable_code(e.code()) || attempt + 1 >= max_attempts) {
+            if (!retryable_code(e.code()) || attempt + 1 >= max_attempts_) {
                 throw;
             }
         } catch (const ProtocolError&) {
             reconnect = true;
-            if (attempt + 1 >= max_attempts) throw;
+            if (attempt + 1 >= max_attempts_) throw;
         } catch (const std::runtime_error&) {
             // Transport-level: connect refused, send/recv error, server
             // closed the connection mid-reply.
             reconnect = true;
-            if (attempt + 1 >= max_attempts) throw;
+            if (attempt + 1 >= max_attempts_) throw;
         }
         if (reconnect) client_.reset();
-        const double backoff =
-            policy_.backoff_base_ms *
-            std::pow(policy_.backoff_multiplier, attempt);
+        const double backoff = std::ldexp(1.0, attempt); // 1 ms x 2^attempt
         backoff_ms_ += backoff; // virtual: recorded, never slept
         ++retries_;
         DRE_COUNTER_INC("serve.retries");

@@ -51,21 +51,16 @@ private:
     FrameDecoder decoder_;
 };
 
-// Client-side retry schedule. Mirrors the .drt reader's retries (see
-// store/reader.h): the backoff is *virtual* — computed as
-// base * multiplier^attempt and recorded to the
-// serve.client.retry_backoff_ms histogram, never slept — so retry behavior
-// is deterministic and tests never wait on wall clocks. Safe because
-// Evaluate is idempotent by construction: the server keys requests by
-// (trace, policy, model, ci, seed), so a retried request coalesces onto or
-// reproduces the identical computation.
-struct RetryPolicy {
-    int max_attempts = 3; // 1 = no retries
-    double backoff_base_ms = 1.0;
-    double backoff_multiplier = 2.0;
-};
-
-// A Client wrapper that reconnects and retries failed Evaluate calls.
+// A Client wrapper that reconnects and retries failed Evaluate calls, up
+// to `max_attempts` tries in all (1 = no retries).
+//
+// Between tries it adds a *virtual* backoff of 1 ms x 2^attempt, as the
+// .drt reader does (store/reader.h): recorded to the
+// serve.client.retry_backoff_ms histogram, never slept, so retry behavior
+// is deterministic and tests never wait on wall clocks. Retrying is safe
+// because Evaluate is idempotent by construction: the server keys requests
+// by (trace, policy, model, ci, seed), so a retried request coalesces onto
+// or reproduces the identical computation.
 //
 // Retryable: connection failures (refused/reset/closed — the serve.accept,
 // serve.read, serve.write fault kinds all land here), wire garbage
@@ -77,7 +72,7 @@ struct RetryPolicy {
 // and replaced after any transport-level failure.
 class RetryingClient {
 public:
-    explicit RetryingClient(std::uint16_t port, RetryPolicy policy = {});
+    explicit RetryingClient(std::uint16_t port, int max_attempts = 3);
 
     // Evaluate with retries; rethrows the last failure when the attempt
     // budget is exhausted.
@@ -95,7 +90,7 @@ private:
     Client& ensure_connected();
 
     std::uint16_t port_;
-    RetryPolicy policy_;
+    int max_attempts_;
     std::unique_ptr<Client> client_;
     std::uint64_t retries_ = 0;
     double backoff_ms_ = 0.0; // cumulative virtual backoff (never slept)

@@ -253,7 +253,7 @@ void EvalServer::journal_terminal(const EvaluateMsg& request,
 void EvalServer::admit(const std::shared_ptr<Session>& session,
                        EvaluateMsg request) {
     requests_total_.fetch_add(1, std::memory_order_relaxed);
-    DRE_COUNTER_INC("serve.requests_total");
+    DRE_COUNTER_INC("serve.requests");
     // Every admitted request gets a trace id: the client's if it sent one,
     // a server-generated one otherwise, so the Result echo and the journal
     // always correlate. Disabled builds keep the zero — "wire fields

@@ -1,9 +1,9 @@
 // Runtime dispatch: one CPUID probe, one optional DRE_SIMD override read on
 // first use, immutable per-level tables, an atomic pointer to the active
 // one. Levels without their own implementation of a kernel inherit the
-// next-lower level's pointer here (e.g. AVX-512 reuses everything of AVX2
-// but the resampler, AVX2 reuses the SSE4.2 CRC, SSE4.2 reuses the scalar
-// resampler) — the table is the single place that encodes the inheritance.
+// next-lower level's pointer here (AVX-512 reuses everything of AVX2 but
+// the resampler) — the table is the single place that encodes the
+// inheritance.
 #include "simd/simd.h"
 
 #include <atomic>
@@ -20,26 +20,17 @@ using namespace detail;
 
 constexpr Ops kScalarOps = {crc32c_scalar,
                             l2sq_scan_scalar,
-                            dot8_scalar,
                             weighted_sum_skip_zero_scalar,
                             resample_sum8_scalar};
 
 #if DRE_SIMD_X86
-constexpr Ops kSse42Ops = {crc32c_sse42,
-                           l2sq_scan_sse42,
-                           dot8_sse42,
-                           weighted_sum_skip_zero_sse42,
-                           resample_sum8_scalar};
-
-constexpr Ops kAvx2Ops = {crc32c_sse42,      // crc32 maxes out at SSE4.2
+constexpr Ops kAvx2Ops = {crc32c_hw,
                           l2sq_scan_avx2,
-                          dot8_avx2,
                           weighted_sum_skip_zero_avx2,
                           resample_sum8_avx2};
 
 constexpr Ops kAvx512Ops = {kAvx2Ops.crc32c,
                             kAvx2Ops.l2sq_scan,
-                            kAvx2Ops.dot8,
                             kAvx2Ops.weighted_sum_skip_zero,
                             resample_sum8_avx512};
 #endif
@@ -49,7 +40,6 @@ const Ops& table_for(Level level) noexcept {
     switch (level) {
         case Level::kAvx512: return kAvx512Ops;
         case Level::kAvx2: return kAvx2Ops;
-        case Level::kSse42: return kSse42Ops;
         case Level::kScalar: break;
     }
 #else
@@ -62,11 +52,14 @@ Level min_level(Level a, Level b) noexcept {
     return static_cast<int>(a) < static_cast<int>(b) ? a : b;
 }
 
+// The AVX2 and AVX-512 tables share the hardware CRC, so both need
+// SSE4.2's `crc32` as well. Every AVX2 CPU has it; a CPU without AVX2 runs
+// the scalar table.
 Level probe_cpu() noexcept {
 #if DRE_SIMD_X86
-    if (__builtin_cpu_supports("avx512f")) return Level::kAvx512;
-    if (__builtin_cpu_supports("avx2")) return Level::kAvx2;
-    if (__builtin_cpu_supports("sse4.2")) return Level::kSse42;
+    if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("sse4.2"))
+        return __builtin_cpu_supports("avx512f") ? Level::kAvx512
+                                                 : Level::kAvx2;
 #endif
     return Level::kScalar;
 }
@@ -85,7 +78,7 @@ const Ops* init_active() noexcept {
         } else {
             std::fprintf(stderr,
                          "dre::simd: ignoring unrecognized DRE_SIMD=\"%s\" "
-                         "(expected scalar|sse42|avx2|avx512)\n",
+                         "(expected scalar|avx2|avx512)\n",
                          env);
         }
     }
@@ -104,7 +97,6 @@ const Ops* ensure_active() noexcept {
 
 const char* level_name(Level level) noexcept {
     switch (level) {
-        case Level::kSse42: return "sse42";
         case Level::kAvx2: return "avx2";
         case Level::kAvx512: return "avx512";
         case Level::kScalar: break;
@@ -115,8 +107,6 @@ const char* level_name(Level level) noexcept {
 std::optional<Level> parse_level(const char* text) noexcept {
     if (text == nullptr) return std::nullopt;
     if (std::strcmp(text, "scalar") == 0) return Level::kScalar;
-    if (std::strcmp(text, "sse42") == 0 || std::strcmp(text, "sse4.2") == 0)
-        return Level::kSse42;
     if (std::strcmp(text, "avx2") == 0) return Level::kAvx2;
     if (std::strcmp(text, "avx512") == 0) return Level::kAvx512;
     return std::nullopt;

@@ -2,7 +2,7 @@
 //
 // Every kernel's semantics are fixed by the scalar implementation in
 // kernels_scalar.cpp (see simd.h for the lane-blocking contract). The
-// helpers here — the reduce tree and the per-lane tail folds — are the
+// helpers here — the reduce tree and the per-lane tail fold — are the
 // pieces of that contract the vector implementations share verbatim: a
 // vector kernel spills its register lanes to the acc[8] array *in lane
 // order*, folds the ragged tail with the same helper the scalar kernel
@@ -43,13 +43,8 @@ inline double reduce8(const double acc[8]) noexcept {
            ((acc[4] + acc[5]) + (acc[6] + acc[7]));
 }
 
-// Tail folds, shared by every level. `begin` must be a multiple of 8 (the
+// Tail fold, shared by every level. `begin` must be a multiple of 8 (the
 // vector body consumed whole blocks), so lane (i mod 8) == i - begin.
-inline void dot8_tail(double acc[8], const double* a, const double* b,
-                      std::size_t begin, std::size_t n) noexcept {
-    for (std::size_t i = begin; i < n; ++i) acc[i & 7] += a[i] * b[i];
-}
-
 inline void weighted_tail(double acc[8], const double* w, const double* x,
                           std::size_t begin, std::size_t n,
                           std::uint64_t& zeros) noexcept {
@@ -71,7 +66,6 @@ std::size_t l2sq_scan_scalar(const double* blocks, std::size_t num_blocks,
                              std::size_t dims, const double* query,
                              double worst, double* cand_d2,
                              std::uint32_t* cand_idx);
-double dot8_scalar(const double* a, const double* b, std::size_t n);
 double weighted_sum_skip_zero_scalar(const double* w, const double* x,
                                      std::size_t n, std::uint64_t* skips);
 void resample_sum8_scalar(const double* values, std::size_t m,
@@ -80,24 +74,15 @@ void resample_sum8_scalar(const double* values, std::size_t m,
 
 #if DRE_SIMD_X86
 
-// --- SSE4.2 level (hardware crc32; 2-lane double vectors) -------------------
+// Hardware CRC-32C (kernels_crc32c.cpp; needs only SSE4.2's `crc32`),
+// shared by the AVX2 and AVX-512 tables.
+std::uint32_t crc32c_hw(const void* data, std::size_t size, std::uint32_t seed);
 
-std::uint32_t crc32c_sse42(const void* data, std::size_t size,
-                           std::uint32_t seed);
-std::size_t l2sq_scan_sse42(const double* blocks, std::size_t num_blocks,
-                            std::size_t dims, const double* query,
-                            double worst, double* cand_d2,
-                            std::uint32_t* cand_idx);
-double dot8_sse42(const double* a, const double* b, std::size_t n);
-double weighted_sum_skip_zero_sse42(const double* w, const double* x,
-                                    std::size_t n, std::uint64_t* skips);
-
-// --- AVX2 level (4-lane double vectors; crc32 inherited) ---------------------
+// --- AVX2 level (4-lane double vectors) -------------------------------------
 
 std::size_t l2sq_scan_avx2(const double* blocks, std::size_t num_blocks,
                            std::size_t dims, const double* query, double worst,
                            double* cand_d2, std::uint32_t* cand_idx);
-double dot8_avx2(const double* a, const double* b, std::size_t n);
 double weighted_sum_skip_zero_avx2(const double* w, const double* x,
                                    std::size_t n, std::uint64_t* skips);
 void resample_sum8_avx2(const double* values, std::size_t m,

@@ -1,5 +1,5 @@
 // AVX2 level: 2 × 4-lane double kernels (ymm k holds lanes {4k .. 4k+3});
-// the CRC pointer is inherited from the SSE4.2 level in dispatch.cpp. Same
+// the table's CRC is the hardware one in kernels_crc32c.cpp. Same
 // canonical 8-lane arithmetic as the scalar spec — see kernels.h.
 // resample_sum8 is the exception in layout only: its 64-bit lanes are 8
 // independent generator streams, each running the scalar spec's exact
@@ -132,23 +132,6 @@ std::size_t l2sq_scan_avx2(const double* blocks, std::size_t num_blocks,
 }
 
 DRE_TARGET_AVX2
-double dot8_avx2(const double* a, const double* b, std::size_t n) {
-    __m256d acc0 = _mm256_setzero_pd(), acc1 = _mm256_setzero_pd();
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        acc0 = _mm256_add_pd(
-            acc0, _mm256_mul_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i)));
-        acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(_mm256_loadu_pd(a + i + 4),
-                                                 _mm256_loadu_pd(b + i + 4)));
-    }
-    double lanes[8];
-    _mm256_storeu_pd(lanes + 0, acc0);
-    _mm256_storeu_pd(lanes + 4, acc1);
-    dot8_tail(lanes, a, b, i, n);
-    return reduce8(lanes);
-}
-
-DRE_TARGET_AVX2
 double weighted_sum_skip_zero_avx2(const double* w, const double* x,
                                    std::size_t n, std::uint64_t* skips) {
     const __m256d zero = _mm256_setzero_pd();
@@ -158,8 +141,12 @@ double weighted_sum_skip_zero_avx2(const double* w, const double* x,
     for (; i + 8 <= n; i += 8) {
         const __m256d w0 = _mm256_loadu_pd(w + i);
         const __m256d w1 = _mm256_loadu_pd(w + i + 4);
-        // Mask-after-multiply; NEQ_UQ / EQ_OQ — same NaN and +0.0 semantics
-        // as the SSE4.2 level (documented there and in simd.h).
+        // Zero-weight lanes are masked to +0.0 AFTER the multiply, so a
+        // non-finite x under zero weight contributes exactly +0.0 — the
+        // value the scalar skip produces (see simd.h). NEQ_UQ is
+        // unordered-or-unequal: a NaN weight counts as nonzero, matching
+        // the scalar `w != 0.0` path; EQ_OQ is ordered, so NaN weights are
+        // not counted as skips either.
         const __m256d nz0 = _mm256_cmp_pd(w0, zero, _CMP_NEQ_UQ);
         const __m256d nz1 = _mm256_cmp_pd(w1, zero, _CMP_NEQ_UQ);
         acc0 = _mm256_add_pd(
@@ -236,13 +223,21 @@ inline __m256i lemire_high4(__m256i x, __m256i n, __m256i& maybe_reject) {
 
 // The rare lane (about 2^-32 of draws) whose low word might fall under the
 // threshold: spill the half, let the scalar Lemire code (xoshiro.h) run the
-// exact test and any redraws from that lane's state, and reload.
-DRE_TARGET_AVX2 __attribute__((noinline, cold))
-void lemire_fixup4(__m256i s[4], __m256i x, __m256i flagged, std::uint64_t n,
-                   __m256i& idx) {
+// exact test and any redraws from that lane's state, and reload. As in
+// lemire_fixup8 (kernels_avx512.cpp), everything passes by value, so the
+// draw loop never takes its state's address and can keep it in registers.
+struct Fixup4 {
+    __m256i s[4];
+    __m256i idx;
+};
+
+DRE_TARGET_AVX2 __attribute__((noinline, cold)) Fixup4
+lemire_fixup4(__m256i s0, __m256i s1, __m256i s2, __m256i s3, __m256i x,
+              __m256i idx, __m256i flagged, std::uint64_t n) {
     alignas(32) std::uint64_t words[4][4], xs[4], flags[4], out[4];
+    const __m256i state[4] = {s0, s1, s2, s3};
     for (int w = 0; w < 4; ++w)
-        _mm256_store_si256(reinterpret_cast<__m256i*>(words[w]), s[w]);
+        _mm256_store_si256(reinterpret_cast<__m256i*>(words[w]), state[w]);
     _mm256_store_si256(reinterpret_cast<__m256i*>(xs), x);
     _mm256_store_si256(reinterpret_cast<__m256i*>(flags), flagged);
     _mm256_store_si256(reinterpret_cast<__m256i*>(out), idx);
@@ -253,9 +248,21 @@ void lemire_fixup4(__m256i s[4], __m256i x, __m256i flagged, std::uint64_t n,
         out[l] = lemire_finish(lane, n, xs[l]);
         for (int w = 0; w < 4; ++w) words[w][l] = lane[w];
     }
+    Fixup4 fixed;
     for (int w = 0; w < 4; ++w)
-        s[w] = _mm256_load_si256(reinterpret_cast<const __m256i*>(words[w]));
-    idx = _mm256_load_si256(reinterpret_cast<const __m256i*>(out));
+        fixed.s[w] =
+            _mm256_load_si256(reinterpret_cast<const __m256i*>(words[w]));
+    fixed.idx = _mm256_load_si256(reinterpret_cast<const __m256i*>(out));
+    return fixed;
+}
+
+// Word w of the 4 consecutive states at `states`, stream l in lane l.
+DRE_TARGET_AVX2
+inline __m256i state_word4(const std::uint64_t* states, int w) {
+    return _mm256_set_epi64x(static_cast<long long>(states[12 + w]),
+                             static_cast<long long>(states[8 + w]),
+                             static_cast<long long>(states[4 + w]),
+                             static_cast<long long>(states[w]));
 }
 
 // All-lanes-enabled gather. The masked form with an explicit zero source is
@@ -267,22 +274,48 @@ inline __m256d gather4_i64(const double* values, __m256i idx) {
     return _mm256_mask_i64gather_pd(_mm256_setzero_pd(), values, idx, all, 8);
 }
 
-// Streams states[0 .. 4 kResampleStreams) through all m draws. kPow2: m is
-// a power of two, so 2^64 mod m = 0 and Lemire never rejects; the high
-// word of x * 2^k is x >> (64 - k). For m = 1 that count is 64, which
-// VPSRLQ defines to produce 0 — the only index in [0, 1) — so no C++
-// shift by 64 happens.
+// One draw on the 4 streams of state half `s`: the gathered
+// values[uniform_index(m)] per lane. kPow2: m is a power of two, so
+// 2^64 mod m = 0 and Lemire never rejects; the high word of x * 2^k is
+// x >> (64 - k). For m = 1 that count is 64, which VPSRLQ defines to
+// produce 0 — the only index in [0, 1) — so no C++ shift by 64 happens.
+// Always inlined, and a half's fix-up check sits beside its own draw, so
+// the loop keeps both state halves in registers.
+template <bool kPow2>
+DRE_TARGET_AVX2 __attribute__((always_inline)) inline __m256d
+draw4(const double* values, __m256i s[4], std::uint64_t m, __m256i n,
+      __m128i pow2_shift) {
+    const __m256i x = xoshiro_next4(s);
+    __m256i idx;
+    if constexpr (kPow2) {
+        idx = _mm256_srl_epi64(x, pow2_shift);
+    } else {
+        __m256i flagged;
+        idx = lemire_high4(x, n, flagged);
+        if (!_mm256_testz_si256(flagged, flagged)) [[unlikely]] {
+            const Fixup4 fixed =
+                lemire_fixup4(s[0], s[1], s[2], s[3], x, idx, flagged, m);
+            s[0] = fixed.s[0];
+            s[1] = fixed.s[1];
+            s[2] = fixed.s[2];
+            s[3] = fixed.s[3];
+            idx = fixed.idx;
+        }
+    }
+    return gather4_i64(values, idx);
+}
+
+// Streams states[0 .. 4 kResampleStreams) through all m draws.
 template <bool kPow2>
 DRE_TARGET_AVX2 void resample8(const double* values, std::size_t m,
                                const std::uint64_t* states, double* out) {
-    __m256i s[2][4];
-    for (int h = 0; h < 2; ++h)
-        for (int w = 0; w < 4; ++w)
-            s[h][w] = _mm256_set_epi64x(
-                static_cast<long long>(states[4 * (4 * h + 3) + w]),
-                static_cast<long long>(states[4 * (4 * h + 2) + w]),
-                static_cast<long long>(states[4 * (4 * h + 1) + w]),
-                static_cast<long long>(states[4 * (4 * h + 0) + w]));
+    // Constant indices only: one variable-index store would keep the
+    // whole state array in memory.
+    const std::uint64_t* half1 = states + 16;
+    __m256i s[2][4] = {{state_word4(states, 0), state_word4(states, 1),
+                        state_word4(states, 2), state_word4(states, 3)},
+                       {state_word4(half1, 0), state_word4(half1, 1),
+                        state_word4(half1, 2), state_word4(half1, 3)}};
     __m256d acc[2][8];
     for (int h = 0; h < 2; ++h)
         for (int j = 0; j < 8; ++j) acc[h][j] = _mm256_setzero_pd();
@@ -290,27 +323,11 @@ DRE_TARGET_AVX2 void resample8(const double* values, std::size_t m,
     const __m128i shift =
         _mm_cvtsi64_si128(kPow2 ? 64 - std::countr_zero(m) : 0);
     for (std::size_t i = 0; i < m; ++i) {
-        const __m256i x0 = xoshiro_next4(s[0]);
-        const __m256i x1 = xoshiro_next4(s[1]);
-        __m256i idx0, idx1;
-        if constexpr (kPow2) {
-            idx0 = _mm256_srl_epi64(x0, shift);
-            idx1 = _mm256_srl_epi64(x1, shift);
-        } else {
-            __m256i r0, r1;
-            idx0 = lemire_high4(x0, n, r0);
-            idx1 = lemire_high4(x1, n, r1);
-            if (!_mm256_testz_si256(_mm256_or_si256(r0, r1),
-                                    _mm256_or_si256(r0, r1))) [[unlikely]] {
-                if (!_mm256_testz_si256(r0, r0))
-                    lemire_fixup4(s[0], x0, r0, m, idx0);
-                if (!_mm256_testz_si256(r1, r1))
-                    lemire_fixup4(s[1], x1, r1, m, idx1);
-            }
-        }
         const std::size_t j = i & 7;
-        acc[0][j] = _mm256_add_pd(acc[0][j], gather4_i64(values, idx0));
-        acc[1][j] = _mm256_add_pd(acc[1][j], gather4_i64(values, idx1));
+        acc[0][j] = _mm256_add_pd(acc[0][j],
+                                  draw4<kPow2>(values, s[0], m, n, shift));
+        acc[1][j] = _mm256_add_pd(acc[1][j],
+                                  draw4<kPow2>(values, s[1], m, n, shift));
     }
     // The canonical tree, lane-wise: lane l of the result is stream l's
     // ((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7)).

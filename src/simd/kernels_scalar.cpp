@@ -162,16 +162,6 @@ std::size_t l2sq_scan_scalar(const double* blocks, std::size_t num_blocks,
     return count;
 }
 
-double dot8_scalar(const double* a, const double* b, std::size_t n) {
-    double acc[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8)
-        for (int lane = 0; lane < 8; ++lane)
-            acc[lane] += a[i + lane] * b[i + lane];
-    dot8_tail(acc, a, b, i, n);
-    return reduce8(acc);
-}
-
 double weighted_sum_skip_zero_scalar(const double* w, const double* x,
                                      std::size_t n, std::uint64_t* skips) {
     double acc[8] = {0, 0, 0, 0, 0, 0, 0, 0};

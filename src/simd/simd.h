@@ -6,7 +6,7 @@
 // resampling (index draws and resample sums), and CRC-32C over every
 // `.drt` row group. This library provides those loops as *batched
 // primitives* behind a runtime CPU dispatch: the best instruction set is
-// probed once (CPUID), an explicit `DRE_SIMD=scalar|sse42|avx2|avx512`
+// probed once (CPUID), an explicit `DRE_SIMD=scalar|avx2|avx512`
 // environment override exists for testing, and every primitive ships a
 // scalar implementation that is the executable specification of the
 // kernel's semantics.
@@ -28,10 +28,10 @@
 //    arithmetic (exact), and its sums follow the FP rule above per stream.
 //
 // Because the lane count is a property of the *kernel*, not the register
-// width, scalar (8 running sums), SSE4.2 (4 × 2-lane xmm) and AVX2
-// (2 × 4-lane ymm) execute the identical sequence of IEEE operations per
-// lane and produce byte-identical results; AVX-512 reuses the AVX2 kernels
-// except the resampler, whose lanes are streams (see resample_sum8).
+// width, scalar (8 running sums) and AVX2 (2 × 4-lane ymm) execute the
+// identical sequence of IEEE operations per lane and produce byte-identical
+// results; AVX-512 reuses the AVX2 kernels except the resampler, whose
+// lanes are streams (see resample_sum8).
 // tests/test_simd.cpp asserts bitwise equality — not a tolerance — for
 // every kernel at every level.
 //
@@ -44,7 +44,7 @@
 // byte-diffed fingerprint sections in CI.
 //
 // Adding a new primitive: declare the pointer in `Ops`, implement it in
-// kernels_scalar.cpp (the spec) and optionally kernels_sse42/avx2/avx512.cpp
+// kernels_scalar.cpp (the spec) and optionally kernels_avx2/avx512.cpp
 // (levels without an override inherit the next-lower level's pointer in
 // dispatch.cpp), and add a scalar-vs-level bitwise equivalence test to
 // tests/test_simd.cpp. See DESIGN.md §11 for the full checklist.
@@ -58,12 +58,12 @@
 namespace dre::simd {
 
 // Dispatch levels, ordered: every level is a superset of the ones below.
-// kSse42 is the CRC tier (hardware `crc32` instruction + 2-lane double
-// vectors); kAvx2 adds 4-lane double / 8-lane float vectors and gathers;
-// kAvx512 (AVX-512F) adds the 8-stream zmm resampler.
-enum class Level : int { kScalar = 0, kSse42 = 1, kAvx2 = 2, kAvx512 = 3 };
+// kAvx2 is 4-lane double vectors, gathers and the hardware `crc32`
+// instruction (SSE4.2, which every AVX2 CPU has); kAvx512 (AVX-512F) adds
+// the 8-stream zmm resampler. A CPU without AVX2 runs the scalar spec.
+enum class Level : int { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 
-inline constexpr int kNumLevels = 4;
+inline constexpr int kNumLevels = 3;
 
 // Logical lane count of the FP kernels' canonical arithmetic. A property
 // of the kernel contract, NOT of any register width — changing it changes
@@ -71,7 +71,7 @@ inline constexpr int kNumLevels = 4;
 // same status).
 inline constexpr std::size_t kFpLanes = 8;
 
-// "scalar" / "sse42" / "avx2" / "avx512".
+// "scalar" / "avx2" / "avx512".
 const char* level_name(Level level) noexcept;
 
 // Parse a DRE_SIMD-style level string; nullopt for anything unknown.
@@ -130,10 +130,6 @@ struct Ops {
                              std::size_t dims, const double* query,
                              double worst, double* cand_d2,
                              std::uint32_t* cand_idx);
-
-    // Fixed-8-lane dot product: lane (i mod 8) accumulates a[i] * b[i],
-    // reduced with the canonical tree.
-    double (*dot8)(const double* a, const double* b, std::size_t n);
 
     // Fixed-8-lane weighted sum with the estimator zero-probability skip:
     // lane (i mod 8) accumulates w[i] * x[i] where w[i] != 0.0, and

@@ -3,7 +3,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "simd/simd.h"
+#include "simd/kernels.h"
 #include "stats/matrix.h"
 
 namespace dre::stats {
@@ -48,10 +48,12 @@ double LinearRegression::predict(std::span<const double> features) const {
     if (!fitted_) throw std::logic_error("LinearRegression::predict before fit");
     if (features.size() != weights_.size())
         throw std::invalid_argument("LinearRegression::predict: feature size mismatch");
-    // Canonical 8-lane dot product from the dispatch layer: identical value
-    // at every ISA level (see src/simd/simd.h).
-    return intercept_ +
-           simd::ops().dot8(weights_.data(), features.data(), weights_.size());
+    // The canonical 8-lane sum of src/simd/simd.h: product i into lane
+    // i mod 8, then the fixed reduce tree. Pinned by test_regression.
+    double acc[8] = {0, 0, 0, 0, 0, 0, 0, 0};
+    for (std::size_t i = 0; i < weights_.size(); ++i)
+        acc[i & 7] += weights_[i] * features[i];
+    return intercept_ + simd::detail::reduce8(acc);
 }
 
 double sigmoid(double z) noexcept {

@@ -17,9 +17,9 @@ namespace dre::store {
 // CRC-32C of `size` bytes at `data`, continuing from `seed` (pass the
 // previous call's return value to checksum a buffer in pieces; the result
 // equals the one-shot CRC of the concatenation). Dispatches through
-// dre::simd — hardware `crc32` on SSE4.2 CPUs, software slicing-by-8
-// otherwise — with identical output on every platform and dispatch level
-// (tests/test_simd.cpp enforces byte equality).
+// dre::simd — hardware `crc32` at the AVX2 and AVX-512 levels, software
+// slicing-by-8 at the scalar level — with identical output on every
+// platform and dispatch level (tests/test_simd.cpp enforces byte equality).
 std::uint32_t crc32c(const void* data, std::size_t size, std::uint32_t seed = 0);
 
 } // namespace dre::store

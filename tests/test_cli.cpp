@@ -11,6 +11,8 @@
 
 #include "core/environment.h"
 #include "core/policy.h"
+#include "obs/obs.h"
+#include "obs/openmetrics.h"
 #include "stats/rng.h"
 #include "trace/csv.h"
 
@@ -122,6 +124,22 @@ TEST(Cli, SupportsLiftCertification) {
     // test_policy_learning).
     EXPECT_EQ(run_cli(fixture_csv() + " greedy:tabular --compare constant:0"), 0);
     EXPECT_EQ(run_cli(fixture_csv() + " uniform --compare uniform"), 0);
+}
+
+// --obs-out writes the registry as the OpenMetrics text /metrics serves:
+// the file parses back and holds the evaluation's counter and span.
+TEST(Cli, ObsOutWritesTheOpenMetricsExposition) {
+#if !DRE_OBS_ENABLED
+    GTEST_SKIP() << "a DRE_OBS_ENABLED=OFF build records no metrics";
+#else
+    const std::string out = testing::TempDir() + "dre_cli_obs.txt";
+    std::remove(out.c_str());
+    ASSERT_EQ(run_cli(fixture_csv() + " uniform --obs-out " + out), 0);
+    const obs::Scrape scrape = obs::parse_openmetrics(slurp(out));
+    EXPECT_GT(scrape.counters.at("dre_evaluator_tuples_evaluated"), 0u);
+    EXPECT_GT(scrape.histograms.at("dre_span_evaluator_evaluate_ns").count,
+              0u);
+#endif
 }
 
 TEST(Cli, SimulateThenEvaluatePipeline) {

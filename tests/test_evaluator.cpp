@@ -74,7 +74,6 @@ TEST(Evaluator, ConfidenceIntervalWhenRequested) {
 TEST(Evaluator, CrossFitSplitsTrace) {
     EvaluationConfig config;
     config.cross_fit = true;
-    config.cross_fit_train_fraction = 0.5;
     const Trace trace = make_trace(2000, 5);
     Evaluator evaluator(trace, config, stats::Rng(6));
     EXPECT_LT(evaluator.evaluation_trace().size(), trace.size());

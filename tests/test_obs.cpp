@@ -1,5 +1,5 @@
 // Tests for dre::obs: sharded counters under real pool concurrency, span
-// nesting in the trace export, registry JSON round-trip, and the
+// nesting in the trace export, the registry's OpenMetrics round trip, and the
 // DRE_OBS_ENABLED=0 build (where the macros compile to nothing but the
 // registry / report machinery stays available). The whole file compiles and
 // passes in both builds; assertions that require the macros to be live are
@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/parallel.h"
+#include "obs/openmetrics.h"
 
 namespace dre::obs {
 namespace {
@@ -29,7 +30,7 @@ protected:
     }
 };
 
-// --- JSON helpers for the round-trip tests --------------------------------
+// --- JSON helper for the chrome trace and JsonWriter tests -----------------
 
 // Minimal structural validator: balanced {} / [] outside strings, legal
 // escapes inside. Catches the classic streaming-writer bugs (missing comma
@@ -62,28 +63,6 @@ bool json_balanced(const std::string& json) {
         }
     }
     return !in_string && stack.empty();
-}
-
-// Value of `"key": <token>` as the raw token text ("" when absent).
-std::string json_scalar(const std::string& json, const std::string& key) {
-    const std::string needle = "\"" + key + "\":";
-    const std::size_t at = json.find(needle);
-    if (at == std::string::npos) return "";
-    std::size_t begin = at + needle.size();
-    while (begin < json.size() && json[begin] == ' ') ++begin;
-    std::size_t end = begin;
-    if (end < json.size() && json[end] == '"') {
-        ++end;
-        while (end < json.size() && json[end] != '"') {
-            if (json[end] == '\\') ++end;
-            ++end;
-        }
-        return json.substr(begin + 1, end - begin - 1);
-    }
-    while (end < json.size() && json[end] != ',' && json[end] != '}' &&
-           json[end] != ']')
-        ++end;
-    return json.substr(begin, end - begin);
 }
 
 // --- Counters --------------------------------------------------------------
@@ -199,7 +178,6 @@ TEST_F(ObsTest, SpanStatAggregatesEveryCompletion) {
     for (int i = 0; i < 10; ++i) {
         ScopedSpan span("test.span_agg", stat);
     }
-    EXPECT_EQ(stat.count.load(), 10u);
     EXPECT_EQ(stat.duration_ns.count(), 10u);
 }
 
@@ -247,33 +225,32 @@ TEST_F(ObsTest, TraceCollectionIsOffByDefault) {
     EXPECT_TRUE(trace_events().empty()); // profile recorded, no trace event
 }
 
-// --- Registry JSON ---------------------------------------------------------
+// --- OpenMetrics round trip -------------------------------------------------
 
-TEST_F(ObsTest, RegistryJsonRoundTripsMetricValues) {
-    registry().counter("test.json_counter").reset();
-    registry().counter("test.json_counter").add(1234);
-    registry().gauge("test.json_gauge").set(2.5);
-    Histogram& h = registry().histogram("test.json_hist");
+// What --obs-out writes and /metrics serves reads back with every kind of
+// family intact: a counter, a gauge, a histogram and a span profile.
+TEST_F(ObsTest, RegistryRoundTripsThroughOpenMetrics) {
+    registry().counter("test.om_counter").reset();
+    registry().counter("test.om_counter").add(1234);
+    registry().gauge("test.om_gauge").set(2.5);
+    Histogram& h = registry().histogram("test.om_hist");
     h.reset();
     h.record(3.0);
     h.record(5.0);
+    SpanStat& span = registry().span_stat("test.om_span");
+    span.reset();
+    span.record(1500);
 
-    const std::string json = registry_json();
-    EXPECT_TRUE(json_balanced(json));
-    EXPECT_NE(json.find("\"counters\""), std::string::npos);
-    EXPECT_NE(json.find("\"gauges\""), std::string::npos);
-    EXPECT_NE(json.find("\"histograms\""), std::string::npos);
-    EXPECT_NE(json.find("\"spans\""), std::string::npos);
-    EXPECT_EQ(json_scalar(json, "test.json_counter"), "1234");
-    EXPECT_EQ(json_scalar(json, "test.json_gauge"), "2.5");
-    const std::size_t hist_at = json.find("\"test.json_hist\"");
-    ASSERT_NE(hist_at, std::string::npos);
-    const std::string hist = json.substr(hist_at, json.find('}', hist_at) - hist_at);
-    EXPECT_EQ(json_scalar(hist, "count"), "2");
-    EXPECT_EQ(json_scalar(hist, "sum"), "8");
-    // obs_enabled reports the build configuration.
-    EXPECT_EQ(json_scalar(json, "obs_enabled"),
-              DRE_OBS_ENABLED ? "true" : "false");
+    const Scrape scrape = parse_openmetrics(render_openmetrics());
+    EXPECT_EQ(scrape.counters.at("dre_test_om_counter"), 1234u);
+    EXPECT_EQ(scrape.gauges.at("dre_test_om_gauge"), 2.5);
+    const HistogramSnapshot& hist = scrape.histograms.at("dre_test_om_hist");
+    EXPECT_EQ(hist.count, 2u);
+    EXPECT_EQ(hist.sum, 8.0);
+    const HistogramSnapshot& spans =
+        scrape.histograms.at("dre_span_test_om_span_ns");
+    EXPECT_EQ(spans.count, 1u);
+    EXPECT_EQ(spans.sum, 1500.0);
 }
 
 TEST_F(ObsTest, JsonWriterEscapesStrings) {
@@ -335,7 +312,7 @@ TEST_F(ObsTest, MacrosCompileAndRespectBuildGate) {
 #if DRE_OBS_ENABLED
     EXPECT_EQ(counter.value(), 15u);
     EXPECT_DOUBLE_EQ(registry().gauge("test.macro_gauge").value(), 4.0);
-    EXPECT_EQ(registry().span_stat("test.macro_span").count.load(), 1u);
+    EXPECT_EQ(registry().span_stat("test.macro_span").duration_ns.count(), 1u);
 #else
     // Compiled out: the macros must not have touched the registry.
     EXPECT_EQ(counter.value(), 0u);
@@ -351,7 +328,7 @@ TEST_F(ObsTest, RegistryResetZeroesEveryKind) {
     EXPECT_EQ(registry().counter("test.reset_all_c").value(), 0u);
     EXPECT_DOUBLE_EQ(registry().gauge("test.reset_all_g").value(), 0.0);
     EXPECT_EQ(registry().histogram("test.reset_all_h").count(), 0u);
-    EXPECT_EQ(registry().span_stat("test.reset_all_s").count.load(), 0u);
+    EXPECT_EQ(registry().span_stat("test.reset_all_s").duration_ns.count(), 0u);
 }
 
 } // namespace

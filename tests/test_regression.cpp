@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "stats/rng.h"
@@ -67,6 +70,52 @@ TEST(LinearRegression, HandlesDegenerateConstantFeature) {
     LinearRegression model;
     EXPECT_NO_THROW(model.fit(rows, targets, 1e-4));
     EXPECT_NEAR(model.predict(std::vector<double>{1.0}), 2.0, 1e-6);
+}
+
+// predict() adds the products w[i] * x[i] in the canonical 8-lane order of
+// src/simd/simd.h: product i into lane i mod 8, then the fixed tree
+// ((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7)), then the intercept. 19 features
+// cover two whole blocks of 8 and a ragged tail of 3.
+TEST(LinearRegression, PredictSumsInTheCanonicalLaneOrder) {
+    constexpr std::size_t kFeatures = 19;
+    std::vector<std::vector<double>> rows;
+    std::vector<double> targets;
+    Rng rng(19);
+    for (int r = 0; r < 200; ++r) {
+        std::vector<double> row(kFeatures);
+        double y = 0.5;
+        for (std::size_t i = 0; i < kFeatures; ++i) {
+            row[i] = rng.uniform(-1.0, 1.0);
+            y += static_cast<double>(i + 1) * row[i];
+        }
+        rows.push_back(row);
+        targets.push_back(y);
+    }
+    LinearRegression model;
+    model.fit(rows, targets);
+    const std::span<const double> w = model.weights();
+    const auto lanes8 = [&](const std::vector<double>& x) {
+        double acc[8] = {0, 0, 0, 0, 0, 0, 0, 0};
+        for (std::size_t i = 0; i < kFeatures; ++i) acc[i % 8] += w[i] * x[i];
+        return model.intercept() + (((acc[0] + acc[1]) + (acc[2] + acc[3])) +
+                                    ((acc[4] + acc[5]) + (acc[6] + acc[7])));
+    };
+    const auto left_fold = [&](const std::vector<double>& x) {
+        double sum = 0.0;
+        for (std::size_t i = 0; i < kFeatures; ++i) sum += w[i] * x[i];
+        return model.intercept() + sum;
+    };
+    // Products of about 2^60 and -2^60 at features 0 and 8 (both lane 0)
+    // and about 1 at feature 1. Lane 0 cancels the big pair before the 1
+    // joins; a left fold adds the 1 to 2^60 first, where it rounds away.
+    std::vector<double> crafted(kFeatures, 0.0);
+    crafted[0] = 0x1p60 / w[0];
+    crafted[1] = 1.0 / w[1];
+    crafted[8] = -0x1p60 / w[8];
+    for (const std::vector<double>& x : {rows[0], rows[1], crafted})
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(model.predict(x)),
+                  std::bit_cast<std::uint64_t>(lanes8(x)));
+    EXPECT_NE(model.predict(crafted), left_fold(crafted));
 }
 
 TEST(LinearRegression, InputValidation) {

@@ -311,9 +311,7 @@ TEST(ResilRetryTest, PermanentDispatchFaultExhaustsTheRetryBudget) {
 
     serve::EvalServer server;
     server.start();
-    serve::RetryPolicy policy;
-    policy.max_attempts = 3;
-    serve::RetryingClient client(server.port(), policy);
+    serve::RetryingClient client(server.port(), 3);
 
     try {
         (void)client.evaluate(make_request(path));
@@ -887,9 +885,7 @@ TEST(ResilJournalTest, ExactlyOneTerminalLinePerAdmittedRequestUnderFaults) {
     serve::EvalServer server(options);
     server.start();
 
-    serve::RetryPolicy policy;
-    policy.max_attempts = 8;
-    serve::RetryingClient client(server.port(), policy);
+    serve::RetryingClient client(server.port(), 8);
     for (std::uint64_t s = 0; s < 10; ++s) {
         serve::EvaluateMsg request = make_request(path, "uniform", 100 + s);
         EXPECT_FALSE(client.evaluate(request).text.empty());

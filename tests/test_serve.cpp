@@ -1038,8 +1038,10 @@ TEST(ServeTelemetryTest, ServerEchoesTraceIdsAndWritesTheJournal) {
 #endif // DRE_OBS_ENABLED
 }
 
-// dre_top end to end: one scrape of a server that has answered one
-// Evaluate shows the request counter and the queue-depth gauge.
+// /metrics and dre_top end to end: after one Evaluate, the exposition
+// holds the request counter's sample under its family name plus `_total`
+// (once), and one dre_top scrape shows that counter and the queue-depth
+// gauge.
 TEST(ServeTelemetryTest, TopRendersTheMetricsEndpoint) {
 #if !DRE_OBS_ENABLED
     GTEST_SKIP() << "the metrics listener needs a DRE_OBS_ENABLED build";
@@ -1054,6 +1056,26 @@ TEST(ServeTelemetryTest, TopRendersTheMetricsEndpoint) {
     server.start();
     serve::Client client(server.port());
     (void)client.evaluate(make_request(path));
+
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(server.metrics_port());
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+              0);
+    const std::string get = "GET /metrics HTTP/1.0\r\n\r\n";
+    ASSERT_EQ(::send(fd, get.data(), get.size(), 0),
+              static_cast<ssize_t>(get.size()));
+    std::string reply;
+    char buf[4096];
+    for (ssize_t got; (got = ::recv(fd, buf, sizeof(buf), 0)) > 0;)
+        reply.append(buf, static_cast<std::size_t>(got));
+    ::close(fd);
+    EXPECT_NE(reply.find("\ndre_serve_requests_total "), std::string::npos)
+        << reply;
+    EXPECT_EQ(reply.find("_total_total"), std::string::npos) << reply;
 
     const std::string out = dir.file("top.txt");
     const std::string command =

@@ -101,8 +101,9 @@ TEST(SimdDispatch, SupportedLevelsRunFromScalarToDetected) {
 
 TEST(SimdDispatch, ParseLevel) {
     EXPECT_EQ(simd::parse_level("scalar"), simd::Level::kScalar);
-    EXPECT_EQ(simd::parse_level("sse42"), simd::Level::kSse42);
-    EXPECT_EQ(simd::parse_level("sse4.2"), simd::Level::kSse42);
+    // SSE4.2 is no dispatch level (AVX2 carries the hardware CRC).
+    EXPECT_EQ(simd::parse_level("sse42"), std::nullopt);
+    EXPECT_EQ(simd::parse_level("sse4.2"), std::nullopt);
     EXPECT_EQ(simd::parse_level("avx2"), simd::Level::kAvx2);
     EXPECT_EQ(simd::parse_level("avx512"), simd::Level::kAvx512);
     EXPECT_EQ(simd::parse_level("avx512f"), std::nullopt);
@@ -241,20 +242,6 @@ TEST(SimdKernels, L2sqScanMatchesScalar) {
                 }
             }
         }
-    }
-}
-
-TEST(SimdKernels, Dot8MatchesScalar) {
-    stats::Rng rng(22);
-    for (std::size_t n : {0ul, 1ul, 7ul, 8ul, 9ul, 16ul, 17ul, 100ul, 1001ul}) {
-        const std::vector<double> a = random_vector(n, rng, 2.0);
-        const std::vector<double> b = random_vector(n, rng, 2.0);
-        const double ref =
-            simd::ops_for(simd::Level::kScalar).dot8(a.data(), b.data(), n);
-        for (simd::Level level : supported_levels())
-            EXPECT_TRUE(bit_equal(
-                simd::ops_for(level).dot8(a.data(), b.data(), n), ref))
-                << simd::level_name(level) << " n=" << n;
     }
 }
 

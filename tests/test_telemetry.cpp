@@ -1,5 +1,5 @@
 // dre::obs v2 telemetry primitives: trace-context propagation (including
-// across the dre::par pool), histogram snapshot quantiles / merge / delta
+// across the dre::par pool), histogram snapshot quantiles and delta
 // windows, the OpenMetrics renderer and its parser, dre_top's window rules
 // between two scrapes, and the journal line schema. None of this may
 // perturb evaluation results — the serve-side byte-identity cases live in
@@ -137,35 +137,6 @@ TEST(HistogramSnapshotTest, UniformSamplesGiveOrderedQuantiles) {
     // within its bucket [512, 1000].
     EXPECT_GT(p50, 256.0);
     EXPECT_LE(p50, 1000.0);
-}
-
-TEST(HistogramSnapshotTest, MergeCombinesCountsAndExtremes) {
-    obs::Histogram a;
-    obs::Histogram b;
-    for (int i = 0; i < 50; ++i) a.record(10.0);
-    for (int i = 0; i < 50; ++i) b.record(1000.0);
-    obs::HistogramSnapshot merged = a.snapshot();
-    merged.merge(b.snapshot());
-    EXPECT_EQ(merged.count, 100u);
-    EXPECT_DOUBLE_EQ(merged.sum, 50 * 10.0 + 50 * 1000.0);
-    EXPECT_DOUBLE_EQ(merged.min, 10.0);
-    EXPECT_DOUBLE_EQ(merged.max, 1000.0);
-    // Half the mass at 10, half at 1000: p25 sits in the low bucket, p75
-    // in the high one.
-    EXPECT_LT(merged.quantile(0.25), 64.0);
-    EXPECT_GT(merged.quantile(0.75), 512.0);
-}
-
-TEST(HistogramSnapshotTest, MergeIntoEmptyAdoptsOther) {
-    obs::Histogram b;
-    b.record(3.0);
-    b.record(5.0);
-    obs::HistogramSnapshot empty; // default: no samples, no extremes
-    empty.merge(b.snapshot());
-    EXPECT_EQ(empty.count, 2u);
-    EXPECT_DOUBLE_EQ(empty.min, 3.0);
-    EXPECT_DOUBLE_EQ(empty.max, 5.0);
-    EXPECT_TRUE(empty.has_extremes);
 }
 
 TEST(HistogramSnapshotTest, DeltaSinceIsolatesTheWindow) {

@@ -3,7 +3,9 @@
 /metrics endpoint) against the subset of the spec the exporter promises:
 
   * every sample line's metric family has a preceding `# TYPE` line;
-  * counters expose `<family>_total` samples only;
+  * counters expose `<family>_total` samples only, and a counter family
+    name must not itself end in `_total` (its sample would read
+    `..._total_total`);
   * histograms expose `<family>_bucket{le=...}` / `_sum` / `_count`,
     bucket counts are cumulative (non-decreasing as `le` grows), the last
     bucket is `le="+Inf"`, and its count equals `<family>_count`;
@@ -73,6 +75,8 @@ def main():
                 return fail(lineno, f"duplicate TYPE for {family}")
             if metric_type not in ("counter", "gauge", "histogram"):
                 return fail(lineno, f"unknown type {metric_type!r}")
+            if metric_type == "counter" and family.endswith("_total"):
+                return fail(lineno, f"counter family {family} ends in _total")
             types[family] = metric_type
             continue
         if line.startswith("#"):

@@ -35,7 +35,8 @@
 //                             the engine's chunk-keyed 95% bootstrap CI,
 //                             1000 replicates)
 //   --obs-out <file>          write the dre::obs metric registry (counters,
-//                             gauges, histograms, span profile) as JSON
+//                             gauges, histograms, span profile) as the
+//                             OpenMetrics text that /metrics serves
 //   --trace-out <file>        collect spans as a chrome://tracing JSON file
 //                             (open at chrome://tracing or ui.perfetto.dev)
 //   --seed <n>                RNG seed (default 1)
@@ -101,6 +102,7 @@
 #include "core/subgroup.h"
 #include "fault/fault.h"
 #include "obs/obs.h"
+#include "obs/openmetrics.h"
 #include "store/error.h"
 #include "store/sharded.h"
 #include "store/writer.h"
@@ -439,7 +441,7 @@ int main(int argc, char** argv) {
             }
 
             if (!obs_out.empty()) {
-                if (obs::write_registry_json_file(obs_out))
+                if (obs::write_openmetrics_file(obs_out))
                     std::printf("\nwrote obs report to %s\n", obs_out.c_str());
                 else
                     std::fprintf(stderr, "failed to write %s\n",
@@ -553,7 +555,7 @@ int main(int argc, char** argv) {
         }
 
         if (!obs_out.empty()) {
-            if (obs::write_registry_json_file(obs_out))
+            if (obs::write_openmetrics_file(obs_out))
                 std::printf("\nwrote obs report to %s\n", obs_out.c_str());
             else
                 std::fprintf(stderr, "failed to write %s\n", obs_out.c_str());

@@ -19,7 +19,7 @@
 //   --retry <n>        client-side retry budget per request (max attempts;
 //                      default 1 = no retries). Backoff is virtual — the
 //                      schedule is recorded, never slept — so retried runs
-//                      stay deterministic and fast (see serve::RetryPolicy)
+//                      stay deterministic and fast (see serve::RetryingClient)
 //   --deadline-ms <n>  attach a deadline to every request; the server may
 //                      shed it at admission or answer kDeadlineExceeded.
 //                      Deadline-exceeded replies are counted, not failures
@@ -165,10 +165,8 @@ int main(int argc, char** argv) {
     threads.reserve(clients);
     for (std::size_t c = 0; c < clients; ++c) {
         threads.emplace_back([&, c] {
-            serve::RetryPolicy policy;
-            policy.max_attempts = retry_attempts;
             serve::RetryingClient client(static_cast<std::uint16_t>(port),
-                                         policy);
+                                         retry_attempts);
             try {
                 for (std::size_t r = 0; r < requests; ++r) {
                     serve::EvaluateMsg request;
@@ -212,7 +210,7 @@ int main(int argc, char** argv) {
                                         serve::RetryingClient second(
                                             static_cast<std::uint16_t>(
                                                 port),
-                                            policy);
+                                            retry_attempts);
                                         return second.evaluate(request);
                                     });
                                 bool primary_won = false;

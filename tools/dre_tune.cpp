@@ -43,7 +43,8 @@
 //   --journal file          write the canonical promotion journal text
 //   --checkpoint file       write resumable tuner state after every wave
 //   --resume                continue from --checkpoint if it exists
-//   --obs-out file          write the dre::obs metric registry as JSON
+//   --obs-out file          write the dre::obs metric registry as the
+//                           OpenMetrics text that /metrics serves
 //
 // Exit codes follow dre_eval: 0 success, 2 bad arguments, 3 bad input,
 // 4 internal error, 5 interrupted (checkpoint flushed; rerun with --resume).
@@ -63,6 +64,7 @@
 #include "core/policy.h"
 #include "core/streaming.h"
 #include "obs/obs.h"
+#include "obs/openmetrics.h"
 #include "stats/rng.h"
 #include "store/sharded.h"
 #include "trace/csv.h"
@@ -139,7 +141,7 @@ int report_error(const std::exception& e) {
 
 void write_obs(const std::string& obs_out) {
     if (obs_out.empty()) return;
-    if (obs::write_registry_json_file(obs_out))
+    if (obs::write_openmetrics_file(obs_out))
         std::printf("wrote obs report to %s\n", obs_out.c_str());
     else
         std::fprintf(stderr, "failed to write %s\n", obs_out.c_str());
