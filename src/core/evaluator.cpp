@@ -45,9 +45,7 @@ PolicyEvaluation Evaluator::evaluate_with(const Policy& new_policy,
                                           stats::Rng& rng, int ci_replicates,
                                           double ci_level) const {
     DRE_SPAN("evaluator.evaluate");
-#if DRE_OBS_ENABLED
     const std::uint64_t eval_start_ns = obs::now_ns();
-#endif
     EvaluationEngine engine(new_policy, qhat_.num_decisions(),
                             config_.estimator_options, rng, ci_replicates,
                             ci_level);
@@ -66,7 +64,6 @@ PolicyEvaluation Evaluator::evaluate_with(const Policy& new_policy,
         });
     PolicyEvaluation out = engine.finalize();
     out.dr.per_tuple = std::move(dr);
-#if DRE_OBS_ENABLED
     // Timing-derived, so diagnostics-only — never fingerprinted.
     const double elapsed_s =
         static_cast<double>(obs::now_ns() - eval_start_ns) / 1e9;
@@ -76,7 +73,6 @@ PolicyEvaluation Evaluator::evaluate_with(const Policy& new_policy,
     }
     DRE_COUNTER_ADD("evaluator.tuples_evaluated", n);
     DRE_COUNTER_INC("evaluator.policies_evaluated");
-#endif
     return out;
 }
 

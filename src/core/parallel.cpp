@@ -83,17 +83,13 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::drain(Batch& batch) {
     RegionGuard guard;
-#if DRE_OBS_ENABLED
     // Accumulated locally and flushed once per drain: tasks can be
     // microseconds-scale, so even a sharded atomic per task would show up.
     std::uint64_t tasks = 0;
-#endif
     for (;;) {
         const std::size_t i = batch.next.fetch_add(1, std::memory_order_relaxed);
         if (i >= batch.size) break;
-#if DRE_OBS_ENABLED
         ++tasks;
-#endif
         try {
             (*batch.fn)(i);
         } catch (...) {
@@ -106,22 +102,16 @@ void ThreadPool::drain(Batch& batch) {
             done_.notify_all();
         }
     }
-#if DRE_OBS_ENABLED
     if (tasks != 0) DRE_COUNTER_ADD("par.tasks_run", tasks);
-#endif
 }
 
 void ThreadPool::worker_loop() {
     std::uint64_t seen_epoch = 0;
     std::unique_lock<std::mutex> lock(mutex_);
     for (;;) {
-#if DRE_OBS_ENABLED
         const std::uint64_t idle_start_ns = obs::now_ns();
-#endif
         wake_.wait(lock, [&] { return stop_ || epoch_ != seen_epoch; });
-#if DRE_OBS_ENABLED
         DRE_HIST_RECORD("par.worker_idle_ns", obs::now_ns() - idle_start_ns);
-#endif
         if (stop_) return;
         seen_epoch = epoch_;
         // Pin the batch while draining it. A worker scheduled so late that
@@ -152,13 +142,11 @@ void ThreadPool::run(std::size_t n, const std::function<void(std::size_t)>& fn) 
     batch->fn = &fn;
     batch->size = n;
     batch->trace_ctx = obs::current_trace_context();
-#if DRE_OBS_ENABLED
     // Batch geometry diagnostics. Chunk counts depend on the thread count,
     // so these must never feed the determinism fingerprint.
     DRE_COUNTER_INC("par.batches");
     DRE_HIST_RECORD("par.batch_items", n);
     DRE_GAUGE_SET("par.pool_threads", static_cast<double>(thread_count()));
-#endif
     {
         std::lock_guard<std::mutex> lock(mutex_);
         batch_ = batch;

@@ -431,10 +431,8 @@ StreamingResult evaluate_streaming_guarded(const TupleSource& source,
                     PredictionMatrix::build(model, chunk);
                 fold = engine.fold(c, chunk.tuples(), qhat.row(0));
             }
-#if DRE_OBS_ENABLED
             DRE_COUNTER_INC("evaluator.chunks_streamed");
             DRE_COUNTER_ADD("evaluator.tuples_streamed", len);
-#endif
             return fold;
         });
         for (std::size_t i = 0; i < count; ++i) {
@@ -453,14 +451,12 @@ StreamingResult evaluate_streaming_guarded(const TupleSource& source,
             throw StreamingInterrupted(state.next_chunk, chunks);
     }
 
-#if DRE_OBS_ENABLED
     if (state.quarantine.tuples_quarantined > 0) {
         DRE_COUNTER_ADD("stream.tuples_quarantined",
                         state.quarantine.tuples_quarantined);
         DRE_COUNTER_ADD("stream.chunks_quarantined",
                         state.quarantine.chunks_quarantined);
     }
-#endif
 
     if (state.quarantine.tuples_evaluated == 0)
         throw std::runtime_error(

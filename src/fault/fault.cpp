@@ -190,14 +190,12 @@ void Injector::maybe_inject(std::string_view point, std::uint64_t index,
     // Slow faults carry no error to throw; only call sites that consult
     // fire()/DRE_FAULT_CHECK can slow themselves down.
     if (!kind || *kind == FaultKind::kSlow) return;
-#if DRE_OBS_ENABLED
     // Runtime-named counters (one per point) — registry lookup is fine
     // here, the fault path is not a hot path.
     obs::registry().counter("fault.injected").add(1);
     obs::registry()
         .counter("fault.injected." + std::string(point))
         .add(1);
-#endif
     throw FaultError(*kind, std::string(point), index);
 }
 
@@ -206,12 +204,10 @@ std::optional<FaultKind> Injector::fire(std::string_view point,
                                         std::uint64_t attempt) const {
     const std::optional<FaultKind> kind = check(point, index, attempt);
     if (!kind) return std::nullopt;
-#if DRE_OBS_ENABLED
     obs::registry().counter("fault.injected").add(1);
     obs::registry()
         .counter("fault.injected." + std::string(point))
         .add(1);
-#endif
     return kind;
 }
 

@@ -17,11 +17,6 @@
 //  * Firing means throwing FaultError from the instrumented point; the
 //    consumer's classification (transient → retry, permanent → fail,
 //    corruption → quarantine) is what is actually under test.
-//  * Compile-time gate: built with -DDRE_FAULT_ENABLED=0 (CMake option
-//    DRE_FAULT_ENABLED=OFF) the DRE_FAULT_INJECT macro expands to a no-op
-//    statement — no registry lookup, no atomic load, nothing in the hot
-//    path. The Injector class itself stays available (spec parsing is
-//    used by dre_eval's flag validation either way).
 //
 // Schedules are configured in code (Injector::configure) or from a spec
 // string (--fault-spec):
@@ -60,10 +55,6 @@
 // via DRE_FAULT_CHECK can honor them.
 #ifndef DRE_FAULT_FAULT_H
 #define DRE_FAULT_FAULT_H
-
-#ifndef DRE_FAULT_ENABLED
-#define DRE_FAULT_ENABLED 1
-#endif
 
 #include <cstdint>
 #include <optional>
@@ -164,8 +155,6 @@ std::optional<FaultKind> fire(std::string_view point, std::uint64_t index,
 
 } // namespace dre::fault
 
-#if DRE_FAULT_ENABLED
-
 // Fault point: throws dre::fault::FaultError when the configured schedule
 // fires for (point, index, attempt). `point` must be a string literal.
 #define DRE_FAULT_INJECT(point, index, attempt)                               \
@@ -178,20 +167,5 @@ std::optional<FaultKind> fire(std::string_view point, std::uint64_t index,
 #define DRE_FAULT_CHECK(point, index, attempt)                                \
     ::dre::fault::fire(point, static_cast<std::uint64_t>(index),              \
                        static_cast<std::uint64_t>(attempt))
-
-#else // !DRE_FAULT_ENABLED
-
-#define DRE_FAULT_INJECT(point, index, attempt)                               \
-    do {                                                                      \
-        (void)sizeof(index);                                                  \
-        (void)sizeof(attempt);                                                \
-    } while (0)
-
-// Always-empty optional; the operands still typecheck but emit no code.
-#define DRE_FAULT_CHECK(point, index, attempt)                                \
-    ((void)sizeof(index), (void)sizeof(attempt),                              \
-     ::std::optional<::dre::fault::FaultKind>{})
-
-#endif // DRE_FAULT_ENABLED
 
 #endif // DRE_FAULT_FAULT_H

@@ -15,8 +15,7 @@
 //    references in function-local statics without lifetime hazards.
 //
 // Instrumentation sites should use the DRE_COUNTER_* / DRE_GAUGE_SET /
-// DRE_HIST_RECORD macros from obs/obs.h, which compile to nothing when the
-// library is configured with DRE_OBS_ENABLED=0.
+// DRE_HIST_RECORD macros from obs/obs.h.
 #ifndef DRE_OBS_METRICS_H
 #define DRE_OBS_METRICS_H
 

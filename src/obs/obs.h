@@ -6,12 +6,6 @@
 // is a single relaxed atomic op (counters/gauges) or two clock reads plus
 // one histogram record (spans).
 //
-// Compile-time gate: build with -DDRE_OBS_ENABLED=0 (CMake option
-// DRE_OBS_ENABLED=OFF) and every macro expands to a no-op statement — no
-// registry, no atomics, no clock reads. Library code must only touch obs
-// through these macros (or inside `#if DRE_OBS_ENABLED` blocks) so the
-// disabled build stays clean.
-//
 // Determinism contract: obs is strictly read-only with respect to results.
 // Counters that feed the cross-thread-count fingerprint must be per-item
 // deterministic (per-query / per-tuple / per-replicate sums); anything that
@@ -20,16 +14,10 @@
 #ifndef DRE_OBS_OBS_H
 #define DRE_OBS_OBS_H
 
-#ifndef DRE_OBS_ENABLED
-#define DRE_OBS_ENABLED 1
-#endif
-
 #include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/span.h"
 #include "obs/trace_context.h"
-
-#if DRE_OBS_ENABLED
 
 #define DRE_OBS_CONCAT_INNER(a, b) a##b
 #define DRE_OBS_CONCAT(a, b) DRE_OBS_CONCAT_INNER(a, b)
@@ -73,24 +61,5 @@
         ::dre::obs::registry().span_stat(name);                               \
     ::dre::obs::ScopedSpan DRE_OBS_CONCAT(dre_obs_span_, __LINE__)(           \
         name, DRE_OBS_CONCAT(dre_obs_span_stat_, __LINE__))
-
-#else // !DRE_OBS_ENABLED
-
-#define DRE_COUNTER_ADD(name, n) \
-    do {                         \
-        (void)sizeof(n);         \
-    } while (0)
-#define DRE_COUNTER_INC(name) ((void)0)
-#define DRE_GAUGE_SET(name, v) \
-    do {                       \
-        (void)sizeof(v);       \
-    } while (0)
-#define DRE_HIST_RECORD(name, v) \
-    do {                         \
-        (void)sizeof(v);         \
-    } while (0)
-#define DRE_SPAN(name) ((void)0)
-
-#endif // DRE_OBS_ENABLED
 
 #endif // DRE_OBS_OBS_H

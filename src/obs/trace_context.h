@@ -7,10 +7,8 @@
 // the trace_id alongside its timing, so one request's span tree can be
 // filtered out of a whole process's chrome://tracing export.
 //
-// The context is plain data with thread-local storage and no macro gate:
-// it compiles identically with DRE_OBS_ENABLED=0 (the type is cheap and
-// the serve layer simply never installs a non-zero context there, so the
-// wire fields stay zero). trace_id 0 means "untraced".
+// The context is plain data with thread-local storage. trace_id 0 means
+// "untraced".
 #ifndef DRE_OBS_TRACE_CONTEXT_H
 #define DRE_OBS_TRACE_CONTEXT_H
 

@@ -24,8 +24,8 @@
 // retrying a malformed spec cannot help). Completed slots are shared
 // immutable state behind shared_ptr and a shared_mutex-guarded map, so
 // steady-state lookups take only a reader lock. Hit/miss counters are kept
-// as plain atomics (asserted by tests even when DRE_OBS_ENABLED=0) and
-// mirrored into the obs registry (serve.cache.*).
+// as plain atomics (asserted by tests) and mirrored into the obs registry
+// (serve.cache.*).
 #ifndef DRE_SERVE_CACHE_H
 #define DRE_SERVE_CACHE_H
 

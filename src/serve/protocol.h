@@ -112,8 +112,7 @@ struct ResultMsg {
     std::string text; // exactly the CLI's stdout for the same request
     double dr = 0.0;  // headline number, for clients that skip parsing
     bool cache_hit = false; // evaluator came from the shared cache
-    // Telemetry (zeros when the server was built with DRE_OBS_ENABLED=0).
-    // These are diagnostics about *this* service of the request —
+    // Telemetry. These are diagnostics about *this* service of the request —
     // deliberately not part of `text`, which stays byte-identical to the
     // dre_eval CLI.
     std::uint64_t trace_id = 0; // echoed (or server-assigned) request id
@@ -147,8 +146,7 @@ struct StatsReplyMsg {
     double p50_ms = 0.0;
     double p90_ms = 0.0;
     double p99_ms = 0.0;
-    // Telemetry: phase-level quantiles and the journal line count (zeros
-    // from an obs-disabled server).
+    // Telemetry: phase-level quantiles and the journal line count.
     std::uint64_t journal_lines = 0;
     double queue_p50_ms = 0.0;
     double queue_p99_ms = 0.0;

@@ -97,9 +97,7 @@ struct ServerOptions {
     // Telemetry pipeline (DESIGN.md §13). All off by default; none of it
     // touches the evaluation results.
     int metrics_port = -1; // OpenMetrics HTTP listener: -1 = off, 0 =
-                           // kernel-assigned, else the port. Requires a
-                           // DRE_OBS_ENABLED build — start() throws
-                           // otherwise.
+                           // kernel-assigned, else the port
     std::string journal_path;          // JSONL request journal ("" = off)
     double journal_threshold_ms = 0.0; // log requests at/above this total
                                        // latency; errors always log

@@ -73,9 +73,7 @@ ResultMsg EvalService::answer(const EvaluateMsg& request,
             std::to_string(stats::kMaxBootstrapReplicates) + "], got " +
             std::to_string(request.ci_replicates));
 
-#if DRE_OBS_ENABLED
     const std::uint64_t cache_start_ns = obs::now_ns();
-#endif
     // Same input handling and structural gate as the CLI: the in-memory
     // estimators need every tuple sound, so a defective trace is rejected
     // with the census a dre_eval run would print.
@@ -139,9 +137,7 @@ ResultMsg EvalService::answer(const EvaluateMsg& request,
         &evaluator_hit);
     check_deadline(deadline, "cache");
 
-#if DRE_OBS_ENABLED
     const std::uint64_t compute_start_ns = obs::now_ns();
-#endif
     core::PolicyEvaluation result = evaluator->evaluate_seeded(
         *policy, stats::Rng(request.seed),
         static_cast<int>(request.ci_replicates), 0.95);
@@ -150,9 +146,7 @@ ResultMsg EvalService::answer(const EvaluateMsg& request,
     // suffix); a brownout then widens its CI like streaming degrade mode.
     if (coverage) core::widen_dr_ci(result, actual_coverage);
     check_deadline(deadline, "compute");
-#if DRE_OBS_ENABLED
     const std::uint64_t render_start_ns = obs::now_ns();
-#endif
 
     // The response is the CLI's stdout, byte for byte: header line, then
     // the shared report renderer. A brownout keeps the full trace's census
@@ -185,7 +179,6 @@ ResultMsg EvalService::answer(const EvaluateMsg& request,
         phases->trace_hit = trace_hit;
         phases->policy_hit = policy_hit;
         phases->evaluator_hit = evaluator_hit;
-#if DRE_OBS_ENABLED
         const std::uint64_t end_ns = obs::now_ns();
         phases->cache_ms =
             static_cast<double>(compute_start_ns - cache_start_ns) / 1e6;
@@ -195,7 +188,6 @@ ResultMsg EvalService::answer(const EvaluateMsg& request,
             static_cast<double>(end_ns - render_start_ns) / 1e6;
         DRE_HIST_RECORD("serve.cache_ms", phases->cache_ms);
         DRE_HIST_RECORD("serve.compute_ms", phases->compute_ms);
-#endif
     }
     return out;
 }

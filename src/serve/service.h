@@ -59,9 +59,7 @@ using DeadlineFn = std::function<bool()>;
 class EvalService {
 public:
     // Per-request phase breakdown for telemetry (Result frame timing tail
-    // and the journal). Filled only when the library is built with
-    // DRE_OBS_ENABLED=1; otherwise everything stays zero, matching the
-    // "wire fields become zeros" contract for disabled builds.
+    // and the journal).
     struct EvalPhases {
         double cache_ms = 0.0;     // trace/policy/evaluator cache stage
         double compute_ms = 0.0;   // evaluate_seeded proper

@@ -64,10 +64,8 @@ std::vector<double> ChunkedMeanBootstrap::chunk_partials(
     std::vector<double> partials(b_count);
     simd::ops().resample_sum8(values.data(), m, states.data(), b_count,
                               partials.data());
-#if DRE_OBS_ENABLED
     DRE_COUNTER_INC("bootstrap.chunk_partials");
     DRE_COUNTER_ADD("bootstrap.chunked_resamples", b_count * m);
-#endif
     return partials;
 }
 

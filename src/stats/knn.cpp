@@ -409,7 +409,6 @@ double KnnRegressor::predict(std::span<const double> features) const {
     } else {
         nearest_kdtree(s.query, k, s.heap, s.offsets, stats);
     }
-#if DRE_OBS_ENABLED
     // One flush per query, not per node/point: the per-query sums are pure
     // functions of (tree, query), so the totals match for any thread count
     // — they are safe to include in the determinism fingerprint.
@@ -421,7 +420,6 @@ double KnnRegressor::predict(std::span<const double> features) const {
         DRE_COUNTER_ADD("knn.leaf_points_scanned", stats.leaf_points);
         DRE_COUNTER_ADD("knn.nodes_pruned", stats.nodes_pruned);
     }
-#endif
     return reduce_neighbors(s.heap);
 }
 

@@ -154,10 +154,8 @@ struct StoreReader::Impl {
                      ", got " + hex32(got) + ")",
                  ErrorKind::kCorruption, static_cast<std::int64_t>(g));
         }
-#if DRE_OBS_ENABLED
         DRE_COUNTER_INC("store.row_groups_decoded");
         DRE_COUNTER_ADD("store.bytes_read", size);
-#endif
     }
 
     // One fetch attempt (no retries). Throws FaultError from the injection

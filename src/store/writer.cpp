@@ -121,10 +121,8 @@ void StoreWriter::flush_row_group() {
     info.crc = crc32c(scratch_.data(), scratch_.size());
     write_bytes(scratch_.data(), scratch_.size());
     groups_.push_back(info);
-#if DRE_OBS_ENABLED
     DRE_COUNTER_INC("store.row_groups_written");
     DRE_COUNTER_ADD("store.bytes_written", layout.bytes);
-#endif
 
     decisions_.clear();
     rewards_.clear();

@@ -172,7 +172,6 @@ TEST(BayesNet, PosteriorCacheReturnsIdenticalValues) {
     EXPECT_EQ(net.posterior_cache_size(), 2u);
 }
 
-#if DRE_OBS_ENABLED
 // The memo cache's hits reach the obs registry: a repeated posterior is
 // one cbn.cache_hits, the first one none.
 TEST(BayesNet, RepeatedPosteriorCountsOneObsCacheHit) {
@@ -184,7 +183,6 @@ TEST(BayesNet, RepeatedPosteriorCountsOneObsCacheHit) {
     (void)net.posterior(0, {{2, 1}});
     EXPECT_EQ(hits.value(), before + 1);
 }
-#endif
 
 TEST(BayesNet, PosteriorCacheStatsCountHitsAndResetOnRefit) {
     BayesianNetwork net = fitted_chain(2000);

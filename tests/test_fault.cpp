@@ -7,10 +7,6 @@
 // must be byte-identical, transient faults must be absorbed by the retry
 // policies without touching the results, and a checkpointed run that is
 // killed mid-chunk must resume to bit-identical estimates.
-//
-// The fault-dependent tests are compiled out with the injection points
-// (-DDRE_FAULT_ENABLED=OFF); spec parsing, tuple quarantine, degrade-mode
-// CI widening, and checkpoint/resume work in either build and stay on.
 #include "fault/fault.h"
 
 #include <gtest/gtest.h>
@@ -210,8 +206,7 @@ TEST(QuarantineReport, CoalescesAndRendersDeterministically) {
 }
 
 // Defective tuples are quarantined under the same reason codes the audit
-// linter reports — no fault injection involved, so this holds in
-// DRE_FAULT_ENABLED=OFF builds too.
+// linter reports — no fault injection involved.
 TEST(Quarantine, InvalidTuplesUseSharedReasonCodes) {
     const Trace clean_trace = cdn_trace(3000);
     Trace trace = clean_trace;
@@ -298,8 +293,6 @@ TEST(Degrade, WidensCiByCoverageAndOnlyThen) {
                 1e-12);
     EXPECT_GT(d.evaluation.dr_ci->width(), q.evaluation.dr_ci->width());
 }
-
-#if DRE_FAULT_ENABLED
 
 TEST(FaultInjector, DecisionIsPureFunctionOfSeedPointIndexAttempt) {
     InjectorGuard guard("store.read:p=0.3,kind=corruption", 42);
@@ -548,11 +541,9 @@ TEST(FaultDeterminism, ScheduleAndReportAreByteIdenticalAcrossThreads) {
     }
 }
 
-#endif // DRE_FAULT_ENABLED
-
 // A source that dies (with a plain error, not a FaultError) the first time
 // any chunk at or past `bomb_begin` is touched — the crash-mid-chunk stand-
-// in for checkpoint/resume tests. Works with DRE_FAULT_ENABLED=OFF.
+// in for checkpoint/resume tests.
 class BombSource final : public TupleSource {
 public:
     BombSource(const Trace& trace, std::uint64_t bomb_begin)

@@ -192,7 +192,6 @@ TEST(Knn, PredictBatchMatchesPredict) {
         EXPECT_EQ(batch[i], knn.predict(queries[i]));
 }
 
-#if DRE_OBS_ENABLED
 // A KD-tree query flushes its traversal counts once, as per-query sums, so
 // the counters fire and their totals are the same for any thread count.
 TEST(Knn, KdTreeCountsPrunedNodesIndependentOfThreadCount) {
@@ -222,7 +221,6 @@ TEST(Knn, KdTreeCountsPrunedNodesIndependentOfThreadCount) {
     EXPECT_GT(totals[0], 0u);
     EXPECT_EQ(totals[0], totals[1]);
 }
-#endif
 
 TEST(Knn, InputValidation) {
     EXPECT_THROW(KnnRegressor(0), std::invalid_argument);

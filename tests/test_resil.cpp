@@ -282,8 +282,6 @@ TEST(ResilServiceTest, DegradedEvaluationUsesExactRescaledPrefix) {
 
 // --- client: retries and hedge-free backoff ---------------------------------
 
-#if DRE_FAULT_ENABLED
-
 TEST(ResilRetryTest, DispatchTransientFaultIsRetriedWithVirtualBackoff) {
     TempDir dir;
     const Trace trace = make_trace(120);
@@ -400,8 +398,6 @@ TEST(ResilRetryTest, WriteTransientFaultOnResultIsRetried) {
     server.stop_and_join();
 }
 
-#endif // DRE_FAULT_ENABLED
-
 // --- raw-socket robustness --------------------------------------------------
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -442,7 +438,6 @@ TEST(ResilTornFrameTest, TruncationAtEveryBoundaryLeavesTheServerAlive) {
     server.stop_and_join();
 }
 
-#if DRE_FAULT_ENABLED
 TEST(ResilTornFrameTest, ReadCorruptionYieldsBadFrameAndServerSurvives) {
     // serve.read corruption flips a bit in the length prefix. The frame is
     // sized so the corrupted length is *smaller* (bit 6 of the LSB set),
@@ -494,7 +489,6 @@ TEST(ResilTornFrameTest, ReadCorruptionYieldsBadFrameAndServerSurvives) {
     EXPECT_EQ(healthy.ping(9).token, 9u);
     server.stop_and_join();
 }
-#endif // DRE_FAULT_ENABLED
 
 TEST(ResilWatchdogTest, IdleHalfFrameSessionIsReaped) {
     serve::ServerOptions options;
@@ -526,7 +520,6 @@ TEST(ResilWatchdogTest, IdleHalfFrameSessionIsReaped) {
     server.stop_and_join();
 }
 
-#if DRE_OBS_ENABLED
 TEST(ResilMetricsTest, SlowLorisConnectionCannotStarveTheListener) {
     serve::MetricsHttpServer metrics(0, 100); // 100 ms header budget
     metrics.start();
@@ -559,7 +552,6 @@ TEST(ResilMetricsTest, SlowLorisConnectionCannotStarveTheListener) {
     ::close(loris);
     metrics.stop_and_join();
 }
-#endif // DRE_OBS_ENABLED
 
 // --- live server: deadlines, shedding, brownout -----------------------------
 
@@ -871,7 +863,6 @@ TEST(ResilServerTest, BrownoutServesDegradedAndCachedResultsUnderLoad) {
 
 // --- journal: exactly-once under faults -------------------------------------
 
-#if DRE_OBS_ENABLED && DRE_FAULT_ENABLED
 TEST(ResilJournalTest, ExactlyOneTerminalLinePerAdmittedRequestUnderFaults) {
     TempDir dir;
     const std::string path = dir.file("trace.csv");
@@ -908,6 +899,5 @@ TEST(ResilJournalTest, ExactlyOneTerminalLinePerAdmittedRequestUnderFaults) {
     EXPECT_EQ(lines, admitted);
     EXPECT_EQ(errors, admitted - 10u); // every fault journaled as an error
 }
-#endif // DRE_OBS_ENABLED && DRE_FAULT_ENABLED
 
 } // namespace
