@@ -71,8 +71,6 @@ std::string journal_line_json(const JournalRecord& record,
     json.value(record.degraded);
     json.key("waiters");
     json.value(record.waiters);
-    json.key("quarantined");
-    json.value(record.quarantined);
     json.end_object();
     return out;
 }

@@ -12,8 +12,7 @@
 //    "outcome": "ok"|"error", "error_code": "...", "error": "...",
 //    "total_ms": x, "queue_ms": x, "cache_ms": x, "compute_ms": x,
 //    "serialize_ms": x, "trace_hit": b, "policy_hit": b,
-//    "evaluator_hit": b, "coalesced": b, "degraded": b, "waiters": N,
-//    "quarantined": N}
+//    "evaluator_hit": b, "coalesced": b, "degraded": b, "waiters": N}
 //
 // Exactly-once contract: the server writes one terminal line per admitted
 // request — completed, errored, shed, browned out, deadline-expired, or
@@ -53,7 +52,6 @@ struct JournalRecord {
     bool coalesced = false;      // rode on another request's computation
     bool degraded = false;       // brownout: partial-coverage result
     std::uint64_t waiters = 1;   // sessions served by that computation
-    std::uint64_t quarantined = 0; // defective tuples skipped (streaming)
     std::string error_code;      // empty = success
     std::string error;
 };
@@ -61,8 +59,8 @@ struct JournalRecord {
 class RequestJournal {
 public:
     // Opens `path` for append. ok() reports whether the open succeeded;
-    // a journal that failed to open drops every record (the server warns
-    // once at startup instead of failing requests over diagnostics).
+    // a journal that failed to open drops every record (EvalServer::start
+    // refuses to start with one).
     RequestJournal(const std::string& path, double threshold_ms);
     ~RequestJournal();
     RequestJournal(const RequestJournal&) = delete;

@@ -1,15 +1,19 @@
-// Checked numeric flag values for the command-line tools.
+// Flag values and error exit codes shared by the command-line tools.
 //
-// Every numeric flag of every tool goes through parse_flag<T>: the whole
-// token must be one number of type T as std::from_chars reads it — no sign
-// on an unsigned type, no fraction or exponent on an integer type, no
-// whitespace or trailing text, nothing outside T's range and, for a
-// floating-point T, nothing non-finite. Anything else prints one
-// `error: <flag> ...` line and exits 2, the tools' bad-argument code, so a
-// typo never runs with a saturated, truncated or default value. Flags with
-// a narrower domain (parse_unit_flag, parse_positive_flag,
-// parse_replicate_count) are checked against it at the same point, so a
-// value outside it never reaches the library or is clamped there.
+// Every valued flag takes its value through flag_value, so a flag with
+// nothing after it prints `error: <flag> needs a value` and exits 2. Every
+// numeric flag goes through parse_flag<T>: the whole token must be one
+// number of type T as std::from_chars reads it — no sign on an unsigned
+// type, no fraction or exponent on an integer type, no whitespace or
+// trailing text, nothing outside T's range and, for a floating-point T,
+// nothing non-finite. Anything else prints one `error: <flag> ...` line and
+// exits 2, the tools' bad-argument code, so a typo never runs with a
+// saturated, truncated or default value. Flags with a narrower domain
+// (parse_unit_flag, parse_positive_flag, parse_replicate_count) are checked
+// against it at the same point, so a value outside it never reaches the
+// library or is clamped there. Errors thrown after parsing go through
+// report_error, so every tool exits 2 for bad arguments and 3 for bad
+// input or I/O.
 #ifndef DRE_TOOLS_CLI_FLAGS_H
 #define DRE_TOOLS_CLI_FLAGS_H
 
@@ -17,8 +21,10 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <limits>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -26,6 +32,27 @@
 #include "stats/bootstrap.h"
 
 namespace dre::tools {
+
+// The value of the valued flag at argv[i], advancing i past it.
+inline const char* flag_value(int argc, char** argv, int& i,
+                              std::string_view flag) {
+    if (i + 1 >= argc) {
+        std::fprintf(stderr, "error: %.*s needs a value\n",
+                     static_cast<int>(flag.size()), flag.data());
+        std::exit(2);
+    }
+    return argv[++i];
+}
+
+// One `error:` line on stderr, then the exit code that classifies `e`: 2
+// for bad arguments (std::invalid_argument), 3 for bad input or I/O (any
+// other std::runtime_error), 4 for anything else.
+inline int report_error(const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    if (dynamic_cast<const std::invalid_argument*>(&e) != nullptr) return 2;
+    if (dynamic_cast<const std::runtime_error*>(&e) != nullptr) return 3;
+    return 4;
+}
 
 // `text` read whole as a T, or nullopt.
 template <typename T>

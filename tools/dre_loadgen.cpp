@@ -31,12 +31,11 @@
 //                      (and the summary to stderr), so CI can byte-diff a
 //                      server response against `dre_eval` output
 //
-// Every request carries a client-generated trace id; a telemetry-enabled
-// server must echo that exact id on the Result frame (a disabled or older
-// server echoes 0, which is accepted). A nonzero mismatched echo is a
-// protocol failure — ids printed in the summary line up with the server's
-// --journal records, so a journal line can be traced back to the exact
-// loadgen request that produced it.
+// Every request carries a client-generated trace id, and the server must
+// echo that exact id on the Result frame; any other echo, zero included,
+// is a protocol failure. The ids line up with the server's --journal
+// records, so a journal line can be traced back to the exact loadgen
+// request that produced it.
 //
 // Every non-degraded response for the same (trace, policy, model, ci,
 // seed) tuple must be byte-identical — across clients, across repeats, and
@@ -47,8 +46,9 @@
 // Per-request latency lands in an obs::Histogram and the summary prints
 // its p50/p90/p99.
 //
-// Exit codes: 0 success, 1 response mismatch, 2 bad arguments, 3 cannot
-// connect.
+// Exit codes: 0 success, 1 a response failed verification (its bytes or
+// its trace id), 2 bad arguments, 3 a request failed (cannot connect, or
+// the server answered an error), 4 anything else.
 #include <chrono>
 #include <cstdio>
 #include <exception>
@@ -101,32 +101,40 @@ int main(int argc, char** argv) {
     std::vector<std::string> positional;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg == "--port" && i + 1 < argc) {
-            port = tools::parse_flag<std::uint16_t>("--port", argv[++i]);
-        } else if (arg == "--model" && i + 1 < argc) {
-            model = argv[++i];
-        } else if (arg == "--ci" && i + 1 < argc) {
+        if (arg == "--port") {
+            port = tools::parse_flag<std::uint16_t>(
+                "--port", tools::flag_value(argc, argv, i, "--port"));
+        } else if (arg == "--model") {
+            model = tools::flag_value(argc, argv, i, "--model");
+        } else if (arg == "--ci") {
             ci_replicates = static_cast<std::uint32_t>(
-                tools::parse_replicate_count("--ci", argv[++i]));
-        } else if (arg == "--seed" && i + 1 < argc) {
-            seed = tools::parse_flag<std::uint64_t>("--seed", argv[++i]);
-        } else if (arg == "--clients" && i + 1 < argc) {
-            clients = tools::parse_flag<std::size_t>("--clients", argv[++i]);
-        } else if (arg == "--requests" && i + 1 < argc) {
-            requests = tools::parse_flag<std::size_t>("--requests", argv[++i]);
+                tools::parse_replicate_count(
+                    "--ci", tools::flag_value(argc, argv, i, "--ci")));
+        } else if (arg == "--seed") {
+            seed = tools::parse_flag<std::uint64_t>(
+                "--seed", tools::flag_value(argc, argv, i, "--seed"));
+        } else if (arg == "--clients") {
+            clients = tools::parse_flag<std::size_t>(
+                "--clients", tools::flag_value(argc, argv, i, "--clients"));
+        } else if (arg == "--requests") {
+            requests = tools::parse_flag<std::size_t>(
+                "--requests", tools::flag_value(argc, argv, i, "--requests"));
         } else if (arg == "--distinct") {
             distinct = true;
         } else if (arg == "--small") {
             requests = 2;
         } else if (arg == "--dump-response") {
             dump_response = true;
-        } else if (arg == "--retry" && i + 1 < argc) {
-            retry_attempts = tools::parse_flag<int>("--retry", argv[++i]);
-        } else if (arg == "--deadline-ms" && i + 1 < argc) {
-            deadline_ms =
-                tools::parse_flag<std::uint64_t>("--deadline-ms", argv[++i]);
-        } else if (arg == "--hedge-ms" && i + 1 < argc) {
-            hedge_ms = tools::parse_flag<double>("--hedge-ms", argv[++i]);
+        } else if (arg == "--retry") {
+            retry_attempts = tools::parse_flag<int>(
+                "--retry", tools::flag_value(argc, argv, i, "--retry"));
+        } else if (arg == "--deadline-ms") {
+            deadline_ms = tools::parse_flag<std::uint64_t>(
+                "--deadline-ms",
+                tools::flag_value(argc, argv, i, "--deadline-ms"));
+        } else if (arg == "--hedge-ms") {
+            hedge_ms = tools::parse_flag<double>(
+                "--hedge-ms", tools::flag_value(argc, argv, i, "--hedge-ms"));
         } else if (!arg.empty() && arg[0] == '-') {
             std::fprintf(stderr, "error: unknown argument '%s'\n", arg.c_str());
             return usage();
@@ -147,11 +155,11 @@ int main(int argc, char** argv) {
     // same seed must match byte for byte, whichever client they came from.
     std::map<std::uint64_t, std::string> canonical;
     std::string first_response;
-    std::string failure;
+    std::string failure;             // first failed verification (exit 1)
+    std::exception_ptr client_error; // first request that threw
     std::uint64_t completed = 0;
     std::uint64_t rejected = 0;
     std::uint64_t echo_confirmed = 0; // Result.trace_id == request.trace_id
-    std::uint64_t echo_zero = 0;      // telemetry-disabled or older server
     std::uint64_t deadline_hits = 0;  // kDeadlineExceeded replies (not failures)
     std::uint64_t degraded_count = 0; // brownout replies (excluded from
                                       // the canonical byte comparison)
@@ -278,11 +286,10 @@ int main(int argc, char** argv) {
                     ++completed;
                     if (result.trace_id == request.trace_id) {
                         ++echo_confirmed;
-                    } else if (result.trace_id == 0) {
-                        ++echo_zero;
                     } else if (failure.empty()) {
-                        failure = "server echoed a foreign trace id for "
-                                  "request " +
+                        failure = "server echoed trace id " +
+                                  std::to_string(result.trace_id) +
+                                  " for request " +
                                   std::to_string(request.trace_id);
                     }
                     if (result.degraded) {
@@ -300,11 +307,9 @@ int main(int argc, char** argv) {
                                   std::to_string(request.seed) +
                                   " differ across requests";
                 }
-            } catch (const std::exception& e) {
+            } catch (const std::exception&) {
                 std::lock_guard<std::mutex> lock(state_mutex);
-                if (failure.empty())
-                    failure = std::string("client ") + std::to_string(c) +
-                              ": " + e.what();
+                if (!client_error) client_error = std::current_exception();
             }
             std::lock_guard<std::mutex> lock(state_mutex);
             retries_total += client.retries();
@@ -316,9 +321,14 @@ int main(int argc, char** argv) {
                                std::chrono::steady_clock::now() - wall_start)
                                .count();
 
+    try {
+        if (client_error) std::rethrow_exception(client_error);
+    } catch (const std::exception& e) {
+        return tools::report_error(e);
+    }
     if (!failure.empty()) {
         std::fprintf(stderr, "error: %s\n", failure.c_str());
-        return failure.find("connect") != std::string::npos ? 3 : 1;
+        return 1;
     }
 
     if (dump_response) std::fwrite(first_response.data(), 1,
@@ -338,10 +348,8 @@ int main(int argc, char** argv) {
                  "%.2f mean %.2f)\n",
                  latency_ms.p50(), latency_ms.p90(), latency_ms.p99(),
                  latency_ms.min(), latency_ms.max(), latency_ms.mean());
-    std::fprintf(summary,
-                 "trace ids: %llu echoed, %llu zero (telemetry off)\n",
-                 static_cast<unsigned long long>(echo_confirmed),
-                 static_cast<unsigned long long>(echo_zero));
+    std::fprintf(summary, "trace ids: %llu echoed\n",
+                 static_cast<unsigned long long>(echo_confirmed));
     if (retry_attempts > 1 || hedge_ms > 0.0 || deadline_ms > 0 ||
         degraded_count > 0)
         std::fprintf(summary,

@@ -14,6 +14,10 @@
 // complete offline-evaluation pipeline:
 //   dre_simulate cdn trace.csv --n 20000
 //   dre_eval trace.csv greedy:knn --cross-fit --ci 1000
+//
+// Exit codes follow dre_eval: 0 success, 2 bad arguments (an unknown flag
+// or scenario, a malformed number, --n 0), 3 an output it cannot write,
+// 4 internal error. Each failure prints one `error: ...` line to stderr.
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -87,18 +91,15 @@ int main(int argc, char** argv) {
         double epsilon = 0.2;
         for (int i = 3; i < argc; ++i) {
             const std::string arg = argv[i];
-            const auto next = [&](const char* what) -> std::string {
-                if (i + 1 >= argc)
-                    throw std::invalid_argument(std::string(what) + " needs a value");
-                return argv[++i];
-            };
             if (arg == "--n") {
-                n = tools::parse_flag<std::size_t>("--n", next("--n"));
+                n = tools::parse_flag<std::size_t>(
+                    "--n", tools::flag_value(argc, argv, i, "--n"));
             } else if (arg == "--seed") {
-                seed = tools::parse_flag<std::uint64_t>("--seed", next("--seed"));
+                seed = tools::parse_flag<std::uint64_t>(
+                    "--seed", tools::flag_value(argc, argv, i, "--seed"));
             } else if (arg == "--epsilon") {
-                epsilon =
-                    tools::parse_unit_flag("--epsilon", next("--epsilon"));
+                epsilon = tools::parse_unit_flag(
+                    "--epsilon", tools::flag_value(argc, argv, i, "--epsilon"));
             } else {
                 std::fprintf(stderr, "error: unknown argument '%s'\n",
                              arg.c_str());
@@ -113,7 +114,6 @@ int main(int argc, char** argv) {
                     trace.num_decisions(), output.c_str());
         return 0;
     } catch (const std::exception& e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
-        return 1;
+        return tools::report_error(e);
     }
 }

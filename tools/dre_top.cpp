@@ -16,7 +16,7 @@
 //   --watch [secs]      refresh until interrupted (default period 2s)
 //   --filter <s>        only show series whose name contains <s>
 //
-// Exit codes: 0 success, 2 bad arguments, 3 cannot scrape.
+// Exit codes: 0 success, 2 bad arguments, 3 cannot scrape, 4 anything else.
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
@@ -132,8 +132,9 @@ int main(int argc, char** argv) {
     std::string filter;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg == "--metrics-port" && i + 1 < argc) {
-            const auto value = dre::tools::read_number<std::uint16_t>(argv[++i]);
+        if (arg == "--metrics-port") {
+            const auto value = dre::tools::read_number<std::uint16_t>(
+                dre::tools::flag_value(argc, argv, i, "--metrics-port"));
             if (!value || *value == 0)
                 dre::tools::reject_flag("--metrics-port",
                                         "an integer in [1, 65535]", argv[i]);
@@ -144,8 +145,8 @@ int main(int argc, char** argv) {
                 period_s =
                     dre::tools::parse_positive_flag("--watch", argv[++i]);
             }
-        } else if (arg == "--filter" && i + 1 < argc) {
-            filter = argv[++i];
+        } else if (arg == "--filter") {
+            filter = dre::tools::flag_value(argc, argv, i, "--filter");
         } else {
             std::fprintf(stderr, "error: unknown argument '%s'\n", arg.c_str());
             return usage();
@@ -190,8 +191,7 @@ int main(int argc, char** argv) {
             if (g_stop.load()) break;
         }
     } catch (const std::exception& e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
-        return 3;
+        return dre::tools::report_error(e);
     }
     return 0;
 }

@@ -132,13 +132,6 @@ std::atomic<bool> g_interrupted{false};
 
 extern "C" void handle_stop_signal(int) { g_interrupted.store(true); }
 
-int report_error(const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    if (dynamic_cast<const std::invalid_argument*>(&e) != nullptr) return 2;
-    if (dynamic_cast<const std::runtime_error*>(&e) != nullptr) return 3;
-    return 4;
-}
-
 void write_obs(const std::string& obs_out) {
     if (obs_out.empty()) return;
     if (obs::write_openmetrics_file(obs_out))
@@ -164,74 +157,80 @@ int main(int argc, char** argv) {
         std::string journal_out, obs_out;
         for (int i = 2; i < argc; ++i) {
             const std::string arg = argv[i];
-            const auto next = [&](const char* what) -> std::string {
-                if (i + 1 >= argc)
-                    throw std::invalid_argument(std::string(what) +
-                                                " needs a value");
-                return argv[++i];
-            };
             if (arg == "--models") {
-                space.models = parse_model_list(next("--models"));
+                space.models = parse_model_list(
+                    tools::flag_value(argc, argv, i, "--models"));
             } else if (arg == "--epsilons") {
-                space.epsilons =
-                    parse_unit_list(next("--epsilons"), "--epsilons");
+                space.epsilons = parse_unit_list(
+                    tools::flag_value(argc, argv, i, "--epsilons"),
+                    "--epsilons");
             } else if (arg == "--temperatures") {
                 space.temperatures = parse_positive_list(
-                    next("--temperatures"), "--temperatures");
+                    tools::flag_value(argc, argv, i, "--temperatures"),
+                    "--temperatures");
             } else if (arg == "--constants") {
                 space.include_constants = true;
             } else if (arg == "--mixture-weights") {
                 space.mixture_weights = parse_unit_list(
-                    next("--mixture-weights"), "--mixture-weights");
+                    tools::flag_value(argc, argv, i, "--mixture-weights"),
+                    "--mixture-weights");
             } else if (arg == "--mixture-arm") {
                 space.mixture_arm = tools::parse_flag<Decision>(
-                    "--mixture-arm", next("--mixture-arm"));
+                    "--mixture-arm",
+                    tools::flag_value(argc, argv, i, "--mixture-arm"));
             } else if (arg == "--offline") {
                 offline = true;
             } else if (arg == "--waves") {
-                options.waves =
-                    tools::parse_flag<std::uint64_t>("--waves", next("--waves"));
+                options.waves = tools::parse_flag<std::uint64_t>(
+                    "--waves", tools::flag_value(argc, argv, i, "--waves"));
             } else if (arg == "--wave-size") {
-                wave_size = tools::parse_flag<std::size_t>("--wave-size",
-                                                           next("--wave-size"));
+                wave_size = tools::parse_flag<std::size_t>(
+                    "--wave-size",
+                    tools::flag_value(argc, argv, i, "--wave-size"));
             } else if (arg == "--explore") {
-                options.controller.epsilon =
-                    tools::parse_unit_flag("--explore", next("--explore"));
+                options.controller.epsilon = tools::parse_unit_flag(
+                    "--explore", tools::flag_value(argc, argv, i, "--explore"));
             } else if (arg == "--alpha") {
                 options.controller.alpha = tools::parse_unit_flag(
-                    "--alpha", next("--alpha"), tools::UnitInterval::kOpenLow);
+                    "--alpha", tools::flag_value(argc, argv, i, "--alpha"),
+                    tools::UnitInterval::kOpenLow);
             } else if (arg == "--redeploy-epsilon") {
                 options.redeploy_epsilon = tools::parse_unit_flag(
-                    "--redeploy-epsilon", next("--redeploy-epsilon"));
+                    "--redeploy-epsilon",
+                    tools::flag_value(argc, argv, i, "--redeploy-epsilon"));
             } else if (arg == "--eval-model") {
-                options.eval_model =
-                    core::parse_reward_model_kind(next("--eval-model"));
+                options.eval_model = core::parse_reward_model_kind(
+                    tools::flag_value(argc, argv, i, "--eval-model"));
                 offline_options.eval_model = options.eval_model;
             } else if (arg == "--replicates") {
                 options.bootstrap_replicates = tools::parse_replicate_count(
-                    "--replicates", next("--replicates"));
+                    "--replicates",
+                    tools::flag_value(argc, argv, i, "--replicates"));
                 offline_options.bootstrap_replicates =
                     options.bootstrap_replicates;
             } else if (arg == "--ci-level") {
-                options.ci_level =
-                    tools::parse_unit_flag("--ci-level", next("--ci-level"),
-                                           tools::UnitInterval::kOpen);
+                options.ci_level = tools::parse_unit_flag(
+                    "--ci-level",
+                    tools::flag_value(argc, argv, i, "--ci-level"),
+                    tools::UnitInterval::kOpen);
                 offline_options.ci_level = options.ci_level;
             } else if (arg == "--train-fraction") {
-                offline_options.train_fraction =
-                    tools::parse_unit_flag("--train-fraction",
-                                           next("--train-fraction"),
-                                           tools::UnitInterval::kOpen);
+                offline_options.train_fraction = tools::parse_unit_flag(
+                    "--train-fraction",
+                    tools::flag_value(argc, argv, i, "--train-fraction"),
+                    tools::UnitInterval::kOpen);
             } else if (arg == "--seed") {
-                seed = tools::parse_flag<std::uint64_t>("--seed", next("--seed"));
+                seed = tools::parse_flag<std::uint64_t>(
+                    "--seed", tools::flag_value(argc, argv, i, "--seed"));
             } else if (arg == "--journal") {
-                journal_out = next("--journal");
+                journal_out = tools::flag_value(argc, argv, i, "--journal");
             } else if (arg == "--checkpoint") {
-                options.checkpoint_path = next("--checkpoint");
+                options.checkpoint_path =
+                    tools::flag_value(argc, argv, i, "--checkpoint");
             } else if (arg == "--resume") {
                 options.resume = true;
             } else if (arg == "--obs-out") {
-                obs_out = next("--obs-out");
+                obs_out = tools::flag_value(argc, argv, i, "--obs-out");
             } else {
                 std::fprintf(stderr, "error: unknown argument '%s'\n",
                              arg.c_str());
@@ -326,6 +325,6 @@ int main(int argc, char** argv) {
         write_obs(obs_out);
         return result.interrupted ? 5 : 0;
     } catch (const std::exception& e) {
-        return report_error(e);
+        return tools::report_error(e);
     }
 }
