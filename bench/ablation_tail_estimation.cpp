@@ -2,8 +2,8 @@
 //
 // Networking SLOs live in the tail (p95/p99 latency). We measure how well
 // the importance-weighted CDF recovers the new policy's p05 reward (= p95
-// cost) and lower CVaR from logged traces, against a matched-only baseline
-// that uses only the tuples whose decision agrees with the new policy.
+// cost) from logged traces, against a matched-only baseline that uses only
+// the tuples whose decision agrees with the new policy.
 #include <cmath>
 #include <vector>
 
@@ -47,7 +47,7 @@ double matched_only_quantile(const Trace& trace, const core::Policy& policy,
 } // namespace
 
 int main() {
-    bench::print_header("Tail estimation: p05 reward & CVaR from logged flows");
+    bench::print_header("Tail estimation: p05 reward from logged flows");
 
     const netsim::RoutingEnv env = netsim::RoutingEnv::standard3();
     stats::Rng rng(20170715);

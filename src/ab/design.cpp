@@ -36,15 +36,4 @@ std::size_t required_samples_per_arm(double min_detectable_delta,
     return static_cast<std::size_t>(std::ceil(n));
 }
 
-double minimum_detectable_effect(std::size_t samples_per_arm, double reward_sigma,
-                                 const PowerSpec& spec) {
-    validate_spec(spec);
-    if (samples_per_arm == 0)
-        throw std::invalid_argument("need at least one sample per arm");
-    if (!(reward_sigma > 0.0))
-        throw std::invalid_argument("reward sigma must be positive");
-    return z_sum(spec) * reward_sigma *
-           std::sqrt(2.0 / static_cast<double>(samples_per_arm));
-}
-
 } // namespace dre::ab

@@ -27,11 +27,6 @@ std::size_t required_samples_per_arm(double min_detectable_delta,
                                      double reward_sigma,
                                      const PowerSpec& spec = {});
 
-// The smallest true difference detectable with `samples_per_arm` per arm —
-// the inverse of required_samples_per_arm.
-double minimum_detectable_effect(std::size_t samples_per_arm, double reward_sigma,
-                                 const PowerSpec& spec = {});
-
 } // namespace dre::ab
 
 #endif // DRE_AB_DESIGN_H

@@ -4,42 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "stats/special.h"
-#include "stats/summary.h"
-
 namespace dre::ab {
-
-WelchResult welch_t_test(std::span<const double> arm_a,
-                         std::span<const double> arm_b) {
-    if (arm_a.size() < 2 || arm_b.size() < 2)
-        throw std::invalid_argument("welch_t_test needs >= 2 samples per arm");
-    stats::Accumulator a, b;
-    for (double x : arm_a) a.add(x);
-    for (double x : arm_b) b.add(x);
-
-    WelchResult result;
-    result.mean_a = a.mean();
-    result.mean_b = b.mean();
-    result.delta = a.mean() - b.mean();
-    const double va = a.sample_variance() / static_cast<double>(a.count());
-    const double vb = b.sample_variance() / static_cast<double>(b.count());
-    result.standard_error = std::sqrt(va + vb);
-    if (result.standard_error == 0.0) {
-        // Degenerate constant samples: identical means -> p = 1, else p = 0.
-        result.p_value_two_sided = result.delta == 0.0 ? 1.0 : 0.0;
-        result.dof = static_cast<double>(a.count() + b.count() - 2);
-        return result;
-    }
-    result.t_statistic = result.delta / result.standard_error;
-    const double na = static_cast<double>(a.count());
-    const double nb = static_cast<double>(b.count());
-    result.dof = (va + vb) * (va + vb) /
-                 (va * va / (na - 1.0) + vb * vb / (nb - 1.0));
-    const double tail =
-        stats::student_t_cdf(-std::fabs(result.t_statistic), result.dof);
-    result.p_value_two_sided = std::min(1.0, 2.0 * tail);
-    return result;
-}
 
 MixtureSprt::MixtureSprt(double tau, double alpha, std::size_t burn_in)
     : tau_(tau), alpha_(alpha), burn_in_(std::max<std::size_t>(burn_in, 2)) {

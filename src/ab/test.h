@@ -1,37 +1,16 @@
-// Fixed-horizon and always-valid sequential tests for live A/B experiments.
+// Always-valid sequential test for live A/B experiments.
 //
-// WelchTTest is the classic end-of-experiment analysis (unequal-variance
-// two-sample t). MixtureSprt is the always-valid alternative: a mixture
-// sequential probability ratio test whose p-value is valid at *every*
-// sample size, so the experiment can stop the moment significance is
-// reached instead of burning traffic to a precomputed horizon — the
-// honest version of the "peeking" every practitioner does anyway.
+// MixtureSprt is a mixture sequential probability ratio test whose p-value
+// is valid at *every* sample size, so the experiment can stop the moment
+// significance is reached instead of burning traffic to a precomputed
+// horizon — the honest version of the "peeking" every practitioner does
+// anyway.
 #ifndef DRE_AB_TEST_H
 #define DRE_AB_TEST_H
 
 #include <cstddef>
-#include <span>
 
 namespace dre::ab {
-
-struct WelchResult {
-    double mean_a = 0.0;
-    double mean_b = 0.0;
-    double delta = 0.0;       // mean_a - mean_b
-    double standard_error = 0.0;
-    double t_statistic = 0.0;
-    double dof = 0.0;         // Welch-Satterthwaite degrees of freedom
-    double p_value_two_sided = 1.0;
-
-    bool significant(double alpha = 0.05) const noexcept {
-        return p_value_two_sided < alpha;
-    }
-};
-
-// Welch's unequal-variance two-sample t-test. Requires at least two
-// observations per arm (throws std::invalid_argument otherwise).
-WelchResult welch_t_test(std::span<const double> arm_a,
-                         std::span<const double> arm_b);
 
 // Always-valid test of H0: E[a] = E[b] from paired observations, using the
 // normal-mixture SPRT (Robbins 1970; the "always-valid p-value" of

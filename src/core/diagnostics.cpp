@@ -32,21 +32,6 @@ OverlapDiagnostics overlap_diagnostics(const Trace& trace, const Policy& new_pol
     return diag;
 }
 
-MatchDiagnostics match_diagnostics(const Trace& trace, const Policy& new_policy) {
-    validate_trace(trace);
-    if (trace.empty()) throw std::invalid_argument("match_diagnostics: empty trace");
-    MatchDiagnostics diag;
-    for (const auto& t : trace) {
-        const std::vector<double> probs = new_policy.action_probabilities(t.context);
-        const auto argmax = static_cast<Decision>(
-            std::max_element(probs.begin(), probs.end()) - probs.begin());
-        if (argmax == t.decision) ++diag.matches;
-    }
-    diag.match_rate =
-        static_cast<double>(diag.matches) / static_cast<double>(trace.size());
-    return diag;
-}
-
 stats::ConfidenceInterval empirical_bernstein_interval(const EstimateResult& result,
                                                        double level) {
     if (result.per_tuple.size() < 2)

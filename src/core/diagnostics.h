@@ -28,16 +28,6 @@ struct OverlapDiagnostics {
 
 OverlapDiagnostics overlap_diagnostics(const Trace& trace, const Policy& new_policy);
 
-// Exact-match coverage (the CFA §2.2.2 statistic): for deterministic-ish
-// new policies, the number of logged tuples whose decision is the new
-// policy's argmax decision for that context.
-struct MatchDiagnostics {
-    std::size_t matches = 0;
-    double match_rate = 0.0;
-};
-
-MatchDiagnostics match_diagnostics(const Trace& trace, const Policy& new_policy);
-
 // Distribution-free empirical-Bernstein confidence interval around the
 // mean of the per-tuple contributions: with probability >= level,
 //   |mean - E| <= sqrt(2 Var_n ln(3/delta) / n) + 3 R ln(3/delta) / n

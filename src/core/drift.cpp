@@ -17,19 +17,4 @@ DriftReport detect_reward_drift(const Trace& trace, const DriftOptions& options)
     return report;
 }
 
-Trace with_drift_segments(const Trace& trace, const DriftReport& report) {
-    Trace out;
-    out.reserve(trace.size());
-    std::size_t segment = 0;
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-        while (segment < report.changepoints.size() &&
-               i >= report.changepoints[segment])
-            ++segment;
-        LoggedTuple t = trace[i];
-        t.state = static_cast<std::int32_t>(segment);
-        out.add(std::move(t));
-    }
-    return out;
-}
-
 } // namespace dre::core

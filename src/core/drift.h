@@ -36,10 +36,6 @@ struct DriftOptions {
 // order must be collection order (it is, for traces built by this library).
 DriftReport detect_reward_drift(const Trace& trace, const DriftOptions& options = {});
 
-// Copy of `trace` with each tuple's state label set to its detected segment
-// index (0-based). Tuples already carrying labels are overwritten.
-Trace with_drift_segments(const Trace& trace, const DriftReport& report);
-
 } // namespace dre::core
 
 #endif // DRE_CORE_DRIFT_H

@@ -35,26 +35,6 @@ Trace collect_trace(const Environment& env, const Policy& logging_policy,
     return trace;
 }
 
-Trace collect_trace(const Environment& env, const HistoryPolicy& logging_policy,
-                    std::size_t n, stats::Rng& rng) {
-    if (logging_policy.num_decisions() != env.num_decisions())
-        throw std::invalid_argument("collect_trace: decision-space mismatch");
-    Trace trace;
-    trace.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        DRE_FAULT_INJECT("env.step", i, 0);
-        LoggedTuple t;
-        t.context = env.sample_context(rng);
-        const std::vector<double> probs =
-            logging_policy.action_probabilities(t.context, trace.tuples());
-        t.decision = static_cast<Decision>(rng.categorical(probs));
-        t.propensity = probs[static_cast<std::size_t>(t.decision)];
-        t.reward = env.sample_reward(t.context, t.decision, rng);
-        trace.add(std::move(t));
-    }
-    return trace;
-}
-
 double true_policy_value(const Environment& env, const Policy& policy,
                          std::size_t clients, stats::Rng& rng) {
     if (clients == 0) throw std::invalid_argument("true_policy_value: zero clients");

@@ -47,10 +47,6 @@ protected:
 Trace collect_trace(const Environment& env, const Policy& logging_policy,
                     std::size_t n, stats::Rng& rng);
 
-// As above but with a history-dependent logging policy.
-Trace collect_trace(const Environment& env, const HistoryPolicy& logging_policy,
-                    std::size_t n, stats::Rng& rng);
-
 // Ground-truth policy value V(mu) = E_c E_{d~mu(.|c)} E[r | c, d], estimated
 // by Monte Carlo with `clients` independent context draws.
 double true_policy_value(const Environment& env, const Policy& policy,

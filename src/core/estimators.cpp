@@ -7,7 +7,6 @@
 #include "core/parallel.h"
 #include "obs/obs.h"
 #include "simd/simd.h"
-#include "stats/summary.h"
 
 namespace dre::core {
 namespace {
@@ -44,13 +43,12 @@ std::vector<double>& probs_scratch() {
     return scratch;
 }
 
-// The model-based estimators are written once against a generic q̂ accessor
-// and instantiated twice: reading the RewardModel directly, or reading a
-// PredictionMatrix row. Both instantiations execute dre::simd's canonical
-// fixed-8-lane weighted sum (simd.h): the matrix path through the
-// dispatched kernel over the contiguous decision-major row, the model path
-// as the equivalent scalar lane loop that only queries the model at
-// nonzero probabilities (a zero-probability decision contributes exactly
+// DR and the fused chunk kernel read q̂ through a generic accessor: the
+// RewardModel directly, or a PredictionMatrix row. Both accessors execute
+// dre::simd's canonical fixed-8-lane weighted sum (simd.h): the matrix path
+// through the dispatched kernel over the contiguous decision-major row, the
+// model path as the equivalent scalar lane loop that only queries the model
+// at nonzero probabilities (a zero-probability decision contributes exactly
 // +0.0 either way — the two spellings are bit-identical, and so are all
 // dispatch levels).
 template <typename Q>
@@ -135,18 +133,6 @@ EstimateResult average_result(std::vector<double> per_tuple, std::string name) {
 }
 
 template <typename Q>
-EstimateResult direct_method_impl(const Trace& trace, const Policy& new_policy,
-                                  const Q& q) {
-    return average_result(
-        per_tuple_map(trace,
-                      [&](std::size_t k, const LoggedTuple& t) {
-                          return value_under_policy(new_policy, t.context, k, q,
-                                                    probs_scratch());
-                      }),
-        "DM");
-}
-
-template <typename Q>
 EstimateResult doubly_robust_impl(const Trace& trace, const Policy& new_policy,
                                   const Q& q) {
     return average_result(
@@ -170,114 +156,19 @@ EstimateResult doubly_robust_impl(const Trace& trace, const Policy& new_policy,
         "DR");
 }
 
-template <typename Q>
-EstimateResult clipped_doubly_robust_impl(const Trace& trace,
-                                          const Policy& new_policy, const Q& q,
-                                          const EstimatorOptions& options) {
-    return average_result(
-        per_tuple_map(trace,
-                      [&](std::size_t k, const LoggedTuple& t) {
-                          std::vector<double>& probs = probs_scratch();
-                          const double dm_part = value_under_policy(
-                              new_policy, t.context, k, q, probs);
-                          const double raw_weight =
-                              probs[static_cast<std::size_t>(t.decision)] /
-                              t.propensity;
-                          if (raw_weight > options.weight_clip)
-                              DRE_COUNTER_INC("estimators.weight_clipped");
-                          const double weight =
-                              std::min(raw_weight, options.weight_clip);
-                          return dm_part +
-                                 weight * (t.reward -
-                                           q(k, t.context,
-                                             static_cast<std::size_t>(t.decision)));
-                      }),
-        "clipped-DR");
-}
-
-template <typename Q>
-EstimateResult switch_doubly_robust_impl(const Trace& trace,
-                                         const Policy& new_policy, const Q& q,
-                                         const EstimatorOptions& options) {
-    return average_result(
-        per_tuple_map(trace,
-                      [&](std::size_t k, const LoggedTuple& t) {
-                          std::vector<double>& probs = probs_scratch();
-                          const double dm_part = value_under_policy(
-                              new_policy, t.context, k, q, probs);
-                          const double weight =
-                              probs[static_cast<std::size_t>(t.decision)] /
-                              t.propensity;
-                          double contribution = dm_part;
-                          if (weight <= options.switch_threshold) {
-                              contribution +=
-                                  weight *
-                                  (t.reward -
-                                   q(k, t.context,
-                                     static_cast<std::size_t>(t.decision)));
-                          } else {
-                              DRE_COUNTER_INC("estimators.switch_model_fallbacks");
-                          }
-                          return contribution;
-                      }),
-        "SWITCH-DR");
-}
-
-template <typename Q>
-EstimateResult self_normalized_doubly_robust_impl(const Trace& trace,
-                                                  const Policy& new_policy,
-                                                  const Q& q) {
-    const std::size_t n = trace.size();
-    std::vector<double> dm_parts(n), corrections(n), weights(n);
-    par::parallel_for_chunked(n, [&](std::size_t begin, std::size_t end) {
-        std::vector<double>& probs = probs_scratch();
-        for (std::size_t k = begin; k < end; ++k) {
-            const LoggedTuple& t = trace[k];
-            dm_parts[k] = value_under_policy(new_policy, t.context, k, q, probs);
-            weights[k] =
-                probs[static_cast<std::size_t>(t.decision)] / t.propensity;
-            corrections[k] =
-                weights[k] *
-                (t.reward -
-                 q(k, t.context, static_cast<std::size_t>(t.decision)));
-        }
-    });
-    const double total_weight = par::chunked_sum(weights);
-    EstimateResult result;
-    result.estimator = "SN-DR";
-    result.per_tuple.resize(n);
-    if (total_weight <= 0.0) {
-        // No overlap: fall back to the pure model estimate.
-        result.value = par::chunked_mean(dm_parts);
-        result.per_tuple = std::move(dm_parts);
-        return result;
-    }
-    const double scale = static_cast<double>(n) / total_weight;
-    par::parallel_for_chunked(n, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t k = begin; k < end; ++k)
-            result.per_tuple[k] = dm_parts[k] + scale * corrections[k];
-    });
-    result.value = par::chunked_sum(result.per_tuple) / static_cast<double>(n);
-    return result;
-}
-
 } // namespace
-
-double EstimateResult::variance_of_mean() const {
-    if (per_tuple.size() < 2) return 0.0;
-    return stats::sample_variance(per_tuple) / static_cast<double>(per_tuple.size());
-}
 
 EstimateResult direct_method(const Trace& trace, const Policy& new_policy,
                              const RewardModel& model) {
     check_inputs(trace, new_policy, &model);
-    return direct_method_impl(trace, new_policy, ModelQ{&model});
-}
-
-EstimateResult direct_method(const Trace& trace, const Policy& new_policy,
-                             const PredictionMatrix& qhat) {
-    check_matrix(trace, new_policy, qhat);
-    return direct_method_impl(trace, new_policy, MatrixQ{&qhat});
+    const ModelQ q{&model};
+    return average_result(
+        per_tuple_map(trace,
+                      [&](std::size_t k, const LoggedTuple& t) {
+                          return value_under_policy(new_policy, t.context, k, q,
+                                                    probs_scratch());
+                      }),
+        "DM");
 }
 
 std::vector<double> importance_weights(const Trace& trace, const Policy& new_policy) {
@@ -361,40 +252,35 @@ EstimateResult doubly_robust(const Trace& trace, const Policy& new_policy,
     return doubly_robust_impl(trace, new_policy, MatrixQ{&qhat});
 }
 
-EstimateResult clipped_doubly_robust(const Trace& trace, const Policy& new_policy,
-                                     const RewardModel& model,
-                                     const EstimatorOptions& options) {
-    if (!(options.weight_clip > 0.0))
-        throw std::invalid_argument("clipped_doubly_robust: weight_clip must be > 0");
-    check_inputs(trace, new_policy, &model);
-    return clipped_doubly_robust_impl(trace, new_policy, ModelQ{&model}, options);
-}
-
-EstimateResult clipped_doubly_robust(const Trace& trace, const Policy& new_policy,
-                                     const PredictionMatrix& qhat,
-                                     const EstimatorOptions& options) {
-    if (!(options.weight_clip > 0.0))
-        throw std::invalid_argument("clipped_doubly_robust: weight_clip must be > 0");
-    check_matrix(trace, new_policy, qhat);
-    return clipped_doubly_robust_impl(trace, new_policy, MatrixQ{&qhat}, options);
-}
-
 EstimateResult switch_doubly_robust(const Trace& trace, const Policy& new_policy,
                                     const RewardModel& model,
                                     const EstimatorOptions& options) {
     if (!(options.switch_threshold > 0.0))
         throw std::invalid_argument("switch_doubly_robust: threshold must be > 0");
     check_inputs(trace, new_policy, &model);
-    return switch_doubly_robust_impl(trace, new_policy, ModelQ{&model}, options);
-}
-
-EstimateResult switch_doubly_robust(const Trace& trace, const Policy& new_policy,
-                                    const PredictionMatrix& qhat,
-                                    const EstimatorOptions& options) {
-    if (!(options.switch_threshold > 0.0))
-        throw std::invalid_argument("switch_doubly_robust: threshold must be > 0");
-    check_matrix(trace, new_policy, qhat);
-    return switch_doubly_robust_impl(trace, new_policy, MatrixQ{&qhat}, options);
+    const ModelQ q{&model};
+    return average_result(
+        per_tuple_map(trace,
+                      [&](std::size_t k, const LoggedTuple& t) {
+                          std::vector<double>& probs = probs_scratch();
+                          const double dm_part = value_under_policy(
+                              new_policy, t.context, k, q, probs);
+                          const double weight =
+                              probs[static_cast<std::size_t>(t.decision)] /
+                              t.propensity;
+                          double contribution = dm_part;
+                          if (weight <= options.switch_threshold) {
+                              contribution +=
+                                  weight *
+                                  (t.reward -
+                                   q(k, t.context,
+                                     static_cast<std::size_t>(t.decision)));
+                          } else {
+                              DRE_COUNTER_INC("estimators.switch_model_fallbacks");
+                          }
+                          return contribution;
+                      }),
+        "SWITCH-DR");
 }
 
 ReplayEstimate matching_replay(const Trace& trace, const Policy& new_policy) {
@@ -435,14 +321,39 @@ EstimateResult self_normalized_doubly_robust(const Trace& trace,
                                              const Policy& new_policy,
                                              const RewardModel& model) {
     check_inputs(trace, new_policy, &model);
-    return self_normalized_doubly_robust_impl(trace, new_policy, ModelQ{&model});
-}
-
-EstimateResult self_normalized_doubly_robust(const Trace& trace,
-                                             const Policy& new_policy,
-                                             const PredictionMatrix& qhat) {
-    check_matrix(trace, new_policy, qhat);
-    return self_normalized_doubly_robust_impl(trace, new_policy, MatrixQ{&qhat});
+    const ModelQ q{&model};
+    const std::size_t n = trace.size();
+    std::vector<double> dm_parts(n), corrections(n), weights(n);
+    par::parallel_for_chunked(n, [&](std::size_t begin, std::size_t end) {
+        std::vector<double>& probs = probs_scratch();
+        for (std::size_t k = begin; k < end; ++k) {
+            const LoggedTuple& t = trace[k];
+            dm_parts[k] = value_under_policy(new_policy, t.context, k, q, probs);
+            weights[k] =
+                probs[static_cast<std::size_t>(t.decision)] / t.propensity;
+            corrections[k] =
+                weights[k] *
+                (t.reward -
+                 q(k, t.context, static_cast<std::size_t>(t.decision)));
+        }
+    });
+    const double total_weight = par::chunked_sum(weights);
+    EstimateResult result;
+    result.estimator = "SN-DR";
+    result.per_tuple.resize(n);
+    if (total_weight <= 0.0) {
+        // No overlap: fall back to the pure model estimate.
+        result.value = par::chunked_mean(dm_parts);
+        result.per_tuple = std::move(dm_parts);
+        return result;
+    }
+    const double scale = static_cast<double>(n) / total_weight;
+    par::parallel_for_chunked(n, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t k = begin; k < end; ++k)
+            result.per_tuple[k] = dm_parts[k] + scale * corrections[k];
+    });
+    result.value = par::chunked_sum(result.per_tuple) / static_cast<double>(n);
+    return result;
 }
 
 void fill_estimator_chunk(std::span<const LoggedTuple> chunk,

@@ -33,14 +33,10 @@ struct EstimateResult {
     double value = 0.0;
     std::vector<double> per_tuple;
     std::string estimator;
-
-    // Sample variance of the per-tuple contributions divided by n — a plug-in
-    // variance proxy for the estimate (exact for the unnormalized averages).
-    double variance_of_mean() const;
 };
 
 struct EstimatorOptions {
-    // Weight cap for clipped IPS / the clipped part of DR; +inf disables.
+    // Weight cap for clipped IPS; +inf disables.
     double weight_clip = std::numeric_limits<double>::infinity();
     // SWITCH threshold tau: tuples with w_k > tau fall back to the model.
     double switch_threshold = 10.0;
@@ -65,11 +61,6 @@ EstimateResult self_normalized_ips(const Trace& trace, const Policy& new_policy)
 EstimateResult doubly_robust(const Trace& trace, const Policy& new_policy,
                              const RewardModel& model);
 
-// DR with clipped correction weights.
-EstimateResult clipped_doubly_robust(const Trace& trace, const Policy& new_policy,
-                                     const RewardModel& model,
-                                     const EstimatorOptions& options);
-
 // SWITCH-DR: use the DR correction only where w_k <= tau, otherwise trust
 // the model alone. Trades a little bias for bounded variance.
 EstimateResult switch_doubly_robust(const Trace& trace, const Policy& new_policy,
@@ -84,32 +75,13 @@ EstimateResult self_normalized_doubly_robust(const Trace& trace,
                                              const Policy& new_policy,
                                              const RewardModel& model);
 
-// ---------------------------------------------------------------------------
-// PredictionMatrix overloads: identical estimators reading q̂ from a
-// precomputed matrix (one model call per (tuple, decision), shared across
-// estimators and bootstrap replicates) instead of querying the model per
-// use. Same summation order and arithmetic as the model-based overloads —
-// the results are bit-identical. The matrix must have been built from the
-// same trace (num_tuples checked) and model (num_decisions checked).
-// ---------------------------------------------------------------------------
-
-EstimateResult direct_method(const Trace& trace, const Policy& new_policy,
-                             const PredictionMatrix& qhat);
-
+// DR reading q̂ from a precomputed PredictionMatrix (one model call per
+// (tuple, decision)) instead of querying the model per use. Same summation order and
+// arithmetic as the model-based overload — the results are bit-identical.
+// The matrix must have been built from the same trace (num_tuples checked)
+// and model (num_decisions checked).
 EstimateResult doubly_robust(const Trace& trace, const Policy& new_policy,
                              const PredictionMatrix& qhat);
-
-EstimateResult clipped_doubly_robust(const Trace& trace, const Policy& new_policy,
-                                     const PredictionMatrix& qhat,
-                                     const EstimatorOptions& options);
-
-EstimateResult switch_doubly_robust(const Trace& trace, const Policy& new_policy,
-                                    const PredictionMatrix& qhat,
-                                    const EstimatorOptions& options);
-
-EstimateResult self_normalized_doubly_robust(const Trace& trace,
-                                             const Policy& new_policy,
-                                             const PredictionMatrix& qhat);
 
 // Matching/replay estimator (Fig. 5's "unbiased but low coverage"
 // baseline, the skeleton of CFA's evaluator and of Li et al.'s replay):

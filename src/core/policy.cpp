@@ -160,48 +160,4 @@ std::vector<double> MixturePolicy::action_probabilities(
     return pa;
 }
 
-TablePolicy::TablePolicy(std::size_t num_decisions, std::vector<double> fallback)
-    : num_decisions_(num_decisions), fallback_(std::move(fallback)) {
-    if (num_decisions_ == 0)
-        throw std::invalid_argument("TablePolicy: empty decision space");
-    validate_distribution(fallback_, num_decisions_);
-}
-
-void TablePolicy::set(const ClientContext& context, std::vector<double> distribution) {
-    validate_distribution(distribution, num_decisions_);
-    table_[context_fingerprint(context)] = std::move(distribution);
-}
-
-std::vector<double> TablePolicy::action_probabilities(
-    const ClientContext& context) const {
-    const auto it = table_.find(context_fingerprint(context));
-    return it == table_.end() ? fallback_ : it->second;
-}
-
-double HistoryPolicy::probability(const ClientContext& context,
-                                  std::span<const LoggedTuple> history,
-                                  Decision d) const {
-    const std::vector<double> probs = action_probabilities(context, history);
-    if (d < 0 || static_cast<std::size_t>(d) >= probs.size())
-        throw std::out_of_range("HistoryPolicy::probability: decision out of range");
-    return probs[static_cast<std::size_t>(d)];
-}
-
-Decision HistoryPolicy::sample(const ClientContext& context,
-                               std::span<const LoggedTuple> history,
-                               stats::Rng& rng) const {
-    const std::vector<double> probs = action_probabilities(context, history);
-    return static_cast<Decision>(rng.categorical(probs));
-}
-
-StationaryAsHistoryPolicy::StationaryAsHistoryPolicy(std::shared_ptr<const Policy> base)
-    : base_(std::move(base)) {
-    if (!base_) throw std::invalid_argument("StationaryAsHistoryPolicy: null base");
-}
-
-std::vector<double> StationaryAsHistoryPolicy::action_probabilities(
-    const ClientContext& context, std::span<const LoggedTuple>) const {
-    return base_->action_probabilities(context);
-}
-
 } // namespace dre::core

@@ -7,7 +7,6 @@
 #include <functional>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "stats/rng.h"
@@ -144,22 +143,6 @@ private:
     double weight_a_;
 };
 
-// Explicit per-context-fingerprint table with a fallback distribution.
-class TablePolicy final : public Policy {
-public:
-    TablePolicy(std::size_t num_decisions, std::vector<double> fallback);
-
-    void set(const ClientContext& context, std::vector<double> distribution);
-
-    std::vector<double> action_probabilities(const ClientContext& context) const override;
-    std::size_t num_decisions() const noexcept override { return num_decisions_; }
-
-private:
-    std::size_t num_decisions_;
-    std::vector<double> fallback_;
-    std::unordered_map<std::uint64_t, std::vector<double>> table_;
-};
-
 // History-dependent ("non-stationary", §4.1/§4.2) policy: the decision may
 // depend on the observed history h_k = {(c_i, d_i, r_i)} for i < k.
 class HistoryPolicy {
@@ -171,29 +154,10 @@ public:
 
     virtual std::size_t num_decisions() const noexcept = 0;
 
-    double probability(const ClientContext& context,
-                       std::span<const LoggedTuple> history, Decision d) const;
-
-    Decision sample(const ClientContext& context,
-                    std::span<const LoggedTuple> history, stats::Rng& rng) const;
-
 protected:
     HistoryPolicy() = default;
     HistoryPolicy(const HistoryPolicy&) = default;
     HistoryPolicy& operator=(const HistoryPolicy&) = default;
-};
-
-// Adapter: any stationary policy is trivially a history policy.
-class StationaryAsHistoryPolicy final : public HistoryPolicy {
-public:
-    explicit StationaryAsHistoryPolicy(std::shared_ptr<const Policy> base);
-
-    std::vector<double> action_probabilities(
-        const ClientContext& context, std::span<const LoggedTuple>) const override;
-    std::size_t num_decisions() const noexcept override { return base_->num_decisions(); }
-
-private:
-    std::shared_ptr<const Policy> base_;
 };
 
 // Throws std::invalid_argument unless `distribution` has the expected size,

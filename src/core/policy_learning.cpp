@@ -26,11 +26,6 @@ Decision GreedyModelPolicy::argmax_row(const ClientContext& context,
     return static_cast<Decision>(best);
 }
 
-Decision GreedyModelPolicy::greedy_decision(const ClientContext& context) const {
-    std::vector<double> row;
-    return argmax_row(context, row);
-}
-
 std::vector<double> GreedyModelPolicy::action_probabilities(
     const ClientContext& context) const {
     std::vector<double> probs;

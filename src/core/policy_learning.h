@@ -36,7 +36,6 @@ public:
         return model_->num_decisions();
     }
 
-    Decision greedy_decision(const ClientContext& context) const;
     const RewardModel& model() const noexcept { return *model_; }
 
 private:

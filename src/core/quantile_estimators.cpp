@@ -34,15 +34,6 @@ OffPolicyDistribution::OffPolicyDistribution(const Trace& trace,
     points_ = std::move(points);
 }
 
-double OffPolicyDistribution::cdf(double x) const {
-    // Largest point with reward <= x.
-    const auto it = std::upper_bound(
-        points_.begin(), points_.end(), x,
-        [](double value, const WeightedPoint& p) { return value < p.reward; });
-    if (it == points_.begin()) return 0.0;
-    return std::prev(it)->cumulative / total_weight_;
-}
-
 double OffPolicyDistribution::quantile(double q) const {
     if (q < 0.0 || q > 1.0)
         throw std::invalid_argument("OffPolicyDistribution::quantile: q outside [0,1]");
@@ -71,11 +62,6 @@ double OffPolicyDistribution::cvar_lower(double tail_fraction) const {
 
 double off_policy_quantile(const Trace& trace, const Policy& new_policy, double q) {
     return OffPolicyDistribution(trace, new_policy).quantile(q);
-}
-
-double off_policy_cvar(const Trace& trace, const Policy& new_policy,
-                       double tail_fraction) {
-    return OffPolicyDistribution(trace, new_policy).cvar_lower(tail_fraction);
 }
 
 } // namespace dre::core

@@ -23,9 +23,6 @@ public:
     // has zero overlap with every logged decision (no weight mass).
     OffPolicyDistribution(const Trace& trace, const Policy& new_policy);
 
-    // Importance-weighted CDF value P(r <= x | mu_new).
-    double cdf(double x) const;
-
     // Importance-weighted quantile, q in [0, 1].
     double quantile(double q) const;
 
@@ -47,10 +44,8 @@ private:
     double total_weight_ = 0.0;
 };
 
-// Convenience wrappers.
+// Convenience wrapper.
 double off_policy_quantile(const Trace& trace, const Policy& new_policy, double q);
-double off_policy_cvar(const Trace& trace, const Policy& new_policy,
-                       double tail_fraction);
 
 } // namespace dre::core
 

@@ -20,22 +20,14 @@
 namespace dre::core {
 
 void TraceTupleSource::read(std::uint64_t begin, std::uint64_t count,
-                            std::vector<LoggedTuple>& out) const {
+                            std::vector<LoggedTuple>& out,
+                            std::vector<TupleReadFailure>*) const {
     out.clear();
     if (begin + count > trace_->size())
         throw std::out_of_range("TraceTupleSource: read past end of trace");
     out.reserve(count);
     for (std::uint64_t i = 0; i < count; ++i)
         out.push_back((*trace_)[begin + i]);
-}
-
-const char* to_string(FailureMode mode) noexcept {
-    switch (mode) {
-        case FailureMode::kStrict: return "strict";
-        case FailureMode::kQuarantine: return "quarantine";
-        case FailureMode::kDegrade: return "degrade";
-    }
-    return "unknown";
 }
 
 FailureMode parse_failure_mode(std::string_view text) {
@@ -383,14 +375,14 @@ StreamingResult evaluate_streaming_guarded(const TupleSource& source,
             std::vector<LoggedTuple> buffer;
             std::vector<LoggedTuple> kept;
             if (!chunk_dead && !tolerant) {
-                source.read(begin, len, buffer);
+                source.read(begin, len, buffer, nullptr);
                 if (buffer.size() != len)
                     throw std::runtime_error(
                         "evaluate_streaming: source returned a short chunk");
                 kept = std::move(buffer);
             } else if (!chunk_dead) {
                 std::vector<TupleReadFailure> failures;
-                source.read_tolerant(begin, len, buffer, failures);
+                source.read(begin, len, buffer, &failures);
                 for (const TupleReadFailure& f : failures)
                     quarantine.add(f.begin, f.count, f.reason, f.shard);
                 // Walk the chunk's global index range, skipping the failed

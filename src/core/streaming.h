@@ -23,7 +23,7 @@
 //                policy runs) aborts the run with an exception, and a
 //                structurally invalid tuple aborts it too (the per-chunk
 //                estimator validates its input).
-//   kQuarantine  damaged row groups (via TupleSource::read_tolerant) and
+//   kQuarantine  damaged row groups (TupleSource::read with `failures`) and
 //                structurally invalid tuples (trace/validate.h) are
 //                *skipped* and recorded in a QuarantineReport. Estimator
 //                denominators are the surviving-tuple counts — MeanState
@@ -67,19 +67,9 @@
 #include "core/reward_model.h"
 #include "stats/rng.h"
 #include "trace/trace.h"
+#include "trace/validate.h"
 
 namespace dre::core {
-
-// One contiguous run of tuples a tolerant read could not produce.
-// `reason` is a stable reason-code literal (store::StoreError::reason_code
-// or trace/validate.h reason_code); `shard` is -1 when unattributable.
-struct TupleReadFailure {
-    std::uint64_t begin = 0;
-    std::uint64_t count = 0;
-    const char* reason = "unknown";
-    std::string detail;
-    std::int64_t shard = -1;
-};
 
 // Random-access tuple supplier. Implementations must be safe for
 // concurrent read() calls from pool threads (the store-backed source and
@@ -89,20 +79,14 @@ public:
     virtual ~TupleSource() = default;
     virtual std::uint64_t num_tuples() const = 0;
     virtual std::size_t num_decisions() const = 0;
-    // Append tuples [begin, begin + count) to `out` (cleared first).
+    // Append tuples [begin, begin + count) to `out` (cleared first). With
+    // `failures` null any unreadable tuple throws. Otherwise a source with
+    // sub-range recovery (StoreTupleSource) skips what it cannot produce,
+    // appends those ranges to `failures` in global order and keeps the
+    // rest; a source without it (TraceTupleSource) reads all or throws.
     virtual void read(std::uint64_t begin, std::uint64_t count,
-                      std::vector<LoggedTuple>& out) const = 0;
-    // Fault-tolerant read: append the tuples that could be produced (in
-    // global order) and record the ranges that could not in `failures`
-    // (appended). The default is all-or-nothing — it delegates to read()
-    // and lets exceptions propagate; sources with sub-range recovery
-    // (StoreTupleSource) override it.
-    virtual void read_tolerant(std::uint64_t begin, std::uint64_t count,
-                               std::vector<LoggedTuple>& out,
-                               std::vector<TupleReadFailure>& failures) const {
-        (void)failures;
-        read(begin, count, out);
-    }
+                      std::vector<LoggedTuple>& out,
+                      std::vector<TupleReadFailure>* failures) const = 0;
 };
 
 // Adapter over an in-memory Trace (reference semantics — the trace must
@@ -115,7 +99,8 @@ public:
         return trace_->num_decisions();
     }
     void read(std::uint64_t begin, std::uint64_t count,
-              std::vector<LoggedTuple>& out) const override;
+              std::vector<LoggedTuple>& out,
+              std::vector<TupleReadFailure>* failures) const override;
 
 private:
     const Trace* trace_;
@@ -123,7 +108,6 @@ private:
 
 enum class FailureMode { kStrict = 0, kQuarantine = 1, kDegrade = 2 };
 
-const char* to_string(FailureMode mode) noexcept;
 // Parses "strict" / "quarantine" / "degrade"; throws std::invalid_argument
 // otherwise. Shared by the CLI (--on-error) and tests.
 FailureMode parse_failure_mode(std::string_view text);

@@ -42,26 +42,4 @@ GroupFn group_by_categorical(std::size_t index) {
     };
 }
 
-double worst_group_regression(const Trace& trace, const Policy& baseline,
-                              const Policy& candidate, const RewardModel& model,
-                              const GroupFn& group_fn,
-                              const SubgroupOptions& options) {
-    const std::vector<SubgroupResult> base =
-        subgroup_analysis(trace, baseline, model, group_fn, options);
-    const std::vector<SubgroupResult> cand =
-        subgroup_analysis(trace, candidate, model, group_fn, options);
-    // Same trace and grouping => identical group keys in identical order.
-    double worst = -std::numeric_limits<double>::infinity();
-    bool any = false;
-    for (std::size_t i = 0; i < base.size(); ++i) {
-        if (!base[i].reliable || !cand[i].reliable) continue;
-        worst = std::max(worst, base[i].dr.value - cand[i].dr.value);
-        any = true;
-    }
-    if (!any)
-        throw std::invalid_argument(
-            "worst_group_regression: no group reliable under both policies");
-    return worst;
-}
-
 } // namespace dre::core

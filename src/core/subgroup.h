@@ -51,14 +51,6 @@ std::vector<SubgroupResult> subgroup_analysis(const Trace& trace,
 // Convenience grouping: by the i-th categorical feature.
 GroupFn group_by_categorical(std::size_t index);
 
-// The largest per-group regression relative to a baseline policy:
-// max over groups of (baseline group DR - candidate group DR), considering
-// only groups reliable under both policies. Positive = some segment loses.
-double worst_group_regression(const Trace& trace, const Policy& baseline,
-                              const Policy& candidate, const RewardModel& model,
-                              const GroupFn& group_fn,
-                              const SubgroupOptions& options = {});
-
 } // namespace dre::core
 
 #endif // DRE_CORE_SUBGROUP_H

@@ -41,22 +41,4 @@ std::vector<QueueOutcome> QueueSimulator::run(
     return outcomes;
 }
 
-std::vector<QueueOutcome> QueueSimulator::run_poisson(double arrival_rate,
-                                                      double horizon_s,
-                                                      stats::Rng& rng) const {
-    if (arrival_rate <= 0.0)
-        throw std::invalid_argument("QueueSimulator: arrival rate must be > 0");
-    if (horizon_s <= 0.0)
-        throw std::invalid_argument("QueueSimulator: horizon must be > 0");
-    std::vector<QueueRequest> requests;
-    double t = 0.0;
-    while (true) {
-        t += rng.exponential(arrival_rate);
-        if (t >= horizon_s) break;
-        requests.push_back(
-            {t, static_cast<std::size_t>(rng.uniform_index(num_servers()))});
-    }
-    return run(requests, rng);
-}
-
 } // namespace dre::netsim

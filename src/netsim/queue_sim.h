@@ -33,17 +33,10 @@ class QueueSimulator {
 public:
     explicit QueueSimulator(std::vector<double> service_rates);
 
-    std::size_t num_servers() const noexcept { return service_rates_.size(); }
-
     // Simulate all requests (must be sorted by arrival time). Returns one
     // outcome per request, in input order.
     std::vector<QueueOutcome> run(const std::vector<QueueRequest>& requests,
                                   stats::Rng& rng) const;
-
-    // Convenience: Poisson arrivals at `arrival_rate` split uniformly across
-    // servers over `horizon_s` seconds; returns outcomes.
-    std::vector<QueueOutcome> run_poisson(double arrival_rate, double horizon_s,
-                                          stats::Rng& rng) const;
 
 private:
     std::vector<double> service_rates_;

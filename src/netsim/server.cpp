@@ -50,20 +50,8 @@ Server& ServerPool::server(std::size_t i) {
     return servers_[i];
 }
 
-const Server& ServerPool::server(std::size_t i) const {
-    if (i >= servers_.size()) throw std::out_of_range("ServerPool::server");
-    return servers_[i];
-}
-
 void ServerPool::tick() noexcept {
     for (Server& s : servers_) s.tick();
-}
-
-std::size_t ServerPool::least_loaded() const noexcept {
-    std::size_t best = 0;
-    for (std::size_t i = 1; i < servers_.size(); ++i)
-        if (servers_[i].utilization() < servers_[best].utilization()) best = i;
-    return best;
 }
 
 } // namespace dre::netsim

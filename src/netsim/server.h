@@ -56,12 +56,8 @@ public:
 
     std::size_t size() const noexcept { return servers_.size(); }
     Server& server(std::size_t i);
-    const Server& server(std::size_t i) const;
 
     void tick() noexcept;
-
-    // Index of the least-utilized server.
-    std::size_t least_loaded() const noexcept;
 
 private:
     std::vector<Server> servers_;

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
-#include <queue>
+#include <limits>
 #include <stdexcept>
 
 namespace dre::netsim {
@@ -31,46 +31,6 @@ LinkId Topology::add_link(NodeId a, NodeId b, double delay_ms,
 const Link& Topology::link(LinkId id) const {
     if (id >= links_.size()) throw std::out_of_range("Topology::link");
     return links_[id];
-}
-
-std::vector<LinkId> Topology::shortest_path(NodeId src, NodeId dst) const {
-    if (src >= num_nodes_ || dst >= num_nodes_)
-        throw std::invalid_argument("Topology::shortest_path: node out of range");
-    if (src == dst) return {};
-
-    constexpr double kInf = std::numeric_limits<double>::infinity();
-    std::vector<double> distance(num_nodes_, kInf);
-    std::vector<LinkId> via(num_nodes_, std::numeric_limits<LinkId>::max());
-    using Entry = std::pair<double, NodeId>;
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> frontier;
-    distance[src] = 0.0;
-    frontier.push({0.0, src});
-
-    while (!frontier.empty()) {
-        const auto [dist, node] = frontier.top();
-        frontier.pop();
-        if (dist > distance[node]) continue;
-        if (node == dst) break;
-        for (const LinkId id : outgoing_[node]) {
-            const Link& l = links_[id];
-            const double candidate = dist + l.delay_ms;
-            if (candidate < distance[l.to]) {
-                distance[l.to] = candidate;
-                via[l.to] = id;
-                frontier.push({candidate, l.to});
-            }
-        }
-    }
-    if (distance[dst] == kInf) return {};
-
-    std::vector<LinkId> path;
-    for (NodeId node = dst; node != src;) {
-        const LinkId id = via[node];
-        path.push_back(id);
-        node = links_[id].from;
-    }
-    std::reverse(path.begin(), path.end());
-    return path;
 }
 
 double Topology::path_delay_ms(const std::vector<LinkId>& path) const {

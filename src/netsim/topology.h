@@ -42,10 +42,6 @@ public:
     std::size_t num_links() const noexcept { return links_.size(); }
     const Link& link(LinkId id) const;
 
-    // Dijkstra by propagation delay. Returns the link ids along the best
-    // path, empty if unreachable (or src == dst).
-    std::vector<LinkId> shortest_path(NodeId src, NodeId dst) const;
-
     // Total propagation delay of a path.
     double path_delay_ms(const std::vector<LinkId>& path) const;
 

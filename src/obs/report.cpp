@@ -154,29 +154,6 @@ void Report::set(std::string_view section, std::string_view key, double value) {
 }
 
 void Report::set(std::string_view section, std::string_view key,
-                 std::uint64_t value) {
-    Value v;
-    v.kind = Value::Kind::kUint;
-    v.u = value;
-    set_value(section, key, std::move(v));
-}
-
-void Report::set(std::string_view section, std::string_view key,
-                 std::int64_t value) {
-    Value v;
-    v.kind = Value::Kind::kInt;
-    v.i = value;
-    set_value(section, key, std::move(v));
-}
-
-void Report::set(std::string_view section, std::string_view key, bool value) {
-    Value v;
-    v.kind = Value::Kind::kBool;
-    v.b = value;
-    set_value(section, key, std::move(v));
-}
-
-void Report::set(std::string_view section, std::string_view key,
                  std::string_view value) {
     Value v;
     v.kind = Value::Kind::kString;
@@ -202,15 +179,6 @@ std::string Report::to_text() const {
             switch (value.kind) {
                 case Value::Kind::kDouble:
                     append_row("  %-28s %10.4f\n", key, value.d);
-                    break;
-                case Value::Kind::kInt:
-                    append_row("  %-28s %10" PRId64 "\n", key, value.i);
-                    break;
-                case Value::Kind::kUint:
-                    append_row("  %-28s %10" PRIu64 "\n", key, value.u);
-                    break;
-                case Value::Kind::kBool:
-                    append_row("  %-28s %10s\n", key, value.b ? "yes" : "no");
                     break;
                 case Value::Kind::kString:
                     append_row("  %-28s %s\n", key, value.s.c_str());

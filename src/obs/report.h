@@ -54,12 +54,6 @@ private:
 class Report {
 public:
     void set(std::string_view section, std::string_view key, double value);
-    void set(std::string_view section, std::string_view key, std::uint64_t value);
-    void set(std::string_view section, std::string_view key, std::int64_t value);
-    void set(std::string_view section, std::string_view key, int value) {
-        set(section, key, static_cast<std::int64_t>(value));
-    }
-    void set(std::string_view section, std::string_view key, bool value);
     void set(std::string_view section, std::string_view key, std::string_view value);
     void set(std::string_view section, std::string_view key, const char* value) {
         set(section, key, std::string_view(value));
@@ -72,12 +66,9 @@ public:
 
 private:
     struct Value {
-        enum class Kind { kDouble, kInt, kUint, kBool, kString };
+        enum class Kind { kDouble, kString };
         Kind kind = Kind::kDouble;
         double d = 0.0;
-        std::int64_t i = 0;
-        std::uint64_t u = 0;
-        bool b = false;
         std::string s;
     };
     struct Section {

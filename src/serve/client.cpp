@@ -149,10 +149,4 @@ ResultMsg RetryingClient::evaluate(const EvaluateMsg& request) {
     }
 }
 
-StatsReplyMsg RetryingClient::stats() { return ensure_connected().stats(); }
-
-PingMsg RetryingClient::ping(std::uint64_t token) {
-    return ensure_connected().ping(token);
-}
-
 } // namespace dre::serve

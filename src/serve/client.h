@@ -78,11 +78,6 @@ public:
     // budget is exhausted.
     ResultMsg evaluate(const EvaluateMsg& request);
 
-    // Pass-throughs on the current connection (connect on demand, no
-    // retry: these are diagnostics).
-    StatsReplyMsg stats();
-    PingMsg ping(std::uint64_t token);
-
     std::uint64_t retries() const noexcept { return retries_; }
     double virtual_backoff_ms() const noexcept { return backoff_ms_; }
 

@@ -1,22 +1,6 @@
 #include "stats/ewma.h"
 
-#include <algorithm>
-
 namespace dre::stats {
-
-Ewma::Ewma(double alpha) : alpha_(alpha) {
-    if (alpha_ <= 0.0 || alpha_ > 1.0)
-        throw std::invalid_argument("Ewma: alpha outside (0,1]");
-}
-
-void Ewma::add(double x) noexcept {
-    if (empty_) {
-        value_ = x;
-        empty_ = false;
-        return;
-    }
-    value_ = alpha_ * x + (1.0 - alpha_) * value_;
-}
 
 SlidingWindow::SlidingWindow(std::size_t capacity) : capacity_(capacity) {
     if (capacity_ == 0)
@@ -26,13 +10,6 @@ SlidingWindow::SlidingWindow(std::size_t capacity) : capacity_(capacity) {
 void SlidingWindow::add(double x) {
     values_.push_back(x);
     if (values_.size() > capacity_) values_.pop_front();
-}
-
-double SlidingWindow::mean() const {
-    if (values_.empty()) throw std::logic_error("SlidingWindow::mean: empty");
-    double total = 0.0;
-    for (double v : values_) total += v;
-    return total / static_cast<double>(values_.size());
 }
 
 double SlidingWindow::harmonic_mean() const {
@@ -46,16 +23,6 @@ double SlidingWindow::harmonic_mean() const {
         reciprocal_sum += 1.0 / v;
     }
     return static_cast<double>(values_.size()) / reciprocal_sum;
-}
-
-double SlidingWindow::min() const {
-    if (values_.empty()) throw std::logic_error("SlidingWindow::min: empty");
-    return *std::min_element(values_.begin(), values_.end());
-}
-
-double SlidingWindow::max() const {
-    if (values_.empty()) throw std::logic_error("SlidingWindow::max: empty");
-    return *std::max_element(values_.begin(), values_.end());
 }
 
 } // namespace dre::stats

@@ -1,5 +1,4 @@
-// Exponentially-weighted moving statistics and sliding windows — the
-// throughput-predictor building blocks networking code reaches for.
+// Sliding-window throughput predictor for the ABR session simulator.
 #ifndef DRE_STATS_EWMA_H
 #define DRE_STATS_EWMA_H
 
@@ -9,28 +8,8 @@
 
 namespace dre::stats {
 
-// EWMA with smoothing alpha in (0, 1]: value <- alpha*x + (1-alpha)*value.
-class Ewma {
-public:
-    explicit Ewma(double alpha);
-
-    void add(double x) noexcept;
-    double value() const noexcept { return value_; }
-    bool empty() const noexcept { return empty_; }
-    void reset() noexcept {
-        empty_ = true;
-        value_ = 0.0;
-    }
-
-private:
-    double alpha_;
-    double value_ = 0.0;
-    bool empty_ = true;
-};
-
-// Fixed-capacity sliding window exposing arithmetic and harmonic means.
-// The harmonic mean is the canonical throughput predictor (used by the ABR
-// substrate's session simulator).
+// Fixed-capacity sliding window exposing the harmonic mean, the canonical
+// throughput predictor (used by the ABR substrate's session simulator).
 class SlidingWindow {
 public:
     explicit SlidingWindow(std::size_t capacity);
@@ -39,10 +18,7 @@ public:
     std::size_t size() const noexcept { return values_.size(); }
     bool empty() const noexcept { return values_.empty(); }
 
-    double mean() const;          // arithmetic
     double harmonic_mean() const; // requires strictly positive samples
-    double min() const;
-    double max() const;
 
 private:
     std::size_t capacity_;

@@ -63,27 +63,4 @@ RankSumResult mann_whitney_u(std::span<const double> xs, std::span<const double>
     return result;
 }
 
-double sign_test_less(std::span<const double> xs, std::span<const double> ys) {
-    if (xs.size() != ys.size())
-        throw std::invalid_argument("sign_test_less: size mismatch");
-    if (xs.empty()) throw std::invalid_argument("sign_test_less: empty samples");
-    int wins = 0, informative = 0;
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-        if (xs[i] == ys[i]) continue;
-        ++informative;
-        wins += xs[i] < ys[i];
-    }
-    if (informative == 0) return 1.0;
-    // Exact binomial tail P(X >= wins) with p = 0.5.
-    double p = 0.0;
-    double log_half = std::log(0.5);
-    for (int k = wins; k <= informative; ++k) {
-        double log_choose = std::lgamma(informative + 1.0) -
-                            std::lgamma(k + 1.0) -
-                            std::lgamma(informative - k + 1.0);
-        p += std::exp(log_choose + informative * log_half);
-    }
-    return std::min(p, 1.0);
-}
-
 } // namespace dre::stats

@@ -22,10 +22,6 @@ struct RankSumResult {
 // always satisfy). Throws std::invalid_argument on empty samples.
 RankSumResult mann_whitney_u(std::span<const double> xs, std::span<const double> ys);
 
-// Paired sign test: P-value for "xs tends to be smaller than ys pairwise"
-// under the exact binomial null (ties dropped).
-double sign_test_less(std::span<const double> xs, std::span<const double> ys);
-
 // Standard normal CDF (exposed because the tests and benches reuse it).
 double normal_cdf(double z);
 

@@ -8,12 +8,6 @@ namespace dre::stats {
 Matrix::Matrix(std::size_t rows, std::size_t cols, double fill)
     : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
 
-Matrix Matrix::identity(std::size_t n) {
-    Matrix m(n, n);
-    for (std::size_t i = 0; i < n; ++i) m(i, i) = 1.0;
-    return m;
-}
-
 Matrix Matrix::from_rows(const std::vector<std::vector<double>>& rows) {
     if (rows.empty()) return {};
     Matrix m(rows.size(), rows.front().size());
@@ -23,16 +17,6 @@ Matrix Matrix::from_rows(const std::vector<std::vector<double>>& rows) {
         for (std::size_t c = 0; c < m.cols(); ++c) m(r, c) = rows[r][c];
     }
     return m;
-}
-
-double& Matrix::at(std::size_t r, std::size_t c) {
-    if (r >= rows_ || c >= cols_) throw std::out_of_range("Matrix::at");
-    return (*this)(r, c);
-}
-
-double Matrix::at(std::size_t r, std::size_t c) const {
-    if (r >= rows_ || c >= cols_) throw std::out_of_range("Matrix::at");
-    return (*this)(r, c);
 }
 
 Matrix Matrix::transposed() const {
@@ -53,34 +37,6 @@ Matrix Matrix::operator*(const Matrix& rhs) const {
             for (std::size_t c = 0; c < rhs.cols_; ++c) out(r, c) += a * rhs(k, c);
         }
     }
-    return out;
-}
-
-Matrix Matrix::operator+(const Matrix& rhs) const {
-    if (!same_shape(rhs)) throw std::invalid_argument("Matrix::operator+: shape mismatch");
-    Matrix out = *this;
-    for (std::size_t i = 0; i < data_.size(); ++i) out.data_[i] += rhs.data_[i];
-    return out;
-}
-
-Matrix Matrix::operator-(const Matrix& rhs) const {
-    if (!same_shape(rhs)) throw std::invalid_argument("Matrix::operator-: shape mismatch");
-    Matrix out = *this;
-    for (std::size_t i = 0; i < data_.size(); ++i) out.data_[i] -= rhs.data_[i];
-    return out;
-}
-
-Matrix Matrix::scaled(double factor) const {
-    Matrix out = *this;
-    for (double& x : out.data_) x *= factor;
-    return out;
-}
-
-std::vector<double> Matrix::multiply(std::span<const double> v) const {
-    if (v.size() != cols_) throw std::invalid_argument("Matrix::multiply: shape mismatch");
-    std::vector<double> out(rows_, 0.0);
-    for (std::size_t r = 0; r < rows_; ++r)
-        for (std::size_t c = 0; c < cols_; ++c) out[r] += (*this)(r, c) * v[c];
     return out;
 }
 

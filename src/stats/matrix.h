@@ -14,7 +14,6 @@ public:
     Matrix() = default;
     Matrix(std::size_t rows, std::size_t cols, double fill = 0.0);
 
-    static Matrix identity(std::size_t n);
     static Matrix from_rows(const std::vector<std::vector<double>>& rows);
 
     std::size_t rows() const noexcept { return rows_; }
@@ -23,25 +22,12 @@ public:
     double& operator()(std::size_t r, std::size_t c) { return data_[r * cols_ + c]; }
     double operator()(std::size_t r, std::size_t c) const { return data_[r * cols_ + c]; }
 
-    // Bounds-checked access.
-    double& at(std::size_t r, std::size_t c);
-    double at(std::size_t r, std::size_t c) const;
-
     Matrix transposed() const;
     Matrix operator*(const Matrix& rhs) const;
-    Matrix operator+(const Matrix& rhs) const;
-    Matrix operator-(const Matrix& rhs) const;
-    Matrix scaled(double factor) const;
-
-    std::vector<double> multiply(std::span<const double> v) const;
 
     // A^T * A (Gram matrix) and A^T * b, the normal-equation ingredients.
     Matrix gram() const;
     std::vector<double> transpose_multiply(std::span<const double> b) const;
-
-    bool same_shape(const Matrix& rhs) const noexcept {
-        return rows_ == rhs.rows_ && cols_ == rhs.cols_;
-    }
 
 private:
     std::size_t rows_ = 0;

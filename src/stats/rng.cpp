@@ -39,12 +39,6 @@ std::uint64_t Rng::uniform_index(std::uint64_t n) {
     return simd::lemire_index(state_, n);
 }
 
-std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
-    if (lo > hi) throw std::invalid_argument("Rng::uniform_int: lo must be <= hi");
-    const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
-    return lo + static_cast<std::int64_t>(uniform_index(span));
-}
-
 bool Rng::bernoulli(double p) {
     if (p < 0.0 || p > 1.0) throw std::invalid_argument("Rng::bernoulli: p outside [0,1]");
     return uniform() < p;

@@ -37,9 +37,6 @@ public:
     // Uniform integer in [0, n). Requires n > 0.
     std::uint64_t uniform_index(std::uint64_t n);
 
-    // Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
-    std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
-
     // Bernoulli draw with success probability p in [0, 1].
     bool bernoulli(double p);
 

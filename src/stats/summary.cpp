@@ -17,25 +17,6 @@ void Accumulator::add(double x) noexcept {
     max_ = std::max(max_, x);
 }
 
-void Accumulator::merge(const Accumulator& other) noexcept {
-    if (other.n_ == 0) return;
-    if (n_ == 0) {
-        *this = other;
-        return;
-    }
-    const double delta = other.mean_ - mean_;
-    const auto total = static_cast<double>(n_ + other.n_);
-    m2_ += other.m2_ + delta * delta * static_cast<double>(n_) *
-                           static_cast<double>(other.n_) / total;
-    mean_ = (mean_ * static_cast<double>(n_) +
-             other.mean_ * static_cast<double>(other.n_)) /
-            total;
-    n_ += other.n_;
-    sum_ += other.sum_;
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-}
-
 double Accumulator::variance() const noexcept {
     return n_ == 0 ? 0.0 : m2_ / static_cast<double>(n_);
 }
@@ -120,38 +101,6 @@ Summary summarize(std::span<const double> xs) {
     s.p25 = quantile(xs, 0.25);
     s.p75 = quantile(xs, 0.75);
     return s;
-}
-
-double correlation(std::span<const double> xs, std::span<const double> ys) {
-    if (xs.size() != ys.size())
-        throw std::invalid_argument("correlation: size mismatch");
-    require_nonempty(xs, "correlation");
-    const double mx = mean(xs);
-    const double my = mean(ys);
-    double sxy = 0.0, sxx = 0.0, syy = 0.0;
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-        const double dx = xs[i] - mx;
-        const double dy = ys[i] - my;
-        sxy += dx * dy;
-        sxx += dx * dx;
-        syy += dy * dy;
-    }
-    if (sxx == 0.0 || syy == 0.0) return 0.0;
-    return sxy / std::sqrt(sxx * syy);
-}
-
-double weighted_mean(std::span<const double> xs, std::span<const double> ws) {
-    if (xs.size() != ws.size())
-        throw std::invalid_argument("weighted_mean: size mismatch");
-    require_nonempty(xs, "weighted_mean");
-    double total = 0.0, weight = 0.0;
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-        if (ws[i] < 0.0) throw std::invalid_argument("weighted_mean: negative weight");
-        total += xs[i] * ws[i];
-        weight += ws[i];
-    }
-    if (weight <= 0.0) throw std::invalid_argument("weighted_mean: zero total weight");
-    return total / weight;
 }
 
 } // namespace dre::stats

@@ -13,7 +13,6 @@ namespace dre::stats {
 class Accumulator {
 public:
     void add(double x) noexcept;
-    void merge(const Accumulator& other) noexcept;
 
     std::size_t count() const noexcept { return n_; }
     bool empty() const noexcept { return n_ == 0; }
@@ -82,12 +81,6 @@ double stddev(std::span<const double> xs);
 double quantile(std::span<const double> xs, double q);
 double median(std::span<const double> xs);
 Summary summarize(std::span<const double> xs);
-
-// Pearson correlation of two equal-length samples.
-double correlation(std::span<const double> xs, std::span<const double> ys);
-
-// Weighted mean: sum(w*x)/sum(w). Requires positive total weight.
-double weighted_mean(std::span<const double> xs, std::span<const double> ws);
 
 } // namespace dre::stats
 

@@ -284,9 +284,6 @@ StoreReader::~StoreReader() = default;
 
 const std::string& StoreReader::path() const noexcept { return impl_->path; }
 StoreSchema StoreReader::schema() const noexcept { return impl_->header.schema; }
-std::uint32_t StoreReader::row_group_rows() const noexcept {
-    return impl_->header.row_group_rows;
-}
 std::size_t StoreReader::num_decisions() const noexcept {
     return impl_->header.num_decisions;
 }
@@ -303,14 +300,6 @@ RowGroupInfo StoreReader::row_group_info(std::size_t group) const {
                               " out of range (file has " +
                               std::to_string(impl_->groups.size()) + ")");
     return impl_->groups[group];
-}
-
-std::uint64_t StoreReader::row_group_offset(std::size_t group) const {
-    if (group >= impl_->groups.size())
-        fail(impl_->path, "row group " + std::to_string(group) +
-                              " out of range (file has " +
-                              std::to_string(impl_->groups.size()) + ")");
-    return impl_->row_offset[group];
 }
 
 RowGroupView StoreReader::row_group(std::size_t group) const {
@@ -335,16 +324,9 @@ RowGroupView StoreReader::row_group(std::size_t group) const {
     }
 }
 
-void StoreReader::read_rows(std::uint64_t begin, std::uint64_t count,
-                            std::vector<LoggedTuple>& out,
-                            std::vector<ReadFailure>* failures) const {
-    out.clear();
-    append_rows(begin, count, out, failures);
-}
-
 void StoreReader::append_rows(std::uint64_t begin, std::uint64_t count,
                               std::vector<LoggedTuple>& out,
-                              std::vector<ReadFailure>* failures) const {
+                              std::vector<TupleReadFailure>* failures) const {
     const Impl& im = *impl_;
     if (begin + count > im.header.num_tuples)
         fail(im.path, "read_rows range [" + std::to_string(begin) + ", " +
@@ -372,12 +354,6 @@ void StoreReader::append_rows(std::uint64_t begin, std::uint64_t count,
                                  e.reason_code(), e.what()});
         }
     }
-}
-
-Trace StoreReader::read_all() const {
-    std::vector<LoggedTuple> tuples;
-    read_rows(0, num_tuples(), tuples);
-    return Trace(std::move(tuples));
 }
 
 } // namespace dre::store

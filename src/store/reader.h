@@ -35,6 +35,7 @@
 #include "store/error.h"
 #include "store/format.h"
 #include "trace/trace.h"
+#include "trace/validate.h"
 
 namespace dre::store {
 
@@ -45,15 +46,6 @@ struct StoreReaderOptions {
     // a standalone single file; ShardedStore overrides per shard.
     std::uint64_t fault_shard_index = 0;
     std::uint64_t fault_group_offset = 0;
-};
-
-// One unreadable sub-range recorded by a tolerant read_rows.
-struct ReadFailure {
-    std::uint64_t begin = 0;  // first affected row (caller coordinates)
-    std::uint64_t count = 0;  // affected rows
-    const char* reason = "";  // stable code, e.g. "store-corruption"
-    std::string detail;       // the underlying error text
-    std::int64_t shard = -1;  // filled by ShardedStore; -1 = single file
 };
 
 class StoreReader {
@@ -67,13 +59,10 @@ public:
 
     const std::string& path() const noexcept;
     StoreSchema schema() const noexcept;
-    std::uint32_t row_group_rows() const noexcept;
     std::size_t num_decisions() const noexcept;
     std::uint64_t num_tuples() const noexcept;
     std::size_t num_row_groups() const noexcept;
     RowGroupInfo row_group_info(std::size_t group) const;
-    // Global row of the first tuple in `group` (prefix sums).
-    std::uint64_t row_group_offset(std::size_t group) const;
 
     // CRC-validated view of one row group; its spans alias the mapping and
     // stay valid for the reader's lifetime. Thread-safe; throws StoreError
@@ -81,26 +70,20 @@ public:
     // survived the retries.
     RowGroupView row_group(std::size_t group) const;
 
-    // Appends `count` tuples starting at global row `begin` to `out`
-    // (cleared first). Thread-safe. With `failures` null the first
-    // unreadable row group throws; otherwise each unreadable group's
+private:
+    // A single file is read as the one-shard case of ShardedStore.
+    friend class ShardedStore;
+
+    // Appends `count` tuples starting at file row `begin` to the end of
+    // `out`, decoding each row group straight onto it, so a shard set fills
+    // one vector shard by shard. Thread-safe. With `failures` null the
+    // first unreadable row group throws; otherwise each unreadable group's
     // intersection with the range is appended to `failures` (in row order)
     // and its tuples are skipped. Retries run first either way, and a
     // range past the end always throws (caller bug).
-    void read_rows(std::uint64_t begin, std::uint64_t count,
-                   std::vector<LoggedTuple>& out,
-                   std::vector<ReadFailure>* failures = nullptr) const;
-
-    Trace read_all() const;
-
-private:
-    friend class ShardedStore;
-
-    // read_rows without the clear: decodes each row group straight onto
-    // the end of `out`, so a shard set fills one vector shard by shard.
     void append_rows(std::uint64_t begin, std::uint64_t count,
                      std::vector<LoggedTuple>& out,
-                     std::vector<ReadFailure>* failures) const;
+                     std::vector<TupleReadFailure>* failures) const;
 
     struct Impl;
     std::unique_ptr<Impl> impl_;

@@ -53,7 +53,7 @@ std::uint64_t ShardedStore::num_tuples() const noexcept {
 
 void ShardedStore::read_rows(std::uint64_t begin, std::uint64_t count,
                              std::vector<LoggedTuple>& out,
-                             std::vector<ReadFailure>* failures) const {
+                             std::vector<TupleReadFailure>* failures) const {
     out.clear();
     if (begin + count > num_tuples())
         throw std::out_of_range(

@@ -44,11 +44,13 @@ public:
 
     // Appends tuples [begin, begin + count) in global order to `out`
     // (cleared first), crossing shard boundaries as needed. Thread-safe.
-    // `failures` works as in StoreReader::read_rows; recorded failures are
-    // in global row order, begin/count in global coordinates, shard filled.
+    // With `failures` null the first unreadable row group throws; otherwise
+    // each one's intersection with the range is recorded in `failures` (in
+    // global row order, begin/count in global coordinates, shard filled)
+    // and its tuples are skipped. Transient faults are retried first.
     void read_rows(std::uint64_t begin, std::uint64_t count,
                    std::vector<LoggedTuple>& out,
-                   std::vector<ReadFailure>* failures = nullptr) const;
+                   std::vector<TupleReadFailure>* failures = nullptr) const;
 
     Trace read_all() const;
 
@@ -67,21 +69,18 @@ public:
     std::size_t num_decisions() const override {
         return store_->num_decisions();
     }
-    void read(std::uint64_t begin, std::uint64_t count,
-              std::vector<LoggedTuple>& out) const override {
-        store_->read_rows(begin, count, out);
-    }
-    // Sub-range recovery: damaged row groups become TupleReadFailure
+    // Sub-range recovery: with `failures` set, damaged row groups become
     // entries (with the shard attributed) instead of aborting the chunk.
-    void read_tolerant(
-        std::uint64_t begin, std::uint64_t count,
-        std::vector<LoggedTuple>& out,
-        std::vector<core::TupleReadFailure>& failures) const override {
-        std::vector<ReadFailure> store_failures;
-        store_->read_rows(begin, count, out, &store_failures);
-        for (ReadFailure& f : store_failures)
-            failures.push_back(
-                {f.begin, f.count, f.reason, std::move(f.detail), f.shard});
+    void read(std::uint64_t begin, std::uint64_t count,
+              std::vector<LoggedTuple>& out,
+              std::vector<TupleReadFailure>* failures) const override {
+        store_->read_rows(begin, count, out, failures);
+    }
+    // Strict read, the `failures == nullptr` case (perfbench's store probe
+    // reads through it).
+    void read(std::uint64_t begin, std::uint64_t count,
+              std::vector<LoggedTuple>& out) const {
+        store_->read_rows(begin, count, out);
     }
 
 private:

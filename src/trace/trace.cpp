@@ -20,13 +20,6 @@ std::vector<double> Trace::rewards() const {
     return out;
 }
 
-std::vector<double> Trace::propensities() const {
-    std::vector<double> out;
-    out.reserve(tuples_.size());
-    for (const auto& t : tuples_) out.push_back(t.propensity);
-    return out;
-}
-
 Trace Trace::filtered(const std::function<bool(const LoggedTuple&)>& keep) const {
     Trace out;
     for (const auto& t : tuples_)
@@ -50,14 +43,6 @@ std::pair<Trace, Trace> Trace::split(double train_fraction, stats::Rng& rng) con
         }
     }
     return {std::move(train), std::move(holdout)};
-}
-
-Trace Trace::resampled(stats::Rng& rng) const {
-    Trace out;
-    out.reserve(size());
-    for (std::size_t i = 0; i < size(); ++i)
-        out.add(tuples_[rng.uniform_index(size())]);
-    return out;
 }
 
 void validate_trace(std::span<const LoggedTuple> tuples) {

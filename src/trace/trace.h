@@ -38,9 +38,8 @@ public:
     // Largest decision id present plus one (0 for an empty trace).
     std::size_t num_decisions() const noexcept;
 
-    // All rewards / propensities as flat vectors (for summaries).
+    // All rewards as a flat vector (for summaries).
     std::vector<double> rewards() const;
-    std::vector<double> propensities() const;
 
     // Tuples satisfying a predicate.
     Trace filtered(const std::function<bool(const LoggedTuple&)>& keep) const;
@@ -50,9 +49,6 @@ public:
 
     // Random split into (train, holdout); `train_fraction` in (0, 1).
     std::pair<Trace, Trace> split(double train_fraction, stats::Rng& rng) const;
-
-    // Bootstrap resample of the same size.
-    Trace resampled(stats::Rng& rng) const;
 
 private:
     std::vector<LoggedTuple> tuples_;

@@ -1,6 +1,5 @@
 #include "trace/types.h"
 
-#include <cstdio>
 #include <cstring>
 
 namespace dre {
@@ -32,24 +31,6 @@ std::uint64_t context_fingerprint(const ClientContext& context) noexcept {
     }
     for (std::int32_t c : context.categorical) mix_bytes(&c, sizeof(c));
     return h;
-}
-
-std::string to_string(const ClientContext& context) {
-    std::string out = "ctx{num=[";
-    char buffer[32];
-    for (std::size_t i = 0; i < context.numeric.size(); ++i) {
-        std::snprintf(buffer, sizeof(buffer), "%g", context.numeric[i]);
-        if (i) out += ',';
-        out += buffer;
-    }
-    out += "], cat=[";
-    for (std::size_t i = 0; i < context.categorical.size(); ++i) {
-        std::snprintf(buffer, sizeof(buffer), "%d", context.categorical[i]);
-        if (i) out += ',';
-        out += buffer;
-    }
-    out += "]}";
-    return out;
 }
 
 } // namespace dre

@@ -230,9 +230,6 @@ struct LoggedTuple {
 // CFA matching estimator).
 std::uint64_t context_fingerprint(const ClientContext& context) noexcept;
 
-// Human-readable rendering for logs and error messages.
-std::string to_string(const ClientContext& context);
-
 } // namespace dre
 
 #endif // DRE_TRACE_TYPES_H

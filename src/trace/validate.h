@@ -5,7 +5,8 @@
 // the hardened streaming evaluator (core/streaming), whose QuarantineReport
 // uses exactly these reason-code strings. A tuple that passes is safe for
 // every estimator: finite reward and context, propensity in (0, 1], and a
-// decision inside [0, num_decisions).
+// decision inside [0, num_decisions). The failure record a tolerant store
+// read hands the streaming evaluator is defined here too.
 #ifndef DRE_TRACE_VALIDATE_H
 #define DRE_TRACE_VALIDATE_H
 
@@ -46,6 +47,19 @@ std::map<std::string, std::uint64_t> count_defects(const Trace& trace,
 // of what was removed. Order of surviving tuples is preserved.
 std::map<std::string, std::uint64_t> remove_defective_tuples(
     Trace& trace, std::size_t num_decisions);
+
+// One contiguous run of tuples a tolerant read could not produce (a damaged
+// store row group). `reason` is a stable reason-code literal
+// (store::StoreError::reason_code); `begin` and `count` are in the
+// reader's row coordinates; `shard` is -1 when unattributable. The store
+// fills it and the streaming engine's quarantine reads it.
+struct TupleReadFailure {
+    std::uint64_t begin = 0;
+    std::uint64_t count = 0;
+    const char* reason = "unknown";
+    std::string detail;
+    std::int64_t shard = -1;
+};
 
 // Rejects a trace the in-memory estimators cannot evaluate: throws
 // std::runtime_error when it is empty, or when any tuple is defective with

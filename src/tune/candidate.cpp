@@ -1,8 +1,6 @@
 #include "tune/candidate.h"
 
-#include <algorithm>
 #include <charconv>
-#include <cmath>
 #include <stdexcept>
 
 namespace dre::tune {
@@ -19,7 +17,7 @@ const char* model_name(core::RewardModelKind kind) {
 }
 
 // Shortest round-trip decimal rendering, so spec() is canonical (equal
-// doubles -> equal bytes) and parse_candidate_spec(spec()) is exact.
+// doubles -> equal bytes).
 std::string format_double(double v) {
     char buf[32];
     const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
@@ -28,47 +26,7 @@ std::string format_double(double v) {
     return std::string(buf, ptr);
 }
 
-double parse_double_strict(const std::string& text, const char* what,
-                           const std::string& spec) {
-    double v = 0.0;
-    const auto [ptr, ec] = std::from_chars(text.data(),
-                                           text.data() + text.size(), v);
-    if (ec != std::errc() || ptr != text.data() + text.size())
-        throw std::invalid_argument(std::string("malformed ") + what + " '" +
-                                    text + "' in candidate spec '" + spec +
-                                    "'");
-    return v;
-}
-
-std::vector<std::string> split_fields(const std::string& text) {
-    std::vector<std::string> fields;
-    std::size_t start = 0;
-    while (true) {
-        const std::size_t colon = text.find(':', start);
-        if (colon == std::string::npos) {
-            fields.push_back(text.substr(start));
-            return fields;
-        }
-        fields.push_back(text.substr(start, colon - start));
-        start = colon + 1;
-    }
-}
-
-[[noreturn]] void bad_spec(const std::string& spec, const char* why) {
-    throw std::invalid_argument("bad candidate spec '" + spec + "': " + why);
-}
-
 } // namespace
-
-const char* to_string(CandidateKind kind) noexcept {
-    switch (kind) {
-        case CandidateKind::kGreedy: return "greedy";
-        case CandidateKind::kSoftmax: return "softmax";
-        case CandidateKind::kConstant: return "constant";
-        case CandidateKind::kMixture: return "mix";
-    }
-    return "unknown";
-}
 
 std::string PolicyCandidate::spec() const {
     switch (kind) {
@@ -88,51 +46,6 @@ std::string PolicyCandidate::spec() const {
                    format_double(mixture_weight);
     }
     throw std::invalid_argument("candidate has an unknown kind");
-}
-
-PolicyCandidate parse_candidate_spec(const std::string& spec) {
-    const std::vector<std::string> fields = split_fields(spec);
-    PolicyCandidate c;
-    if (fields[0] == "greedy") {
-        c.kind = CandidateKind::kGreedy;
-        if (fields.size() < 2 || fields.size() > 3)
-            bad_spec(spec, "expected greedy:<model>[:<epsilon>]");
-        c.model = core::parse_reward_model_kind(fields[1]);
-        if (fields.size() == 3)
-            c.epsilon = parse_double_strict(fields[2], "epsilon", spec);
-        if (!(c.epsilon >= 0.0 && c.epsilon <= 1.0))
-            bad_spec(spec, "epsilon outside [0,1]");
-        return c;
-    }
-    if (fields[0] == "softmax") {
-        c.kind = CandidateKind::kSoftmax;
-        if (fields.size() != 3)
-            bad_spec(spec, "expected softmax:<model>:<temperature>");
-        c.model = core::parse_reward_model_kind(fields[1]);
-        c.temperature = parse_double_strict(fields[2], "temperature", spec);
-        if (!(c.temperature > 0.0)) bad_spec(spec, "temperature must be > 0");
-        return c;
-    }
-    if (fields[0] == "constant") {
-        c.kind = CandidateKind::kConstant;
-        if (fields.size() != 2) bad_spec(spec, "expected constant:<arm>");
-        c.arm = static_cast<Decision>(
-            parse_double_strict(fields[1], "arm", spec));
-        return c;
-    }
-    if (fields[0] == "mix") {
-        c.kind = CandidateKind::kMixture;
-        if (fields.size() != 4)
-            bad_spec(spec, "expected mix:<model>:<arm>:<weight>");
-        c.model = core::parse_reward_model_kind(fields[1]);
-        c.arm = static_cast<Decision>(
-            parse_double_strict(fields[2], "arm", spec));
-        c.mixture_weight = parse_double_strict(fields[3], "weight", spec);
-        if (!(c.mixture_weight >= 0.0 && c.mixture_weight <= 1.0))
-            bad_spec(spec, "weight outside [0,1]");
-        return c;
-    }
-    bad_spec(spec, "unknown candidate family");
 }
 
 FittedModels fit_candidate_models(const std::vector<PolicyCandidate>& candidates,
@@ -265,31 +178,6 @@ std::vector<PolicyCandidate> enumerate(const CandidateSpace& space) {
             c.mixture_weight = weight;
             out.push_back(c);
         }
-    }
-    return out;
-}
-
-PolicyCandidate perturb(const PolicyCandidate& candidate,
-                        const CandidateSpace& space, stats::Rng& rng) {
-    PolicyCandidate out = candidate;
-    switch (candidate.kind) {
-        case CandidateKind::kGreedy:
-            out.epsilon = std::clamp(
-                candidate.epsilon + rng.uniform(-0.05, 0.05), 0.0, 1.0);
-            break;
-        case CandidateKind::kSoftmax:
-            out.temperature =
-                std::max(1e-3, candidate.temperature *
-                                   std::exp(rng.uniform(-0.25, 0.25)));
-            break;
-        case CandidateKind::kConstant:
-            out.arm = static_cast<Decision>(
-                rng.uniform_index(space.num_decisions));
-            break;
-        case CandidateKind::kMixture:
-            out.mixture_weight = std::clamp(
-                candidate.mixture_weight + rng.uniform(-0.1, 0.1), 0.0, 1.0);
-            break;
     }
     return out;
 }

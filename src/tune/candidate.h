@@ -17,8 +17,7 @@
 //              the greedy policy, 1-w pinned to arm d (Fig. 7a's "50% of
 //              clients use the new assignment")
 //
-// greedy/constant specs round-trip through core::parse_policy_spec; the
-// softmax/mix grammars are owned here (parse_candidate_spec).
+// greedy/constant specs round-trip through core::parse_policy_spec.
 #ifndef DRE_TUNE_CANDIDATE_H
 #define DRE_TUNE_CANDIDATE_H
 
@@ -30,14 +29,11 @@
 #include "core/policy.h"
 #include "core/policy_learning.h"
 #include "core/reward_model.h"
-#include "stats/rng.h"
 #include "trace/trace.h"
 
 namespace dre::tune {
 
 enum class CandidateKind { kGreedy, kSoftmax, kConstant, kMixture };
-
-const char* to_string(CandidateKind kind) noexcept;
 
 struct PolicyCandidate {
     CandidateKind kind = CandidateKind::kGreedy;
@@ -53,10 +49,6 @@ struct PolicyCandidate {
     // entries, cache keys, and checkpoint payloads.
     std::string spec() const;
 };
-
-// Inverse of PolicyCandidate::spec(). Throws std::invalid_argument on
-// malformed input (same error style as core::parse_policy_spec).
-PolicyCandidate parse_candidate_spec(const std::string& spec);
 
 // Pre-fitted reward models shared across candidates of one search round
 // (fit once per kind, not once per candidate).
@@ -97,14 +89,6 @@ struct CandidateSpace {
 };
 
 std::vector<PolicyCandidate> enumerate(const CandidateSpace& space);
-
-// Jitter one candidate within the space: epsilon/temperature/weight moves
-// by a bounded step (clamped to its legal range), constant arms resample
-// uniformly. Pure function of (candidate, space, rng state) — the online
-// tuner derives `rng` from a split-keyed stream so perturbations are
-// deterministic per wave.
-PolicyCandidate perturb(const PolicyCandidate& candidate,
-                        const CandidateSpace& space, stats::Rng& rng);
 
 } // namespace dre::tune
 

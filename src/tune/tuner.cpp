@@ -186,7 +186,7 @@ Trace StoreWaveSource::wave(std::uint64_t wave_index,
     std::uint64_t begin = (wave_index * wave_size_) % n;
     if (begin + wave_size_ > n) begin = n - wave_size_; // keep waves full
     std::vector<LoggedTuple> tuples;
-    source_->read(begin, wave_size_, tuples);
+    source_->read(begin, wave_size_, tuples, nullptr);
     return Trace(std::move(tuples));
 }
 

@@ -22,13 +22,6 @@ double BitrateLadder::mbps(std::size_t level) const {
     return mbps_[level];
 }
 
-std::size_t BitrateLadder::highest_below(double budget_mbps) const noexcept {
-    std::size_t best = 0;
-    for (std::size_t i = 0; i < mbps_.size(); ++i)
-        if (mbps_[i] <= budget_mbps) best = i;
-    return best;
-}
-
 BitrateLadder BitrateLadder::standard5() {
     return BitrateLadder({0.35, 0.75, 1.5, 2.8, 4.5});
 }
@@ -59,51 +52,6 @@ std::size_t BufferBasedAbr::choose(const AbrState& state, const BitrateLadder& l
     const auto level = static_cast<std::size_t>(
         t * static_cast<double>(ladder.levels() - 1) + 0.5);
     return std::min(level, ladder.highest());
-}
-
-RateBasedAbr::RateBasedAbr(double safety_factor) : safety_factor_(safety_factor) {
-    if (safety_factor_ <= 0.0 || safety_factor_ > 1.0)
-        throw std::invalid_argument("RateBasedAbr: safety factor outside (0,1]");
-}
-
-std::size_t RateBasedAbr::choose(const AbrState& state, const BitrateLadder& ladder,
-                                 const SessionConfig&, const QoeParams&) const {
-    return ladder.highest_below(safety_factor_ * state.predicted_throughput_mbps);
-}
-
-BolaAbr::BolaAbr(double gamma_p, double control_v)
-    : gamma_p_(gamma_p), control_v_(control_v) {
-    if (gamma_p_ <= 0.0) throw std::invalid_argument("BolaAbr: gamma_p must be > 0");
-}
-
-std::size_t BolaAbr::choose(const AbrState& state, const BitrateLadder& ladder,
-                            const SessionConfig& session, const QoeParams&) const {
-    // Utilities: log of bitrate relative to the lowest level (BOLA's v_m).
-    const double base = ladder.mbps(0);
-    const double utility_max = std::log(ladder.mbps(ladder.highest()) / base);
-    const double v =
-        control_v_ > 0.0
-            ? control_v_
-            : std::max(session.max_buffer_s - session.chunk_seconds, 1.0) /
-                  (utility_max + gamma_p_);
-
-    double best_score = -std::numeric_limits<double>::infinity();
-    std::size_t best_level = 0;
-    for (std::size_t m = 0; m < ladder.levels(); ++m) {
-        const double utility = std::log(ladder.mbps(m) / base);
-        const double size_mbits = ladder.mbps(m) * session.chunk_seconds;
-        const double score =
-            (v * (utility + gamma_p_) - state.buffer_s) / size_mbits;
-        if (score > best_score) {
-            best_score = score;
-            best_level = m;
-        }
-    }
-    // All-negative scores = BOLA's abstain region: the buffer is already so
-    // full that BOLA would pause downloads; a streaming session that must
-    // fetch anyway can safely take the top level on that cushion.
-    if (best_score < 0.0) return ladder.highest();
-    return best_level;
 }
 
 MpcAbr::MpcAbr(std::size_t horizon) : horizon_(horizon) {

@@ -3,8 +3,6 @@
 //  * BufferBasedAbr — BBA (Huang et al. [13]): bitrate is a piecewise-linear
 //    function of the buffer level. The paper uses it as the *old* (logging)
 //    policy in Fig. 7b.
-//  * RateBasedAbr — pick the highest bitrate below predicted throughput
-//    (the FESTIVE-style baseline).
 //  * MpcAbr — FastMPC (Yin et al. [42]): maximize the QoE of the next H
 //    chunks by exhaustive lookahead assuming the predicted throughput holds.
 //    The paper's *new* policy in Fig. 7b. Crucially, its throughput
@@ -47,42 +45,6 @@ public:
 private:
     double reservoir_s_;
     double cushion_s_;
-};
-
-class RateBasedAbr final : public AbrAlgorithm {
-public:
-    explicit RateBasedAbr(double safety_factor = 0.9);
-
-    std::size_t choose(const AbrState& state, const BitrateLadder& ladder,
-                       const SessionConfig& session,
-                       const QoeParams& qoe) const override;
-
-private:
-    double safety_factor_;
-};
-
-// BOLA (Spiteri et al., BOLA-BASIC): Lyapunov-style buffer/utility control
-// that needs no throughput prediction at all. Each level m gets the score
-//   score(m) = (V * (utility_m + gamma_p) - buffer_s) / size_m,
-// with utility_m = ln(bitrate_m / bitrate_0); the ABR picks the argmax.
-// When every score is negative (BOLA's "abstain" region: the buffer is
-// beyond its target) a streaming session still fetches — at the top level.
-// V is derived from the buffer capacity as in the BOLA paper:
-//   V = (max_buffer - chunk_seconds) / (utility_max + gamma_p),
-// so the highest level becomes reachable exactly as the buffer fills.
-class BolaAbr final : public AbrAlgorithm {
-public:
-    // gamma_p balances rebuffer avoidance against utility; control_v <= 0
-    // (the default) derives V from the session's buffer capacity.
-    explicit BolaAbr(double gamma_p = 5.0, double control_v = 0.0);
-
-    std::size_t choose(const AbrState& state, const BitrateLadder& ladder,
-                       const SessionConfig& session,
-                       const QoeParams& qoe) const override;
-
-private:
-    double gamma_p_;
-    double control_v_;
 };
 
 class MpcAbr final : public AbrAlgorithm {

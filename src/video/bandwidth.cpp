@@ -17,46 +17,4 @@ double ConstantBandwidth::bandwidth_mbps(std::size_t, stats::Rng& rng) const {
     return mean_mbps_ * rng.lognormal(0.0, jitter_sigma_);
 }
 
-PiecewiseBandwidth::PiecewiseBandwidth(std::vector<double> series_mbps,
-                                       double jitter_sigma)
-    : series_(std::move(series_mbps)), jitter_sigma_(jitter_sigma) {
-    if (series_.empty())
-        throw std::invalid_argument("PiecewiseBandwidth: empty series");
-    for (double b : series_)
-        if (b <= 0.0)
-            throw std::invalid_argument("PiecewiseBandwidth: bandwidth must be > 0");
-    if (jitter_sigma_ < 0.0)
-        throw std::invalid_argument("PiecewiseBandwidth: negative jitter");
-}
-
-double PiecewiseBandwidth::bandwidth_mbps(std::size_t chunk_index,
-                                          stats::Rng& rng) const {
-    const double base = series_[chunk_index % series_.size()];
-    if (jitter_sigma_ == 0.0) return base;
-    return base * rng.lognormal(0.0, jitter_sigma_);
-}
-
-MarkovBandwidth::MarkovBandwidth(double good_mbps, double bad_mbps,
-                                 double flip_probability, std::uint64_t seed,
-                                 std::size_t horizon) {
-    if (good_mbps <= 0.0 || bad_mbps <= 0.0)
-        throw std::invalid_argument("MarkovBandwidth: bandwidths must be > 0");
-    if (flip_probability < 0.0 || flip_probability > 1.0)
-        throw std::invalid_argument("MarkovBandwidth: flip prob outside [0,1]");
-    stats::Rng rng(seed);
-    levels_.reserve(horizon);
-    bool good = true;
-    for (std::size_t k = 0; k < horizon; ++k) {
-        if (rng.bernoulli(flip_probability)) good = !good;
-        levels_.push_back(good ? good_mbps : bad_mbps);
-    }
-}
-
-double MarkovBandwidth::bandwidth_mbps(std::size_t chunk_index,
-                                       stats::Rng& rng) const {
-    if (levels_.empty()) throw std::logic_error("MarkovBandwidth: empty horizon");
-    const double base = levels_[std::min(chunk_index, levels_.size() - 1)];
-    return base * rng.lognormal(0.0, jitter_sigma_);
-}
-
 } // namespace dre::video

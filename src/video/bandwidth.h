@@ -2,9 +2,6 @@
 #ifndef DRE_VIDEO_BANDWIDTH_H
 #define DRE_VIDEO_BANDWIDTH_H
 
-#include <memory>
-#include <vector>
-
 #include "stats/rng.h"
 #include "video/types.h"
 
@@ -35,35 +32,6 @@ public:
 private:
     double mean_mbps_;
     double jitter_sigma_;
-};
-
-// Piecewise-constant bandwidth replayed from a recorded series (e.g., a
-// real cellular trace): chunk k sees series[k % size] Mbps plus jitter.
-class PiecewiseBandwidth final : public BandwidthProcess {
-public:
-    explicit PiecewiseBandwidth(std::vector<double> series_mbps,
-                                double jitter_sigma = 0.05);
-
-    double bandwidth_mbps(std::size_t chunk_index, stats::Rng& rng) const override;
-    std::size_t length() const noexcept { return series_.size(); }
-
-private:
-    std::vector<double> series_;
-    double jitter_sigma_;
-};
-
-// Two-level Markov bandwidth (good/bad network) — used by extension
-// experiments that need genuinely time-varying conditions.
-class MarkovBandwidth final : public BandwidthProcess {
-public:
-    MarkovBandwidth(double good_mbps, double bad_mbps, double flip_probability,
-                    std::uint64_t seed, std::size_t horizon);
-
-    double bandwidth_mbps(std::size_t chunk_index, stats::Rng& rng) const override;
-
-private:
-    std::vector<double> levels_; // precomputed so evaluation is reproducible
-    double jitter_sigma_ = 0.05;
 };
 
 } // namespace dre::video

@@ -101,26 +101,6 @@ double SessionSimulator::true_mean_qoe(const AbrAlgorithm& abr,
     return total / replicates;
 }
 
-Trace simulate_population(const SessionSimulator& simulator,
-                          const AbrAlgorithm& abr, std::size_t sessions,
-                          double median_bandwidth_mbps, double bandwidth_sigma,
-                          stats::Rng& rng) {
-    if (sessions == 0)
-        throw std::invalid_argument("simulate_population: zero sessions");
-    if (median_bandwidth_mbps <= 0.0 || bandwidth_sigma < 0.0)
-        throw std::invalid_argument("simulate_population: bad bandwidth spec");
-    Trace population;
-    population.reserve(sessions * simulator.config().session.chunks);
-    for (std::size_t s = 0; s < sessions; ++s) {
-        const double mean =
-            median_bandwidth_mbps * rng.lognormal(0.0, bandwidth_sigma);
-        const ConstantBandwidth bandwidth(mean);
-        const SessionRecord record = simulator.simulate(abr, bandwidth, rng);
-        for (const auto& tuple : to_trace(record)) population.add(tuple);
-    }
-    return population;
-}
-
 Trace to_trace(const SessionRecord& record) {
     Trace trace;
     trace.reserve(record.size());

@@ -39,21 +39,11 @@ public:
                          stats::Rng& rng, int replicates = 32) const;
 
     const BitrateLadder& ladder() const noexcept { return ladder_; }
-    const SimulatorConfig& config() const noexcept { return config_; }
 
 private:
     SimulatorConfig config_;
     BitrateLadder ladder_;
 };
-
-// Simulate a population of sessions with heterogeneous mean bandwidths and
-// concatenate the per-chunk logs into one trace (each session contributes
-// `config.session.chunks` tuples). Bandwidths are drawn lognormally around
-// `median_bandwidth_mbps`.
-Trace simulate_population(const SessionSimulator& simulator,
-                          const AbrAlgorithm& abr, std::size_t sessions,
-                          double median_bandwidth_mbps, double bandwidth_sigma,
-                          stats::Rng& rng);
 
 // Convert a session record to the generic logged-trace format:
 // context numeric = {buffer_s, predicted_throughput, chunk_index,

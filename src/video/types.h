@@ -24,9 +24,6 @@ public:
     double mbps(std::size_t level) const;
     std::size_t highest() const noexcept { return mbps_.size() - 1; }
 
-    // Highest level whose bitrate is <= `budget_mbps` (0 if none).
-    std::size_t highest_below(double budget_mbps) const noexcept;
-
     // A conventional 5-level ladder (Fig. 7b: "five bitrate levels").
     static BitrateLadder standard5();
 

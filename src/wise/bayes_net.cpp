@@ -187,18 +187,6 @@ double BayesianNetwork::joint_probability(const Assignment& assignment) const {
     return probability;
 }
 
-Assignment BayesianNetwork::sample(stats::Rng& rng) const {
-    if (!fitted_) throw std::logic_error("BayesianNetwork used before fit");
-    Assignment assignment(cardinalities_.size(), 0);
-    for (std::size_t var : topo_order_) {
-        const auto k = static_cast<std::size_t>(cardinalities_[var]);
-        const std::size_t config = parent_configuration(var, assignment);
-        const std::span<const double> probs(cpt_[var].data() + config * k, k);
-        assignment[var] = static_cast<std::int32_t>(rng.categorical(probs));
-    }
-    return assignment;
-}
-
 void BayesianNetwork::check_query(
     std::size_t query_var,
     const std::map<std::size_t, std::int32_t>& evidence) const {
@@ -545,131 +533,6 @@ BayesianNetwork learn_chow_liu_tree(const std::vector<Assignment>& rows,
         }
     }
     network.fit(rows, laplace);
-    return network;
-}
-
-double bic_score(const std::vector<Assignment>& rows,
-                 const std::vector<std::int32_t>& cardinalities,
-                 const std::vector<std::vector<std::size_t>>& parents) {
-    if (rows.empty()) throw std::invalid_argument("bic_score: no rows");
-    if (parents.size() != cardinalities.size())
-        throw std::invalid_argument("bic_score: arity mismatch");
-    const auto n = static_cast<double>(rows.size());
-    double score = 0.0;
-    for (std::size_t var = 0; var < cardinalities.size(); ++var) {
-        // Count (parent config, value) occurrences.
-        std::size_t configs = 1;
-        for (std::size_t p : parents[var])
-            configs *= static_cast<std::size_t>(cardinalities[p]);
-        const auto k = static_cast<std::size_t>(cardinalities[var]);
-        std::vector<double> counts(configs * k, 0.0);
-        std::vector<double> config_totals(configs, 0.0);
-        for (const auto& row : rows) {
-            std::size_t config = 0;
-            for (std::size_t p : parents[var])
-                config = config * static_cast<std::size_t>(cardinalities[p]) +
-                         static_cast<std::size_t>(row[p]);
-            counts[config * k + static_cast<std::size_t>(row[var])] += 1.0;
-            config_totals[config] += 1.0;
-        }
-        // Max-likelihood log-likelihood contribution.
-        for (std::size_t c = 0; c < configs; ++c) {
-            if (config_totals[c] == 0.0) continue;
-            for (std::size_t v = 0; v < k; ++v) {
-                const double count = counts[c * k + v];
-                if (count > 0.0)
-                    score += count * std::log(count / config_totals[c]);
-            }
-        }
-        // Complexity penalty.
-        score -= 0.5 * std::log(n) * static_cast<double>(configs * (k - 1));
-    }
-    return score;
-}
-
-BayesianNetwork learn_hill_climbing(const std::vector<Assignment>& rows,
-                                    std::vector<std::int32_t> cardinalities,
-                                    const HillClimbOptions& options) {
-    if (rows.empty())
-        throw std::invalid_argument("learn_hill_climbing: no rows");
-    const std::size_t n = cardinalities.size();
-    std::vector<std::vector<std::size_t>> parents(n);
-    double current = bic_score(rows, cardinalities, parents);
-
-    // Cycle check on a candidate parent map (DFS).
-    const auto acyclic = [&](const std::vector<std::vector<std::size_t>>& ps) {
-        std::vector<int> state(n, 0);
-        std::function<bool(std::size_t)> visit = [&](std::size_t v) -> bool {
-            if (state[v] == 1) return false;
-            if (state[v] == 2) return true;
-            state[v] = 1;
-            for (std::size_t p : ps[v])
-                if (!visit(p)) return false;
-            state[v] = 2;
-            return true;
-        };
-        for (std::size_t v = 0; v < n; ++v)
-            if (!visit(v)) return false;
-        return true;
-    };
-
-    for (int iteration = 0; iteration < options.max_iterations; ++iteration) {
-        double best_gain = 1e-9;
-        std::vector<std::vector<std::size_t>> best_parents;
-        const auto consider = [&](std::vector<std::vector<std::size_t>> candidate) {
-            if (!acyclic(candidate)) return;
-            const double score = bic_score(rows, cardinalities, candidate);
-            if (score - current > best_gain) {
-                best_gain = score - current;
-                best_parents = std::move(candidate);
-            }
-        };
-        for (std::size_t child = 0; child < n; ++child) {
-            // Single-edge additions and removals.
-            for (std::size_t parent = 0; parent < n; ++parent) {
-                if (parent == child) continue;
-                const auto it = std::find(parents[child].begin(),
-                                          parents[child].end(), parent);
-                std::vector<std::vector<std::size_t>> candidate = parents;
-                if (it == parents[child].end()) {
-                    if (parents[child].size() >= options.max_parents) continue;
-                    candidate[child].push_back(parent);
-                } else {
-                    candidate[child].erase(candidate[child].begin() +
-                                           (it - parents[child].begin()));
-                }
-                consider(std::move(candidate));
-            }
-            // Paired additions: v-structures (e.g. XOR-like interactions)
-            // give no gain from either parent alone, so greedy single-edge
-            // search cannot discover them — try both at once.
-            if (parents[child].size() + 2 > options.max_parents) continue;
-            for (std::size_t p1 = 0; p1 < n; ++p1) {
-                if (p1 == child) continue;
-                if (std::find(parents[child].begin(), parents[child].end(), p1) !=
-                    parents[child].end())
-                    continue;
-                for (std::size_t p2 = p1 + 1; p2 < n; ++p2) {
-                    if (p2 == child) continue;
-                    if (std::find(parents[child].begin(), parents[child].end(),
-                                  p2) != parents[child].end())
-                        continue;
-                    std::vector<std::vector<std::size_t>> candidate = parents;
-                    candidate[child].push_back(p1);
-                    candidate[child].push_back(p2);
-                    consider(std::move(candidate));
-                }
-            }
-        }
-        if (best_parents.empty()) break;
-        parents = std::move(best_parents);
-        current += best_gain;
-    }
-
-    BayesianNetwork network(cardinalities);
-    for (std::size_t v = 0; v < n; ++v)
-        if (!parents[v].empty()) network.set_parents(v, parents[v]);
-    network.fit(rows, options.laplace);
     return network;
 }
 

@@ -2,22 +2,20 @@
 // behind WISE-style what-if reasoning [38].
 //
 // Features: arbitrary DAG structure with cycle detection, CPT estimation
-// from data (Laplace-smoothed), ancestral sampling, exact posterior
-// inference by variable elimination with a memoized query cache (plus the
-// original full-joint enumeration as a reference implementation), and
-// Chow-Liu tree structure learning (maximum mutual-information spanning
-// tree) for learning structure from traces.
+// from data (Laplace-smoothed), exact posterior inference by variable
+// elimination with a memoized query cache (plus the original full-joint
+// enumeration as a reference implementation), and Chow-Liu tree structure
+// learning (maximum mutual-information spanning tree) for learning
+// structure from traces.
 #ifndef DRE_WISE_BAYES_NET_H
 #define DRE_WISE_BAYES_NET_H
 
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <span>
 #include <unordered_map>
 #include <vector>
 
-#include "stats/rng.h"
 #include "wise/cbn.h" // Assignment
 
 namespace dre::wise {
@@ -43,9 +41,6 @@ public:
 
     // Joint probability of a complete assignment.
     double joint_probability(const Assignment& assignment) const;
-
-    // Ancestral sample of a complete assignment.
-    Assignment sample(stats::Rng& rng) const;
 
     // Exact posterior P(query_var | evidence) by variable elimination
     // (min-width elimination order, deterministic index tie-break), with
@@ -119,28 +114,6 @@ BayesianNetwork learn_chow_liu_tree(const std::vector<Assignment>& rows,
 double mutual_information(const std::vector<Assignment>& rows, std::size_t a,
                           std::size_t b, std::int32_t cardinality_a,
                           std::int32_t cardinality_b);
-
-// BIC score of a fitted-structure candidate: log-likelihood of the data
-// under maximum-likelihood CPTs minus (log n / 2) * #free parameters.
-// Higher is better.
-double bic_score(const std::vector<Assignment>& rows,
-                 const std::vector<std::int32_t>& cardinalities,
-                 const std::vector<std::vector<std::size_t>>& parents);
-
-struct HillClimbOptions {
-    std::size_t max_parents = 3;
-    int max_iterations = 200;
-    double laplace = 1.0; // smoothing for the returned network's CPTs
-};
-
-// Greedy hill climbing over DAGs: repeatedly apply the single edge
-// addition/removal that most improves the BIC score until no move helps.
-// More expressive than the Chow-Liu tree (captures multi-parent
-// interactions such as Fig. 4's ISP x FE x BE response cell) at higher
-// fitting cost. Returns a fitted network.
-BayesianNetwork learn_hill_climbing(const std::vector<Assignment>& rows,
-                                    std::vector<std::int32_t> cardinalities,
-                                    const HillClimbOptions& options = {});
 
 } // namespace dre::wise
 

@@ -1,5 +1,5 @@
-// Tests for the A/B experimentation module: power analysis, Welch's test,
-// the always-valid mixture SPRT, and the live experiment runner.
+// Tests for the A/B experimentation module: power analysis, the
+// always-valid mixture SPRT, and the live experiment runner.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -21,6 +21,8 @@ TEST(Design, MatchesTextbookSampleSize) {
     EXPECT_EQ(required_samples_per_arm(0.1, 1.0), 1570u);
     // Quadruple the effect -> 1/16th the samples (99).
     EXPECT_EQ(required_samples_per_arm(0.4, 1.0), 99u);
+    // delta = 0.25, sigma = 1.5: 2.80158^2 * 2 * 2.25 / 0.0625 = 565.1 -> 566.
+    EXPECT_EQ(required_samples_per_arm(0.25, 1.5), 566u);
 }
 
 TEST(Design, Monotonicity) {
@@ -32,58 +34,9 @@ TEST(Design, Monotonicity) {
               required_samples_per_arm(0.1, 1.0, {.alpha = 0.05, .power = 0.80}));
 }
 
-TEST(Design, MdeInvertsSampleSize) {
-    const std::size_t n = required_samples_per_arm(0.25, 1.5);
-    const double mde = minimum_detectable_effect(n, 1.5);
-    EXPECT_LE(mde, 0.25 + 1e-3);
-    EXPECT_GE(mde, 0.24);
+TEST(Design, RejectsBadInputs) {
     EXPECT_THROW(required_samples_per_arm(0.0, 1.0), std::invalid_argument);
-    EXPECT_THROW(minimum_detectable_effect(0, 1.0), std::invalid_argument);
     EXPECT_THROW(required_samples_per_arm(0.1, 1.0, {.alpha = 0.0}),
-                 std::invalid_argument);
-}
-
-TEST(Welch, DetectsAClearDifferenceAndNotANullOne) {
-    stats::Rng rng(31);
-    std::vector<double> a, b, c;
-    for (int i = 0; i < 400; ++i) {
-        a.push_back(1.0 + 0.5 * rng.normal());
-        b.push_back(1.3 + 0.5 * rng.normal());
-        c.push_back(1.0 + 0.5 * rng.normal());
-    }
-    const WelchResult ab = welch_t_test(a, b);
-    EXPECT_TRUE(ab.significant(0.01));
-    EXPECT_NEAR(ab.delta, -0.3, 0.12);
-    const WelchResult ac = welch_t_test(a, c);
-    EXPECT_GT(ac.p_value_two_sided, 0.05);
-}
-
-TEST(Welch, CalibratedUnderTheNull) {
-    // Under H0, p-values are uniform: the rejection rate at alpha = 0.1
-    // should be ~10%.
-    stats::Rng rng(32);
-    int rejections = 0;
-    constexpr int kTrials = 400;
-    for (int trial = 0; trial < kTrials; ++trial) {
-        std::vector<double> a, b;
-        for (int i = 0; i < 30; ++i) {
-            a.push_back(rng.normal());
-            b.push_back(rng.normal());
-        }
-        if (welch_t_test(a, b).significant(0.1)) ++rejections;
-    }
-    EXPECT_NEAR(rejections / static_cast<double>(kTrials), 0.10, 0.045);
-}
-
-TEST(Welch, UnequalVariancesUseSatterthwaiteDof) {
-    stats::Rng rng(33);
-    std::vector<double> narrow, wide;
-    for (int i = 0; i < 12; ++i) narrow.push_back(0.1 * rng.normal());
-    for (int i = 0; i < 12; ++i) wide.push_back(3.0 * rng.normal());
-    const WelchResult r = welch_t_test(narrow, wide);
-    // dof collapses toward the wide arm's n-1, far below the pooled 22.
-    EXPECT_LT(r.dof, 13.0);
-    EXPECT_THROW(welch_t_test(std::vector<double>{1.0}, wide),
                  std::invalid_argument);
 }
 

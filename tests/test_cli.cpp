@@ -201,6 +201,23 @@ TEST(Cli, ExitCodesDistinguishArgumentAndInputErrors) {
         EXPECT_EQ(text.rfind("error: ", 0), 0u) << args << ": " << text;
         EXPECT_EQ(text.find('\n'), text.size() - 1) << args << ": " << text;
     }
+    // A telemetry output the user asked for that cannot be written is an
+    // I/O error too, after the evaluation itself succeeded.
+    const std::string unwritable = testing::TempDir() + "no-such-dir/obs.txt";
+    for (const auto& [binary, args] :
+         {std::pair<const char*, std::string>{
+              DRE_EVAL_PATH, fixture_csv() + " uniform --obs-out " + unwritable},
+          {DRE_EVAL_PATH, fixture_csv() + " uniform --trace-out " + unwritable},
+          {DRE_TUNE_PATH, fixture_csv() +
+                              " --offline --constants --wave-size 100 "
+                              "--obs-out " +
+                              unwritable}}) {
+        EXPECT_EQ(run_cli_env("", args, err, binary), 3) << args;
+        const std::string text = slurp(err);
+        EXPECT_EQ(text.rfind("error: cannot write --", 0), 0u)
+            << args << ": " << text;
+        EXPECT_EQ(text.find('\n'), text.size() - 1) << args << ": " << text;
+    }
 }
 
 // Load-path validation: defective tuples are rejected at read time with
@@ -323,7 +340,9 @@ TEST(Cli, RejectsMalformedNumericFlags) {
         {DRE_LOADGEN_PATH, eval, "--port", "70000"},
         {DRE_LOADGEN_PATH, loadgen, "--seed", "16184226688143867045x"},
         {DRE_LOADGEN_PATH, loadgen, "--clients", "8x"},
-        {DRE_LOADGEN_PATH, loadgen, "--hedge-ms", "inf"},
+        {DRE_LOADGEN_PATH, loadgen, "--clients", "0"},
+        {DRE_LOADGEN_PATH, loadgen, "--requests", "0"},
+        {DRE_LOADGEN_PATH, loadgen, "--retry", "0"},
         {DRE_LOADGEN_PATH, loadgen, "--ci", "1"},
         {DRE_TOP_PATH, "", "--metrics-port", "65536"},
         {DRE_TOP_PATH, "", "--metrics-port", "0"},
@@ -407,6 +426,33 @@ TEST(Cli, UnknownArgumentIsNamedFirst) {
                 << row.binary << " " << args << ": " << text;
             EXPECT_FALSE(std::filesystem::exists(port_file)) << args;
         }
+    }
+}
+
+// A missing required flag or a wrong number of positional arguments is
+// named on the first line, before the usage text.
+TEST(Cli, MissingArgumentIsNamedFirst) {
+    const std::string err = testing::TempDir() + "dre_cli_missing_err.txt";
+    const std::string eval = fixture_csv() + " uniform";
+    const struct {
+        const char* binary;
+        std::string args;
+        const char* first_line;
+    } rows[] = {
+        {DRE_LOADGEN_PATH, eval, "error: --port is required"},
+        {DRE_LOADGEN_PATH, "--port 1 " + fixture_csv(),
+         "error: expected 2 arguments (<trace> <policy>), got 1"},
+        {DRE_LOADGEN_PATH, "--port 1 " + eval + " extra",
+         "error: expected 2 arguments (<trace> <policy>), got 3"},
+        {DRE_TOP_PATH, "", "error: --metrics-port is required"},
+        {DRE_TOP_PATH, "--filter serve_", "error: --metrics-port is required"},
+    };
+    for (const auto& row : rows) {
+        EXPECT_EQ(run_cli_env("timeout 10", row.args, err, row.binary), 2)
+            << row.binary << " " << row.args;
+        const std::string text = slurp(err);
+        EXPECT_EQ(text.substr(0, text.find('\n')), row.first_line)
+            << row.binary << " " << row.args << ": " << text;
     }
 }
 

@@ -56,16 +56,5 @@ TEST(Overlap, MeanWeightDetectsWrongPropensities) {
     EXPECT_NEAR(diag.mean_weight, 2.0, 1e-9); // should be ~1 when correct
 }
 
-TEST(Match, CountsArgmaxAgreement) {
-    stats::Rng rng(4);
-    const Trace trace = uniform_trace(900, 3, rng);
-    DeterministicPolicy target(3, [](const ClientContext&) { return Decision{1}; });
-    const MatchDiagnostics diag = match_diagnostics(trace, target);
-    EXPECT_NEAR(diag.match_rate, 1.0 / 3.0, 0.05);
-    EXPECT_EQ(diag.matches,
-              static_cast<std::size_t>(diag.match_rate * 900.0 + 0.5));
-    EXPECT_THROW(match_diagnostics(Trace{}, target), std::invalid_argument);
-}
-
 } // namespace
 } // namespace dre::core

@@ -48,6 +48,21 @@ private:
     double epsilon_;
 };
 
+// A stationary policy seen as a history policy: ignores the history.
+class IgnoresHistory final : public HistoryPolicy {
+public:
+    explicit IgnoresHistory(std::shared_ptr<const Policy> base) : base_(std::move(base)) {}
+
+    std::vector<double> action_probabilities(
+        const ClientContext& context, std::span<const LoggedTuple>) const override {
+        return base_->action_probabilities(context);
+    }
+    std::size_t num_decisions() const noexcept override { return base_->num_decisions(); }
+
+private:
+    std::shared_ptr<const Policy> base_;
+};
+
 TEST(NonstationaryDr, StationaryPolicyMatchesBasicDrWithAccurateModel) {
     // The paper states the extended estimator "is identical to the basic DR
     // under the assumption of stationary policies"; with the per-matched-
@@ -67,7 +82,7 @@ TEST(NonstationaryDr, StationaryPolicyMatchesBasicDrWithAccurateModel) {
     });
 
     const double basic = doubly_robust(trace, *target, model).value;
-    StationaryAsHistoryPolicy as_history(target);
+    IgnoresHistory as_history(target);
     const NonstationaryEstimate extended = doubly_robust_nonstationary_averaged(
         trace, as_history, model, rng, 32);
     EXPECT_GT(extended.matched, 0u);

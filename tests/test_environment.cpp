@@ -50,15 +50,6 @@ TEST(CollectTrace, DecisionSpaceMismatchThrows) {
     EXPECT_THROW(collect_trace(env, wrong, 10, rng), std::invalid_argument);
 }
 
-TEST(CollectTrace, HistoryPolicyOverloadWorks) {
-    ToyEnv env;
-    stats::Rng rng(4);
-    auto base = std::make_shared<UniformRandomPolicy>(2);
-    StationaryAsHistoryPolicy logging(base);
-    const Trace trace = collect_trace(env, logging, 100, rng);
-    EXPECT_EQ(trace.size(), 100u);
-}
-
 TEST(TruePolicyValue, MatchesAnalyticValue) {
     ToyEnv env;
     stats::Rng rng(5);

@@ -171,16 +171,6 @@ TEST(SwitchDr, FallsBackToModelAboveThreshold) {
                      doubly_robust(trace, always0, model).value);
 }
 
-TEST(ClippedDr, MatchesDrWhenClipInactive) {
-    const Trace trace = simple_trace();
-    UniformRandomPolicy policy(2);
-    ConstantRewardModel model(2, 2.0);
-    EstimatorOptions options;
-    options.weight_clip = 1e9;
-    EXPECT_NEAR(clipped_doubly_robust(trace, policy, model, options).value,
-                doubly_robust(trace, policy, model).value, 1e-12);
-}
-
 TEST(Estimators, InputValidation) {
     UniformRandomPolicy policy(2);
     ConstantRewardModel model(2, 0.0);
@@ -199,16 +189,6 @@ TEST(Estimators, InputValidation) {
     const Trace good = simple_trace();
     ConstantRewardModel wrong(3, 0.0);
     EXPECT_THROW(direct_method(good, policy, wrong), std::invalid_argument);
-}
-
-TEST(EstimateResult, VarianceOfMeanMatchesFormula) {
-    EstimateResult r;
-    r.per_tuple = {1.0, 2.0, 3.0, 4.0};
-    // sample variance = 5/3; /4 => 5/12.
-    EXPECT_NEAR(r.variance_of_mean(), 5.0 / 12.0, 1e-12);
-    EstimateResult tiny;
-    tiny.per_tuple = {1.0};
-    EXPECT_DOUBLE_EQ(tiny.variance_of_mean(), 0.0);
 }
 
 } // namespace

@@ -135,7 +135,8 @@ public:
 };
 
 // The engine's independent reference: the six whole-trace estimator
-// functions over the Evaluator's cached trace and q̂ matrix, then the
+// functions over the Evaluator's cached trace, q̂ matrix (DR) and reward
+// model (DM, SWITCH-DR: the same q̂ values, queried per use), then the
 // chunked bootstrap over DR's per-tuple contributions (the Evaluator's
 // composition before it drove the engine). The engine must reproduce it
 // bit for bit.
@@ -146,11 +147,12 @@ PolicyEvaluation whole_trace_reference(const Evaluator& evaluator,
     const Trace& trace = evaluator.evaluation_trace();
     const PredictionMatrix& qhat = evaluator.prediction_matrix();
     PolicyEvaluation out;
-    out.dm = direct_method(trace, policy, qhat);
+    out.dm = direct_method(trace, policy, evaluator.reward_model());
     out.ips = inverse_propensity(trace, policy);
     out.snips = self_normalized_ips(trace, policy);
     out.dr = doubly_robust(trace, policy, qhat);
-    out.switch_dr = switch_doubly_robust(trace, policy, qhat, options);
+    out.switch_dr =
+        switch_doubly_robust(trace, policy, evaluator.reward_model(), options);
     out.overlap = overlap_diagnostics(trace, policy);
     if (ci_replicates > 0)
         out.dr_ci = stats::chunked_bootstrap_mean_ci(
@@ -228,8 +230,8 @@ TEST(Evaluator, EngineMatchesWholeTraceEstimatorsBitwise) {
             doubly_robust(evaluator.evaluation_trace(), *policy,
                           evaluator.prediction_matrix());
         const EstimateResult sw = switch_doubly_robust(
-            evaluator.evaluation_trace(), *policy,
-            evaluator.prediction_matrix(), config.estimator_options);
+            evaluator.evaluation_trace(), *policy, evaluator.reward_model(),
+            config.estimator_options);
         for (std::size_t k = 0; k < dr.per_tuple.size(); ++k)
             if (dr.per_tuple[k] != sw.per_tuple[k]) ++fallbacks;
     }

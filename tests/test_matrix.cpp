@@ -15,18 +15,8 @@ TEST(Matrix, ConstructionAndAccess) {
     EXPECT_EQ(m.cols(), 3u);
     EXPECT_DOUBLE_EQ(m(1, 2), 1.5);
     m(0, 0) = 7.0;
-    EXPECT_DOUBLE_EQ(m.at(0, 0), 7.0);
-    EXPECT_THROW(m.at(2, 0), std::out_of_range);
-    EXPECT_THROW(m.at(0, 3), std::out_of_range);
-}
-
-TEST(Matrix, IdentityAndMultiply) {
-    const Matrix id = Matrix::identity(3);
-    Matrix m = Matrix::from_rows({{1, 2, 3}, {4, 5, 6}, {7, 8, 10}});
-    const Matrix prod = m * id;
-    for (std::size_t r = 0; r < 3; ++r)
-        for (std::size_t c = 0; c < 3; ++c)
-            EXPECT_DOUBLE_EQ(prod(r, c), m(r, c));
+    EXPECT_DOUBLE_EQ(m(0, 0), 7.0);
+    EXPECT_DOUBLE_EQ(m(0, 1), 1.5);
 }
 
 TEST(Matrix, FromRowsRejectsRagged) {
@@ -47,8 +37,6 @@ TEST(Matrix, ShapeMismatchThrows) {
     const Matrix a(2, 3);
     const Matrix b(2, 3);
     EXPECT_THROW(a * b, std::invalid_argument);
-    EXPECT_NO_THROW(a + b);
-    EXPECT_THROW(a + Matrix(3, 2), std::invalid_argument);
 }
 
 TEST(Matrix, TransposeAndGram) {
@@ -61,15 +49,6 @@ TEST(Matrix, TransposeAndGram) {
     for (std::size_t r = 0; r < 2; ++r)
         for (std::size_t c = 0; c < 2; ++c)
             EXPECT_NEAR(gram(r, c), expected(r, c), 1e-12);
-}
-
-TEST(Matrix, VectorMultiply) {
-    const Matrix a = Matrix::from_rows({{1, 2}, {3, 4}});
-    const std::vector<double> v{1.0, 1.0};
-    const std::vector<double> out = a.multiply(v);
-    EXPECT_DOUBLE_EQ(out[0], 3.0);
-    EXPECT_DOUBLE_EQ(out[1], 7.0);
-    EXPECT_THROW(a.multiply(std::vector<double>{1.0}), std::invalid_argument);
 }
 
 TEST(Matrix, TransposeMultiply) {

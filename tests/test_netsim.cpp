@@ -47,13 +47,11 @@ TEST(Server, ConfigValidation) {
         std::invalid_argument);
 }
 
-TEST(ServerPool, LeastLoadedTracksUtilization) {
+TEST(ServerPool, IndexesServersAndValidates) {
     ServerPool pool({{.base_latency_ms = 10.0, .capacity = 100.0},
                      {.base_latency_ms = 10.0, .capacity = 100.0}});
     pool.server(0).add_load(30.0);
-    EXPECT_EQ(pool.least_loaded(), 1u);
-    pool.server(1).add_load(60.0);
-    EXPECT_EQ(pool.least_loaded(), 0u);
+    EXPECT_GT(pool.server(0).utilization(), pool.server(1).utilization());
     EXPECT_THROW(pool.server(5), std::out_of_range);
     EXPECT_THROW(ServerPool({}), std::invalid_argument);
 }

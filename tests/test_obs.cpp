@@ -270,25 +270,23 @@ TEST_F(ObsTest, ReportRendersSectionsInInsertionOrder) {
     Report report;
     report.set("", "bench", "unit");
     report.set("alpha", "x", 1.5);
-    report.set("alpha", "flag", true);
+    report.set("alpha", "y", 0.25);
     report.set("beta", "label", "hello");
-    report.set("beta", "n", std::uint64_t{3});
     EXPECT_EQ(report.to_text(),
               "  bench                        unit\n"
               "\n"
               "alpha:\n"
               "  x                                1.5000\n"
-              "  flag                                yes\n"
+              "  y                                0.2500\n"
               "\n"
               "beta:\n"
-              "  label                        hello\n"
-              "  n                                     3\n");
+              "  label                        hello\n");
 
     // Re-setting a key overwrites in place instead of duplicating.
     report.set("alpha", "x", 2.5);
     const std::string updated = report.to_text();
     EXPECT_NE(updated.find("alpha:\n  x                                2.5000\n"
-                           "  flag"),
+                           "  y"),
               std::string::npos)
         << updated;
     EXPECT_EQ(updated.find("  x  "), updated.rfind("  x  "));

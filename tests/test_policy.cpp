@@ -133,46 +133,5 @@ TEST(MixturePolicy, RejectsMismatchedComponents) {
     EXPECT_THROW(MixturePolicy(a, a, 1.5), std::invalid_argument);
 }
 
-TEST(TablePolicy, UsesTableEntriesAndFallback) {
-    TablePolicy policy(2, {0.5, 0.5});
-    const ClientContext known = context_with(1.0);
-    policy.set(known, {0.9, 0.1});
-    EXPECT_DOUBLE_EQ(policy.action_probabilities(known)[0], 0.9);
-    EXPECT_DOUBLE_EQ(policy.action_probabilities(context_with(2.0))[0], 0.5);
-    EXPECT_THROW(policy.set(known, {0.9, 0.2}), std::invalid_argument);
-}
-
-TEST(HistoryPolicy, StationaryAdapterIgnoresHistory) {
-    auto base = std::make_shared<UniformRandomPolicy>(3);
-    StationaryAsHistoryPolicy adapted(base);
-    std::vector<LoggedTuple> history(5);
-    const auto probs =
-        adapted.action_probabilities(context_with(0.0), history);
-    for (double p : probs) EXPECT_DOUBLE_EQ(p, 1.0 / 3.0);
-    EXPECT_EQ(adapted.num_decisions(), 3u);
-    EXPECT_DOUBLE_EQ(adapted.probability(context_with(0.0), history, 1),
-                     1.0 / 3.0);
-}
-
-TEST(HistoryPolicy, SampleUsesDistribution) {
-    // A history policy that always picks the number of seen tuples mod 2.
-    class CountingPolicy final : public HistoryPolicy {
-    public:
-        std::vector<double> action_probabilities(
-            const ClientContext&, std::span<const LoggedTuple> history) const override {
-            std::vector<double> probs(2, 0.0);
-            probs[history.size() % 2] = 1.0;
-            return probs;
-        }
-        std::size_t num_decisions() const noexcept override { return 2; }
-    };
-    CountingPolicy policy;
-    stats::Rng rng(2);
-    std::vector<LoggedTuple> history;
-    EXPECT_EQ(policy.sample(context_with(0.0), history, rng), 0);
-    history.emplace_back();
-    EXPECT_EQ(policy.sample(context_with(0.0), history, rng), 1);
-}
-
 } // namespace
 } // namespace dre::core

@@ -38,9 +38,9 @@ TEST(GreedyModelPolicy, FollowsModelArgmax) {
             return -std::fabs(c.numeric.at(0) - static_cast<double>(d));
         }));
     GreedyModelPolicy policy(model);
-    EXPECT_EQ(policy.greedy_decision(ClientContext({0.1}, {})), 0);
-    EXPECT_EQ(policy.greedy_decision(ClientContext({1.2}, {})), 1);
-    EXPECT_EQ(policy.greedy_decision(ClientContext({5.0}, {})), 2);
+    EXPECT_DOUBLE_EQ(policy.action_probabilities(ClientContext({0.1}, {}))[0], 1.0);
+    EXPECT_DOUBLE_EQ(policy.action_probabilities(ClientContext({1.2}, {}))[1], 1.0);
+    EXPECT_DOUBLE_EQ(policy.action_probabilities(ClientContext({5.0}, {}))[2], 1.0);
     const auto probs = policy.action_probabilities(ClientContext({1.9}, {}));
     EXPECT_DOUBLE_EQ(probs[2], 1.0);
 }
@@ -115,19 +115,21 @@ TEST(GreedyModelPolicy, RowPathMatchesPerDecisionReferenceBitwise) {
         for (const double epsilon : {0.0, 0.25, 1.0}) {
             const GreedyModelPolicy policy(model, epsilon);
             std::vector<double> into(9, -1.0); // wrong size, stale values
-            for (const ClientContext& c : contexts) {
+            for (std::size_t i = 0; i < contexts.size(); ++i) {
+                const ClientContext& c = contexts[i];
                 const auto want = per_decision_reference(*model, c, epsilon);
                 policy.action_probabilities_into(c, into);
                 EXPECT_TRUE(same_bits(into, want))
-                    << static_cast<int>(kind) << " eps=" << epsilon << " "
-                    << to_string(c);
+                    << static_cast<int>(kind) << " eps=" << epsilon
+                    << " context " << i;
                 EXPECT_TRUE(same_bits(policy.action_probabilities(c), want));
             }
         }
     }
     const GreedyModelPolicy tabular(
         fit_reward_model(RewardModelKind::kTabular, 4, trace));
-    EXPECT_EQ(tabular.greedy_decision(ClientContext({2.0}, {7})), 1);
+    // The tie between decisions 1 and 2 goes to 1.
+    EXPECT_DOUBLE_EQ(tabular.action_probabilities(ClientContext({2.0}, {7}))[1], 1.0);
 }
 
 TEST(LearnGreedyPolicy, BeatsLoggingPolicyInTruth) {

@@ -61,30 +61,19 @@ TEST(PredictionMatrix, EstimatorsMatchModelPathBitwise) {
     const PredictionMatrix qhat = PredictionMatrix::build(model, trace);
 
     // A stochastic policy (all decisions possible) and a deterministic one
-    // (zero-probability decisions exercise the skip rule in the DM sum).
+    // (zero-probability decisions exercise the skip rule in the q̂ sum).
     const auto base = std::make_shared<DeterministicPolicy>(
         3, [](const ClientContext& c) {
             return static_cast<Decision>(c.numeric[0] > 0.0 ? 1 : 2);
         });
     const EpsilonGreedyPolicy stochastic(base, 0.2);
     const DeterministicPolicy& deterministic = *base;
-    EstimatorOptions options;
-    options.weight_clip = 2.0;
-    options.switch_threshold = 2.5;
 
     for (const Policy* policy :
          {static_cast<const Policy*>(&stochastic),
           static_cast<const Policy*>(&deterministic)}) {
-        expect_identical(direct_method(trace, *policy, model),
-                         direct_method(trace, *policy, qhat));
         expect_identical(doubly_robust(trace, *policy, model),
                          doubly_robust(trace, *policy, qhat));
-        expect_identical(clipped_doubly_robust(trace, *policy, model, options),
-                         clipped_doubly_robust(trace, *policy, qhat, options));
-        expect_identical(switch_doubly_robust(trace, *policy, model, options),
-                         switch_doubly_robust(trace, *policy, qhat, options));
-        expect_identical(self_normalized_doubly_robust(trace, *policy, model),
-                         self_normalized_doubly_robust(trace, *policy, qhat));
     }
 }
 
@@ -95,10 +84,10 @@ TEST(PredictionMatrix, MismatchedInputsAreRejected) {
     model.fit(trace);
     const PredictionMatrix qhat = PredictionMatrix::build(model, trace);
     UniformRandomPolicy policy3(3); // decision space mismatch
-    EXPECT_THROW(direct_method(trace, policy3, qhat), std::invalid_argument);
+    EXPECT_THROW(doubly_robust(trace, policy3, qhat), std::invalid_argument);
     const Trace other = random_trace(49, 2, rng); // size mismatch
     UniformRandomPolicy policy2(2);
-    EXPECT_THROW(direct_method(other, policy2, qhat), std::invalid_argument);
+    EXPECT_THROW(doubly_robust(other, policy2, qhat), std::invalid_argument);
 }
 
 TEST(PredictionMatrix, EvaluatorUsesSharedMatrix) {

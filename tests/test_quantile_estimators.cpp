@@ -51,23 +51,6 @@ TEST(OffPolicyDistribution, RecoversTargetPolicyDistribution) {
                       [](const LoggedTuple& t) { return t.decision == 1; })));
 }
 
-TEST(OffPolicyDistribution, CdfIsMonotoneAndBounded) {
-    stats::Rng rng(3);
-    const Trace trace = uniform_logged_trace(2000, rng);
-    UniformRandomPolicy same(2);
-    const OffPolicyDistribution dist(trace, same);
-    double previous = -0.1;
-    for (double x = -4.0; x <= 5.0; x += 0.5) {
-        const double c = dist.cdf(x);
-        EXPECT_GE(c, previous - 1e-12);
-        EXPECT_GE(c, 0.0);
-        EXPECT_LE(c, 1.0);
-        previous = c;
-    }
-    EXPECT_DOUBLE_EQ(dist.cdf(-100.0), 0.0);
-    EXPECT_DOUBLE_EQ(dist.cdf(100.0), 1.0);
-}
-
 TEST(OffPolicyDistribution, CvarIsBelowMeanAndMonotone) {
     stats::Rng rng(4);
     const Trace trace = uniform_logged_trace(5000, rng);
@@ -106,7 +89,6 @@ TEST(OffPolicyDistribution, ConvenienceWrappersAgree) {
     UniformRandomPolicy same(2);
     const OffPolicyDistribution dist(trace, same);
     EXPECT_DOUBLE_EQ(off_policy_quantile(trace, same, 0.5), dist.quantile(0.5));
-    EXPECT_DOUBLE_EQ(off_policy_cvar(trace, same, 0.1), dist.cvar_lower(0.1));
 }
 
 } // namespace

@@ -96,13 +96,13 @@ TEST(TabularRewardModel, PredictRowMatchesPredictBitwise) {
         ClientContext({0.5}, {0}), ClientContext({}, {1, 4}),
         ClientContext({1.0 / 3.0}, {}), ClientContext({0.5}, {1}),
         ClientContext{}};
-    for (const ClientContext& c : contexts) {
+    for (std::size_t i = 0; i < contexts.size(); ++i) {
         double row[4];
-        model.predict_row(c, row);
+        model.predict_row(contexts[i], row);
         for (Decision d = 0; d < 4; ++d) {
-            const double want = model.predict(c, d);
+            const double want = model.predict(contexts[i], d);
             EXPECT_EQ(std::memcmp(&row[d], &want, sizeof(double)), 0)
-                << to_string(c) << " d=" << d;
+                << "context " << i << " d=" << d;
         }
     }
     EXPECT_EQ(model.predict(ClientContext({0.5}, {0}), 3),
@@ -167,7 +167,8 @@ void expect_matches_reference(const TabularRewardModel& model, const Trace& trac
     std::size_t mismatches = 0;
     std::string first;
     std::vector<double> row(n);
-    for (const ClientContext* c : contexts) {
+    for (std::size_t i = 0; i < contexts.size(); ++i) {
+        const ClientContext* c = contexts[i];
         model.predict_row(*c, row.data());
         for (std::size_t d = 0; d < n; ++d) {
             const auto decision = static_cast<Decision>(d);
@@ -176,7 +177,7 @@ void expect_matches_reference(const TabularRewardModel& model, const Trace& trac
                 bits(model.predict(*c, decision)) == bits(want))
                 continue;
             if (mismatches++ == 0)
-                first = to_string(*c) + " d=" + std::to_string(d);
+                first = "context " + std::to_string(i) + " d=" + std::to_string(d);
         }
     }
     EXPECT_EQ(mismatches, 0u) << "of " << contexts.size() * n

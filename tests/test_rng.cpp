@@ -62,20 +62,6 @@ TEST(Rng, UniformIndexCoversAllValuesUnbiased) {
     EXPECT_THROW(rng.uniform_index(0), std::invalid_argument);
 }
 
-TEST(Rng, UniformIntInclusiveBounds) {
-    Rng rng(9);
-    bool saw_lo = false, saw_hi = false;
-    for (int i = 0; i < 1000; ++i) {
-        const auto x = rng.uniform_int(-2, 2);
-        EXPECT_GE(x, -2);
-        EXPECT_LE(x, 2);
-        saw_lo |= x == -2;
-        saw_hi |= x == 2;
-    }
-    EXPECT_TRUE(saw_lo);
-    EXPECT_TRUE(saw_hi);
-}
-
 TEST(Rng, BernoulliMatchesProbability) {
     Rng rng(13);
     int hits = 0;

@@ -425,12 +425,10 @@ TEST(SimdEndToEnd, EstimatorSuiteInvariantAcrossLevelsAndThreads) {
             core::PredictionMatrix::build(model, trace);
         r.values = {
             core::direct_method(trace, target, model).value,
-            core::direct_method(trace, target, qhat).value,
             core::doubly_robust(trace, target, model).value,
             core::doubly_robust(trace, target, qhat).value,
             core::switch_doubly_robust(trace, target, model, options).value,
-            core::switch_doubly_robust(trace, target, qhat, options).value,
-            core::self_normalized_doubly_robust(trace, target, qhat).value,
+            core::self_normalized_doubly_robust(trace, target, model).value,
         };
         std::vector<double> sample;
         for (const auto& t : trace) sample.push_back(t.reward);

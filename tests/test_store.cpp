@@ -103,7 +103,14 @@ Trace video_trace(std::size_t sessions) {
                                       video::BitrateLadder::standard5());
     const video::BufferBasedAbr bba;
     stats::Rng rng(14);
-    return video::simulate_population(sim, bba, sessions, 2.0, 0.5, rng);
+    // Sessions with lognormal mean bandwidths around 2 Mbps.
+    Trace trace;
+    for (std::size_t s = 0; s < sessions; ++s) {
+        const video::ConstantBandwidth bandwidth(2.0 * rng.lognormal(0.0, 0.5));
+        for (const LoggedTuple& t : video::to_trace(sim.simulate(bba, bandwidth, rng)))
+            trace.add(t);
+    }
+    return trace;
 }
 
 // cdn contexts widened past ClientContext::kInlineDims: 7 numeric (6 noise
@@ -153,17 +160,17 @@ void check_round_trip(const Trace& trace, const TempDir& tmp,
     const std::string path = tmp.path(label + ".drt");
     // Small row groups force multiple groups per file.
     write_store_file(trace, path, StoreWriter::Options{256});
-    const StoreReader reader(path);
-    EXPECT_EQ(reader.num_tuples(), trace.size());
-    EXPECT_EQ(reader.num_decisions(), trace.num_decisions());
-    expect_bitwise_equal(reader.read_all(), trace);
+    const ShardedStore store({path});
+    EXPECT_EQ(store.num_tuples(), trace.size());
+    EXPECT_EQ(store.num_decisions(), trace.num_decisions());
+    expect_bitwise_equal(store.read_all(), trace);
 
     // CSV -> drt -> CSV is byte-identical text (CSV writes %.17g-precision
     // doubles, and the store keeps them bit-exact in between).
     std::stringstream first;
     write_csv(trace, first);
     std::stringstream second;
-    write_csv(reader.read_all(), second);
+    write_csv(store.read_all(), second);
     EXPECT_EQ(first.str(), second.str());
 }
 
@@ -199,10 +206,10 @@ TEST(StoreRoundTrip, EmptyTrace) {
     TempDir tmp;
     const std::string path = tmp.path("empty.drt");
     write_store_file(Trace{}, path);
-    const StoreReader reader(path);
-    EXPECT_EQ(reader.num_tuples(), 0u);
-    EXPECT_EQ(reader.num_row_groups(), 0u);
-    EXPECT_TRUE(reader.read_all().empty());
+    const ShardedStore store({path});
+    EXPECT_EQ(store.num_tuples(), 0u);
+    EXPECT_EQ(store.shard(0).num_row_groups(), 0u);
+    EXPECT_TRUE(store.read_all().empty());
 }
 
 TEST(StoreRoundTrip, ZeroWidthContexts) {
@@ -219,10 +226,10 @@ TEST(StoreRoundTrip, ZeroWidthContexts) {
     }
     const std::string path = tmp.path("noctx.drt");
     write_store_file(trace, path, StoreWriter::Options{64});
-    const StoreReader reader(path);
-    EXPECT_EQ(reader.schema().numeric_dims, 0u);
-    EXPECT_EQ(reader.schema().categorical_dims, 0u);
-    expect_bitwise_equal(reader.read_all(), trace);
+    const ShardedStore store({path});
+    EXPECT_EQ(store.schema().numeric_dims, 0u);
+    EXPECT_EQ(store.schema().categorical_dims, 0u);
+    expect_bitwise_equal(store.read_all(), trace);
 }
 
 TEST(StoreReaderTest, RandomAccessMatchesSlices) {
@@ -230,7 +237,7 @@ TEST(StoreReaderTest, RandomAccessMatchesSlices) {
     const Trace trace = cdn_trace(500);
     const std::string path = tmp.path("slice.drt");
     write_store_file(trace, path, StoreWriter::Options{128});
-    const StoreReader reader(path);
+    const ShardedStore reader({path});
     std::vector<LoggedTuple> rows;
     reader.read_rows(130, 250, rows); // spans three row groups
     ASSERT_EQ(rows.size(), 250u);
@@ -239,7 +246,7 @@ TEST(StoreReaderTest, RandomAccessMatchesSlices) {
                               sizeof(double)),
                   0)
             << "row " << i;
-    EXPECT_THROW(reader.read_rows(400, 200, rows), std::runtime_error);
+    EXPECT_THROW(reader.read_rows(400, 200, rows), std::out_of_range);
 }
 
 TEST(ShardedStoreTest, SplitAndConcatPreserveGlobalOrder) {
@@ -269,7 +276,7 @@ TEST(ShardedStoreTest, SplitAndConcatPreserveGlobalOrder) {
 
     const std::string merged = tmp.path("merged.drt");
     concat_stores(sharded, merged, StoreWriter::Options{512});
-    expect_bitwise_equal(StoreReader(merged).read_all(), trace);
+    expect_bitwise_equal(ShardedStore({merged}).read_all(), trace);
 }
 
 // Decoding allocates per read and per row group, never per tuple: with
@@ -448,7 +455,7 @@ TEST_F(StoreCorruptionTest, FlippedChunkByteNamesTheGroup) {
     dump(flipped, bytes_);
     // Opening succeeds (payload CRCs are lazy); touching group 1 fails and
     // the error names it. Other groups stay readable.
-    const StoreReader reader(flipped);
+    const ShardedStore reader({flipped});
     std::vector<LoggedTuple> rows;
     reader.read_rows(0, 128, rows); // group 0 is intact
     EXPECT_EQ(rows.size(), 128u);

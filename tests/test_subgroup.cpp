@@ -74,25 +74,6 @@ TEST(Subgroup, SmallGroupsAreFlaggedUnreliable) {
     EXPECT_EQ(results[2].tuples, 5u);
 }
 
-TEST(Subgroup, WorstGroupRegressionFindsTheLoser) {
-    stats::Rng rng(3);
-    const Trace trace = make_trace(4000, rng);
-    TabularRewardModel model(2);
-    model.fit(trace);
-    // Baseline: per-group optimal. Candidate: always 0 (group 1 regresses ~2).
-    DeterministicPolicy baseline(2, [](const ClientContext& c) {
-        return static_cast<Decision>(c.categorical[0]);
-    });
-    DeterministicPolicy candidate(2, [](const ClientContext&) { return Decision{0}; });
-    const double regression = worst_group_regression(
-        trace, baseline, candidate, model, group_by_categorical(0));
-    EXPECT_NEAR(regression, 2.0, 0.2);
-    // Candidate == baseline: no regression.
-    EXPECT_NEAR(worst_group_regression(trace, baseline, baseline, model,
-                                       group_by_categorical(0)),
-                0.0, 1e-9);
-}
-
 TEST(Subgroup, Validation) {
     stats::Rng rng(4);
     const Trace trace = make_trace(100, rng);
@@ -107,12 +88,6 @@ TEST(Subgroup, Validation) {
     // Out-of-range categorical index surfaces as an exception.
     EXPECT_THROW(subgroup_analysis(trace, policy, model, group_by_categorical(7)),
                  std::out_of_range);
-    // No reliable group -> worst_group_regression throws.
-    SubgroupOptions strict;
-    strict.min_effective_sample_size = 1e9;
-    EXPECT_THROW(worst_group_regression(trace, policy, policy, model,
-                                        group_by_categorical(0), strict),
-                 std::invalid_argument);
 }
 
 } // namespace

@@ -5,8 +5,6 @@
 #include <cmath>
 #include <vector>
 
-#include "stats/rng.h"
-
 namespace dre::stats {
 namespace {
 
@@ -36,34 +34,6 @@ TEST(Accumulator, SampleVarianceUsesNMinusOne) {
     acc.add(3.0);
     EXPECT_DOUBLE_EQ(acc.variance(), 1.0);
     EXPECT_DOUBLE_EQ(acc.sample_variance(), 2.0);
-}
-
-TEST(Accumulator, MergeEqualsCombinedStream) {
-    Rng rng(1);
-    Accumulator combined, a, b;
-    for (int i = 0; i < 1000; ++i) {
-        const double x = rng.normal(3.0, 2.0);
-        combined.add(x);
-        (i % 2 == 0 ? a : b).add(x);
-    }
-    a.merge(b);
-    EXPECT_EQ(a.count(), combined.count());
-    EXPECT_NEAR(a.mean(), combined.mean(), 1e-12);
-    EXPECT_NEAR(a.variance(), combined.variance(), 1e-9);
-    EXPECT_DOUBLE_EQ(a.min(), combined.min());
-    EXPECT_DOUBLE_EQ(a.max(), combined.max());
-}
-
-TEST(Accumulator, MergeWithEmptyIsIdentity) {
-    Accumulator a, empty;
-    a.add(1.0);
-    a.add(2.0);
-    const double mean_before = a.mean();
-    a.merge(empty);
-    EXPECT_DOUBLE_EQ(a.mean(), mean_before);
-    Accumulator c;
-    c.merge(a);
-    EXPECT_DOUBLE_EQ(c.mean(), mean_before);
 }
 
 TEST(BatchStats, MeanVarianceQuantiles) {
@@ -103,31 +73,6 @@ TEST(BatchStats, SummarizeConsistent) {
     EXPECT_DOUBLE_EQ(s.p25, 2.0);
     EXPECT_DOUBLE_EQ(s.p75, 4.0);
     EXPECT_NEAR(s.stddev, std::sqrt(2.5), 1e-12);
-}
-
-TEST(BatchStats, CorrelationPerfectAndAnti) {
-    const std::vector<double> xs{1.0, 2.0, 3.0, 4.0};
-    const std::vector<double> ys{2.0, 4.0, 6.0, 8.0};
-    std::vector<double> neg{8.0, 6.0, 4.0, 2.0};
-    EXPECT_NEAR(correlation(xs, ys), 1.0, 1e-12);
-    EXPECT_NEAR(correlation(xs, neg), -1.0, 1e-12);
-}
-
-TEST(BatchStats, CorrelationDegenerateIsZero) {
-    const std::vector<double> xs{1.0, 1.0, 1.0};
-    const std::vector<double> ys{1.0, 2.0, 3.0};
-    EXPECT_DOUBLE_EQ(correlation(xs, ys), 0.0);
-    EXPECT_THROW(correlation(xs, std::vector<double>{1.0}), std::invalid_argument);
-}
-
-TEST(BatchStats, WeightedMean) {
-    const std::vector<double> xs{1.0, 10.0};
-    const std::vector<double> ws{9.0, 1.0};
-    EXPECT_NEAR(weighted_mean(xs, ws), 1.9, 1e-12);
-    EXPECT_THROW(weighted_mean(xs, std::vector<double>{0.0, 0.0}),
-                 std::invalid_argument);
-    EXPECT_THROW(weighted_mean(xs, std::vector<double>{-1.0, 2.0}),
-                 std::invalid_argument);
 }
 
 } // namespace

@@ -30,24 +30,6 @@ TEST(Topology, ConstructionAndValidation) {
     EXPECT_THROW(topo.link(99), std::out_of_range);
 }
 
-TEST(Topology, ShortestPathPicksMinimumDelay) {
-    const Topology topo = diamond();
-    const auto path = topo.shortest_path(0, 3);
-    EXPECT_DOUBLE_EQ(topo.path_delay_ms(path), 2.0); // 0-1-3
-    ASSERT_EQ(path.size(), 2u);
-    EXPECT_EQ(topo.link(path[0]).to, 1u);
-    EXPECT_EQ(topo.link(path[1]).to, 3u);
-}
-
-TEST(Topology, ShortestPathEdgeCases) {
-    const Topology topo = diamond();
-    EXPECT_TRUE(topo.shortest_path(2, 2).empty()); // src == dst
-    Topology disconnected(3);
-    disconnected.add_link(0, 1, 1.0, 10.0);
-    EXPECT_TRUE(disconnected.shortest_path(0, 2).empty()); // unreachable
-    EXPECT_THROW(topo.shortest_path(0, 9), std::invalid_argument);
-}
-
 TEST(Topology, KPathsEnumeratesLoopFreeRoutes) {
     const Topology topo = diamond();
     const auto paths = topo.k_paths(0, 3, 3);

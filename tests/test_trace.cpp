@@ -160,13 +160,6 @@ TEST(ClientContext, FingerprintIsStableAndDiscriminates) {
     EXPECT_NE(context_fingerprint(a), context_fingerprint(d));
 }
 
-TEST(ClientContext, ToStringMentionsFeatures) {
-    ClientContext c({1.5}, {7});
-    const std::string s = to_string(c);
-    EXPECT_NE(s.find("1.5"), std::string::npos);
-    EXPECT_NE(s.find("7"), std::string::npos);
-}
-
 TEST(Trace, BasicAccessors) {
     Trace trace;
     EXPECT_TRUE(trace.empty());
@@ -178,12 +171,11 @@ TEST(Trace, BasicAccessors) {
     EXPECT_THROW(trace.at(5), std::out_of_range);
 }
 
-TEST(Trace, RewardsAndPropensitiesVectors) {
+TEST(Trace, RewardsVector) {
     Trace trace;
     trace.add(make_tuple(0, 1.0, 0.25));
     trace.add(make_tuple(1, 2.0, 0.75));
     EXPECT_EQ(trace.rewards(), (std::vector<double>{1.0, 2.0}));
-    EXPECT_EQ(trace.propensities(), (std::vector<double>{0.25, 0.75}));
 }
 
 TEST(Trace, FilteredKeepsMatching) {
@@ -215,18 +207,6 @@ TEST(Trace, SplitPartitionsAllTuples) {
     EXPECT_NEAR(static_cast<double>(train.size()), 700.0, 60.0);
     EXPECT_THROW(trace.split(0.0, rng), std::invalid_argument);
     EXPECT_THROW(trace.split(1.0, rng), std::invalid_argument);
-}
-
-TEST(Trace, ResampledPreservesSizeAndDrawsFromOriginal) {
-    Trace trace;
-    for (int i = 0; i < 50; ++i) trace.add(make_tuple(0, i));
-    stats::Rng rng(2);
-    const Trace boot = trace.resampled(rng);
-    EXPECT_EQ(boot.size(), trace.size());
-    for (const auto& t : boot) {
-        EXPECT_GE(t.reward, 0.0);
-        EXPECT_LT(t.reward, 50.0);
-    }
 }
 
 TEST(ValidateTrace, AcceptsGoodTrace) {

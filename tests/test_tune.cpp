@@ -131,19 +131,20 @@ std::string reseal(const std::string& body) {
 
 // --- candidate space ------------------------------------------------------
 
-TEST(Candidate, SpecRoundTrips) {
-    for (const char* spec :
-         {"greedy:tabular", "greedy:linear:0.05", "softmax:knn:0.5",
-          "constant:7", "mix:tabular:2:0.75"}) {
-        EXPECT_EQ(tune::parse_candidate_spec(spec).spec(), spec) << spec;
-    }
-    EXPECT_THROW(tune::parse_candidate_spec("greedy:tabular:nope"),
-                 std::invalid_argument);
-    EXPECT_THROW(tune::parse_candidate_spec("greedy:tabular:1.5"),
-                 std::invalid_argument);
-    EXPECT_THROW(tune::parse_candidate_spec("softmax:tabular:0"),
-                 std::invalid_argument);
-    EXPECT_THROW(tune::parse_candidate_spec("banana"), std::invalid_argument);
+TEST(Candidate, SpecRendersEachFamily) {
+    using Kind = tune::CandidateKind;
+    using Model = core::RewardModelKind;
+    const std::pair<tune::PolicyCandidate, const char*> cases[] = {
+        {{.kind = Kind::kGreedy}, "greedy:tabular"},
+        {{.kind = Kind::kGreedy, .model = Model::kLinear, .epsilon = 0.05},
+         "greedy:linear:0.05"},
+        {{.kind = Kind::kSoftmax, .model = Model::kKnn, .temperature = 0.5},
+         "softmax:knn:0.5"},
+        {{.kind = Kind::kConstant, .arm = 7}, "constant:7"},
+        {{.kind = Kind::kMixture, .arm = 2, .mixture_weight = 0.75},
+         "mix:tabular:2:0.75"},
+    };
+    for (const auto& [candidate, spec] : cases) EXPECT_EQ(candidate.spec(), spec);
 }
 
 TEST(Candidate, EnumerateIsDeterministicAndOrdered) {

@@ -24,8 +24,6 @@ TEST(BitrateLadder, BasicAccessors) {
     EXPECT_EQ(ladder.levels(), 5u);
     EXPECT_EQ(ladder.highest(), 4u);
     EXPECT_DOUBLE_EQ(ladder.mbps(0), 0.35);
-    EXPECT_EQ(ladder.highest_below(1.6), 2u);
-    EXPECT_EQ(ladder.highest_below(0.1), 0u); // nothing fits -> lowest
     EXPECT_THROW(ladder.mbps(9), std::out_of_range);
     EXPECT_THROW(BitrateLadder({1.0, 0.5}), std::invalid_argument);
     EXPECT_THROW(BitrateLadder({}), std::invalid_argument);
@@ -65,15 +63,6 @@ TEST(BufferBasedAbr, FollowsBufferLevel) {
     const std::size_t mid_level = bba.choose(mid, ladder, session, qoe);
     EXPECT_GT(mid_level, 0u);
     EXPECT_LT(mid_level, ladder.highest());
-}
-
-TEST(RateBasedAbr, StaysBelowPredictedThroughput) {
-    const RateBasedAbr rb(0.9);
-    const BitrateLadder ladder = BitrateLadder::standard5();
-    AbrState state{.predicted_throughput_mbps = 2.0};
-    const std::size_t level =
-        rb.choose(state, ladder, SessionConfig{}, QoeParams{});
-    EXPECT_LE(ladder.mbps(level), 0.9 * 2.0);
 }
 
 TEST(MpcAbr, PicksHighBitrateWhenThroughputIsAmple) {
@@ -197,21 +186,21 @@ TEST(NaiveChunkModel, OverestimatesDownloadTimeForHigherBitrates) {
 }
 
 TEST(ReplaySessionNaive, DiffersFromGroundTruth) {
-    const SessionSimulator sim(default_config(0.2), BitrateLadder::standard5());
+    const SimulatorConfig config = default_config(0.2);
+    const SessionSimulator sim(config, BitrateLadder::standard5());
     const ConstantBandwidth bandwidth(2.0);
     stats::Rng rng(5);
     const BufferBasedAbr bba;
     const MpcAbr mpc(3);
     const SessionRecord logged = sim.simulate(bba, bandwidth, rng);
     const double naive = replay_session_naive(logged, mpc, sim.ladder(),
-                                              sim.config().session,
-                                              sim.config().qoe);
+                                              config.session, config.qoe);
     const double truth = sim.true_mean_qoe(mpc, bandwidth, rng, 16);
     EXPECT_TRUE(std::isfinite(naive));
     // The replay is biased; it should not coincide with the truth.
     EXPECT_GT(std::fabs(naive - truth), 1e-3);
-    EXPECT_THROW(replay_session_naive({}, mpc, sim.ladder(),
-                                      sim.config().session, sim.config().qoe),
+    EXPECT_THROW(replay_session_naive({}, mpc, sim.ladder(), config.session,
+                                      config.qoe),
                  std::invalid_argument);
 }
 

@@ -9,11 +9,11 @@
 // nothing non-finite. Anything else prints one `error: <flag> ...` line and
 // exits 2, the tools' bad-argument code, so a typo never runs with a
 // saturated, truncated or default value. Flags with a narrower domain
-// (parse_unit_flag, parse_positive_flag, parse_replicate_count) are checked
-// against it at the same point, so a value outside it never reaches the
-// library or is clamped there. Errors thrown after parsing go through
-// report_error, so every tool exits 2 for bad arguments and 3 for bad
-// input or I/O.
+// (parse_unit_flag, parse_positive_flag, parse_count_flag,
+// parse_replicate_count) are checked against it at the same point, so a
+// value outside it never reaches the library or is clamped there. Errors
+// thrown after parsing go through report_error, so every tool exits 2 for
+// bad arguments and 3 for bad input or I/O.
 #ifndef DRE_TOOLS_CLI_FLAGS_H
 #define DRE_TOOLS_CLI_FLAGS_H
 
@@ -119,6 +119,19 @@ inline double parse_unit_flag(std::string_view flag, std::string_view text,
 inline double parse_positive_flag(std::string_view flag, std::string_view text) {
     const std::optional<double> value = read_number<double>(text);
     if (!value || !(*value > 0.0)) reject_flag(flag, "a number > 0", text);
+    return *value;
+}
+
+// A count of at least 1 (clients, requests, attempts), checked when the
+// flag is parsed like parse_unit_flag.
+template <typename T>
+T parse_count_flag(std::string_view flag, std::string_view text) {
+    const std::optional<T> value = read_number<T>(text);
+    if (!value || *value < 1)
+        reject_flag(flag,
+                    "an integer in [1, " +
+                        std::to_string(std::numeric_limits<T>::max()) + "]",
+                    text);
     return *value;
 }
 

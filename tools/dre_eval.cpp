@@ -74,7 +74,7 @@
 //   0  success
 //   2  bad arguments (unknown flag, malformed spec, incompatible options)
 //   3  bad input (missing/corrupt trace or store, empty trace, checkpoint
-//      mismatch, I/O failure — injected or real)
+//      mismatch, I/O failure — injected or real, an output included)
 //   4  internal error (anything else)
 //   5  interrupted (--streaming only): SIGINT/SIGTERM landed mid-run; the
 //      in-flight wave was drained and the final checkpoint flushed, so a
@@ -220,20 +220,18 @@ std::atomic<bool> g_interrupted{false};
 extern "C" void handle_stop_signal(int) { g_interrupted.store(true); }
 
 // Writes --obs-out and --trace-out after the report, as both modes do.
+// An output the user asked for that cannot be written is an I/O error.
 void write_telemetry(const std::string& obs_out, const std::string& trace_out) {
     if (!obs_out.empty()) {
-        if (obs::write_openmetrics_file(obs_out))
-            std::printf("\nwrote obs report to %s\n", obs_out.c_str());
-        else
-            std::fprintf(stderr, "failed to write %s\n", obs_out.c_str());
+        if (!obs::write_openmetrics_file(obs_out))
+            throw std::runtime_error("cannot write --obs-out " + obs_out);
+        std::printf("\nwrote obs report to %s\n", obs_out.c_str());
     }
     if (!trace_out.empty()) {
-        if (obs::write_chrome_trace_file(trace_out))
-            std::printf("wrote chrome trace to %s (load at "
-                        "chrome://tracing)\n",
-                        trace_out.c_str());
-        else
-            std::fprintf(stderr, "failed to write %s\n", trace_out.c_str());
+        if (!obs::write_chrome_trace_file(trace_out))
+            throw std::runtime_error("cannot write --trace-out " + trace_out);
+        std::printf("wrote chrome trace to %s (load at chrome://tracing)\n",
+                    trace_out.c_str());
     }
 }
 
@@ -305,12 +303,9 @@ int main(int argc, char** argv) {
             } else if (arg == "--streaming") {
                 streaming = true;
             } else if (arg == "--fit-sample") {
-                const std::string text =
-                    tools::flag_value(argc, argv, i, "--fit-sample");
-                fit_sample =
-                    tools::parse_flag<std::uint64_t>("--fit-sample", text);
-                if (*fit_sample == 0)
-                    tools::reject_flag("--fit-sample", "at least 1", text);
+                fit_sample = tools::parse_count_flag<std::uint64_t>(
+                    "--fit-sample",
+                    tools::flag_value(argc, argv, i, "--fit-sample"));
             } else if (arg == "--fault-spec") {
                 fault_spec = tools::flag_value(argc, argv, i, "--fault-spec");
             } else if (arg == "--on-error") {
@@ -378,7 +373,7 @@ int main(int argc, char** argv) {
             std::vector<LoggedTuple> head;
             const std::uint64_t head_n =
                 std::min<std::uint64_t>(fit_sample.value_or(100000), n);
-            std::vector<store::ReadFailure> fit_failures;
+            std::vector<TupleReadFailure> fit_failures;
             shards.read_rows(0, head_n, head,
                              on_error == core::FailureMode::kStrict
                                  ? nullptr

@@ -5,7 +5,7 @@
 //   dre_loadgen --port <n> <trace> <policy> [options]
 //
 // Options:
-//   --port <n>         server port on 127.0.0.1 (required)
+//   --port <n>         server port on 127.0.0.1 (required, 1..65535)
 //   --model <kind>     reward model (tabular | linear | knn; default tabular)
 //   --ci <replicates>  bootstrap CI replicates (default 0 = off)
 //   --seed <n>         base RNG seed (default 1)
@@ -15,7 +15,6 @@
 //                      no two requests coalesce and every one computes;
 //                      default sends identical requests, which exercises
 //                      the shared caches and in-flight coalescing
-//   --small            shorthand for --requests 2
 //   --retry <n>        client-side retry budget per request (max attempts;
 //                      default 1 = no retries). Backoff is virtual — the
 //                      schedule is recorded, never slept — so retried runs
@@ -23,10 +22,6 @@
 //   --deadline-ms <n>  attach a deadline to every request; the server may
 //                      shed it at admission or answer kDeadlineExceeded.
 //                      Deadline-exceeded replies are counted, not failures
-//   --hedge-ms <x>     hedged requests: if the primary reply has not
-//                      arrived after x ms, fire a second identical request
-//                      on its own connection and take whichever reply
-//                      lands first (safe: Evaluate is idempotent)
 //   --dump-response    print the first response's text verbatim to stdout
 //                      (and the summary to stderr), so CI can byte-diff a
 //                      server response against `dre_eval` output
@@ -47,12 +42,12 @@
 // its p50/p90/p99.
 //
 // Exit codes: 0 success, 1 a response failed verification (its bytes or
-// its trace id), 2 bad arguments, 3 a request failed (cannot connect, or
-// the server answered an error), 4 anything else.
+// its trace id), 2 bad arguments (an `error:` line first), 3 a request
+// failed (cannot connect, or the server answered an error), 4 anything
+// else.
 #include <chrono>
 #include <cstdio>
 #include <exception>
-#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -73,10 +68,14 @@ int usage() {
                  "usage: dre_loadgen --port N <trace> <policy> [--model kind] "
                  "[--ci N] [--seed N]\n"
                  "                   [--clients N] [--requests N] [--distinct] "
-                 "[--small] [--dump-response]\n"
-                 "                   [--retry N] [--deadline-ms N] "
-                 "[--hedge-ms X]\n");
+                 "[--dump-response]\n"
+                 "                   [--retry N] [--deadline-ms N]\n");
     return 2;
+}
+
+int usage_error(const std::string& message) {
+    std::fprintf(stderr, "error: %s\n", message.c_str());
+    return usage();
 }
 
 } // namespace
@@ -84,7 +83,7 @@ int usage() {
 int main(int argc, char** argv) {
     using namespace dre;
 
-    int port = -1;
+    std::uint16_t port = 0; // 0 = not given
     std::string trace_path;
     std::string policy_spec;
     std::string model = "tabular";
@@ -96,13 +95,12 @@ int main(int argc, char** argv) {
     bool dump_response = false;
     int retry_attempts = 1;
     std::uint64_t deadline_ms = 0;
-    double hedge_ms = 0.0;
 
     std::vector<std::string> positional;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--port") {
-            port = tools::parse_flag<std::uint16_t>(
+            port = tools::parse_count_flag<std::uint16_t>(
                 "--port", tools::flag_value(argc, argv, i, "--port"));
         } else if (arg == "--model") {
             model = tools::flag_value(argc, argv, i, "--model");
@@ -114,38 +112,34 @@ int main(int argc, char** argv) {
             seed = tools::parse_flag<std::uint64_t>(
                 "--seed", tools::flag_value(argc, argv, i, "--seed"));
         } else if (arg == "--clients") {
-            clients = tools::parse_flag<std::size_t>(
+            clients = tools::parse_count_flag<std::size_t>(
                 "--clients", tools::flag_value(argc, argv, i, "--clients"));
         } else if (arg == "--requests") {
-            requests = tools::parse_flag<std::size_t>(
+            requests = tools::parse_count_flag<std::size_t>(
                 "--requests", tools::flag_value(argc, argv, i, "--requests"));
         } else if (arg == "--distinct") {
             distinct = true;
-        } else if (arg == "--small") {
-            requests = 2;
         } else if (arg == "--dump-response") {
             dump_response = true;
         } else if (arg == "--retry") {
-            retry_attempts = tools::parse_flag<int>(
+            retry_attempts = tools::parse_count_flag<int>(
                 "--retry", tools::flag_value(argc, argv, i, "--retry"));
         } else if (arg == "--deadline-ms") {
             deadline_ms = tools::parse_flag<std::uint64_t>(
                 "--deadline-ms",
                 tools::flag_value(argc, argv, i, "--deadline-ms"));
-        } else if (arg == "--hedge-ms") {
-            hedge_ms = tools::parse_flag<double>(
-                "--hedge-ms", tools::flag_value(argc, argv, i, "--hedge-ms"));
         } else if (!arg.empty() && arg[0] == '-') {
-            std::fprintf(stderr, "error: unknown argument '%s'\n", arg.c_str());
-            return usage();
+            return usage_error("unknown argument '" + arg + "'");
         } else {
             positional.push_back(arg);
         }
     }
-    if (port <= 0 || port > 65535 || positional.size() != 2) return usage();
+    if (port == 0) return usage_error("--port is required");
+    if (positional.size() != 2)
+        return usage_error("expected 2 arguments (<trace> <policy>), got " +
+                           std::to_string(positional.size()));
     trace_path = positional[0];
     policy_spec = positional[1];
-    if (clients == 0 || requests == 0 || retry_attempts < 1) return usage();
 
     FILE* const summary = dump_response ? stderr : stdout;
 
@@ -165,16 +159,13 @@ int main(int argc, char** argv) {
                                       // the canonical byte comparison)
     std::uint64_t retries_total = 0;
     double backoff_total_ms = 0.0; // virtual, never slept
-    std::uint64_t hedged = 0;      // requests that fired a hedge
-    std::uint64_t hedge_wins = 0;  // hedges whose reply landed first
 
     const auto wall_start = std::chrono::steady_clock::now();
     std::vector<std::thread> threads;
     threads.reserve(clients);
     for (std::size_t c = 0; c < clients; ++c) {
         threads.emplace_back([&, c] {
-            serve::RetryingClient client(static_cast<std::uint16_t>(port),
-                                         retry_attempts);
+            serve::RetryingClient client(port, retry_attempts);
             try {
                 for (std::size_t r = 0; r < requests; ++r) {
                     serve::EvaluateMsg request;
@@ -192,77 +183,7 @@ int main(int argc, char** argv) {
                     const auto start = std::chrono::steady_clock::now();
                     serve::ResultMsg result;
                     try {
-                        if (hedge_ms > 0.0) {
-                            // Hedged request: wait hedge_ms for the
-                            // primary, then race a second identical
-                            // request on its own connection. Safe because
-                            // Evaluate is idempotent; the loser's reply
-                            // (or failure) is joined and discarded.
-                            auto primary = std::async(
-                                std::launch::async,
-                                [&client, request] {
-                                    return client.evaluate(request);
-                                });
-                            const auto wait =
-                                std::chrono::duration_cast<
-                                    std::chrono::microseconds>(
-                                    std::chrono::duration<double,
-                                                          std::milli>(
-                                        hedge_ms));
-                            if (primary.wait_for(wait) ==
-                                std::future_status::ready) {
-                                result = primary.get();
-                            } else {
-                                auto hedge = std::async(
-                                    std::launch::async, [&, request] {
-                                        serve::RetryingClient second(
-                                            static_cast<std::uint16_t>(
-                                                port),
-                                            retry_attempts);
-                                        return second.evaluate(request);
-                                    });
-                                bool primary_won = false;
-                                for (;;) {
-                                    const auto tick =
-                                        std::chrono::microseconds(500);
-                                    if (primary.wait_for(tick) ==
-                                        std::future_status::ready) {
-                                        primary_won = true;
-                                        break;
-                                    }
-                                    if (hedge.wait_for(tick) ==
-                                        std::future_status::ready) {
-                                        break;
-                                    }
-                                }
-                                // Join both; prefer the winner, fall back
-                                // to whichever succeeded, rethrow only if
-                                // both failed.
-                                serve::ResultMsg rp, rh;
-                                std::exception_ptr ep, eh;
-                                try {
-                                    rp = primary.get();
-                                } catch (...) {
-                                    ep = std::current_exception();
-                                }
-                                try {
-                                    rh = hedge.get();
-                                } catch (...) {
-                                    eh = std::current_exception();
-                                }
-                                const bool use_hedge =
-                                    (!primary_won && !eh) || (ep && !eh);
-                                if (ep && eh)
-                                    std::rethrow_exception(ep);
-                                result = use_hedge ? rh : rp;
-                                std::lock_guard<std::mutex> lock(
-                                    state_mutex);
-                                ++hedged;
-                                if (use_hedge) ++hedge_wins;
-                            }
-                        } else {
-                            result = client.evaluate(request);
-                        }
+                        result = client.evaluate(request);
                     } catch (const serve::ServeError& e) {
                         if (e.code() == serve::ErrorCode::kOverloaded) {
                             std::lock_guard<std::mutex> lock(state_mutex);
@@ -350,22 +271,18 @@ int main(int argc, char** argv) {
                  latency_ms.min(), latency_ms.max(), latency_ms.mean());
     std::fprintf(summary, "trace ids: %llu echoed\n",
                  static_cast<unsigned long long>(echo_confirmed));
-    if (retry_attempts > 1 || hedge_ms > 0.0 || deadline_ms > 0 ||
-        degraded_count > 0)
+    if (retry_attempts > 1 || deadline_ms > 0 || degraded_count > 0)
         std::fprintf(summary,
                      "resilience: %llu retries (%.1f ms virtual backoff), "
-                     "%llu hedged (%llu hedge wins), %llu deadline-exceeded, "
-                     "%llu degraded\n",
+                     "%llu deadline-exceeded, %llu degraded\n",
                      static_cast<unsigned long long>(retries_total),
                      backoff_total_ms,
-                     static_cast<unsigned long long>(hedged),
-                     static_cast<unsigned long long>(hedge_wins),
                      static_cast<unsigned long long>(deadline_hits),
                      static_cast<unsigned long long>(degraded_count));
 
     // One Stats round trip so operators see the server-side view too.
     try {
-        serve::Client client(static_cast<std::uint16_t>(port));
+        serve::Client client(port);
         const serve::StatsReplyMsg stats = client.stats();
         std::fprintf(summary,
                      "server: %llu total (%llu coalesced, %llu rejected), "

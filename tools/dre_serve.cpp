@@ -45,12 +45,12 @@
 // the equivalent `dre_eval <trace> <policy> --model M [--ci N] --seed S`
 // run. SIGINT/SIGTERM shut down gracefully: the listener closes, every
 // queued job drains and its waiters get their reply, then the process
-// exits 0.
+// writes --trace-out and exits.
 //
 // Exit codes: 0 success (including signal-driven shutdown), 2 bad
-// arguments (a malformed --fault-spec included), 3 startup failure (bind,
-// listen, an unopenable --journal, an unwritable port file), 4 anything
-// else.
+// arguments (a malformed --fault-spec included), 3 an I/O failure: at
+// startup (bind, listen, an unopenable --journal, an unwritable port file)
+// or, after the drain, an unwritable --trace-out; 4 anything else.
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -182,14 +182,6 @@ int main(int argc, char** argv) {
 
     // Graceful drain: every admitted request is answered before exit.
     server.stop_and_join();
-    if (!trace_out.empty()) {
-        if (dre::obs::write_chrome_trace_file(trace_out)) {
-            std::printf("dre_serve wrote trace to %s\n", trace_out.c_str());
-        } else {
-            std::fprintf(stderr, "error: cannot write --trace-out %s\n",
-                         trace_out.c_str());
-        }
-    }
     const serve::StatsReplyMsg stats = server.stats_snapshot();
     std::printf("dre_serve shut down: %llu requests (%llu coalesced, "
                 "%llu rejected), request p50 %.2f ms p99 %.2f ms\n",
@@ -205,5 +197,11 @@ int main(int argc, char** argv) {
                     static_cast<unsigned long long>(stats.shed),
                     static_cast<unsigned long long>(stats.brownout),
                     static_cast<unsigned long long>(stats.sessions_reaped));
+    if (!trace_out.empty()) {
+        if (!dre::obs::write_chrome_trace_file(trace_out))
+            return tools::report_error(
+                std::runtime_error("cannot write --trace-out " + trace_out));
+        std::printf("dre_serve wrote trace to %s\n", trace_out.c_str());
+    }
     return 0;
 }

@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
         for (int i = 3; i < argc; ++i) {
             const std::string arg = argv[i];
             if (arg == "--n") {
-                n = tools::parse_flag<std::size_t>(
+                n = tools::parse_count_flag<std::size_t>(
                     "--n", tools::flag_value(argc, argv, i, "--n"));
             } else if (arg == "--seed") {
                 seed = tools::parse_flag<std::uint64_t>(
@@ -106,8 +106,6 @@ int main(int argc, char** argv) {
                 usage(argv[0]);
             }
         }
-        if (n == 0) throw std::invalid_argument("--n must be > 0");
-
         const Trace trace = simulate(scenario, n, seed, epsilon);
         write_csv_file(trace, output);
         std::printf("wrote %zu tuples (%zu decisions) to %s\n", trace.size(),

@@ -133,12 +133,9 @@ int main(int argc, char** argv) {
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--metrics-port") {
-            const auto value = dre::tools::read_number<std::uint16_t>(
+            port = dre::tools::parse_count_flag<std::uint16_t>(
+                "--metrics-port",
                 dre::tools::flag_value(argc, argv, i, "--metrics-port"));
-            if (!value || *value == 0)
-                dre::tools::reject_flag("--metrics-port",
-                                        "an integer in [1, 65535]", argv[i]);
-            port = *value;
         } else if (arg == "--watch") {
             watch = true;
             if (i + 1 < argc && argv[i + 1][0] != '-') {
@@ -152,7 +149,10 @@ int main(int argc, char** argv) {
             return usage();
         }
     }
-    if (port == 0) return usage();
+    if (port == 0) {
+        std::fprintf(stderr, "error: --metrics-port is required\n");
+        return usage();
+    }
 
     std::signal(SIGINT, handle_stop_signal);
     std::signal(SIGTERM, handle_stop_signal);

@@ -132,12 +132,12 @@ std::atomic<bool> g_interrupted{false};
 
 extern "C" void handle_stop_signal(int) { g_interrupted.store(true); }
 
+// An output the user asked for that cannot be written is an I/O error.
 void write_obs(const std::string& obs_out) {
     if (obs_out.empty()) return;
-    if (obs::write_openmetrics_file(obs_out))
-        std::printf("wrote obs report to %s\n", obs_out.c_str());
-    else
-        std::fprintf(stderr, "failed to write %s\n", obs_out.c_str());
+    if (!obs::write_openmetrics_file(obs_out))
+        throw std::runtime_error("cannot write --obs-out " + obs_out);
+    std::printf("wrote obs report to %s\n", obs_out.c_str());
 }
 
 } // namespace
@@ -286,7 +286,8 @@ int main(int argc, char** argv) {
                                             wave_size * options.waves, rng);
             } else {
                 std::vector<LoggedTuple> tuples;
-                tuple_source->read(0, tuple_source->num_tuples(), tuples);
+                tuple_source->read(0, tuple_source->num_tuples(), tuples,
+                                   nullptr);
                 trace = Trace(std::move(tuples));
             }
             const tune::Leaderboard board = tune::search_policies(
