@@ -105,7 +105,6 @@ public:
     std::size_t num_decisions() const noexcept override { return arms_.size(); }
     std::string_view name() const noexcept override { return "eps-greedy"; }
 
-    const std::vector<ArmStats>& arms() const noexcept { return arms_; }
 
 private:
     std::vector<ArmStats> arms_;

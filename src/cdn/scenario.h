@@ -53,7 +53,6 @@ public:
         return config_.num_cdns * config_.num_bitrates;
     }
 
-    const CdnWorldConfig& config() const noexcept { return config_; }
 
     // The quality-maximizing decision for a context (oracle policy).
     Decision best_decision(const ClientContext& context) const;

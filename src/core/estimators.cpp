@@ -13,20 +13,16 @@ namespace {
 
 void check_inputs(const Trace& trace, const Policy& new_policy,
                   const RewardModel* model) {
-    validate_trace(trace);
+    validate_trace(trace, new_policy.num_decisions());
     if (trace.empty()) throw std::invalid_argument("estimator: empty trace");
-    if (trace.num_decisions() > new_policy.num_decisions())
-        throw std::invalid_argument("estimator: trace uses decisions outside policy space");
     if (model && model->num_decisions() != new_policy.num_decisions())
         throw std::invalid_argument("estimator: model/policy decision-space mismatch");
 }
 
 void check_matrix(const Trace& trace, const Policy& new_policy,
                   const PredictionMatrix& qhat) {
-    validate_trace(trace);
+    validate_trace(trace, new_policy.num_decisions());
     if (trace.empty()) throw std::invalid_argument("estimator: empty trace");
-    if (trace.num_decisions() > new_policy.num_decisions())
-        throw std::invalid_argument("estimator: trace uses decisions outside policy space");
     if (qhat.num_decisions() != new_policy.num_decisions())
         throw std::invalid_argument("estimator: matrix/policy decision-space mismatch");
     if (qhat.num_tuples() != trace.size())
@@ -361,12 +357,8 @@ void fill_estimator_chunk(std::span<const LoggedTuple> chunk,
                           const EstimatorOptions& options, EstimatorChunk& out) {
     if (!(options.switch_threshold > 0.0))
         throw std::invalid_argument("fill_estimator_chunk: threshold must be > 0");
-    validate_trace(chunk);
     const std::size_t decisions = new_policy.num_decisions();
-    for (const LoggedTuple& t : chunk)
-        if (static_cast<std::size_t>(t.decision) >= decisions)
-            throw std::invalid_argument(
-                "estimator: trace uses decisions outside policy space");
+    validate_trace(chunk, decisions);
     const std::size_t n = chunk.size();
     out.dm.resize(n);
     out.ips.resize(n);

@@ -30,7 +30,6 @@
 #include <mutex>
 #include <span>
 #include <thread>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -141,18 +140,6 @@ inline constexpr std::size_t kDefaultGrain = 256;
 void parallel_for_chunked(std::size_t n,
                           const std::function<void(std::size_t, std::size_t)>& fn,
                           std::size_t min_grain = kDefaultGrain);
-
-// Materialize fn(i) for i in [0, n) in index order.
-template <typename Fn>
-auto parallel_map(std::size_t n, Fn&& fn)
-    -> std::vector<std::decay_t<std::invoke_result_t<Fn&, std::size_t>>> {
-    using R = std::decay_t<std::invoke_result_t<Fn&, std::size_t>>;
-    static_assert(std::is_default_constructible_v<R>,
-                  "parallel_map result type must be default-constructible");
-    std::vector<R> out(n);
-    parallel_for(n, [&](std::size_t i) { out[i] = fn(i); });
-    return out;
-}
 
 // --- Deterministic reductions ---------------------------------------------
 //

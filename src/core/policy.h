@@ -65,7 +65,6 @@ public:
     double probability(const ClientContext& context, Decision d) const override;
     std::size_t num_decisions() const noexcept override { return num_decisions_; }
 
-    Decision choose(const ClientContext& context) const { return checked_choice(context); }
 
 private:
     Decision checked_choice(const ClientContext& context) const;
@@ -103,7 +102,6 @@ public:
                                    std::vector<double>& out) const override;
     std::size_t num_decisions() const noexcept override { return base_->num_decisions(); }
 
-    double epsilon() const noexcept { return epsilon_; }
 
 private:
     std::shared_ptr<const Policy> base_;

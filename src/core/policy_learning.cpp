@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <stdexcept>
+#include <type_traits>
+#include <vector>
 
 #include "stats/bootstrap.h"
 
@@ -57,44 +60,168 @@ RewardModelKind parse_reward_model_kind(const std::string& name) {
     throw std::invalid_argument("unknown model kind: " + name);
 }
 
+const char* to_string(RewardModelKind kind) noexcept {
+    switch (kind) {
+        case RewardModelKind::kTabular: return "tabular";
+        case RewardModelKind::kLinear: return "linear";
+        case RewardModelKind::kKnn: return "knn";
+    }
+    return "unknown";
+}
+
+PolicySpec parse_policy_spec(std::string_view text) {
+    std::vector<std::string_view> fields;
+    for (std::size_t start = 0;;) {
+        const std::size_t colon = text.find(':', start);
+        fields.push_back(text.substr(start, colon - start));
+        if (colon == std::string_view::npos) break;
+        start = colon + 1;
+    }
+    const auto fail = [&](const std::string& why) {
+        return std::invalid_argument("policy spec \"" + std::string(text) +
+                                     "\": " + why);
+    };
+    // One whole field as a T, or the named failure.
+    const auto read = [&]<typename T>(std::string_view field, const char* name,
+                                      T value) {
+        const char* end = field.data() + field.size();
+        const auto [stop, ec] = std::from_chars(field.data(), end, value);
+        if (ec != std::errc() || stop != end)
+            throw fail(std::string(name) + " \"" + std::string(field) +
+                       (std::is_integral_v<T> ? "\" is not a decision id"
+                                              : "\" is not a number"));
+        return value;
+    };
+    // A finite number: in [0, 1] when `unit`, else above 0.
+    const auto parameter = [&](std::string_view field, const char* name,
+                               bool unit) {
+        const double value = read(field, name, 0.0);
+        if (!std::isfinite(value) ||
+            (unit ? !(value >= 0.0 && value <= 1.0) : !(value > 0.0)))
+            throw fail(std::string(name) + " " + std::string(field) +
+                       (unit ? " must be a finite number in [0,1]"
+                             : " must be a finite number > 0"));
+        return value;
+    };
+    const auto model = [&](std::string_view field) {
+        try {
+            return parse_reward_model_kind(std::string(field));
+        } catch (const std::invalid_argument& e) {
+            throw fail(e.what());
+        }
+    };
+
+    using Kind = PolicySpec::Kind;
+    const std::string_view family = fields[0];
+    const std::size_t n = fields.size();
+    PolicySpec spec;
+    if (family == "uniform" && n == 1) {
+        spec.kind = Kind::kUniform;
+    } else if (family == "constant" && n == 2) {
+        spec.kind = Kind::kConstant;
+        spec.arm = read(fields[1], "arm", Decision{0});
+    } else if (family == "greedy" && (n == 2 || n == 3)) {
+        spec.kind = Kind::kGreedy;
+        spec.model = model(fields[1]);
+        if (n == 3) spec.epsilon = parameter(fields[2], "epsilon", true);
+    } else if (family == "softmax" && n == 3) {
+        spec.kind = Kind::kSoftmax;
+        spec.model = model(fields[1]);
+        spec.temperature = parameter(fields[2], "temperature", false);
+    } else if (family == "mix" && n == 4) {
+        spec.kind = Kind::kMixture;
+        spec.model = model(fields[1]);
+        spec.arm = read(fields[2], "arm", Decision{0});
+        spec.mixture_weight = parameter(fields[3], "weight", true);
+    } else {
+        throw std::invalid_argument(
+            "unknown policy spec \"" + std::string(text) +
+            "\" (expected uniform, constant:<d>, greedy:<model>[:<e>], "
+            "softmax:<model>:<T> or mix:<model>:<d>:<w>)");
+    }
+    return spec;
+}
+
+namespace {
+
+// Shortest round-trip decimal, so equal doubles render equal bytes.
+std::string format_double(double v) {
+    char buf[32]; // the longest shortest-round-trip double takes 24
+    return std::string(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
+} // namespace
+
+std::string to_string(const PolicySpec& spec) {
+    const std::string model = to_string(spec.model);
+    switch (spec.kind) {
+        case PolicySpec::Kind::kUniform: return "uniform";
+        case PolicySpec::Kind::kConstant:
+            return "constant:" + std::to_string(spec.arm);
+        case PolicySpec::Kind::kGreedy:
+            if (spec.epsilon == 0.0) return "greedy:" + model;
+            return "greedy:" + model + ":" + format_double(spec.epsilon);
+        case PolicySpec::Kind::kSoftmax:
+            return "softmax:" + model + ":" + format_double(spec.temperature);
+        case PolicySpec::Kind::kMixture:
+            return "mix:" + model + ":" + std::to_string(spec.arm) + ":" +
+                   format_double(spec.mixture_weight);
+    }
+    throw std::invalid_argument("policy spec has an unknown kind");
+}
+
+ModelFits::ModelFits(const Trace& trace, std::size_t decisions)
+    : trace_(trace), decisions_(decisions) {}
+
+std::shared_ptr<const RewardModel> ModelFits::model(RewardModelKind kind) {
+    std::shared_ptr<const RewardModel>& fit = models_[kind];
+    if (!fit) fit = fit_reward_model(kind, decisions_, trace_);
+    return fit;
+}
+
+std::shared_ptr<Policy> ModelFits::build(const PolicySpec& spec) {
+    const auto pinned = [&] {
+        if (spec.arm < 0 || static_cast<std::size_t>(spec.arm) >= decisions_)
+            throw std::invalid_argument(
+                "policy spec \"" + to_string(spec) + "\": arm " +
+                std::to_string(spec.arm) + " is outside [0, " +
+                std::to_string(decisions_) + ")");
+        const Decision arm = spec.arm;
+        return std::make_shared<DeterministicPolicy>(
+            decisions_, [arm](const ClientContext&) { return arm; });
+    };
+    switch (spec.kind) {
+        case PolicySpec::Kind::kUniform:
+            return std::make_shared<UniformRandomPolicy>(decisions_);
+        case PolicySpec::Kind::kConstant: return pinned();
+        case PolicySpec::Kind::kGreedy:
+            return std::make_shared<GreedyModelPolicy>(model(spec.model),
+                                                       spec.epsilon);
+        case PolicySpec::Kind::kSoftmax: {
+            // The scorer shares ownership of the fitted model, so the
+            // policy outlives this object.
+            std::shared_ptr<const RewardModel> fitted = model(spec.model);
+            return std::make_shared<SoftmaxPolicy>(
+                decisions_,
+                [fitted](const ClientContext& context, Decision d) {
+                    return fitted->predict(context, d);
+                },
+                spec.temperature);
+        }
+        case PolicySpec::Kind::kMixture: {
+            std::shared_ptr<DeterministicPolicy> pin = pinned();
+            return std::make_shared<MixturePolicy>(
+                std::make_shared<GreedyModelPolicy>(model(spec.model)),
+                std::move(pin), spec.mixture_weight);
+        }
+    }
+    throw std::invalid_argument("policy spec has an unknown kind");
+}
+
 std::shared_ptr<Policy> parse_policy_spec(const std::string& spec,
                                           const Trace& trace,
                                           std::size_t decisions) {
-    if (spec == "uniform")
-        return std::make_shared<UniformRandomPolicy>(decisions);
-    if (spec.rfind("constant:", 0) == 0) {
-        const auto d = static_cast<Decision>(std::stol(spec.substr(9)));
-        if (d < 0 || static_cast<std::size_t>(d) >= decisions)
-            throw std::invalid_argument("constant decision outside trace's space");
-        return std::make_shared<DeterministicPolicy>(
-            decisions, [d](const ClientContext&) { return d; });
-    }
-    if (spec.rfind("greedy:", 0) == 0) {
-        // "greedy:<model>" or "greedy:<model>:<epsilon>" — the optional
-        // epsilon uniform-smooths the learned policy so it stays evaluable
-        // when redeployed as a logging policy (the §4.1 shape).
-        const std::string rest = spec.substr(7);
-        const std::size_t colon = rest.find(':');
-        if (colon == std::string::npos) {
-            const RewardModelKind kind = parse_reward_model_kind(rest);
-            return learn_greedy_policy(trace, kind, decisions);
-        }
-        const RewardModelKind kind =
-            parse_reward_model_kind(rest.substr(0, colon));
-        const std::string eps_text = rest.substr(colon + 1);
-        double epsilon = 0.0;
-        const auto [end, ec] = std::from_chars(
-            eps_text.data(), eps_text.data() + eps_text.size(), epsilon);
-        if (ec != std::errc() || end != eps_text.data() + eps_text.size())
-            throw std::invalid_argument("malformed epsilon in policy spec \"" +
-                                        spec + "\": expected a number, got \"" +
-                                        eps_text + "\"");
-        if (!(epsilon >= 0.0 && epsilon <= 1.0))
-            throw std::invalid_argument("epsilon in policy spec \"" + spec +
-                                        "\" outside [0,1]");
-        return learn_greedy_policy(trace, kind, decisions, epsilon);
-    }
-    throw std::invalid_argument("unknown policy spec: " + spec);
+    return ModelFits(trace, decisions).build(parse_policy_spec(spec));
 }
 
 ImprovementReport certify_improvement(const Trace& trace, const Policy& incumbent,

@@ -32,11 +32,6 @@ public:
     // the matrix is identical for any thread count.
     static PredictionMatrix build(const RewardModel& model, const Trace& trace);
 
-    // q̂ for (tuple index, decision) — bounds unchecked on the hot path.
-    double at(std::size_t tuple, std::size_t decision) const noexcept {
-        return values_[tuple * num_decisions_ + decision];
-    }
-
     // Row view: q̂[tuple][0..num_decisions).
     const double* row(std::size_t tuple) const noexcept {
         return values_.data() + tuple * num_decisions_;
@@ -44,7 +39,6 @@ public:
 
     std::size_t num_tuples() const noexcept { return num_tuples_; }
     std::size_t num_decisions() const noexcept { return num_decisions_; }
-    bool empty() const noexcept { return values_.empty(); }
 
 private:
     std::size_t num_tuples_ = 0;

@@ -379,6 +379,16 @@ StreamingResult evaluate_streaming_guarded(const TupleSource& source,
                 if (buffer.size() != len)
                     throw std::runtime_error(
                         "evaluate_streaming: source returned a short chunk");
+                // Strict mode stops at the first defective tuple, by the
+                // rule the tolerant modes quarantine with.
+                for (std::size_t k = 0; k < buffer.size(); ++k) {
+                    const TupleDefect defect =
+                        classify_tuple(buffer[k], decision_space);
+                    if (defect != TupleDefect::kNone)
+                        throw std::runtime_error(
+                            "trace tuple " + std::to_string(begin + k) +
+                            ": " + reason_code(defect));
+                }
                 kept = std::move(buffer);
             } else if (!chunk_dead) {
                 std::vector<TupleReadFailure> failures;

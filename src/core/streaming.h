@@ -18,11 +18,11 @@
 // Failure handling (DESIGN.md §10): `evaluate_streaming_guarded` adds
 // three failure modes on top of the same arithmetic.
 //
-//   kStrict      today's behavior: fail-stop. The first I/O error,
-//                corruption, or injected fault (after the source's retry
-//                policy runs) aborts the run with an exception, and a
-//                structurally invalid tuple aborts it too (the per-chunk
-//                estimator validates its input).
+//   kStrict      fail-stop. The first I/O error, corruption, or injected
+//                fault (after the source's retry policy runs) aborts the
+//                run with an exception, and so does the first structurally
+//                invalid tuple (trace/validate.h): a std::runtime_error
+//                naming its reason code and global index.
 //   kQuarantine  damaged row groups (TupleSource::read with `failures`) and
 //                structurally invalid tuples (trace/validate.h) are
 //                *skipped* and recorded in a QuarantineReport. Estimator
@@ -187,17 +187,7 @@ public:
                          std::uint64_t chunks_total)
         : std::runtime_error("streaming evaluation interrupted after " +
                              std::to_string(chunks_completed) + "/" +
-                             std::to_string(chunks_total) + " chunks"),
-          chunks_completed_(chunks_completed), chunks_total_(chunks_total) {}
-
-    std::uint64_t chunks_completed() const noexcept {
-        return chunks_completed_;
-    }
-    std::uint64_t chunks_total() const noexcept { return chunks_total_; }
-
-private:
-    std::uint64_t chunks_completed_;
-    std::uint64_t chunks_total_;
+                             std::to_string(chunks_total) + " chunks") {}
 };
 
 struct StreamingResult {

@@ -65,7 +65,6 @@ public:
 
     double slope() const noexcept { return slope_; }
     double offset() const noexcept { return offset_; }
-    bool fitted() const noexcept { return fitted_; }
 
 private:
     double slope_ = 1.0;

@@ -37,7 +37,6 @@ public:
                            stats::Rng& rng, int samples) const override;
     std::size_t num_decisions() const noexcept override { return num_servers_; }
 
-    std::size_t num_zones() const noexcept { return num_zones_; }
 
 private:
     double mean_latency_ms(std::int32_t zone, Decision server) const;

@@ -46,8 +46,6 @@ public:
     // Mean cost in ms for a context/path pair (the reward is -cost/100).
     double mean_cost_ms(const ClientContext& context, Decision d) const;
 
-    const RoutingWorldConfig& config() const noexcept { return config_; }
-    const std::vector<PathConfig>& paths() const noexcept { return paths_; }
 
     // A plausible default 3-path world: short lossy peering path, long clean
     // transit path, medium path with limited capacity.

@@ -40,9 +40,7 @@ public:
     // Stochastic response time (lognormal jitter around the expectation).
     double sample_latency_ms(stats::Rng& rng) const;
 
-    double load() const noexcept { return load_; }
     double utilization() const noexcept;
-    const ServerConfig& config() const noexcept { return config_; }
 
 private:
     ServerConfig config_;

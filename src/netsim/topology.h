@@ -38,7 +38,6 @@ public:
     // forward direction (reverse is id + 1).
     LinkId add_link(NodeId a, NodeId b, double delay_ms, double capacity_mbps);
 
-    std::size_t num_nodes() const noexcept { return num_nodes_; }
     std::size_t num_links() const noexcept { return links_.size(); }
     const Link& link(LinkId id) const;
 

@@ -119,13 +119,9 @@ struct HistogramSnapshot {
     static double bucket_lo(std::size_t i) noexcept;
     static double bucket_hi(std::size_t i) noexcept;
 
-    double mean() const noexcept {
-        return count == 0 ? 0.0 : sum / static_cast<double>(count);
-    }
     // Approximate p-quantile (p in [0, 1]); 0 when empty.
     double quantile(double p) const noexcept;
     double p50() const noexcept { return quantile(0.50); }
-    double p90() const noexcept { return quantile(0.90); }
     double p99() const noexcept { return quantile(0.99); }
 
     // The histogram of observations recorded after `earlier` was taken

@@ -34,7 +34,6 @@ public:
     void value(double v);
     void value(std::uint64_t v);
     void value(std::int64_t v);
-    void value(int v) { value(static_cast<std::int64_t>(v)); }
     void value(bool v);
     void value(std::string_view v);
 

@@ -18,8 +18,6 @@ namespace dre::obs {
 
 struct TraceContext {
     std::uint64_t trace_id = 0; // 0 = untraced
-
-    explicit operator bool() const noexcept { return trace_id != 0; }
 };
 
 // The calling thread's current context ({0} when none is installed).

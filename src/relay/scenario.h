@@ -50,7 +50,6 @@ public:
         return relay::num_decisions(config_);
     }
 
-    const RelayWorldConfig& config() const noexcept { return config_; }
 
 private:
     double mean_quality(const ClientContext& context, Decision d) const;

@@ -75,10 +75,8 @@ std::string journal_line_json(const JournalRecord& record,
     return out;
 }
 
-RequestJournal::RequestJournal(const std::string& path, double threshold_ms)
-    : threshold_ms_(threshold_ms) {
-    file_ = std::fopen(path.c_str(), "a");
-}
+RequestJournal::RequestJournal(const std::string& path)
+    : file_(std::fopen(path.c_str(), "a")) {}
 
 RequestJournal::~RequestJournal() {
     if (file_ != nullptr) std::fclose(file_);
@@ -86,7 +84,6 @@ RequestJournal::~RequestJournal() {
 
 void RequestJournal::log(const JournalRecord& record) {
     if (file_ == nullptr) return;
-    if (record.error_code.empty() && record.total_ms < threshold_ms_) return;
     const std::string line = journal_line_json(record, wall_ms_now());
     std::lock_guard<std::mutex> lock(mutex_);
     std::fwrite(line.data(), 1, line.size(), file_);

@@ -1,11 +1,9 @@
-// RequestJournal — structured JSONL slow-request/error log for dre_serve
-// (DESIGN.md §13).
+// RequestJournal — structured JSONL request log for dre_serve (DESIGN.md
+// §13).
 //
-// One line per logged request, appended and flushed atomically under a
-// mutex so concurrent dispatcher/io writers never interleave bytes. A
-// record is written when the request errored OR its total latency met the
-// threshold (threshold 0 journals everything). Each line is a single JSON
-// object:
+// One line per request, appended and flushed atomically under a mutex so
+// concurrent dispatcher/io writers never interleave bytes. Each line is a
+// single JSON object:
 //
 //   {"ts_ms": <unix wall ms>, "trace_id": "0x...", "trace": "...",
 //    "policy": "...", "model": "...", "seed": N, "ci": N,
@@ -18,8 +16,6 @@
 // request — completed, errored, shed, browned out, deadline-expired, or
 // drained at shutdown — and writes it *before* the reply frame, so a
 // client holding a response can always find the matching line on disk.
-// (A threshold > 0 suppresses fast-success lines by design; accounting
-// runs use threshold 0.)
 //
 // trace_id is hex text, not a JSON number: u64 ids do not survive a
 // consumer's double conversion. Coalesced requests get one line per
@@ -61,17 +57,15 @@ public:
     // Opens `path` for append. ok() reports whether the open succeeded;
     // a journal that failed to open drops every record (EvalServer::start
     // refuses to start with one).
-    RequestJournal(const std::string& path, double threshold_ms);
+    explicit RequestJournal(const std::string& path);
     ~RequestJournal();
     RequestJournal(const RequestJournal&) = delete;
     RequestJournal& operator=(const RequestJournal&) = delete;
 
     bool ok() const noexcept { return file_ != nullptr; }
-    double threshold_ms() const noexcept { return threshold_ms_; }
 
-    // Appends one line if the record qualifies (error, or total_ms >=
-    // threshold). Thread-safe; flushes per line so a crash loses at most
-    // the line being written.
+    // Appends the record's line. Thread-safe; flushes per line so a crash
+    // loses at most the line being written.
     void log(const JournalRecord& record);
 
     std::uint64_t lines_written() const noexcept {
@@ -80,7 +74,6 @@ public:
 
 private:
     std::FILE* file_ = nullptr;
-    double threshold_ms_;
     std::mutex mutex_;
     std::atomic<std::uint64_t> lines_{0};
 };

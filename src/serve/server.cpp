@@ -102,8 +102,7 @@ void EvalServer::start() {
             metrics_http_->start();
         }
         if (!options_.journal_path.empty()) {
-            journal_ = std::make_unique<RequestJournal>(
-                options_.journal_path, options_.journal_threshold_ms);
+            journal_ = std::make_unique<RequestJournal>(options_.journal_path);
             if (!journal_->ok())
                 throw std::runtime_error("serve: cannot open --journal " +
                                          options_.journal_path);

@@ -98,9 +98,7 @@ struct ServerOptions {
     // touches the evaluation results.
     int metrics_port = -1; // OpenMetrics HTTP listener: -1 = off, 0 =
                            // kernel-assigned, else the port
-    std::string journal_path;          // JSONL request journal ("" = off)
-    double journal_threshold_ms = 0.0; // log requests at/above this total
-                                       // latency; errors always log
+    std::string journal_path; // JSONL request journal ("" = off)
 };
 
 class EvalServer {
@@ -129,8 +127,6 @@ public:
     // The metrics listener's bound port (0 unless options.metrics_port was
     // >= 0 and start() succeeded).
     std::uint16_t metrics_port() const noexcept;
-    // The journal, if one was configured (for line counts in tests/tools).
-    const RequestJournal* journal() const noexcept { return journal_.get(); }
 
 private:
     struct Session;

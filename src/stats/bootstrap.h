@@ -17,9 +17,6 @@ struct ConfidenceInterval {
     double level = 0.95;
 
     double width() const noexcept { return upper - lower; }
-    bool contains(double value) const noexcept {
-        return value >= lower && value <= upper;
-    }
 };
 
 // Bootstrap replicate counts accepted from outside the program (dre_eval

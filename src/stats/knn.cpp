@@ -353,18 +353,9 @@ double KnnRegressor::reduce_neighbors(const std::vector<Neighbor>& neighbors) co
     // Accumulate in ascending (distance^2, index) order — the canonical
     // order shared by both query paths, so results never depend on which
     // algorithm answered.
-    if (!weighted_) {
-        double sum = 0.0;
-        for (const Neighbor& nb : neighbors) sum += targets_[nb.second];
-        return sum / static_cast<double>(neighbors.size());
-    }
-    double weighted_sum = 0.0, total_weight = 0.0;
-    for (const Neighbor& nb : neighbors) {
-        const double w = 1.0 / (std::sqrt(nb.first) + 1e-9);
-        weighted_sum += w * targets_[nb.second];
-        total_weight += w;
-    }
-    return weighted_sum / total_weight;
+    double sum = 0.0;
+    for (const Neighbor& nb : neighbors) sum += targets_[nb.second];
+    return sum / static_cast<double>(neighbors.size());
 }
 
 std::vector<double> KnnRegressor::predict_batch(

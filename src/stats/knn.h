@@ -36,8 +36,7 @@ public:
     void fit(const std::vector<std::vector<double>>& rows,
              std::span<const double> targets);
 
-    // Mean target of the k nearest training points (inverse-distance
-    // weighted when weighted() is enabled).
+    // Mean target of the k nearest training points.
     double predict(std::span<const double> features) const;
 
     // Batch queries answered concurrently (dre::par), one slot per query;
@@ -45,13 +44,7 @@ public:
     std::vector<double> predict_batch(
         const std::vector<std::vector<double>>& queries) const;
 
-    void set_weighted(bool weighted) noexcept { weighted_ = weighted; }
-    bool weighted() const noexcept { return weighted_; }
     void set_algorithm(Algorithm algorithm) noexcept { algorithm_ = algorithm; }
-    Algorithm algorithm() const noexcept { return algorithm_; }
-    std::size_t k() const noexcept { return k_; }
-    bool fitted() const noexcept { return fitted_; }
-    std::size_t size() const noexcept { return targets_.size(); }
 
 private:
     // (squared distance, original training index); ordered lexicographically,
@@ -88,7 +81,6 @@ private:
     double reduce_neighbors(const std::vector<Neighbor>& neighbors) const;
 
     std::size_t k_;
-    bool weighted_ = false;
     bool fitted_ = false;
     Algorithm algorithm_ = Algorithm::kAuto;
     std::size_t dims_ = 0;

@@ -23,7 +23,6 @@ public:
 
     double predict(std::span<const double> features) const;
 
-    bool fitted() const noexcept { return fitted_; }
     std::span<const double> weights() const noexcept { return weights_; }
     double intercept() const noexcept { return intercept_; }
 
@@ -51,7 +50,6 @@ public:
 
     double predict(std::span<const double> features) const;
 
-    bool fitted() const noexcept { return fitted_; }
     std::span<const double> weights() const noexcept { return weights_; }
     double intercept() const noexcept { return intercept_; }
 

@@ -21,8 +21,6 @@ namespace dre::stats {
 // simd/xoshiro.h, which the bootstrap resample kernel shares.
 class Rng {
 public:
-    using result_type = std::uint64_t;
-
     explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ull) noexcept;
 
     // Uniform 64-bit word.
@@ -80,11 +78,6 @@ public:
     // parallel work item draws from split(logical_index), so results do not
     // depend on the thread count or execution order (see core/parallel.h).
     Rng split(std::uint64_t stream_id) const noexcept;
-
-    // UniformRandomBitGenerator interface (usable with std algorithms).
-    static constexpr result_type min() noexcept { return 0; }
-    static constexpr result_type max() noexcept { return ~0ull; }
-    result_type operator()() noexcept { return next_u64(); }
 
     // Raw generator words, for checkpoint/resume: from_state(state()) is an
     // exact clone. The Marsaglia normal() cache is NOT captured — exact for

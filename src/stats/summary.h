@@ -15,7 +15,6 @@ public:
     void add(double x) noexcept;
 
     std::size_t count() const noexcept { return n_; }
-    bool empty() const noexcept { return n_ == 0; }
     double mean() const noexcept { return n_ == 0 ? 0.0 : mean_; }
     // Population variance / stddev (divide by n). Zero when empty.
     double variance() const noexcept;

@@ -12,11 +12,10 @@
 //                core::evaluate_streaming can skip the damaged row group.
 //
 // StoreError derives from std::runtime_error, so existing catch sites keep
-// working; hardened consumers catch StoreError and branch on kind()/group().
+// working; hardened consumers catch StoreError and read its reason_code().
 #ifndef DRE_STORE_ERROR_H
 #define DRE_STORE_ERROR_H
 
-#include <cstdint>
 #include <stdexcept>
 #include <string>
 
@@ -28,14 +27,8 @@ using ErrorKind = fault::FaultKind;
 
 class StoreError : public std::runtime_error {
 public:
-    // `group` is the file-local row-group index, or -1 when the failure is
-    // not attributable to one (open/header/footer errors).
-    StoreError(ErrorKind kind, const std::string& message,
-               std::int64_t group = -1)
-        : std::runtime_error(message), kind_(kind), group_(group) {}
-
-    ErrorKind kind() const noexcept { return kind_; }
-    std::int64_t group() const noexcept { return group_; }
+    StoreError(ErrorKind kind, const std::string& message)
+        : std::runtime_error(message), kind_(kind) {}
 
     // Stable reason code shared with core::QuarantineReport.
     const char* reason_code() const noexcept {
@@ -52,7 +45,6 @@ public:
 
 private:
     ErrorKind kind_;
-    std::int64_t group_;
 };
 
 } // namespace dre::store

@@ -24,9 +24,8 @@ namespace {
 constexpr int kMaxAttempts = 3;
 
 [[noreturn]] void fail(const std::string& path, const std::string& what,
-                       ErrorKind kind = ErrorKind::kPermanent,
-                       std::int64_t group = -1) {
-    throw StoreError(kind, "drt " + path + ": " + what, group);
+                       ErrorKind kind = ErrorKind::kPermanent) {
+    throw StoreError(kind, "drt " + path + ": " + what);
 }
 
 // Errnos worth a bounded retry: scheduler/resource blips and the I/O-error
@@ -152,7 +151,7 @@ struct StoreReader::Impl {
                  "row group " + std::to_string(g) +
                      " checksum mismatch (expected " + hex32(groups[g].crc) +
                      ", got " + hex32(got) + ")",
-                 ErrorKind::kCorruption, static_cast<std::int64_t>(g));
+                 ErrorKind::kCorruption);
         }
         DRE_COUNTER_INC("store.row_groups_decoded");
         DRE_COUNTER_ADD("store.bytes_read", size);
@@ -317,8 +316,7 @@ RowGroupView StoreReader::row_group(std::size_t group) const {
             if (e.kind() != ErrorKind::kTransient || attempt + 1 >= kMaxAttempts)
                 throw StoreError(e.kind(),
                                  "drt " + im.path + ": row group " +
-                                     std::to_string(group) + ": " + e.what(),
-                                 static_cast<std::int64_t>(group));
+                                     std::to_string(group) + ": " + e.what());
             im.record_retry(attempt);
         }
     }

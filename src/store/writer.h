@@ -41,8 +41,6 @@ public:
     void append(const LoggedTuple& tuple);
     void append(const Trace& trace);
 
-    std::uint64_t rows_appended() const noexcept { return rows_total_; }
-    const std::string& path() const noexcept { return path_; }
 
     // Flushes the partial row group, writes footer + tail, patches the
     // header counts, fsyncs, and atomically renames `<path>.tmp` → path.

@@ -1,9 +1,10 @@
 #include "trace/trace.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 #include <string>
+
+#include "trace/validate.h"
 
 namespace dre {
 
@@ -45,18 +46,13 @@ std::pair<Trace, Trace> Trace::split(double train_fraction, stats::Rng& rng) con
     return {std::move(train), std::move(holdout)};
 }
 
-void validate_trace(std::span<const LoggedTuple> tuples) {
+void validate_trace(std::span<const LoggedTuple> tuples,
+                    std::size_t num_decisions) {
     for (std::size_t i = 0; i < tuples.size(); ++i) {
-        const LoggedTuple& t = tuples[i];
-        if (!std::isfinite(t.reward))
+        const TupleDefect defect = classify_tuple(tuples[i], num_decisions);
+        if (defect != TupleDefect::kNone)
             throw std::invalid_argument("trace tuple " + std::to_string(i) +
-                                        ": non-finite reward");
-        if (!(t.propensity > 0.0) || t.propensity > 1.0)
-            throw std::invalid_argument("trace tuple " + std::to_string(i) +
-                                        ": propensity outside (0,1]");
-        if (t.decision < 0)
-            throw std::invalid_argument("trace tuple " + std::to_string(i) +
-                                        ": negative decision id");
+                                        ": " + reason_code(defect));
     }
 }
 

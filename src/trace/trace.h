@@ -27,7 +27,6 @@ public:
     bool empty() const noexcept { return tuples_.empty(); }
     const LoggedTuple& operator[](std::size_t i) const { return tuples_[i]; }
     LoggedTuple& operator[](std::size_t i) { return tuples_[i]; }
-    const LoggedTuple& at(std::size_t i) const { return tuples_.at(i); }
 
     auto begin() const noexcept { return tuples_.begin(); }
     auto end() const noexcept { return tuples_.end(); }
@@ -54,12 +53,13 @@ private:
     std::vector<LoggedTuple> tuples_;
 };
 
-// Sanity checks used by the estimators: throws std::invalid_argument when a
-// tuple has a non-finite reward, a propensity outside (0, 1], or a negative
-// decision id.
-void validate_trace(std::span<const LoggedTuple> tuples);
-inline void validate_trace(const Trace& trace) {
-    validate_trace(trace.tuples());
+// The estimators' input check, by the one tuple rule of trace/validate.h
+// (classify_tuple, `num_decisions` as there): throws std::invalid_argument
+// naming the first defective tuple's index and reason code.
+void validate_trace(std::span<const LoggedTuple> tuples,
+                    std::size_t num_decisions = 0);
+inline void validate_trace(const Trace& trace, std::size_t num_decisions = 0) {
+    validate_trace(trace.tuples(), num_decisions);
 }
 
 } // namespace dre

@@ -41,7 +41,6 @@ public:
     // their ranges.
     RecencyWeightedBandit(std::size_t arms, const Options& options);
 
-    std::size_t arms() const noexcept { return scores_.size(); }
 
     // Next arm to try (see the proposal rule above). Draws at most one
     // uniform from `rng`, and none while untried arms remain.
@@ -59,7 +58,7 @@ public:
     std::span<const std::uint64_t> counts() const noexcept { return counts_; }
 
     // Checkpoint restore: overwrite the learned state verbatim. Sizes must
-    // match arms().
+    // match the arm count.
     void restore(std::span<const double> scores,
                  std::span<const std::uint64_t> counts);
 

@@ -16,15 +16,6 @@ namespace dre::tune {
 
 namespace {
 
-const char* model_name(core::RewardModelKind kind) {
-    switch (kind) {
-        case core::RewardModelKind::kTabular: return "tabular";
-        case core::RewardModelKind::kLinear: return "linear";
-        case core::RewardModelKind::kKnn: return "knn";
-    }
-    return "unknown";
-}
-
 // NaN-proof descending score order (NaN ranks last, ties by input index).
 bool ranks_before(const ScoredCandidate& a, const ScoredCandidate& b) {
     const double av = std::isnan(a.dr_value)
@@ -46,18 +37,18 @@ std::string Leaderboard::to_text() const {
                   "offline leaderboard: candidates=%zu train=%zu holdout=%zu "
                   "eval_model=%s replicates=%d\n",
                   ranked.size(), train_size, holdout_size,
-                  model_name(eval_model), bootstrap_replicates);
+                  core::to_string(eval_model), bootstrap_replicates);
     out += line;
     for (std::size_t r = 0; r < ranked.size(); ++r) {
         const ScoredCandidate& s = ranked[r];
         if (bootstrap_replicates > 0) {
             std::snprintf(line, sizeof line,
                           "  %3zu. [%zu] %-24s dr=%.17g ci=[%.17g, %.17g]\n",
-                          r + 1, s.index, s.candidate.spec().c_str(),
+                          r + 1, s.index, core::to_string(s.candidate).c_str(),
                           s.dr_value, s.ci.lower, s.ci.upper);
         } else {
             std::snprintf(line, sizeof line, "  %3zu. [%zu] %-24s dr=%.17g\n",
-                          r + 1, s.index, s.candidate.spec().c_str(),
+                          r + 1, s.index, core::to_string(s.candidate).c_str(),
                           s.dr_value);
         }
         out += line;
@@ -66,7 +57,7 @@ std::string Leaderboard::to_text() const {
 }
 
 Leaderboard search_policies(const Trace& trace,
-                            const std::vector<PolicyCandidate>& candidates,
+                            const std::vector<core::PolicySpec>& candidates,
                             const OfflineSearchOptions& options,
                             stats::Rng& rng) {
     DRE_SPAN("tune.offline_search");
@@ -90,17 +81,16 @@ Leaderboard search_policies(const Trace& trace,
         throw std::invalid_argument(
             "search_policies: degenerate train/holdout split");
 
-    // Referee model: fit on train, score on holdout — the holdout rewards
-    // never touch a fit, so the DR scores are honest.
-    const std::shared_ptr<const core::RewardModel> eval_model(
-        core::fit_reward_model(options.eval_model, decisions, train));
-    const core::PredictionMatrix qhat =
-        core::PredictionMatrix::build(*eval_model, holdout);
-
-    // Candidate models: one fit per kind, shared by every candidate that
-    // references it.
-    const FittedModels models =
-        fit_candidate_models(candidates, train, decisions);
+    // Referee and candidate models: fit on train, one fit per kind shared
+    // by the referee and every candidate that names it; score on holdout —
+    // the holdout rewards never touch a fit, so the DR scores are honest.
+    core::ModelFits fits(train, decisions);
+    const core::PredictionMatrix qhat = core::PredictionMatrix::build(
+        *fits.model(options.eval_model), holdout);
+    std::vector<std::shared_ptr<core::Policy>> policies;
+    policies.reserve(candidates.size());
+    for (const core::PolicySpec& candidate : candidates)
+        policies.push_back(fits.build(candidate));
 
     const stats::Rng boot_base = rng.split();
     std::vector<ScoredCandidate> scored(candidates.size());
@@ -108,10 +98,8 @@ Leaderboard search_policies(const Trace& trace,
         ScoredCandidate& s = scored[i];
         s.candidate = candidates[i];
         s.index = i;
-        const std::shared_ptr<core::Policy> policy =
-            materialize(candidates[i], models, decisions);
         const core::EstimateResult dr =
-            core::doubly_robust(holdout, *policy, qhat);
+            core::doubly_robust(holdout, *policies[i], qhat);
         s.dr_value = dr.value;
         if (options.bootstrap_replicates > 0) {
             stats::Rng cand_rng = boot_base.split(i);

@@ -2,11 +2,12 @@
 // al.'s "Doubly Robust Policy Evaluation and Learning".
 //
 // Direct policy optimization over an enumerable candidate space: split the
-// logged trace, fit every candidate's reward model on the train half, score
-// each materialized candidate with the doubly-robust estimator on the
-// held-out half (one shared PredictionMatrix for the evaluation model), and
-// rank. CIs come from the chunk-keyed bootstrap so the leaderboard carries
-// honest uncertainty, not just point scores.
+// logged trace, fit the referee and every candidate's reward model on the
+// train half (one fit per kind, shared), score each built candidate with
+// the doubly-robust estimator on the held-out half (one shared
+// PredictionMatrix for the referee), and rank. CIs come from the
+// chunk-keyed bootstrap so the leaderboard carries honest uncertainty, not
+// just point scores.
 //
 // Determinism contract: the returned leaderboard — including the canonical
 // to_text() rendering — is bit-identical for a fixed (trace, candidates,
@@ -20,11 +21,11 @@
 #include <string>
 #include <vector>
 
+#include "core/policy_learning.h"
 #include "core/reward_model.h"
 #include "stats/bootstrap.h"
 #include "stats/rng.h"
 #include "trace/trace.h"
-#include "tune/candidate.h"
 
 namespace dre::tune {
 
@@ -39,7 +40,7 @@ struct OfflineSearchOptions {
 };
 
 struct ScoredCandidate {
-    PolicyCandidate candidate;
+    core::PolicySpec candidate;
     std::size_t index = 0; // position in the input candidate list
     double dr_value = 0.0;
     stats::ConfidenceInterval ci; // zero-width when replicates == 0
@@ -53,7 +54,6 @@ struct Leaderboard {
     int bootstrap_replicates = 0;
     double ci_level = 0.95;
 
-    const ScoredCandidate& best() const { return ranked.at(0); }
     // Canonical, byte-diffable rendering (%.17g values) — what the
     // determinism tests and the bench identity check compare.
     std::string to_text() const;
@@ -63,7 +63,7 @@ struct Leaderboard {
 // or options outside their ranges. Advances `rng` twice (split protocol):
 // once for the train/holdout split, once for the bootstrap base stream.
 Leaderboard search_policies(const Trace& trace,
-                            const std::vector<PolicyCandidate>& candidates,
+                            const std::vector<core::PolicySpec>& candidates,
                             const OfflineSearchOptions& options,
                             stats::Rng& rng);
 

@@ -60,7 +60,7 @@ void visit_state(Io& io, TuneState& s) {
 }
 
 std::uint64_t config_hash(std::uint64_t seed,
-                          const std::vector<PolicyCandidate>& candidates,
+                          const std::vector<core::PolicySpec>& candidates,
                           const TuneOptions& options, std::size_t decisions) {
     core::CheckpointWriter w;
     w(seed);
@@ -68,7 +68,7 @@ std::uint64_t config_hash(std::uint64_t seed,
     w(decisions);
     w(par::kReduceChunk);
     w(candidates.size());
-    for (const PolicyCandidate& c : candidates) w(c.spec());
+    for (const core::PolicySpec& c : candidates) w(core::to_string(c));
     w(static_cast<std::uint64_t>(options.eval_model));
     w(options.bootstrap_replicates);
     w(options.ci_level);
@@ -200,7 +200,7 @@ std::string TuneResult::journal_text() const {
 }
 
 TuneResult run_tune(const WaveSource& source,
-                    const std::vector<PolicyCandidate>& candidates,
+                    const std::vector<core::PolicySpec>& candidates,
                     const TuneOptions& options, std::uint64_t seed) {
     if (candidates.empty())
         throw std::invalid_argument("run_tune: no candidates");
@@ -218,14 +218,21 @@ TuneResult run_tune(const WaveSource& source,
     const std::uint64_t hash = config_hash(seed, candidates, options,
                                            decisions);
 
+    // The incumbent's spec; uniform logging before the first promotion.
+    const core::PolicySpec uniform{.kind = core::PolicySpec::Kind::kUniform};
+    const auto incumbent_spec = [&](const TuneState& s) {
+        return core::to_string(s.has_incumbent ? candidates[s.incumbent]
+                                               : uniform);
+    };
+
     RecencyWeightedBandit controller(candidates.size(), options.controller);
     TuneState state;
     std::shared_ptr<const core::Policy> incumbent_policy =
         std::make_shared<core::UniformRandomPolicy>(decisions);
 
-    // Re-materializes the incumbent from one promotion record: re-collect
-    // that wave (pure function of the seed and the promotions before it)
-    // and fit the promoted candidate on its fit half.
+    // Rebuilds the incumbent from one promotion record: re-collect that
+    // wave (pure function of the seed and the promotions before it) and
+    // fit the promoted candidate on its fit half.
     const auto replay_promotion = [&](const PromotionRecord& rec,
                                       bool replaying_has_incumbent) {
         const std::shared_ptr<const core::Policy> logging =
@@ -233,8 +240,9 @@ TuneResult run_tune(const WaveSource& source,
                                 decisions, options.redeploy_epsilon);
         stats::Rng collect_rng = base.split(rec.wave).split(kCollectStream);
         const Trace trace = source.wave(rec.wave, *logging, collect_rng);
-        incumbent_policy = materialize(candidates[rec.candidate],
-                                       index_split(trace).first, decisions);
+        const Trace fit = index_split(trace).first;
+        incumbent_policy =
+            core::ModelFits(fit, decisions).build(candidates[rec.candidate]);
     };
 
     if (options.resume && !options.checkpoint_path.empty() &&
@@ -264,15 +272,15 @@ TuneResult run_tune(const WaveSource& source,
 
         stats::Rng propose_rng = base.split(w).split(kProposeStream);
         const std::size_t proposed = controller.propose(propose_rng);
-        const PolicyCandidate& candidate = candidates[proposed];
+        const core::PolicySpec& candidate = candidates[proposed];
 
+        // The referee and the candidate share one fit when they name the
+        // same model kind.
         const auto [fit, eval] = index_split(trace);
-        const std::shared_ptr<const core::RewardModel> referee(
-            core::fit_reward_model(options.eval_model, decisions, fit));
-        const core::PredictionMatrix qhat =
-            core::PredictionMatrix::build(*referee, eval);
-        const std::shared_ptr<core::Policy> cand_policy =
-            materialize(candidate, fit, decisions);
+        core::ModelFits fits(fit, decisions);
+        const core::PredictionMatrix qhat = core::PredictionMatrix::build(
+            *fits.model(options.eval_model), eval);
+        const std::shared_ptr<core::Policy> cand_policy = fits.build(candidate);
 
         stats::Rng gate_rng = base.split(w).split(kGateStream);
         const core::ImprovementReport gate = core::certify_improvement(
@@ -283,16 +291,13 @@ TuneResult run_tune(const WaveSource& source,
         controller.record(proposed, gate.candidate_value);
         ++state.evaluations;
 
-        const std::string incumbent_spec =
-            state.has_incumbent ? candidates[state.incumbent].spec()
-                                : std::string("uniform");
         char line[512];
         std::snprintf(line, sizeof line,
                       "wave %llu propose=%zu spec=%s dr=%.17g incumbent=%s "
                       "lift=%.17g ci=[%.17g, %.17g] decision=%s reward=%.17g",
                       static_cast<unsigned long long>(w), proposed,
-                      candidate.spec().c_str(), gate.candidate_value,
-                      incumbent_spec.c_str(), gate.estimated_lift,
+                      core::to_string(candidate).c_str(), gate.candidate_value,
+                      incumbent_spec(state).c_str(), gate.estimated_lift,
                       gate.lift_ci.lower, gate.lift_ci.upper,
                       promote ? "promote" : "hold", wave_reward);
         state.journal.emplace_back(line);
@@ -329,9 +334,7 @@ TuneResult run_tune(const WaveSource& source,
     result.promotions = state.promotions;
     result.has_incumbent = state.has_incumbent;
     result.incumbent = state.incumbent;
-    result.incumbent_spec = state.has_incumbent
-                                ? candidates[state.incumbent].spec()
-                                : std::string("uniform");
+    result.incumbent_spec = incumbent_spec(state);
     result.journal = std::move(state.journal);
     result.wave_rewards = std::move(state.wave_rewards);
     result.promotion_history = std::move(state.promotion_history);

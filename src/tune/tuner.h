@@ -37,8 +37,8 @@
 #include "core/environment.h"
 #include "core/streaming.h"
 #include "stats/rng.h"
+#include "core/policy_learning.h"
 #include "trace/trace.h"
-#include "tune/candidate.h"
 #include "tune/controller.h"
 #include "tune/offline.h"
 
@@ -144,7 +144,7 @@ struct TuneResult {
 // contract above). Throws std::invalid_argument for an empty candidate
 // list/degenerate options and std::runtime_error for checkpoint damage.
 TuneResult run_tune(const WaveSource& source,
-                    const std::vector<PolicyCandidate>& candidates,
+                    const std::vector<core::PolicySpec>& candidates,
                     const TuneOptions& options, std::uint64_t seed);
 
 } // namespace dre::tune

@@ -27,7 +27,6 @@ public:
     explicit ConstantBandwidth(double mean_mbps, double jitter_sigma = 0.08);
 
     double bandwidth_mbps(std::size_t, stats::Rng& rng) const override;
-    double mean_mbps() const noexcept { return mean_mbps_; }
 
 private:
     double mean_mbps_;

@@ -56,7 +56,6 @@ public:
     // (diagnostic: 0 means global-mean fallback).
     std::size_t support(const Assignment& assignment) const;
 
-    bool fitted() const noexcept { return fitted_; }
 
 private:
     struct Cell {

@@ -55,7 +55,6 @@ public:
     std::size_t num_decisions() const noexcept override { return kNumDecisions; }
 
     double mean_response_ms(std::int32_t isp, Decision d) const;
-    const WiseWorldConfig& config() const noexcept { return config_; }
 
 private:
     WiseWorldConfig config_;

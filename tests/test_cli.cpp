@@ -1,6 +1,7 @@
 // End-to-end smoke tests of the dre_eval CLI against a generated trace.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -9,6 +10,7 @@
 #include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/environment.h"
 #include "core/policy.h"
@@ -166,6 +168,8 @@ TEST(Cli, RejectsBadInvocations) {
 TEST(Cli, ExitCodesDistinguishArgumentAndInputErrors) {
     EXPECT_EQ(run_cli(fixture_csv() + " uniform --alien-flag"), 2);
     EXPECT_EQ(run_cli(fixture_csv() + " uniform --fault-spec bogus"), 2);
+    // An arm too large for a decision id is a malformed spec.
+    EXPECT_EQ(run_cli(fixture_csv() + " constant:99999999999999999999"), 2);
     EXPECT_EQ(run_cli(fixture_csv() +
                       " uniform --fault-spec store.read:kind=martian"),
               2);
@@ -446,6 +450,13 @@ TEST(Cli, MissingArgumentIsNamedFirst) {
          "error: expected 2 arguments (<trace> <policy>), got 3"},
         {DRE_TOP_PATH, "", "error: --metrics-port is required"},
         {DRE_TOP_PATH, "--filter serve_", "error: --metrics-port is required"},
+        {DRE_EVAL_PATH, fixture_csv(),
+         "error: expected 2 arguments (<trace> <policy-spec>), got 1"},
+        {DRE_EVAL_PATH, "convert " + fixture_csv(),
+         "error: expected 2 arguments (<input> <output>), got 1"},
+        {DRE_SIMULATE_PATH, "cdn",
+         "error: expected 2 arguments (<scenario> <output.csv>), got 1"},
+        {DRE_TUNE_PATH, "", "error: expected 1 argument (<source>), got 0"},
     };
     for (const auto& row : rows) {
         EXPECT_EQ(run_cli_env("timeout 10", row.args, err, row.binary), 2)
@@ -454,6 +465,56 @@ TEST(Cli, MissingArgumentIsNamedFirst) {
         EXPECT_EQ(text.substr(0, text.find('\n')), row.first_line)
             << row.binary << " " << row.args << ": " << text;
     }
+}
+
+// Every spec dre_tune prints is one dre_eval reads: the leaderboard over
+// all four candidate families, plus uniform, evaluates with exit 0.
+TEST(Cli, EvalReadsEverySpecTheTunerPrints) {
+    const std::string board = testing::TempDir() + "dre_cli_families.txt";
+    const std::string command =
+        std::string(DRE_TUNE_PATH) + " " + fixture_csv() +
+        " --offline --constants --temperatures 0.5 --mixture-weights 0.5"
+        " --journal " + board + " > /dev/null 2>&1";
+    ASSERT_EQ(WEXITSTATUS(std::system(command.c_str())), 0);
+    std::vector<std::string> specs = {"uniform"};
+    std::istringstream lines(slurp(board));
+    for (std::string line; std::getline(lines, line);) {
+        const std::size_t open = line.find("] ");
+        if (open == std::string::npos) continue;
+        std::istringstream fields(line.substr(open + 2));
+        specs.emplace_back();
+        fields >> specs.back();
+    }
+    // 3 greedy epsilons, 1 softmax, 3 constants and 1 mixture.
+    EXPECT_EQ(specs.size(), 9u);
+    for (const char* spec : {"softmax:tabular:0.5", "mix:tabular:0:0.5"})
+        EXPECT_NE(std::find(specs.begin(), specs.end(), spec), specs.end())
+            << spec;
+    for (const std::string& spec : specs)
+        EXPECT_EQ(run_cli(fixture_csv() + " " + spec + " --compare uniform"), 0)
+            << spec;
+}
+
+// Strict streaming rejects a defective tuple as bad input (exit 3), as the
+// in-memory path does: in the fit sample with the census, and past it
+// with the tuple's reason code and global index.
+TEST(Cli, StrictStreamingRejectsADefectiveTuple) {
+    CliEnv env;
+    stats::Rng rng(4);
+    core::UniformRandomPolicy logging(3);
+    Trace trace = core::collect_trace(env, logging, 5000, rng);
+    trace[4200].context.numeric[0] = std::numeric_limits<double>::quiet_NaN();
+    const std::string csv = testing::TempDir() + "dre_cli_nan_context.csv";
+    const std::string drt = testing::TempDir() + "dre_cli_nan_context.drt";
+    write_csv_file(trace, csv);
+    ASSERT_EQ(run_cli("convert " + csv + " " + drt), 0);
+    const std::string err = testing::TempDir() + "dre_cli_nan_err.txt";
+    EXPECT_EQ(run_cli_env("", drt + " uniform --streaming", err), 3);
+    EXPECT_NE(slurp(err).find("non-finite-context: 1"), std::string::npos)
+        << slurp(err);
+    EXPECT_EQ(
+        run_cli_env("", drt + " uniform --streaming --fit-sample 1000", err), 3);
+    EXPECT_EQ(slurp(err), "error: trace tuple 4200: non-finite-context\n");
 }
 
 TEST(Cli, ErrorsAreOneLineOnStderr) {

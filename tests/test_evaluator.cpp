@@ -68,7 +68,8 @@ TEST(Evaluator, ConfidenceIntervalWhenRequested) {
     UniformRandomPolicy target(2);
     const PolicyEvaluation result = evaluator.evaluate(target);
     ASSERT_TRUE(result.dr_ci.has_value());
-    EXPECT_TRUE(result.dr_ci->contains(result.dr.value));
+    EXPECT_LE(result.dr_ci->lower, result.dr.value);
+    EXPECT_LE(result.dr.value, result.dr_ci->upper);
 }
 
 TEST(Evaluator, CrossFitSplitsTrace) {

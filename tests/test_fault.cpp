@@ -253,11 +253,31 @@ TEST(Quarantine, InvalidTuplesUseSharedReasonCodes) {
     EXPECT_TRUE(std::isfinite(e.dr.value));
     (void)clean_print;
 
-    // Strict mode is fail-stop: the first defective tuple aborts the run
-    // (the per-chunk estimator validates) instead of being quarantined.
+    // Strict mode is fail-stop: the first defective tuple aborts the run as
+    // bad input instead of being quarantined.
     StreamingOptions strict_options;
     EXPECT_THROW(run_guarded(source, evaluator, policy, strict_options),
-                 std::invalid_argument);
+                 std::runtime_error);
+}
+
+// Strict streaming names a defect by the rule the tolerant modes quarantine
+// with: its reason code and its global index, here past the first chunk.
+TEST(Quarantine, StrictStreamingNamesTheDefectAndItsGlobalIndex) {
+    const Trace clean_trace = cdn_trace(3 * par::kReduceChunk);
+    Trace trace = clean_trace;
+    const std::size_t bad = par::kReduceChunk + 19;
+    trace[bad].context.numeric[0] = std::numeric_limits<double>::quiet_NaN();
+
+    const Evaluator evaluator(clean_trace, EvaluationConfig{}, stats::Rng(7));
+    const UniformRandomPolicy policy(trace.num_decisions());
+    const TraceTupleSource source(trace);
+    try {
+        (void)run_guarded(source, evaluator, policy, StreamingOptions{});
+        FAIL() << "strict streaming accepted a non-finite context";
+    } catch (const std::runtime_error& e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "trace tuple " + std::to_string(bad) + ": non-finite-context");
+    }
 }
 
 TEST(Degrade, WidensCiByCoverageAndOnlyThen) {

@@ -43,14 +43,6 @@ TEST(Knn, StandardizationBalancesScales) {
     EXPECT_DOUBLE_EQ(knn.predict(std::vector<double>{1.0, 5000.0}), 1.0);
 }
 
-TEST(Knn, WeightedPredictionPrefersCloserPoints) {
-    KnnRegressor knn(2);
-    knn.set_weighted(true);
-    knn.fit({{0.0}, {1.0}}, std::vector<double>{0.0, 10.0});
-    const double near_zero = knn.predict(std::vector<double>{0.05});
-    EXPECT_LT(near_zero, 5.0); // closer to the 0-labelled point
-}
-
 TEST(Knn, ApproximatesSmoothFunction) {
     Rng rng(6);
     std::vector<std::vector<double>> rows;
@@ -145,29 +137,6 @@ TEST(Knn, KdTreeMatchesBruteForceWhenKExceedsN) {
     knn.fit(rows, targets);
     const std::vector<std::vector<double>> queries{
         {0.0, 0.0}, {1.0, -1.0}, {3.0, 3.0}};
-    const auto brute =
-        predict_all(knn, queries, KnnRegressor::Algorithm::kBruteForce);
-    const auto tree = predict_all(knn, queries, KnnRegressor::Algorithm::kKdTree);
-    for (std::size_t i = 0; i < queries.size(); ++i)
-        EXPECT_EQ(brute[i], tree[i]);
-}
-
-TEST(Knn, KdTreeMatchesBruteForceWeighted) {
-    Rng rng(14);
-    std::vector<std::vector<double>> rows;
-    std::vector<double> targets;
-    for (int i = 0; i < 500; ++i) {
-        rows.push_back({rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0),
-                        rng.uniform(0.0, 1.0)});
-        targets.push_back(rng.normal(0.0, 2.0));
-    }
-    KnnRegressor knn(9);
-    knn.set_weighted(true);
-    knn.fit(rows, targets);
-    std::vector<std::vector<double>> queries;
-    for (int i = 0; i < 100; ++i)
-        queries.push_back({rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0),
-                           rng.uniform(0.0, 1.0)});
     const auto brute =
         predict_all(knn, queries, KnnRegressor::Algorithm::kBruteForce);
     const auto tree = predict_all(knn, queries, KnnRegressor::Algorithm::kKdTree);

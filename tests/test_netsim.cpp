@@ -33,9 +33,9 @@ TEST(Server, LoadDecaysOnTick) {
     Server server({.base_latency_ms = 10.0, .capacity = 100.0, .load_decay = 0.5});
     server.add_load(8.0);
     server.tick();
-    EXPECT_DOUBLE_EQ(server.load(), 4.0);
+    EXPECT_DOUBLE_EQ(server.utilization(), 4.0 / 100.0);
     server.tick();
-    EXPECT_DOUBLE_EQ(server.load(), 2.0);
+    EXPECT_DOUBLE_EQ(server.utilization(), 2.0 / 100.0);
 }
 
 TEST(Server, ConfigValidation) {

@@ -53,14 +53,6 @@ TEST_F(ParallelTest, ParallelForChunkedCoversRangeWithDisjointChunks) {
     for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST_F(ParallelTest, ParallelMapPreservesIndexOrder) {
-    set_thread_count(4);
-    const std::vector<int> out =
-        parallel_map(256, [](std::size_t i) { return static_cast<int>(i * i); });
-    for (std::size_t i = 0; i < out.size(); ++i)
-        EXPECT_EQ(out[i], static_cast<int>(i * i));
-}
-
 TEST_F(ParallelTest, ExceptionPropagatesAndPoolSurvives) {
     set_thread_count(4);
     EXPECT_THROW(parallel_for(100,

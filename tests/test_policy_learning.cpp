@@ -163,7 +163,8 @@ TEST(CertifyImprovement, CertifiesGenuineLift) {
     EXPECT_TRUE(report.certified);
     EXPECT_NEAR(report.estimated_lift,
                 report.candidate_value - report.incumbent_value, 1e-12);
-    EXPECT_TRUE(report.lift_ci.contains(report.estimated_lift));
+    EXPECT_LE(report.lift_ci.lower, report.estimated_lift);
+    EXPECT_LE(report.estimated_lift, report.lift_ci.upper);
 }
 
 TEST(CertifyImprovement, DoesNotCertifyNoise) {
@@ -302,10 +303,14 @@ TEST(ParsePolicySpec, RejectsMalformedEpsilon) {
     UniformRandomPolicy logging(2);
     const Trace trace = collect_trace(env, logging, 200, rng);
 
+    // Each number is one whole field, finite and in range, and an arm
+    // must name one of the trace's decisions.
     for (const char* spec :
          {"greedy:linear:", "greedy:linear:abc", "greedy:linear:0.1x",
           "greedy:linear:-0.1", "greedy:linear:1.5", "greedy:linear:nan",
-          "greedy:bogus:0.1"}) {
+          "greedy:bogus:0.1", "constant:1xyz", "constant: 2", "constant:",
+          "constant:99999999999999999999", "softmax:tabular:0",
+          "mix:tabular:0:1.5", "mix:tabular:-1:0.5"}) {
         EXPECT_THROW((void)parse_policy_spec(spec, trace, 2),
                      std::invalid_argument)
             << spec;

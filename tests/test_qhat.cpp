@@ -49,7 +49,7 @@ TEST(PredictionMatrix, StoresModelOutputsVerbatim) {
     ASSERT_EQ(qhat.num_decisions(), 3u);
     for (std::size_t k = 0; k < trace.size(); k += 17)
         for (std::size_t d = 0; d < 3; ++d)
-            EXPECT_EQ(qhat.at(k, d),
+            EXPECT_EQ(qhat.row(k)[d],
                       model.predict(trace[k].context, static_cast<Decision>(d)));
 }
 

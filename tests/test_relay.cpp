@@ -60,9 +60,10 @@ TEST(StripNat, RemovesOnlyTheNatFlag) {
 }
 
 TEST(WithoutNatFeature, PreservesEverythingElse) {
-    RelayEnv env(RelayWorldConfig{});
+    const RelayWorldConfig config;
+    RelayEnv env(config);
     stats::Rng rng(3);
-    const auto logging = make_nat_logging_policy(env.config(), 0.2);
+    const auto logging = make_nat_logging_policy(config, 0.2);
     const Trace trace = core::collect_trace(env, *logging, 100, rng);
     const Trace blind = without_nat_feature(trace);
     ASSERT_EQ(blind.size(), trace.size());

@@ -872,7 +872,6 @@ TEST(ResilJournalTest, ExactlyOneTerminalLinePerAdmittedRequestUnderFaults) {
 
     serve::ServerOptions options;
     options.journal_path = journal_path;
-    options.journal_threshold_ms = 0.0;
     serve::EvalServer server(options);
     server.start();
 

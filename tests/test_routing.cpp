@@ -18,7 +18,7 @@ TEST(RoutingEnv, Standard3HasThreePaths) {
 TEST(RoutingEnv, ContextsAreZipfSkewedAcrossZones) {
     const RoutingEnv env = RoutingEnv::standard3();
     stats::Rng rng(1);
-    std::vector<int> zone_counts(env.config().num_zones, 0);
+    std::vector<int> zone_counts(RoutingWorldConfig{}.num_zones, 0);
     for (int i = 0; i < 20000; ++i)
         ++zone_counts[static_cast<std::size_t>(
             env.sample_context(rng).categorical.at(0))];

@@ -43,6 +43,7 @@
 #include "store/sharded.h"
 #include "store/writer.h"
 #include "trace/csv.h"
+#include "tune/candidate.h"
 
 namespace {
 
@@ -563,6 +564,34 @@ TEST(ServeServiceTest, DrtAndShardPrefixAnswerLikeCsvAndStayUnmapped) {
 #endif
 }
 
+// The service reads every spec the tuner prints: each candidate
+// enumerate() yields over all four families, plus uniform, answers with
+// the bytes dre_eval renders for it.
+TEST(ServeServiceTest, AnswersEverySpecTheTunerPrints) {
+    TempDir dir;
+    const Trace trace = make_trace(200);
+    const std::string path = dir.file("trace.csv");
+    write_csv_file(trace, path);
+    tune::CandidateSpace space;
+    space.num_decisions = trace.num_decisions();
+    space.epsilons = {0.0, 0.05};
+    space.temperatures = {0.5};
+    space.include_constants = true;
+    space.mixture_weights = {0.75};
+    space.mixture_arm = 2;
+    std::vector<core::PolicySpec> specs = tune::enumerate(space);
+    specs.push_back({.kind = core::PolicySpec::Kind::kUniform});
+
+    serve::EvalService service;
+    for (const core::PolicySpec& spec : specs) {
+        const serve::EvaluateMsg request =
+            make_request(path, core::to_string(spec));
+        EXPECT_EQ(service.evaluate(request).text,
+                  expected_text(trace, request))
+            << request.policy;
+    }
+}
+
 TEST(ServeServiceTest, BadRequestsClassify) {
     TempDir dir;
     write_csv_file(make_trace(20), dir.file("trace.csv"));
@@ -673,13 +702,17 @@ TEST(ServeServerTest, RequestErrorsClassifyOverTheWire) {
     } catch (const serve::ServeError& e) {
         EXPECT_EQ(e.code(), serve::ErrorCode::kNotFound);
     }
-    serve::EvaluateMsg bad = make_request(dir.file("trace.csv"));
-    bad.policy = "sideways:3";
-    try {
-        (void)client.evaluate(bad);
-        FAIL() << "expected kBadRequest";
-    } catch (const serve::ServeError& e) {
-        EXPECT_EQ(e.code(), serve::ErrorCode::kBadRequest);
+    // A malformed spec, an out-of-range arm included, is a bad request,
+    // which a retrying client does not retry.
+    for (const char* policy : {"sideways:3", "constant:99999999999999999999"}) {
+        const serve::EvaluateMsg bad =
+            make_request(dir.file("trace.csv"), policy);
+        try {
+            (void)client.evaluate(bad);
+            ADD_FAILURE() << "expected kBadRequest for " << policy;
+        } catch (const serve::ServeError& e) {
+            EXPECT_EQ(e.code(), serve::ErrorCode::kBadRequest) << policy;
+        }
     }
     // Errors never poison the connection: the same client keeps working.
     EXPECT_EQ(client.ping(5).token, 5u);

@@ -10,7 +10,6 @@ namespace {
 
 TEST(Accumulator, EmptyDefaults) {
     Accumulator acc;
-    EXPECT_TRUE(acc.empty());
     EXPECT_EQ(acc.count(), 0u);
     EXPECT_EQ(acc.mean(), 0.0);
     EXPECT_EQ(acc.variance(), 0.0);

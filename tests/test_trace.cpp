@@ -168,7 +168,6 @@ TEST(Trace, BasicAccessors) {
     EXPECT_EQ(trace.size(), 2u);
     EXPECT_EQ(trace.num_decisions(), 3u);
     EXPECT_DOUBLE_EQ(trace[1].reward, -1.0);
-    EXPECT_THROW(trace.at(5), std::out_of_range);
 }
 
 TEST(Trace, RewardsVector) {

@@ -62,7 +62,7 @@ public:
     std::size_t num_decisions() const noexcept override { return 3; }
 };
 
-std::vector<tune::PolicyCandidate> constant_candidates(std::size_t arms) {
+std::vector<core::PolicySpec> constant_candidates(std::size_t arms) {
     tune::CandidateSpace space;
     space.num_decisions = arms;
     space.models.clear();
@@ -131,20 +131,34 @@ std::string reseal(const std::string& body) {
 
 // --- candidate space ------------------------------------------------------
 
+// Every spec enumerate() yields over a space with all four families, plus
+// uniform, renders to its pinned string and parses back to an equal spec:
+// the tuner prints only what every tool reads.
 TEST(Candidate, SpecRendersEachFamily) {
-    using Kind = tune::CandidateKind;
-    using Model = core::RewardModelKind;
-    const std::pair<tune::PolicyCandidate, const char*> cases[] = {
-        {{.kind = Kind::kGreedy}, "greedy:tabular"},
-        {{.kind = Kind::kGreedy, .model = Model::kLinear, .epsilon = 0.05},
-         "greedy:linear:0.05"},
-        {{.kind = Kind::kSoftmax, .model = Model::kKnn, .temperature = 0.5},
-         "softmax:knn:0.5"},
-        {{.kind = Kind::kConstant, .arm = 7}, "constant:7"},
-        {{.kind = Kind::kMixture, .arm = 2, .mixture_weight = 0.75},
-         "mix:tabular:2:0.75"},
-    };
-    for (const auto& [candidate, spec] : cases) EXPECT_EQ(candidate.spec(), spec);
+    tune::CandidateSpace space;
+    space.num_decisions = 3;
+    space.models = {core::RewardModelKind::kTabular,
+                    core::RewardModelKind::kLinear,
+                    core::RewardModelKind::kKnn};
+    space.epsilons = {0.0, 0.05};
+    space.temperatures = {0.5};
+    space.include_constants = true;
+    space.mixture_weights = {0.75};
+    space.mixture_arm = 2;
+    std::vector<core::PolicySpec> specs = tune::enumerate(space);
+    specs.push_back({.kind = core::PolicySpec::Kind::kUniform});
+    const char* const pinned[] = {
+        "greedy:tabular",      "greedy:tabular:0.05", "greedy:linear",
+        "greedy:linear:0.05",  "greedy:knn",          "greedy:knn:0.05",
+        "softmax:tabular:0.5", "softmax:linear:0.5",  "softmax:knn:0.5",
+        "constant:0",          "constant:1",          "constant:2",
+        "mix:tabular:2:0.75",  "mix:linear:2:0.75",   "mix:knn:2:0.75",
+        "uniform"};
+    ASSERT_EQ(specs.size(), std::size(pinned));
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        EXPECT_EQ(core::to_string(specs[i]), pinned[i]);
+        EXPECT_EQ(core::parse_policy_spec(pinned[i]), specs[i]) << pinned[i];
+    }
 }
 
 TEST(Candidate, EnumerateIsDeterministicAndOrdered) {
@@ -161,13 +175,12 @@ TEST(Candidate, EnumerateIsDeterministicAndOrdered) {
     ASSERT_EQ(a.size(), b.size());
     // 2 models x 2 epsilons + 2 softmax + 3 constants + 2 mixtures.
     EXPECT_EQ(a.size(), 11u);
-    for (std::size_t i = 0; i < a.size(); ++i)
-        EXPECT_EQ(a[i].spec(), b[i].spec());
-    EXPECT_EQ(a[0].spec(), "greedy:tabular");
-    EXPECT_EQ(a.back().kind, tune::CandidateKind::kMixture);
+    EXPECT_EQ(a, b);
+    EXPECT_EQ(core::to_string(a[0]), "greedy:tabular");
+    EXPECT_EQ(a.back().kind, core::PolicySpec::Kind::kMixture);
 }
 
-TEST(Candidate, MaterializedPoliciesAreValidDistributions) {
+TEST(Candidate, BuiltPoliciesAreValidDistributions) {
     const PlantedBestEnv env;
     const Trace trace = collect_uniform(env, 600, 11);
     tune::CandidateSpace space;
@@ -176,17 +189,18 @@ TEST(Candidate, MaterializedPoliciesAreValidDistributions) {
     space.temperatures = {0.7};
     space.include_constants = true;
     space.mixture_weights = {0.5};
-    for (const tune::PolicyCandidate& c : tune::enumerate(space)) {
-        const auto policy = tune::materialize(c, trace, 3);
+    core::ModelFits fits(trace, 3);
+    for (const core::PolicySpec& c : tune::enumerate(space)) {
+        const std::string spec = core::to_string(c);
         const auto probs =
-            policy->action_probabilities(ClientContext({0.0}, {}));
-        ASSERT_EQ(probs.size(), 3u) << c.spec();
+            fits.build(c)->action_probabilities(ClientContext({0.0}, {}));
+        ASSERT_EQ(probs.size(), 3u) << spec;
         double sum = 0.0;
         for (const double p : probs) {
-            EXPECT_GE(p, 0.0) << c.spec();
+            EXPECT_GE(p, 0.0) << spec;
             sum += p;
         }
-        EXPECT_NEAR(sum, 1.0, 1e-12) << c.spec();
+        EXPECT_NEAR(sum, 1.0, 1e-12) << spec;
     }
 }
 
@@ -242,9 +256,10 @@ TEST(OfflineSearch, FindsPlantedBestWithByteIdenticalLeaderboard) {
         tune::search_policies(trace, candidates, options, rng8);
 
     EXPECT_EQ(board1.to_text(), board8.to_text());
-    EXPECT_EQ(board1.best().candidate.spec(), "constant:1");
-    EXPECT_LT(board1.best().ci.lower, board1.best().dr_value);
-    EXPECT_GT(board1.best().ci.upper, board1.best().dr_value);
+    const tune::ScoredCandidate& best = board1.ranked.front();
+    EXPECT_EQ(core::to_string(best.candidate), "constant:1");
+    EXPECT_LT(best.ci.lower, best.dr_value);
+    EXPECT_GT(best.ci.upper, best.dr_value);
 }
 
 TEST(OfflineSearch, RejectsDegenerateInputs) {

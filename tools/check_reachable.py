@@ -4,27 +4,30 @@
 Usage: tools/check_reachable.py <build-dir> <allowlist>
 
 <build-dir> must be configured so that the linker drops every function no
-program reaches, and keeps a helper that is inlined everywhere visible:
+program reaches, keeps a helper that is inlined everywhere visible, and
+emits every inline function a library source includes:
 
   cmake -B build-reach -S . -DCMAKE_BUILD_TYPE=Debug \\
-      -DCMAKE_CXX_FLAGS="-O1 -fno-inline -ffunction-sections" \\
+      -DCMAKE_CXX_FLAGS="-O1 -fno-inline -fkeep-inline-functions -ffunction-sections" \\
       -DCMAKE_EXE_LINKER_FLAGS=-Wl,--gc-sections \\
       -DCMAKE_PROJECT_dre_INCLUDE=$PWD/perfbench/perfbench.cmake
 
 and its programs built: the tools, bench and examples directories and the
 perfbench target. Without -fno-inline a helper inlined into every caller
 leaves an out-of-line copy in its archive that nothing references, and
-live code would be listed.
+live code would be listed. Without -fkeep-inline-functions a function
+defined in a header reaches an archive only where a library source calls
+it, so a header accessor no one calls would not be listed.
 
 The check runs `nm -C --defined-only` over every src/**/lib*.a and every
 program, and prints each dre:: function signature a library defines that
 no program defines (overloads count separately). It skips lambdas,
-`[clone ...]` parts, destructors, copy and move constructors and
+`[clone ...]` parts, destructors, default, copy and move constructors and
 (anonymous namespace) entries; g++ -Wunused-function reports the last
 once their callers are gone.
 
-It cannot see a function defined inline in a header that no library
-source calls: such a function never reaches an archive.
+It cannot see a template: one is instantiated only where it is used, so
+a template no program uses never reaches an archive.
 
 Each allowlist line is `<signature>  # <kind>: <reason>`, where kind is
 `seam` (a test drives or observes live code through it), `reference` (a
@@ -81,13 +84,13 @@ def qualified_name(signature):
     return signature[start:i]
 
 
-def copy_or_move_constructor(name, signature):
+def default_copy_or_move_constructor(name, signature):
     parts = name.split("::")
     if len(parts) < 2 or parts[-1].split("<")[0] != parts[-2].split("<")[0]:
         return False
     cls = "::".join(parts[:-1])
     params = signature[signature.find(name) + len(name):]
-    return params in (f"({cls} const&)", f"({cls}&&)")
+    return params in ("()", f"({cls} const&)", f"({cls}&&)")
 
 
 def counted(signature):
@@ -100,7 +103,7 @@ def counted(signature):
         return False
     if "::~" in name:
         return False
-    return not copy_or_move_constructor(name, signature)
+    return not default_copy_or_move_constructor(name, signature)
 
 
 def programs(build_dir):

@@ -44,6 +44,22 @@ inline const char* flag_value(int argc, char** argv, int& i,
     return argv[++i];
 }
 
+// True when argv[first..first+count) are all positional arguments (none
+// starts with '-'). Otherwise prints `error: expected <count> argument(s)
+// (<names>), got <k>`, k the positionals found there, and returns false;
+// the caller follows with its usage text and exit 2.
+inline bool expect_positionals(int argc, char** argv, int first, int count,
+                               const char* names) {
+    int given = 0;
+    while (given < count && first + given < argc &&
+           argv[first + given][0] != '-')
+        ++given;
+    if (given == count) return true;
+    std::fprintf(stderr, "error: expected %d argument%s (%s), got %d\n", count,
+                 count == 1 ? "" : "s", names, given);
+    return false;
+}
+
 // One `error:` line on stderr, then the exit code that classifies `e`: 2
 // for bad arguments (std::invalid_argument), 3 for bad input or I/O (any
 // other std::runtime_error), 4 for anything else.

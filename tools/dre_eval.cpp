@@ -8,13 +8,17 @@
 // (*.drt, see store/format.h), or a shard-set prefix expanding to every
 // matching `<prefix>*.drt` in lexicographic order.
 //
-// Policy specs:
-//   constant:<d>        always choose decision d
-//   uniform             uniform over the trace's decision space
-//   greedy:<model>      argmax of a reward model fit on the trace, where
-//                       <model> is tabular | linear | knn
-//   greedy:<model>:<e>  same, uniform-smoothed with epsilon e in [0,1]
-//                       (the redeployable shape: every arm keeps support)
+// Policy specs (the grammar of core/policy_learning.h, which dre_serve
+// reads too and dre_tune prints):
+//   uniform              uniform over the trace's decision space
+//   constant:<d>         always choose decision d
+//   greedy:<model>       argmax of a reward model fit on the trace, where
+//                        <model> is tabular | linear | knn
+//   greedy:<model>:<e>   same, uniform-smoothed with epsilon e in [0,1]
+//                        (the redeployable shape: every arm keeps support)
+//   softmax:<model>:<T>  Boltzmann over the model's predictions, T > 0
+//   mix:<model>:<d>:<w>  weight w in [0,1] on greedy:<model>, the rest
+//                        pinned to decision d (a staged rollout)
 //
 // Options:
 //   --estimate-propensities   re-estimate mu_old(d|c) from the trace
@@ -130,7 +134,8 @@ namespace {
 }
 
 int run_convert(int argc, char** argv) {
-    if (argc < 4) usage(argv[0]);
+    if (!tools::expect_positionals(argc, argv, 2, 2, "<input> <output>"))
+        usage(argv[0]);
     const std::string in_path = argv[2];
     const std::string out_path = argv[3];
     std::size_t shards = 0;
@@ -245,7 +250,9 @@ int main(int argc, char** argv) {
             return tools::report_error(e);
         }
     }
-    if (argc < 3) usage(argv[0]);
+    if (!tools::expect_positionals(argc, argv, 1, 2,
+                                   "<trace> <policy-spec>"))
+        usage(argv[0]);
     try {
         const std::string path = argv[1];
         const std::string policy_spec = argv[2];
@@ -369,7 +376,8 @@ int main(int argc, char** argv) {
             // evaluation itself streams the whole trace. Tolerant modes
             // harden the fit read too: damaged row groups are skipped and
             // defective tuples dropped, so a quarantinable trace does not
-            // abort before the guarded evaluation even starts.
+            // abort before the guarded evaluation even starts. Strict mode
+            // rejects a defective prefix as the in-memory path does.
             std::vector<LoggedTuple> head;
             const std::uint64_t head_n =
                 std::min<std::uint64_t>(fit_sample.value_or(100000), n);
@@ -379,7 +387,9 @@ int main(int argc, char** argv) {
                                  ? nullptr
                                  : &fit_failures);
             Trace fit_trace(std::move(head));
-            if (on_error != core::FailureMode::kStrict)
+            if (on_error == core::FailureMode::kStrict)
+                require_evaluable(fit_trace);
+            else
                 remove_defective_tuples(fit_trace, decisions);
             if (fit_trace.empty())
                 throw std::runtime_error(

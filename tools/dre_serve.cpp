@@ -33,8 +33,6 @@
 //                             assigned; discover via --metrics-port-file)
 //   --metrics-port-file <f>   write the bound metrics port once listening
 //   --journal <f>             append a JSONL record per answered request
-//   --journal-threshold-ms <x> only journal requests at/above this total
-//                             latency (errors always log; default 0 = all)
 //   --trace-out <f>           enable span tracing; write a chrome://tracing
 //                             JSON file on shutdown
 //
@@ -79,8 +77,7 @@ int usage() {
                  "                 [--fault-spec S] [--fault-seed N]\n"
                  "                 [--metrics-port N] [--metrics-port-file F] "
                  "[--journal F]\n"
-                 "                 [--journal-threshold-ms X] "
-                 "[--trace-out F]\n");
+                 "                 [--trace-out F]\n");
     return 2;
 }
 
@@ -133,10 +130,6 @@ int main(int argc, char** argv) {
         } else if (arg == "--journal") {
             options.journal_path =
                 tools::flag_value(argc, argv, i, "--journal");
-        } else if (arg == "--journal-threshold-ms") {
-            options.journal_threshold_ms = tools::parse_flag<double>(
-                "--journal-threshold-ms",
-                tools::flag_value(argc, argv, i, "--journal-threshold-ms"));
         } else if (arg == "--trace-out") {
             trace_out = tools::flag_value(argc, argv, i, "--trace-out");
         } else {

@@ -82,7 +82,8 @@ Trace simulate(const std::string& scenario, std::size_t n, std::uint64_t seed,
 } // namespace
 
 int main(int argc, char** argv) {
-    if (argc < 3) usage(argv[0]);
+    if (!tools::expect_positionals(argc, argv, 1, 2, "<scenario> <output.csv>"))
+        usage(argv[0]);
     try {
         const std::string scenario = argv[1];
         const std::string output = argv[2];

@@ -143,7 +143,8 @@ void write_obs(const std::string& obs_out) {
 } // namespace
 
 int main(int argc, char** argv) {
-    if (argc < 2) usage(argv[0]);
+    if (!tools::expect_positionals(argc, argv, 1, 1, "<source>"))
+        usage(argv[0]);
     try {
         const std::string source_arg = argv[1];
 
@@ -270,7 +271,7 @@ int main(int argc, char** argv) {
                 std::make_unique<store::StoreTupleSource>(*store_storage);
         }
 
-        const std::vector<tune::PolicyCandidate> candidates =
+        const std::vector<core::PolicySpec> candidates =
             tune::enumerate(space);
         std::printf("candidate space: %zu candidates over %zu decisions\n",
                     candidates.size(), space.num_decisions);
