@@ -85,10 +85,10 @@ public:
                            bool* hit = nullptr);
 
     // Bounded LRU over finished full-fidelity results, keyed by the
-    // server's job key (trace, policy, model, ci, seed). Unlike the slot
-    // maps above this one is write-through and evicting — it exists so
-    // brownout can serve *something exact* without compute, not to hold
-    // every response ever produced.
+    // server's job key (the Evaluate encoding without trace_id and
+    // deadline_ms). Unlike the slot maps above this one is write-through
+    // and evicting — it exists so brownout can serve *something exact*
+    // without compute, not to hold every response ever produced.
     using ResultPtr = std::shared_ptr<const CachedResult>;
     ResultPtr result(const std::string& key); // null = miss
     void put_result(const std::string& key, ResultPtr value);

@@ -18,23 +18,26 @@ Client::Client(std::uint16_t port) {
     if (fd_ < 0)
         throw std::runtime_error(std::string("serve client: socket: ") +
                                  std::strerror(errno));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-        const int saved = errno;
-        ::close(fd_);
-        fd_ = -1;
-        throw std::runtime_error(
-            std::string("serve client: connect to 127.0.0.1:") +
-            std::to_string(port) + ": " + std::strerror(saved));
-    }
-    const int one = 1;
-    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    // A throwing constructor runs no destructor: release the socket here.
+    try {
+        sockaddr_in addr{};
+        addr.sin_family = AF_INET;
+        addr.sin_port = htons(port);
+        addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+        if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr),
+                      sizeof(addr)) != 0)
+            throw std::runtime_error(
+                std::string("serve client: connect to 127.0.0.1:") +
+                std::to_string(port) + ": " + std::strerror(errno));
+        const int one = 1;
+        ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 
-    send_bytes(encode_hello({kProtocolVersion}));
-    (void)decode_hello(read_frame()); // any version; no peer checks it
+        send_bytes(encode_hello({kProtocolVersion}));
+        (void)decode_hello(read_frame()); // any version; no peer checks it
+    } catch (...) {
+        ::close(fd_);
+        throw;
+    }
 }
 
 Client::~Client() {

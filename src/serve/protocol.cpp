@@ -1,106 +1,195 @@
 #include "serve/protocol.h"
 
-#include <cstring>
+#include <bit>
+#include <concepts>
+#include <tuple>
+#include <utility>
 
 namespace dre::serve {
 
-// --- WireWriter ------------------------------------------------------------
+namespace {
 
-void WireWriter::u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i)
-        bytes_.push_back(static_cast<unsigned char>((v >> (8 * i)) & 0xff));
+static_assert(sizeof(bool) == 1, "a bool field is one byte on the wire");
+
+// Builds one frame: the u32 length prefix and the kind byte, then one
+// little-endian field per call. An unsigned field is as wide as its type (a
+// bool is one byte, 0 or 1), a double travels as its bit pattern, an
+// ErrorCode as a u32 and a string as a u32 length and its bytes.
+class Writer {
+public:
+    explicit Writer(MsgKind kind)
+        : bytes_{0, 0, 0, 0, static_cast<unsigned char>(kind)} {}
+
+    template <std::unsigned_integral T> void operator()(T v) {
+        for (std::size_t i = 0; i < sizeof(T); ++i)
+            bytes_.push_back(static_cast<unsigned char>(v >> (8 * i)));
+    }
+    void operator()(double v) { (*this)(std::bit_cast<std::uint64_t>(v)); }
+    void operator()(ErrorCode v) { (*this)(static_cast<std::uint32_t>(v)); }
+    // A string too long for its u32 length is too long for the frame, so
+    // frame() rejects it.
+    void operator()(const std::string& s) {
+        (*this)(static_cast<std::uint32_t>(s.size()));
+        bytes_.insert(bytes_.end(), s.begin(), s.end());
+    }
+
+    // Fills in the length prefix, which covers the kind byte.
+    std::vector<unsigned char> frame() && {
+        const std::size_t body = bytes_.size() - 4;
+        if (body > kMaxFrameBytes)
+            throw ProtocolError("serve: frame exceeds " +
+                                std::to_string(kMaxFrameBytes) + " bytes");
+        for (std::size_t i = 0; i < 4; ++i)
+            bytes_[i] = static_cast<unsigned char>(body >> (8 * i));
+        return std::move(bytes_);
+    }
+
+private:
+    std::vector<unsigned char> bytes_;
+};
+
+// Reads one payload field per call, in the Writer's encoding. Every read is
+// bounds-checked: an underrun or an ErrorCode outside the enum throws
+// ProtocolError.
+class Reader {
+public:
+    explicit Reader(const std::vector<unsigned char>& payload)
+        : payload_(payload) {}
+
+    template <std::unsigned_integral T> void operator()(T& v) {
+        need(sizeof(T));
+        std::uint64_t x = 0;
+        for (std::size_t i = 0; i < sizeof(T); ++i)
+            x |= std::uint64_t{payload_[pos_ + i]} << (8 * i);
+        pos_ += sizeof(T);
+        v = static_cast<T>(x);
+    }
+    void operator()(double& v) {
+        std::uint64_t bits = 0;
+        (*this)(bits);
+        v = std::bit_cast<double>(bits);
+    }
+    void operator()(ErrorCode& v) {
+        std::uint32_t code = 0;
+        (*this)(code);
+        if (code < static_cast<std::uint32_t>(ErrorCode::kBadRequest) ||
+            code > static_cast<std::uint32_t>(ErrorCode::kDeadlineExceeded))
+            throw ProtocolError("serve: unknown error code " +
+                                std::to_string(code));
+        v = static_cast<ErrorCode>(code);
+    }
+    void operator()(std::string& s) {
+        std::uint32_t n = 0;
+        (*this)(n);
+        need(n);
+        s.assign(reinterpret_cast<const char*>(payload_.data() + pos_), n);
+        pos_ += n;
+    }
+
+    // Trailing bytes after the last field are a framing bug.
+    void expect_done() const {
+        if (pos_ != payload_.size())
+            throw ProtocolError("serve: " +
+                                std::to_string(payload_.size() - pos_) +
+                                " trailing payload bytes");
+    }
+
+private:
+    void need(std::size_t n) const {
+        if (payload_.size() - pos_ < n)
+            throw ProtocolError("serve: truncated payload (needed " +
+                                std::to_string(n) + " more bytes, have " +
+                                std::to_string(payload_.size() - pos_) + ")");
+    }
+
+    const std::vector<unsigned char>& payload_;
+    std::size_t pos_ = 0;
+};
+
+// Each message's frame kind and its one field list, in wire order.
+// `fields(m)` ties the members of `m`: encode() walks the list of a const
+// message with a Writer, decode() the list of a fresh one with a Reader.
+template <typename Msg> struct Layout;
+
+template <> struct Layout<HelloMsg> {
+    static constexpr MsgKind kind = MsgKind::kHello;
+    static constexpr const char* name = "Hello";
+    static auto fields(auto& m) { return std::tie(m.version); }
+};
+
+template <> struct Layout<EvaluateMsg> {
+    static constexpr MsgKind kind = MsgKind::kEvaluate;
+    static constexpr const char* name = "Evaluate";
+    static auto fields(auto& m) {
+        return std::tie(m.trace, m.policy, m.model, m.ci_replicates, m.seed,
+                        m.trace_id, m.deadline_ms);
+    }
+};
+
+template <> struct Layout<ResultMsg> {
+    static constexpr MsgKind kind = MsgKind::kResult;
+    static constexpr const char* name = "Result";
+    static auto fields(auto& m) {
+        return std::tie(m.text, m.dr, m.cache_hit, m.trace_id, m.queue_ms,
+                        m.cache_ms, m.compute_ms, m.serialize_ms, m.degraded,
+                        m.coverage);
+    }
+};
+
+template <> struct Layout<StatsReplyMsg> {
+    static constexpr MsgKind kind = MsgKind::kStats;
+    static constexpr const char* name = "Stats";
+    static auto fields(auto& m) {
+        return std::tie(m.requests_total, m.rejected, m.coalesced,
+                        m.queue_depth, m.evaluator_hits, m.evaluator_misses,
+                        m.policy_hits, m.policy_misses, m.trace_hits,
+                        m.trace_misses, m.p50_ms, m.p90_ms, m.p99_ms,
+                        m.journal_lines, m.queue_p50_ms, m.queue_p99_ms,
+                        m.compute_p50_ms, m.compute_p99_ms,
+                        m.deadline_exceeded, m.shed, m.brownout,
+                        m.sessions_reaped);
+    }
+};
+
+template <> struct Layout<PingMsg> {
+    static constexpr MsgKind kind = MsgKind::kPing;
+    static constexpr const char* name = "Ping";
+    static auto fields(auto& m) { return std::tie(m.token); }
+};
+
+template <> struct Layout<ErrorMsg> {
+    static constexpr MsgKind kind = MsgKind::kError;
+    static constexpr const char* name = "Error";
+    static auto fields(auto& m) { return std::tie(m.code, m.message); }
+};
+
+void require_kind(const Frame& f, MsgKind kind, const char* name) {
+    if (f.kind != kind)
+        throw ProtocolError(std::string("serve: expected ") + name + " frame");
 }
 
-void WireWriter::u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i)
-        bytes_.push_back(static_cast<unsigned char>((v >> (8 * i)) & 0xff));
+template <typename Msg>
+std::vector<unsigned char> encode(const Msg& m) {
+    Writer w(Layout<Msg>::kind);
+    std::apply([&](const auto&... field) { (w(field), ...); },
+               Layout<Msg>::fields(m));
+    return std::move(w).frame();
 }
 
-void WireWriter::f64(double v) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    u64(bits);
+template <typename Msg>
+Msg decode(const Frame& f) {
+    require_kind(f, Layout<Msg>::kind, Layout<Msg>::name);
+    Reader r(f.payload);
+    Msg m;
+    std::apply([&](auto&... field) { (r(field), ...); },
+               Layout<Msg>::fields(m));
+    r.expect_done();
+    return m;
 }
 
-void WireWriter::str(const std::string& s) {
-    if (s.size() > kMaxFrameBytes)
-        throw ProtocolError("serve: string exceeds frame limit");
-    u32(static_cast<std::uint32_t>(s.size()));
-    bytes_.insert(bytes_.end(), s.begin(), s.end());
-}
-
-// --- WireReader ------------------------------------------------------------
-
-void WireReader::need(std::size_t n) const {
-    if (size_ - pos_ < n)
-        throw ProtocolError("serve: truncated payload (needed " +
-                            std::to_string(n) + " more bytes, have " +
-                            std::to_string(size_ - pos_) + ")");
-}
-
-std::uint8_t WireReader::u8() {
-    need(1);
-    return data_[pos_++];
-}
-
-std::uint32_t WireReader::u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(data_[pos_ + i]) << (8 * i);
-    pos_ += 4;
-    return v;
-}
-
-std::uint64_t WireReader::u64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(data_[pos_ + i]) << (8 * i);
-    pos_ += 8;
-    return v;
-}
-
-double WireReader::f64() {
-    const std::uint64_t bits = u64();
-    double v = 0.0;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-}
-
-std::string WireReader::str() {
-    const std::uint32_t n = u32();
-    if (n > kMaxFrameBytes)
-        throw ProtocolError("serve: string length exceeds frame limit");
-    need(n);
-    std::string s(reinterpret_cast<const char*>(data_ + pos_), n);
-    pos_ += n;
-    return s;
-}
-
-void WireReader::expect_done() const {
-    if (pos_ != size_)
-        throw ProtocolError("serve: " + std::to_string(size_ - pos_) +
-                            " trailing payload bytes");
-}
+} // namespace
 
 // --- frames ----------------------------------------------------------------
-
-std::vector<unsigned char> encode_frame(
-    MsgKind kind, const std::vector<unsigned char>& payload) {
-    const std::size_t body = payload.size() + 1;
-    if (body > kMaxFrameBytes)
-        throw ProtocolError("serve: frame exceeds " +
-                            std::to_string(kMaxFrameBytes) + " bytes");
-    std::vector<unsigned char> out;
-    out.reserve(4 + body);
-    const auto n = static_cast<std::uint32_t>(body);
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<unsigned char>((n >> (8 * i)) & 0xff));
-    out.push_back(static_cast<unsigned char>(kind));
-    out.insert(out.end(), payload.begin(), payload.end());
-    return out;
-}
 
 void FrameDecoder::feed(const unsigned char* data, std::size_t size) {
     buffer_.insert(buffer_.end(), data, data + size);
@@ -131,196 +220,34 @@ std::optional<Frame> FrameDecoder::next() {
 
 // --- message encode/decode -------------------------------------------------
 
-namespace {
-
-Frame require_kind(const Frame& f, MsgKind kind, const char* what) {
-    if (f.kind != kind)
-        throw ProtocolError(std::string("serve: expected ") + what + " frame");
-    return f;
-}
-
-WireReader reader(const Frame& f) {
-    return WireReader(f.payload.data(), f.payload.size());
-}
-
-} // namespace
-
-std::vector<unsigned char> encode_hello(const HelloMsg& m) {
-    WireWriter w;
-    w.u32(m.version);
-    return encode_frame(MsgKind::kHello, w.bytes());
-}
-
-HelloMsg decode_hello(const Frame& f) {
-    require_kind(f, MsgKind::kHello, "Hello");
-    WireReader r = reader(f);
-    HelloMsg m;
-    m.version = r.u32();
-    r.expect_done();
-    return m;
-}
-
+std::vector<unsigned char> encode_hello(const HelloMsg& m) { return encode(m); }
 std::vector<unsigned char> encode_evaluate(const EvaluateMsg& m) {
-    WireWriter w;
-    w.str(m.trace);
-    w.str(m.policy);
-    w.str(m.model);
-    w.u32(m.ci_replicates);
-    w.u64(m.seed);
-    w.u64(m.trace_id);
-    w.u64(m.deadline_ms);
-    return encode_frame(MsgKind::kEvaluate, w.bytes());
+    return encode(m);
 }
-
-EvaluateMsg decode_evaluate(const Frame& f) {
-    require_kind(f, MsgKind::kEvaluate, "Evaluate");
-    WireReader r = reader(f);
-    EvaluateMsg m;
-    m.trace = r.str();
-    m.policy = r.str();
-    m.model = r.str();
-    m.ci_replicates = r.u32();
-    m.seed = r.u64();
-    m.trace_id = r.u64();
-    m.deadline_ms = r.u64();
-    r.expect_done();
-    return m;
-}
-
 std::vector<unsigned char> encode_result(const ResultMsg& m) {
-    WireWriter w;
-    w.str(m.text);
-    w.f64(m.dr);
-    w.u8(m.cache_hit ? 1 : 0);
-    w.u64(m.trace_id);
-    w.f64(m.queue_ms);
-    w.f64(m.cache_ms);
-    w.f64(m.compute_ms);
-    w.f64(m.serialize_ms);
-    w.u8(m.degraded ? 1 : 0);
-    w.f64(m.coverage);
-    return encode_frame(MsgKind::kResult, w.bytes());
+    return encode(m);
 }
-
-ResultMsg decode_result(const Frame& f) {
-    require_kind(f, MsgKind::kResult, "Result");
-    WireReader r = reader(f);
-    ResultMsg m;
-    m.text = r.str();
-    m.dr = r.f64();
-    m.cache_hit = r.u8() != 0;
-    m.trace_id = r.u64();
-    m.queue_ms = r.f64();
-    m.cache_ms = r.f64();
-    m.compute_ms = r.f64();
-    m.serialize_ms = r.f64();
-    m.degraded = r.u8() != 0;
-    m.coverage = r.f64();
-    r.expect_done();
-    return m;
-}
-
 std::vector<unsigned char> encode_stats_request() {
-    return encode_frame(MsgKind::kStats, {});
+    return Writer(MsgKind::kStats).frame();
 }
+std::vector<unsigned char> encode_stats_reply(const StatsReplyMsg& m) {
+    return encode(m);
+}
+std::vector<unsigned char> encode_ping(const PingMsg& m) { return encode(m); }
+std::vector<unsigned char> encode_error(const ErrorMsg& m) { return encode(m); }
 
+HelloMsg decode_hello(const Frame& f) { return decode<HelloMsg>(f); }
+EvaluateMsg decode_evaluate(const Frame& f) { return decode<EvaluateMsg>(f); }
+ResultMsg decode_result(const Frame& f) { return decode<ResultMsg>(f); }
 bool is_stats_request(const Frame& f) {
     require_kind(f, MsgKind::kStats, "Stats");
     return f.payload.empty();
 }
-
-std::vector<unsigned char> encode_stats_reply(const StatsReplyMsg& m) {
-    WireWriter w;
-    w.u64(m.requests_total);
-    w.u64(m.rejected);
-    w.u64(m.coalesced);
-    w.u64(m.queue_depth);
-    w.u64(m.evaluator_hits);
-    w.u64(m.evaluator_misses);
-    w.u64(m.policy_hits);
-    w.u64(m.policy_misses);
-    w.u64(m.trace_hits);
-    w.u64(m.trace_misses);
-    w.f64(m.p50_ms);
-    w.f64(m.p90_ms);
-    w.f64(m.p99_ms);
-    w.u64(m.journal_lines);
-    w.f64(m.queue_p50_ms);
-    w.f64(m.queue_p99_ms);
-    w.f64(m.compute_p50_ms);
-    w.f64(m.compute_p99_ms);
-    w.u64(m.deadline_exceeded);
-    w.u64(m.shed);
-    w.u64(m.brownout);
-    w.u64(m.sessions_reaped);
-    return encode_frame(MsgKind::kStats, w.bytes());
-}
-
 StatsReplyMsg decode_stats_reply(const Frame& f) {
-    require_kind(f, MsgKind::kStats, "Stats");
-    WireReader r = reader(f);
-    StatsReplyMsg m;
-    m.requests_total = r.u64();
-    m.rejected = r.u64();
-    m.coalesced = r.u64();
-    m.queue_depth = r.u64();
-    m.evaluator_hits = r.u64();
-    m.evaluator_misses = r.u64();
-    m.policy_hits = r.u64();
-    m.policy_misses = r.u64();
-    m.trace_hits = r.u64();
-    m.trace_misses = r.u64();
-    m.p50_ms = r.f64();
-    m.p90_ms = r.f64();
-    m.p99_ms = r.f64();
-    m.journal_lines = r.u64();
-    m.queue_p50_ms = r.f64();
-    m.queue_p99_ms = r.f64();
-    m.compute_p50_ms = r.f64();
-    m.compute_p99_ms = r.f64();
-    m.deadline_exceeded = r.u64();
-    m.shed = r.u64();
-    m.brownout = r.u64();
-    m.sessions_reaped = r.u64();
-    r.expect_done();
-    return m;
+    return decode<StatsReplyMsg>(f);
 }
-
-std::vector<unsigned char> encode_ping(const PingMsg& m) {
-    WireWriter w;
-    w.u64(m.token);
-    return encode_frame(MsgKind::kPing, w.bytes());
-}
-
-PingMsg decode_ping(const Frame& f) {
-    require_kind(f, MsgKind::kPing, "Ping");
-    WireReader r = reader(f);
-    PingMsg m;
-    m.token = r.u64();
-    r.expect_done();
-    return m;
-}
-
-std::vector<unsigned char> encode_error(const ErrorMsg& m) {
-    WireWriter w;
-    w.u32(static_cast<std::uint32_t>(m.code));
-    w.str(m.message);
-    return encode_frame(MsgKind::kError, w.bytes());
-}
-
-ErrorMsg decode_error(const Frame& f) {
-    require_kind(f, MsgKind::kError, "Error");
-    WireReader r = reader(f);
-    ErrorMsg m;
-    const std::uint32_t code = r.u32();
-    if (code < static_cast<std::uint32_t>(ErrorCode::kBadRequest) ||
-        code > static_cast<std::uint32_t>(ErrorCode::kDeadlineExceeded))
-        throw ProtocolError("serve: unknown error code " + std::to_string(code));
-    m.code = static_cast<ErrorCode>(code);
-    m.message = r.str();
-    r.expect_done();
-    return m;
-}
+PingMsg decode_ping(const Frame& f) { return decode<PingMsg>(f); }
+ErrorMsg decode_error(const Frame& f) { return decode<ErrorMsg>(f); }
 
 const char* to_string(ErrorCode code) noexcept {
     switch (code) {

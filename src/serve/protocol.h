@@ -7,13 +7,14 @@
 //   4       1     u8 message kind (MsgKind)
 //   5       n-1   payload, message-specific
 //
-// Payload scalars are little-endian fixed-width integers; doubles travel
-// as their IEEE-754 bit pattern in a u64 (bit-exact — the determinism
-// contract extends to the wire); strings are u32 length + raw bytes (no
-// terminator). The frame length covers the kind byte, so the empty-payload
-// Stats request has length 1. Frames above kMaxFrameBytes are a protocol
-// error: the peer is malfunctioning or hostile, and the connection is
-// dropped rather than buffered without bound.
+// Payload scalars are little-endian fixed-width integers (a bool is one
+// byte, an ErrorCode a u32); doubles travel as their IEEE-754 bit pattern
+// in a u64 (bit-exact — the determinism contract extends to the wire);
+// strings are u32 length + raw bytes (no terminator). The frame length
+// covers the kind byte, so the empty-payload Stats request has length 1.
+// Frames above kMaxFrameBytes are a protocol error: the peer is
+// malfunctioning or hostile, and the connection is dropped rather than
+// buffered without bound.
 //
 // Message vocabulary (client → server unless noted):
 //
@@ -28,17 +29,21 @@
 //   Error      server → client: classified failure for one request
 //
 // Every payload has one fixed layout: each field of the struct below, in
-// declaration order, every time. A decoder reads every field and then
-// requires the payload to end, so a short or long payload is a
+// declaration order, every time. protocol.cpp lists each message's fields
+// once, in that order; its encode_* writes the list and its decode_* reads
+// it and then requires the payload to end, so a short or long payload is a
 // ProtocolError. Every peer (Client, dre_loadgen, perfbench, the tests) is
 // built from this tree, so there are no optional or skipped fields. To
-// add a field: add the struct member, one write in its encode_*, one read
-// at the same position in its decode_*, and bump kProtocolVersion.
+// add a field: add the struct member, add it to its message's list in
+// protocol.cpp, and bump kProtocolVersion. The server's coalescing key is
+// the Evaluate encoding with trace_id and deadline_ms zeroed, so a new
+// Evaluate field joins the key unless the key zeroes it too.
 //
 // The structs below are plain decoded forms; encode_*/decode_* do the
-// byte work. Decoding never trusts lengths: every read is bounds-checked
-// and a malformed payload throws ProtocolError (the server answers with
-// kBadFrame and closes, it never crashes).
+// byte work. Decoding never trusts lengths: every read is bounds-checked,
+// an ErrorCode outside the enum is rejected, and a malformed payload
+// throws ProtocolError (the server answers with kBadFrame and closes, it
+// never crashes).
 #ifndef DRE_SERVE_PROTOCOL_H
 #define DRE_SERVE_PROTOCOL_H
 
@@ -173,54 +178,12 @@ struct ErrorMsg {
     bool operator==(const ErrorMsg&) const = default;
 };
 
-// --- payload primitives ----------------------------------------------------
-
-// Append-only little-endian payload builder.
-class WireWriter {
-public:
-    void u8(std::uint8_t v) { bytes_.push_back(v); }
-    void u32(std::uint32_t v);
-    void u64(std::uint64_t v);
-    void f64(double v); // IEEE-754 bit pattern via u64
-    void str(const std::string& s);
-    const std::vector<unsigned char>& bytes() const noexcept { return bytes_; }
-
-private:
-    std::vector<unsigned char> bytes_;
-};
-
-// Bounds-checked reader over one payload; any underrun or oversized string
-// throws ProtocolError.
-class WireReader {
-public:
-    WireReader(const unsigned char* data, std::size_t size)
-        : data_(data), size_(size) {}
-
-    std::uint8_t u8();
-    std::uint32_t u32();
-    std::uint64_t u64();
-    double f64();
-    std::string str();
-    // Trailing bytes after the last field are a framing bug.
-    void expect_done() const;
-
-private:
-    void need(std::size_t n) const;
-    const unsigned char* data_;
-    std::size_t size_;
-    std::size_t pos_ = 0;
-};
-
 // --- frames ----------------------------------------------------------------
 
 struct Frame {
     MsgKind kind = MsgKind::kError;
     std::vector<unsigned char> payload;
 };
-
-// One complete wire frame: length prefix + kind + payload.
-std::vector<unsigned char> encode_frame(MsgKind kind,
-                                        const std::vector<unsigned char>& payload);
 
 // Incremental frame reassembly over a byte stream. feed() whatever recv
 // produced; next() pops complete frames in order. Oversized or
@@ -236,6 +199,8 @@ private:
 };
 
 // --- message encode/decode -------------------------------------------------
+//
+// Each encode_* returns one whole frame: length prefix, kind and payload.
 
 std::vector<unsigned char> encode_hello(const HelloMsg& m);
 std::vector<unsigned char> encode_evaluate(const EvaluateMsg& m);

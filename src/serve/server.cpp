@@ -29,9 +29,13 @@ void close_fd(int& fd) {
     fd = -1;
 }
 
-std::string job_key(const EvaluateMsg& m) {
-    return m.trace + '\n' + m.policy + '\n' + m.model + '\n' +
-           std::to_string(m.ci_replicates) + '\n' + std::to_string(m.seed);
+// Requests that compute the same Result share one key: the Evaluate frame
+// without the per-request trace id and deadline.
+std::string job_key(EvaluateMsg m) {
+    m.trace_id = 0;
+    m.deadline_ms = 0;
+    const std::vector<unsigned char> frame = encode_evaluate(m);
+    return std::string(frame.begin(), frame.end());
 }
 
 } // namespace

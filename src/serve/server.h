@@ -15,9 +15,10 @@
 //                     construction, not by locking discipline.
 //
 // Admission control + coalescing (all under one queue mutex):
-//   * identical in-flight requests — same (trace, policy, model, ci, seed)
-//     key, whether queued or currently computing — attach the new session
-//     as a waiter on the existing job and share its single computation;
+//   * identical in-flight requests — same key, the Evaluate encoding
+//     without trace_id and deadline_ms, whether queued or currently
+//     computing — attach the new session as a waiter on the existing job
+//     and share its single computation;
 //   * otherwise, if the bounded queue is full, the client gets an
 //     immediate Error{kOverloaded} backpressure reply;
 //   * otherwise a new job enters the FIFO queue.

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <initializer_list>
 #include <stdexcept>
+#include <string_view>
 
 #include "core/policy_learning.h"
 #include "obs/obs.h"
@@ -13,6 +15,18 @@
 
 namespace dre::serve {
 namespace {
+
+// One cache key from its fields, each prefixed with its length, so no two
+// field lists share a key whatever bytes a path or spec holds.
+std::string cache_key(std::initializer_list<std::string_view> fields) {
+    std::string key;
+    for (const std::string_view field : fields) {
+        key += std::to_string(field.size());
+        key += ':';
+        key += field;
+    }
+    return key;
+}
 
 void check_deadline(const DeadlineFn& deadline, const char* phase) {
     if (deadline && deadline()) throw DeadlineExceeded(phase);
@@ -94,7 +108,7 @@ ResultMsg EvalService::answer(const EvaluateMsg& request,
     // the target policy under test is identical in both modes.
     bool policy_hit = false;
     const EvalCache::PolicyPtr policy = cache_.policy(
-        request.trace + '\n' + request.policy,
+        cache_key({request.trace, request.policy}),
         [&] {
             DRE_SPAN("serve.fit_policy");
             return EvalCache::PolicyPtr(core::parse_policy_spec(
@@ -103,8 +117,9 @@ ResultMsg EvalService::answer(const EvaluateMsg& request,
         &policy_hit);
 
     // A brownout evaluator is its own cached artifact, keyed by the prefix
-    // it evaluates — deterministic, so every degraded answer for this
-    // (trace, model, coverage) is byte-identical across the fleet.
+    // length it evaluates (empty for the full trace) — deterministic, so
+    // every degraded answer for this (trace, model, coverage) is
+    // byte-identical across the fleet.
     const std::size_t len =
         coverage ? degraded_prefix_len(trace, *coverage) : trace.size();
     const double actual_coverage =
@@ -124,8 +139,8 @@ ResultMsg EvalService::answer(const EvaluateMsg& request,
     };
     bool evaluator_hit = false;
     const EvalCache::EvaluatorPtr evaluator = cache_.evaluator(
-        request.trace + '\n' + request.model +
-            (coverage ? "\n#brownout:" + std::to_string(len) : ""),
+        cache_key({request.trace, request.model,
+                   coverage ? std::to_string(len) : std::string()}),
         [&]() -> EvalCache::EvaluatorPtr {
             if (coverage) {
                 DRE_SPAN("serve.fit_evaluator_degraded");

@@ -859,6 +859,76 @@ TEST(ResilServerTest, BrownoutServesDegradedAndCachedResultsUnderLoad) {
     server.stop_and_join();
 }
 
+// The coalescing key tells every identity field apart, even when a path
+// holds '\n'. With the dispatcher held, a queued request for trace
+// `a.csv\nb.csv` and policy `uniform` shares no job with a later one for
+// trace `a.csv` and policy `b.csv\nuniform`: the first is answered, the
+// second names a malformed spec and is refused.
+TEST(ResilServerTest, CoalescingKeepsEveryIdentityFieldApart) {
+    TempDir dir;
+    const Trace trace = make_trace(300);
+    write_csv_file(trace, dir.file("a.csv"));
+    write_csv_file(trace, dir.file("a.csv\nb.csv"));
+    GatedTrace gate(dir.file("gated.csv"), trace);
+
+    serve::EvalServer server;
+    server.start();
+    std::string gated_failure;
+    std::thread blocker([&] {
+        try {
+            serve::Client client(server.port());
+            (void)client.evaluate(make_request(gate.path(), "uniform", 1));
+        } catch (const std::exception& e) {
+            gated_failure = e.what();
+        }
+    });
+    EXPECT_TRUE(gate.wait_for_reader(kGateTimeout))
+        << "the dispatcher never started the gated job";
+
+    const serve::EvaluateMsg valid =
+        make_request(dir.file("a.csv\nb.csv"), "uniform");
+    std::string valid_text;
+    std::thread valid_thread([&] {
+        try {
+            serve::Client client(server.port());
+            valid_text = client.evaluate(valid).text;
+        } catch (const std::exception& e) {
+            valid_text = e.what();
+        }
+    });
+    wait_until([&] { return server.stats_snapshot().queue_depth >= 1; },
+               "the valid request is queued");
+
+    const serve::EvaluateMsg malformed =
+        make_request(dir.file("a.csv"), "b.csv\nuniform");
+    std::string malformed_outcome = "answered";
+    serve::ErrorCode malformed_code = serve::ErrorCode::kInternal;
+    std::thread malformed_thread([&] {
+        try {
+            serve::Client client(server.port());
+            (void)client.evaluate(malformed);
+        } catch (const serve::ServeError& e) {
+            malformed_code = e.code();
+            malformed_outcome = e.what();
+        } catch (const std::exception& e) {
+            malformed_outcome = e.what();
+        }
+    });
+    wait_until([&] { return server.stats_snapshot().requests_total >= 3; },
+               "the malformed request is admitted");
+    gate.release();
+    blocker.join();
+    valid_thread.join();
+    malformed_thread.join();
+
+    EXPECT_EQ(gated_failure, "");
+    EXPECT_EQ(valid_text, expected_text(trace, valid));
+    EXPECT_EQ(malformed_code, serve::ErrorCode::kBadRequest)
+        << malformed_outcome;
+    EXPECT_EQ(server.stats_snapshot().coalesced, 0u);
+    server.stop_and_join();
+}
+
 #endif // unix
 
 // --- journal: exactly-once under faults -------------------------------------

@@ -225,8 +225,8 @@ TEST(ServeProtocolTest, TelemetryTailFieldsRoundTrip) {
 
 // --- wire-format properties --------------------------------------------------
 //
-// One message of every kind with every field away from its default. The
-// Evaluate, Result and StatsReply ones are pinned to hex below.
+// One message of every kind with every field away from its default, each
+// pinned to hex below.
 
 serve::EvaluateMsg pinned_evaluate() {
     serve::EvaluateMsg m;
@@ -422,6 +422,13 @@ std::string hex(const std::vector<unsigned char>& bytes) {
 // The frames as the protocol-v1 encoders wrote them. Version 2 made every
 // field mandatory on the decoding side; the bytes on the wire are the same.
 TEST(ServeProtocolTest, FixedLayoutsKeepTheVersionOneBytes) {
+    EXPECT_EQ(hex(serve::encode_hello({serve::kProtocolVersion})),
+              "050000000102000000");
+    EXPECT_EQ(hex(serve::encode_ping({0xfeedfacecafebeefull})),
+              "0900000005efbefecacefaedfe");
+    EXPECT_EQ(hex(serve::encode_error(
+                  {serve::ErrorCode::kDeadlineExceeded, "late"})),
+              "0d0000000606000000040000006c617465");
     EXPECT_EQ(hex(serve::encode_evaluate(pinned_evaluate())),
               "380000000205000000742e63737607000000756e69666f726d030000006b6e"
               "6ec8000000efcdab89674523018877665544332211fa00000000000000");
@@ -456,6 +463,14 @@ TEST(ServeProtocolTest, MalformedFramesThrow) {
     truncated.kind = serve::MsgKind::kEvaluate;
     truncated.payload = {0x10, 0x00, 0x00, 0x00, 'x'}; // claims 16 bytes
     EXPECT_THROW(serve::decode_evaluate(truncated), serve::ProtocolError);
+
+    // An Error frame whose code is outside ErrorCode.
+    for (const unsigned char code : {0, 7}) {
+        serve::Frame bad = frame_of(
+            serve::encode_error({serve::ErrorCode::kInternal, "x"}));
+        bad.payload[0] = code;
+        EXPECT_THROW(serve::decode_error(bad), serve::ProtocolError) << +code;
+    }
 }
 
 // --- cache + service --------------------------------------------------------
@@ -607,6 +622,32 @@ TEST(ServeServiceTest, BadRequestsClassify) {
 
     EXPECT_THROW(service.evaluate(make_request(dir.file("missing.csv"))),
                  std::runtime_error);
+}
+
+// A cache key tells its fields apart even when a path holds '\n': the trace
+// `t\nx.csv` with policy `uniform` and the trace `t` with policy
+// `x.csv\nuniform` share no cached policy, in either order. The first is
+// valid; the second names a malformed spec and must be refused.
+TEST(ServeServiceTest, CacheKeysKeepEveryFieldApart) {
+    TempDir dir;
+    const Trace trace = make_trace(500);
+    store::write_store_file(trace, dir.file("t.drt"),
+                            store::StoreWriter::Options{64});
+    write_csv_file(trace, dir.file("t\nx.csv"));
+    const serve::EvaluateMsg valid =
+        make_request(dir.file("t\nx.csv"), "uniform");
+    const serve::EvaluateMsg malformed =
+        make_request(dir.file("t"), "x.csv\nuniform");
+    {
+        serve::EvalService service;
+        EXPECT_EQ(service.evaluate(valid).text, expected_text(trace, valid));
+        EXPECT_THROW(service.evaluate(malformed), std::invalid_argument);
+    }
+    {
+        serve::EvalService service;
+        EXPECT_THROW(service.evaluate(malformed), std::invalid_argument);
+        EXPECT_EQ(service.evaluate(valid).text, expected_text(trace, valid));
+    }
 }
 
 // --- live server ------------------------------------------------------------
@@ -965,6 +1006,30 @@ TEST(ServeServerTest, FailedStartReleasesWhatItAcquired) {
     }
     EXPECT_EQ(open_descriptors(), before);
     ::close(busy);
+}
+
+// A Client whose handshake fails releases its socket: against a peer that
+// accepts and closes at once, every construction throws and the process
+// keeps the descriptors it had.
+TEST(ServeServerTest, FailedHandshakeReleasesTheClientSocket) {
+    constexpr int kAttempts = 20;
+    const int listener = loopback_socket();
+    ASSERT_GE(listener, 0);
+    // Both snapshots are taken with no other thread running: a starting
+    // thread may hold a descriptor for a moment under the sanitizers.
+    const std::vector<std::string> before = open_descriptors();
+    std::thread closer([&] {
+        for (int i = 0; i < kAttempts; ++i) {
+            const int fd = ::accept(listener, nullptr, nullptr);
+            if (fd >= 0) ::close(fd);
+        }
+    });
+    for (int i = 0; i < kAttempts; ++i)
+        EXPECT_THROW(serve::Client client(bound_port(listener)),
+                     std::runtime_error);
+    closer.join();
+    EXPECT_EQ(open_descriptors(), before);
+    ::close(listener);
 }
 
 // --- warm-service gates -----------------------------------------------------
