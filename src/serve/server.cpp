@@ -1,9 +1,10 @@
 #include "serve/server.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
+#include <variant>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -38,6 +39,18 @@ std::string job_key(EvaluateMsg m) {
     return std::string(frame.begin(), frame.end());
 }
 
+constexpr std::uint64_t kNoDeadline =
+    std::numeric_limits<std::uint64_t>::max();
+
+// The obs::now_ns instant a budget of `ms` milliseconds from `now_ns` runs
+// out. No budget (0) and one too long to represent both give kNoDeadline,
+// which never runs out.
+std::uint64_t deadline_after(std::uint64_t now_ns, std::uint64_t ms) {
+    constexpr std::uint64_t kNsPerMs = 1000000;
+    if (ms == 0 || ms > (kNoDeadline - now_ns) / kNsPerMs) return kNoDeadline;
+    return now_ns + ms * kNsPerMs;
+}
+
 } // namespace
 
 struct EvalServer::Session {
@@ -58,7 +71,7 @@ struct EvalServer::Session {
     std::mutex write_mutex;  // serializes io-thread and dispatcher writes
     // Watchdog state: last time bytes arrived (io thread writes, io thread
     // reads) and how many admitted requests are awaiting replies
-    // (admission increments, the dispatcher decrements). A session is
+    // (admission increments, finish decrements). A session is
     // reapable only when idle AND nothing is outstanding — a client
     // silently waiting on a long evaluation is not idle.
     std::atomic<std::uint64_t> last_activity_ns{0};
@@ -77,12 +90,20 @@ struct EvalServer::Job {
     std::string key;
     EvaluateMsg request;
     std::vector<Waiter> waiters;
-    std::chrono::steady_clock::time_point enqueued;
-    std::uint64_t enqueued_ns = 0; // obs::now_ns at admission (queue wait)
-    std::uint64_t trace_id = 0;    // the admitting request's id
+    std::uint64_t admitted_ns = 0;           // obs::now_ns at admission
+    std::uint64_t deadline_ns = kNoDeadline; // obs::now_ns instant
+    std::uint64_t trace_id = 0; // the admitting request's id
     bool degraded = false; // admitted under brownout: partial-coverage eval
-    bool has_deadline = false;
-    std::chrono::steady_clock::time_point deadline; // valid iff has_deadline
+};
+
+// How an Evaluate request ends. Every waiter gets `reply`: an Error as is,
+// a Result with the waiter's own trace id and this timing tail. An answer
+// admission gives inline has no phases and zero times.
+struct EvalServer::Outcome {
+    std::variant<ResultMsg, ErrorMsg> reply;
+    EvalService::EvalPhases phases;
+    double queue_ms = 0.0; // admission -> dispatcher pickup
+    double total_ms = 0.0; // admission -> finish
 };
 
 EvalServer::EvalServer(ServerOptions options)
@@ -237,23 +258,62 @@ void EvalServer::send_frame(Session& session,
     DRE_COUNTER_ADD("serve.bytes_sent", payload->size());
 }
 
-void EvalServer::journal_terminal(const EvaluateMsg& request,
-                                 std::uint64_t trace_id,
-                                 const char* error_code,
-                                 const std::string& error) {
-    if (!journal_) return;
-    JournalRecord rec;
-    rec.trace_id = trace_id;
-    rec.trace = request.trace;
-    rec.policy = request.policy;
-    rec.model = request.model;
-    rec.seed = request.seed;
-    rec.ci_replicates = request.ci_replicates;
-    if (error_code != nullptr) {
-        rec.error_code = error_code;
-        rec.error = error;
+void EvalServer::finish(const EvaluateMsg& request,
+                        const std::vector<Waiter>& waiters,
+                        const Outcome& outcome) {
+    const ResultMsg* result = std::get_if<ResultMsg>(&outcome.reply);
+    const ErrorMsg* error = std::get_if<ErrorMsg>(&outcome.reply);
+    if (error != nullptr && error->code == ErrorCode::kDeadlineExceeded) {
+        deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
+        DRE_COUNTER_INC("serve.deadline_exceeded");
     }
-    journal_->log(rec);
+    // Every line before the first reply, so by the time any client holds
+    // its frame the matching journal line is already on disk — the
+    // loadgen/journal cross-check relies on that ordering.
+    if (journal_) {
+        for (std::size_t i = 0; i < waiters.size(); ++i) {
+            JournalRecord rec;
+            rec.trace_id = waiters[i].trace_id;
+            rec.trace = request.trace;
+            rec.policy = request.policy;
+            rec.model = request.model;
+            rec.seed = request.seed;
+            rec.ci_replicates = request.ci_replicates;
+            rec.total_ms = outcome.total_ms;
+            rec.queue_ms = outcome.queue_ms;
+            rec.cache_ms = outcome.phases.cache_ms;
+            rec.compute_ms = outcome.phases.compute_ms;
+            rec.serialize_ms = outcome.phases.serialize_ms;
+            rec.trace_hit = outcome.phases.trace_hit;
+            rec.policy_hit = outcome.phases.policy_hit;
+            rec.evaluator_hit = outcome.phases.evaluator_hit;
+            rec.coalesced = i > 0;
+            rec.waiters = waiters.size();
+            if (result != nullptr) {
+                rec.degraded = result->degraded;
+            } else {
+                rec.error_code = to_string(error->code);
+                rec.error = error->message;
+            }
+            journal_->log(rec);
+        }
+    }
+    for (const Waiter& w : waiters) {
+        if (result != nullptr) {
+            // Coalesced waiters share the text and dr bytes; the telemetry
+            // tail is each waiter's own.
+            ResultMsg reply = *result;
+            reply.trace_id = w.trace_id;
+            reply.queue_ms = outcome.queue_ms;
+            reply.cache_ms = outcome.phases.cache_ms;
+            reply.compute_ms = outcome.phases.compute_ms;
+            reply.serialize_ms = outcome.phases.serialize_ms;
+            send_frame(*w.session, encode_result(reply));
+        } else {
+            send_frame(*w.session, encode_error(*error));
+        }
+        w.session->outstanding.fetch_sub(1, std::memory_order_relaxed);
+    }
 }
 
 void EvalServer::admit(const std::shared_ptr<Session>& session,
@@ -263,133 +323,85 @@ void EvalServer::admit(const std::shared_ptr<Session>& session,
     // Every admitted request gets a trace id: the client's if it sent one,
     // a server-generated one otherwise, so the Result echo and the journal
     // always correlate.
-    const std::uint64_t trace_id =
-        request.trace_id != 0 ? request.trace_id : obs::next_trace_id();
+    const Waiter waiter{session, request.trace_id != 0 ? request.trace_id
+                                                       : obs::next_trace_id()};
+    session->outstanding.fetch_add(1, std::memory_order_relaxed);
     std::string key = job_key(request);
-    const auto now = std::chrono::steady_clock::now();
+    const std::uint64_t now_ns = obs::now_ns();
+    const std::uint64_t deadline = deadline_after(now_ns, request.deadline_ms);
 
-    enum class Outcome { kQueued, kShed, kBrownoutCache, kOverloaded };
-    Outcome outcome = Outcome::kQueued;
-    EvalCache::ResultPtr cached;
+    // Every answer admission gives itself is cheap (no compute), so it goes
+    // out from the io thread.
+    Outcome answer;
     {
         std::lock_guard<std::mutex> lock(queue_mutex_);
         const auto it = inflight_.find(key);
+        // Deadline shedding: if the EWMA of job service time says the
+        // requests already ahead of this one will outlive its budget,
+        // reject now rather than let it expire in line. Conservative by
+        // design: a zero EWMA (no finished job yet) never sheds.
+        const std::uint64_t ahead_ns =
+            (static_cast<std::uint64_t>(queue_.size()) + 1) *
+            avg_job_us_.load(std::memory_order_relaxed) * 1000;
+        const bool brownout = options_.brownout_watermark > 0 &&
+                              queue_.size() >= options_.brownout_watermark;
+        EvalCache::ResultPtr cached;
         if (it != inflight_.end()) {
             // Identical request queued or computing: share its one
             // computation. Attaching under the queue mutex pairs with the
             // dispatcher claiming waiters under the same mutex, so the
             // reply cannot be missed.
-            it->second->waiters.push_back(Waiter{session, trace_id});
-            session->outstanding.fetch_add(1, std::memory_order_relaxed);
+            it->second->waiters.push_back(waiter);
             coalesced_.fetch_add(1, std::memory_order_relaxed);
             DRE_COUNTER_INC("serve.requests_coalesced");
             return;
-        }
-        // Deadline shedding: if the EWMA of job service time says the
-        // requests already ahead of this one will outlive its budget,
-        // reject now — before queueing — rather than let it expire in
-        // line. Conservative by design (a zero EWMA, i.e. no finished job
-        // yet, never sheds).
-        if (request.deadline_ms > 0) {
-            const std::uint64_t avg_us =
-                avg_job_us_.load(std::memory_order_relaxed);
-            const std::uint64_t ahead_us =
-                (static_cast<std::uint64_t>(queue_.size()) + 1) * avg_us;
-            if (avg_us > 0 && ahead_us > request.deadline_ms * 1000)
-                outcome = Outcome::kShed;
-        }
-        bool brownout = false;
-        if (outcome == Outcome::kQueued) {
-            brownout = options_.brownout_watermark > 0 &&
-                       queue_.size() >= options_.brownout_watermark;
-            if (brownout) {
-                // Cache-only first: a finished full-fidelity result for
-                // this exact key costs nothing to serve and is exact.
-                cached = service_.cached_result(key);
-                if (cached) outcome = Outcome::kBrownoutCache;
-            }
-        }
-        if (outcome == Outcome::kQueued) {
-            if (queue_.size() < options_.max_queue) {
-                auto job = std::make_shared<Job>();
-                job->key = std::move(key);
-                job->request = std::move(request);
-                job->waiters.push_back(Waiter{session, trace_id});
-                job->enqueued = now;
-                job->enqueued_ns = obs::now_ns();
-                job->trace_id = trace_id;
-                job->degraded = brownout;
-                if (job->request.deadline_ms > 0) {
-                    job->has_deadline = true;
-                    job->deadline =
-                        now +
-                        std::chrono::milliseconds(job->request.deadline_ms);
-                }
-                session->outstanding.fetch_add(1, std::memory_order_relaxed);
-                if (brownout) {
-                    brownout_.fetch_add(1, std::memory_order_relaxed);
-                    DRE_COUNTER_INC("serve.brownout");
-                }
-                inflight_.emplace(job->key, job);
-                queue_.push_back(std::move(job));
-                DRE_GAUGE_SET("serve.queue_depth",
-                              static_cast<double>(queue_.size()));
-                queue_cv_.notify_one();
-                return;
-            }
-            outcome = Outcome::kOverloaded;
-        }
-    }
-
-    // Inline io-thread replies (all cheap — no compute): journal first,
-    // then answer, preserving the line-before-reply ordering.
-    switch (outcome) {
-        case Outcome::kShed: {
+        } else if (deadline != kNoDeadline && ahead_ns > deadline - now_ns) {
             shed_.fetch_add(1, std::memory_order_relaxed);
-            deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
             DRE_COUNTER_INC("serve.shed");
-            DRE_COUNTER_INC("serve.deadline_exceeded");
-            journal_terminal(request, trace_id, "deadline-exceeded",
-                             "shed at admission: queue backlog exceeds "
-                             "deadline");
-            send_frame(*session,
-                       encode_error({ErrorCode::kDeadlineExceeded,
-                                     "deadline " +
-                                         std::to_string(request.deadline_ms) +
-                                         "ms unmeetable: queue backlog ahead "
-                                         "of this request exceeds it"}));
-            return;
-        }
-        case Outcome::kBrownoutCache: {
+            answer.reply = ErrorMsg{
+                ErrorCode::kDeadlineExceeded,
+                "deadline " + std::to_string(request.deadline_ms) +
+                    "ms unmeetable: queue backlog ahead of this request "
+                    "exceeds it"};
+        } else if (brownout && (cached = service_.cached_result(key))) {
+            // A finished full-fidelity result for this exact key costs
+            // nothing to serve and is exact.
             brownout_.fetch_add(1, std::memory_order_relaxed);
             DRE_COUNTER_INC("serve.brownout");
             DRE_COUNTER_INC("serve.brownout_cache");
-            journal_terminal(request, trace_id, nullptr, "");
-            ResultMsg reply;
-            reply.text = cached->text;
-            reply.dr = cached->dr;
-            reply.cache_hit = true;
-            reply.trace_id = trace_id;
-            send_frame(*session, encode_result(reply));
-            return;
-        }
-        case Outcome::kOverloaded: {
-            // Backpressure: the bounded queue is full and this request
-            // matches nothing in flight. Tell the client immediately
-            // instead of buffering without bound.
+            answer.reply = ResultMsg{
+                .text = cached->text, .dr = cached->dr, .cache_hit = true};
+        } else if (queue_.size() >= options_.max_queue) {
+            // Backpressure: tell the client at once instead of buffering
+            // without bound.
             rejected_.fetch_add(1, std::memory_order_relaxed);
             DRE_COUNTER_INC("serve.requests_rejected");
-            journal_terminal(request, trace_id, "overloaded", "queue full");
-            send_frame(*session,
-                       encode_error({ErrorCode::kOverloaded,
-                                     "queue full (" +
-                                         std::to_string(options_.max_queue) +
-                                         " pending); retry later"}));
+            answer.reply = ErrorMsg{ErrorCode::kOverloaded,
+                                    "queue full (" +
+                                        std::to_string(options_.max_queue) +
+                                        " pending); retry later"};
+        } else {
+            auto job = std::make_shared<Job>();
+            job->key = std::move(key);
+            job->request = std::move(request);
+            job->waiters.push_back(waiter);
+            job->admitted_ns = now_ns;
+            job->deadline_ns = deadline;
+            job->trace_id = waiter.trace_id;
+            job->degraded = brownout;
+            if (brownout) {
+                brownout_.fetch_add(1, std::memory_order_relaxed);
+                DRE_COUNTER_INC("serve.brownout");
+            }
+            inflight_.emplace(job->key, job);
+            queue_.push_back(std::move(job));
+            DRE_GAUGE_SET("serve.queue_depth",
+                          static_cast<double>(queue_.size()));
+            queue_cv_.notify_one();
             return;
         }
-        case Outcome::kQueued:
-            return; // unreachable: queued paths returned above
     }
+    finish(request, {waiter}, answer);
 }
 
 void EvalServer::handle_frame(const std::shared_ptr<Session>& session,
@@ -584,43 +596,35 @@ void EvalServer::dispatch_loop() {
         }
 
         const std::uint64_t dequeue_ns = obs::now_ns();
-        const double queue_ms =
-            static_cast<double>(dequeue_ns - job->enqueued_ns) / 1e6;
-        DRE_HIST_RECORD("serve.queue_ms", queue_ms);
+        Outcome outcome;
+        outcome.queue_ms =
+            static_cast<double>(dequeue_ns - job->admitted_ns) / 1e6;
+        DRE_HIST_RECORD("serve.queue_ms", outcome.queue_ms);
 
         // Compute outside every lock: one job at a time, internally
         // parallel on the dre::par pool. The trace context installed here
         // propagates into the pool workers via Batch, so every span a
         // worker opens carries this request's trace id.
-        EvalService::EvalPhases phases;
-        ResultMsg result;
-        ErrorMsg error;
-        bool failed = false;
         {
             obs::ScopedTraceContext trace_scope(
                 obs::TraceContext{job->trace_id});
             DRE_SPAN("serve.request");
             if (obs::trace_enabled())
-                obs::record_trace_event("serve.queue_wait", job->enqueued_ns,
+                obs::record_trace_event("serve.queue_wait", job->admitted_ns,
                                         dequeue_ns);
             // Queue-phase deadline: the budget may already be gone by the
             // time the dispatcher reaches this job.
-            if (job->has_deadline &&
-                std::chrono::steady_clock::now() >= job->deadline) {
-                failed = true;
-                error = {ErrorCode::kDeadlineExceeded,
-                         "deadline exceeded in queue phase (waited " +
-                             std::to_string(queue_ms) + "ms)"};
-                deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
-                DRE_COUNTER_INC("serve.deadline_exceeded");
+            if (dequeue_ns >= job->deadline_ns) {
+                outcome.reply = ErrorMsg{
+                    ErrorCode::kDeadlineExceeded,
+                    "deadline exceeded in queue phase (waited " +
+                        std::to_string(outcome.queue_ms) + "ms)"};
             } else {
                 DeadlineFn deadline_fn;
-                if (job->has_deadline) {
-                    const auto deadline = job->deadline;
-                    deadline_fn = [deadline] {
-                        return std::chrono::steady_clock::now() >= deadline;
+                if (job->deadline_ns != kNoDeadline)
+                    deadline_fn = [deadline = job->deadline_ns] {
+                        return obs::now_ns() >= deadline;
                     };
-                }
                 try {
                     // serve.dispatch fault point: the job blows up at
                     // pickup — a stand-in for dispatcher-side resource
@@ -630,53 +634,46 @@ void EvalServer::dispatch_loop() {
                         "serve.dispatch",
                         dispatch_seq_.fetch_add(1, std::memory_order_relaxed),
                         0);
-                    result =
+                    outcome.reply =
                         job->degraded
                             ? service_.evaluate_degraded(
                                   job->request, options_.brownout_coverage,
-                                  &phases, deadline_fn)
-                            : service_.evaluate(job->request, &phases,
+                                  &outcome.phases, deadline_fn)
+                            : service_.evaluate(job->request, &outcome.phases,
                                                 deadline_fn);
                 } catch (const DeadlineExceeded& e) {
-                    failed = true;
-                    error = {ErrorCode::kDeadlineExceeded, e.what()};
-                    deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
-                    DRE_COUNTER_INC("serve.deadline_exceeded");
+                    outcome.reply =
+                        ErrorMsg{ErrorCode::kDeadlineExceeded, e.what()};
                 } catch (const fault::FaultError& e) {
                     // Before the catch-all runtime_error arm: an injected
                     // dispatcher fault is an internal failure, not a
                     // missing trace.
-                    failed = true;
-                    error = {ErrorCode::kInternal, e.what()};
+                    outcome.reply = ErrorMsg{ErrorCode::kInternal, e.what()};
                 } catch (const std::invalid_argument& e) {
-                    failed = true;
-                    error = {ErrorCode::kBadRequest, e.what()};
+                    outcome.reply = ErrorMsg{ErrorCode::kBadRequest, e.what()};
                 } catch (const std::runtime_error& e) {
-                    failed = true;
-                    error = {ErrorCode::kNotFound, e.what()};
+                    outcome.reply = ErrorMsg{ErrorCode::kNotFound, e.what()};
                 } catch (const std::exception& e) {
-                    failed = true;
-                    error = {ErrorCode::kInternal, e.what()};
+                    outcome.reply = ErrorMsg{ErrorCode::kInternal, e.what()};
                 } catch (...) {
-                    // Exactly-once journal handoff: even an unclassifiable
-                    // failure must terminate this job with an outcome line
-                    // and a reply, never a silent drop.
-                    failed = true;
-                    error = {ErrorCode::kInternal, "unknown error"};
+                    // Even an unclassifiable failure ends in finish with a
+                    // journal line and a reply, never a silent drop.
+                    outcome.reply =
+                        ErrorMsg{ErrorCode::kInternal, "unknown error"};
                 }
             }
         }
 
         // Feed the admission-shedding estimate and remember finished
         // full-fidelity results for brownout cache-only serving.
-        if (!failed) {
+        if (const auto* result = std::get_if<ResultMsg>(&outcome.reply)) {
             const std::uint64_t job_us = (obs::now_ns() - dequeue_ns) / 1000;
             const std::uint64_t prev =
                 avg_job_us_.load(std::memory_order_relaxed);
             avg_job_us_.store(prev == 0 ? job_us : (3 * prev + job_us) / 4,
                               std::memory_order_relaxed);
             if (!job->degraded)
-                service_.remember_result(job->key, result.text, result.dr);
+                service_.remember_result(job->key, result->text, result->dr);
         }
 
         // Claim the waiter list and retire the in-flight key under the
@@ -688,64 +685,10 @@ void EvalServer::dispatch_loop() {
             waiters = std::move(job->waiters);
             inflight_.erase(job->key);
         }
-
-        const double total_ms =
-            std::chrono::duration<double, std::milli>(
-                std::chrono::steady_clock::now() - job->enqueued)
-                .count();
-
-        // Journal before replying, so by the time any client holds its
-        // Result the matching journal line is already on disk — the
-        // loadgen/journal cross-check relies on that ordering.
-        if (journal_) {
-            for (std::size_t i = 0; i < waiters.size(); ++i) {
-                JournalRecord rec;
-                rec.trace_id = waiters[i].trace_id;
-                rec.trace = job->request.trace;
-                rec.policy = job->request.policy;
-                rec.model = job->request.model;
-                rec.seed = job->request.seed;
-                rec.ci_replicates = job->request.ci_replicates;
-                rec.total_ms = total_ms;
-                rec.queue_ms = queue_ms;
-                rec.cache_ms = phases.cache_ms;
-                rec.compute_ms = phases.compute_ms;
-                rec.serialize_ms = phases.serialize_ms;
-                rec.trace_hit = phases.trace_hit;
-                rec.policy_hit = phases.policy_hit;
-                rec.evaluator_hit = phases.evaluator_hit;
-                rec.coalesced = i > 0;
-                rec.degraded = !failed && job->degraded;
-                rec.waiters = waiters.size();
-                if (failed) {
-                    rec.error_code = to_string(error.code);
-                    rec.error = error.message;
-                }
-                journal_->log(rec);
-            }
-        }
-        if (failed) {
-            const std::vector<unsigned char> reply = encode_error(error);
-            for (const auto& w : waiters) {
-                send_frame(*w.session, reply);
-                w.session->outstanding.fetch_sub(1, std::memory_order_relaxed);
-            }
-        } else {
-            // Each coalesced waiter gets its own Result frame: identical
-            // text/dr bytes, but the telemetry tail echoes the waiter's
-            // trace id so every client can correlate its request.
-            for (const auto& w : waiters) {
-                ResultMsg tailored = result;
-                tailored.trace_id = w.trace_id;
-                tailored.queue_ms = queue_ms;
-                tailored.cache_ms = phases.cache_ms;
-                tailored.compute_ms = phases.compute_ms;
-                tailored.serialize_ms = phases.serialize_ms;
-                send_frame(*w.session, encode_result(tailored));
-                w.session->outstanding.fetch_sub(1, std::memory_order_relaxed);
-            }
-        }
-        request_ms_.record(total_ms);
+        outcome.total_ms =
+            static_cast<double>(obs::now_ns() - job->admitted_ns) / 1e6;
+        finish(job->request, waiters, outcome);
+        request_ms_.record(outcome.total_ms);
     }
 }
 

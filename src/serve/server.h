@@ -14,17 +14,22 @@
 //                     are byte-identical at any client concurrency by
 //                     construction, not by locking discipline.
 //
-// Admission control + coalescing (all under one queue mutex):
-//   * identical in-flight requests — same key, the Evaluate encoding
-//     without trace_id and deadline_ms, whether queued or currently
-//     computing — attach the new session as a waiter on the existing job
-//     and share its single computation;
-//   * otherwise, if the bounded queue is full, the client gets an
-//     immediate Error{kOverloaded} backpressure reply;
+// Admission decides each Evaluate request in one if/else chain, under one
+// queue mutex:
+//   * coalesce — an identical request (same key, the Evaluate encoding
+//     without trace_id and deadline_ms) is queued or computing: the new
+//     session waits on that job and shares its single computation;
+//   * shed — the deadline is unmeetable (see Deadlines below);
+//   * brownout cache — see Brownout below;
+//   * overloaded — the bounded queue is full: an immediate
+//     Error{kOverloaded} backpressure reply;
 //   * otherwise a new job enters the FIFO queue.
-// The dispatcher removes a job from the in-flight map and claims its
-// waiter list under the same mutex before replying, so a request that
-// coalesces can never miss its response.
+// Every request ends in finish(). Admission hands it the answer it gives
+// inline; the dispatcher hands it each job's outcome with the waiter list
+// it claimed, under the same mutex, as it removed the job from the
+// in-flight map, so a request that coalesces can never miss its response.
+// finish() writes a journal line for every waiter, all before the first
+// reply, then sends each waiter its frame.
 //
 // Sessions are shared_ptr-owned; a session's fd is closed only in its
 // destructor, after the io thread has dropped it AND every job holding it
@@ -38,7 +43,8 @@
 //     the request immediately when the queue's EWMA service time says the
 //     budget is unmeetable, the dispatcher answers kDeadlineExceeded when
 //     the budget expires in the queue, and the service checks it at the
-//     cache/compute/serialize phase boundaries.
+//     cache/compute/serialize phase boundaries. A budget too long to
+//     represent in obs::now_ns nanoseconds never runs out.
 //   * Brownout — with brownout_watermark > 0, once the queue reaches the
 //     watermark new unique requests stop being first-class: a repeat of a
 //     finished request is answered inline from the response cache (exact
@@ -57,7 +63,7 @@
 //     without changing any delivered byte.
 //   * Exactly-once journal — every admitted request produces one terminal
 //     journal line (ok, error, degraded, shed, deadline-exceeded, or
-//     drained at shutdown), written before its reply frame.
+//     drained at shutdown), written by finish() before its reply frame.
 #ifndef DRE_SERVE_SERVER_H
 #define DRE_SERVE_SERVER_H
 
@@ -133,6 +139,7 @@ private:
     struct Session;
     struct Job;
     struct Waiter;
+    struct Outcome;
 
     void io_loop();
     void dispatch_loop();
@@ -143,8 +150,10 @@ private:
     // and whenever a session is marked closed off the io thread, so the
     // poll loop reaps it without waiting for socket traffic.
     void wake_io();
-    void journal_terminal(const EvaluateMsg& request, std::uint64_t trace_id,
-                          const char* error_code, const std::string& error);
+    // Ends an Evaluate request: one journal line per waiter, all before
+    // the first reply, then each waiter's frame.
+    void finish(const EvaluateMsg& request, const std::vector<Waiter>& waiters,
+                const Outcome& outcome);
 
     ServerOptions options_;
     EvalService service_;

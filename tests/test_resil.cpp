@@ -749,10 +749,22 @@ TEST(ResilServerTest, AdmissionShedsUnmeetableDeadlines) {
     EXPECT_GE(stats.shed, 1u);
     EXPECT_GE(stats.deadline_exceeded, 1u);
 
-    // A generous deadline still sails through.
-    serve::EvaluateMsg relaxed = make_request(path, "uniform", 3);
-    relaxed.deadline_ms = 600000;
-    EXPECT_EQ(client.evaluate(relaxed).text, expected_text(trace, relaxed));
+    // A generous deadline still sails through, and so does a budget too
+    // long to represent in nanoseconds: it never runs out, neither in the
+    // shedding test nor in the queue.
+    for (const std::uint64_t deadline_ms :
+         {std::uint64_t{600000}, std::uint64_t{10000000000000},
+          std::uint64_t{1} << 63, ~std::uint64_t{0}}) {
+        serve::EvaluateMsg relaxed = make_request(path, "uniform", 3);
+        relaxed.deadline_ms = deadline_ms;
+        try {
+            EXPECT_EQ(client.evaluate(relaxed).text,
+                      expected_text(trace, relaxed))
+                << deadline_ms;
+        } catch (const serve::ServeError& e) {
+            ADD_FAILURE() << "deadline_ms " << deadline_ms << ": " << e.what();
+        }
+    }
     server.stop_and_join();
 }
 

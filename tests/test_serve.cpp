@@ -713,20 +713,49 @@ TEST(ServeServerTest, ZeroQueueRejectsWithOverloaded) {
     TempDir dir;
     const std::string path = dir.file("trace.csv");
     write_csv_file(make_trace(20), path);
+    const std::string journal_path = dir.file("journal.jsonl");
 
     serve::ServerOptions options;
     options.max_queue = 0;
+    options.journal_path = journal_path;
     serve::EvalServer server(options);
     server.start();
 
     serve::Client client(server.port());
+    serve::EvaluateMsg request = make_request(path);
+    request.trace_id = 0x5eed0fbacc0ffull;
+    std::string message; // the Error frame's message, without the code
     try {
-        (void)client.evaluate(make_request(path));
+        (void)client.evaluate(request);
         FAIL() << "expected kOverloaded";
     } catch (const serve::ServeError& e) {
         EXPECT_EQ(e.code(), serve::ErrorCode::kOverloaded);
+        const std::string prefix =
+            std::string(serve::to_string(e.code())) + ": ";
+        const std::string what = e.what();
+        ASSERT_EQ(what.rfind(prefix, 0), 0u) << what;
+        message = what.substr(prefix.size());
     }
     EXPECT_EQ(server.stats_snapshot().rejected, 1u);
+
+    // Admission answered inline, and its journal line is already on disk:
+    // the request's id, the error code and the reply's own message.
+    std::ifstream in(journal_path);
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(in, line);)
+        if (!line.empty()) lines.push_back(line);
+    ASSERT_EQ(lines.size(), 1u);
+    EXPECT_NE(lines[0].find("\"trace_id\":\"0x5eed0fbacc0ff\""),
+              std::string::npos)
+        << lines[0];
+    EXPECT_NE(lines[0].find("\"outcome\":\"error\""), std::string::npos)
+        << lines[0];
+    EXPECT_NE(lines[0].find("\"error_code\":\"overloaded\""),
+              std::string::npos)
+        << lines[0];
+    EXPECT_NE(lines[0].find("\"error\":\"" + message + "\""),
+              std::string::npos)
+        << lines[0];
     server.stop_and_join();
 }
 

@@ -207,10 +207,24 @@ TEST(OpenMetricsTest, HistogramBucketsAreCumulative) {
     EXPECT_EQ(prev, 3u); // +Inf bucket holds everything
 }
 
+// Replaces the dre::par pool with a serial one for its scope, which joins
+// every worker, and restores the default pool on the way out, a throw
+// included. A worker woken for an earlier test's batch can otherwise still
+// record par.worker_idle_ns or flush par.tasks_run into the registry while
+// a test compares a render with later snapshots.
+class SerialPool {
+public:
+    SerialPool() { par::set_thread_count(1); }
+    ~SerialPool() { par::set_thread_count(0); }
+    SerialPool(const SerialPool&) = delete;
+    SerialPool& operator=(const SerialPool&) = delete;
+};
+
 // Every family of the rendered registry reads back with the registry's own
 // values: counters, gauges, histogram buckets, sum and count, and span
 // duration histograms.
 TEST(OpenMetricsTest, ParseReadsBackTheRenderedRegistry) {
+    const SerialPool quiescent;
     DRE_COUNTER_ADD("telemetry_test.parsed_hits", 7);
     DRE_GAUGE_SET("telemetry_test.parsed_level", -2.75);
     for (const double v : {0.5, 3.0, 3.0, 100.0, 70000.0})
